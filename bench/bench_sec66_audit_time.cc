@@ -79,12 +79,23 @@ void Run(BenchJson& json) {
   std::printf("  audit result: %s\n", audit.Describe().c_str());
   std::printf("  cross-check vs AuditOutcome timers: syntactic %.3f/%.3f, semantic %.3f/%.3f\n",
               syn_s, audit.syntactic_seconds, replay_s, audit.semantic_seconds);
-  std::printf("  semantic / syntactic ratio: %.0fx (paper: ~287x)\n",
-              replay_s / std::max(syn_s, 1e-9));
+  const double semantic_syntactic = replay_s / std::max(syn_s, 1e-9);
+  const double replay_record = replay_s / record_seconds;
+  std::printf("  semantic / syntactic ratio: %.2fx (paper: ~287x)\n", semantic_syntactic);
   std::printf("  replay / original-recording ratio: %.2fx (paper: ~0.89x, replay skips idle)\n",
-              replay_s / record_seconds);
-  std::printf("  shape check vs paper: syntactic is orders of magnitude cheaper than\n");
-  std::printf("  semantic; replay cost is on the order of the original execution.\n");
+              replay_record);
+  // The paper's shape: syntactic orders of magnitude cheaper than
+  // semantic, replay on the order of the original execution.
+  const char* syntactic_shape = "syntactic is not cheaper than semantic (paper shape lost)";
+  if (semantic_syntactic >= 100) {
+    syntactic_shape = "syntactic is orders of magnitude cheaper than semantic (as in the paper)";
+  } else if (semantic_syntactic > 1) {
+    syntactic_shape = "syntactic is cheaper than semantic, by less than 100x";
+  }
+  const bool replay_on_order = replay_record >= 0.1 && replay_record <= 10;
+  std::printf("  shape check vs paper: %s;\n", syntactic_shape);
+  std::printf("  replay cost is %son the order of the original execution.\n",
+              replay_on_order ? "" : "not ");
   std::printf("  (note: recording here drives 4 machines, replay just 1, so the\n");
   std::printf("   replay/record ratio lands below 1 for that reason too.)\n");
 
@@ -93,7 +104,7 @@ void Run(BenchJson& json) {
   json.Add("phase_syntactic_s", syn_s, "s");
   json.Add("phase_rsa_verify_s", rsa_s, "s");
   json.Add("phase_replay_s", replay_s, "s");
-  json.Add("semantic_syntactic_ratio", replay_s / std::max(syn_s, 1e-9), "x");
+  json.Add("semantic_syntactic_ratio", semantic_syntactic, "x");
 
   // The semantic check re-run per replay tier: the JIT (the default
   // AuditFull path above) vs the decoded-cache interpreter. The verdict

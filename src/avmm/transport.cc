@@ -237,14 +237,15 @@ void Transport::HandleData(SimTime now, const NodeId& src, ByteView body) {
     Violation("sender authenticator does not commit to SEND(m) from " + src);
     return;
   }
+  // Add verifies the signature and stores nothing if it fails, so it is
+  // the one signature check.
   crypto_timer.Reset();
-  bool auth_ok = f.auth.VerifySignature(*registry_);
+  bool auth_ok = auth_store_->Add(f.auth, *registry_);
   crypto_seconds_ += crypto_timer.ElapsedSeconds();
   if (!auth_ok) {
     Violation("sender authenticator signature invalid from " + src);
     return;
   }
-  auth_store_->Add(f.auth, *registry_);
 
   // Duplicate (retransmitted) data: re-send the identical ack, do not log
   // a second RECV.
@@ -324,13 +325,12 @@ void Transport::HandleAck(SimTime now, const NodeId& src, ByteView body) {
     return;
   }
   WallTimer crypto_timer;
-  bool auth_ok = ack.auth.VerifySignature(*registry_);
+  bool auth_ok = auth_store_->Add(ack.auth, *registry_);
   crypto_seconds_ += crypto_timer.ElapsedSeconds();
   if (!auth_ok) {
     Violation("ack authenticator signature invalid from " + src);
     return;
   }
-  auth_store_->Add(ack.auth, *registry_);
 
   WallTimer log_timer;
   log_->Append(EntryType::kAck, ack.Serialize());

@@ -352,141 +352,180 @@ Bignum Bignum::MulMod(const Bignum& a, const Bignum& b, const Bignum& m) {
   return Mod(Mul(a, b), m);
 }
 
-Montgomery::Montgomery(const Bignum& m) : modulus_(m), m_(m.limbs()), n_(m.limbs().size()) {
-  if (!m.IsOdd() || n_ < 2) {
+namespace {
+
+__extension__ typedef unsigned __int128 u128;
+
+// Zero-extends a value below the modulus into n 64-bit limbs.
+void Widen(const Bignum& v, uint64_t* out, size_t n) {
+  std::fill(out, out + n, 0);
+  const auto& limbs = v.limbs();
+  for (size_t i = 0; i < limbs.size(); i++) {
+    out[i / 2] |= static_cast<uint64_t>(limbs[i]) << (32 * (i % 2));
+  }
+}
+
+Bignum Narrow(const uint64_t* a, size_t n) {
+  std::vector<uint32_t> limbs(2 * n);
+  for (size_t i = 0; i < n; i++) {
+    limbs[2 * i] = static_cast<uint32_t>(a[i]);
+    limbs[2 * i + 1] = static_cast<uint32_t>(a[i] >> 32);
+  }
+  return Bignum::FromLimbs(std::move(limbs));
+}
+
+// Three-limb accumulator for one column of a product-scanned multiply.
+struct Column {
+  u128 low = 0;       // Limbs 0 and 1.
+  uint64_t high = 0;  // Limb 2.
+
+  void Add(uint64_t x, uint64_t y) { AddWide(static_cast<u128>(x) * y); }
+  void AddWide(u128 v) { high += __builtin_add_overflow(low, v, &low); }
+  // Emits limb 0 and shifts the accumulator down one limb.
+  uint64_t Shift() {
+    const auto out = static_cast<uint64_t>(low);
+    low = (low >> 64) | (static_cast<u128>(high) << 64);
+    high = 0;
+    return out;
+  }
+};
+
+}  // namespace
+
+Montgomery::Montgomery(const Bignum& m) : modulus_(m), n_((m.limbs().size() + 1) / 2) {
+  if (!m.IsOdd() || m.limbs().size() < 2) {
     throw std::invalid_argument("Montgomery: modulus must be odd and multi-limb");
   }
-  // m' = -m^{-1} mod 2^32 via Newton iteration on 32-bit words.
-  uint32_t m0 = m_[0];
-  uint32_t inv = 1;
-  for (int i = 0; i < 5; i++) {
-    inv *= 2 - m0 * inv;
+  m_.resize(n_);
+  Widen(m, m_.data(), n_);
+  // m' = -m^{-1} mod 2^64 via Newton iteration: each step doubles the
+  // number of correct low bits, 1 -> 64 in six.
+  uint64_t inv = 1;
+  for (int i = 0; i < 6; i++) {
+    inv *= 2 - m_[0] * inv;
   }
-  minv_ = ~inv + 1;  // -inv mod 2^32.
+  minv_ = ~inv + 1;
 
-  // r2 = (2^(32n))^2 mod m, computed with one long division.
-  Bignum r2 = Bignum::Mod(Bignum::Shl(Bignum(1), 64 * n_), m);
-  r2_ = ToResidue(r2);
-  // Montgomery form of 1 is R mod m: REDC(1 * R^2).
-  one_ = Mul(ToResidue(Bignum(1)), r2_);
+  // R^2 = 2^(128 n) mod m, computed with one long division.
+  r2_.resize(n_);
+  Widen(Bignum::Mod(Bignum::Shl(Bignum(1), 128 * n_), m), r2_.data(), n_);
 }
 
-Montgomery::Residue Montgomery::ToResidue(const Bignum& a) const {
-  Residue out(n_, 0);
-  const auto& limbs = a.limbs();
-  for (size_t i = 0; i < limbs.size() && i < n_; i++) {
-    out[i] = limbs[i];
-  }
-  return out;
-}
-
-Montgomery::Residue Montgomery::Enter(const Residue& a) const { return Mul(a, r2_); }
-
-Bignum Montgomery::Leave(const Residue& a) const {
-  Residue one(n_, 0);
-  one[0] = 1;
-  // Multiplying by the residue "1" performs one REDC, dividing by R.
-  return Bignum::FromLimbs(Mul(a, one));
-}
-
-Montgomery::Residue Montgomery::Mul(const Residue& a, const Residue& b) const {
-  // CIOS (coarsely integrated operand scanning).
-  std::vector<uint32_t> t(n_ + 2, 0);
-  for (size_t i = 0; i < n_; i++) {
-    // t += a[i] * b.
-    uint64_t carry = 0;
-    uint64_t ai = a[i];
-    for (size_t j = 0; j < n_; j++) {
-      uint64_t cur = t[j] + ai * b[j] + carry;
-      t[j] = static_cast<uint32_t>(cur);
-      carry = cur >> 32;
-    }
-    uint64_t cur = t[n_] + carry;
-    t[n_] = static_cast<uint32_t>(cur);
-    t[n_ + 1] = static_cast<uint32_t>(cur >> 32);
-
-    // u = t[0] * m' mod 2^32; t += u * m; t >>= 32.
-    uint32_t u = t[0] * minv_;
-    carry = 0;
-    uint64_t first = t[0] + static_cast<uint64_t>(u) * m_[0];
-    carry = first >> 32;
-    for (size_t j = 1; j < n_; j++) {
-      uint64_t c2 = t[j] + static_cast<uint64_t>(u) * m_[j] + carry;
-      t[j - 1] = static_cast<uint32_t>(c2);
-      carry = c2 >> 32;
-    }
-    uint64_t c3 = t[n_] + carry;
-    t[n_ - 1] = static_cast<uint32_t>(c3);
-    t[n_] = t[n_ + 1] + static_cast<uint32_t>(c3 >> 32);
-    t[n_ + 1] = 0;
-  }
-
-  Residue out(t.begin(), t.begin() + static_cast<ptrdiff_t>(n_));
-  if (t[n_] != 0 || !LessThanM(out)) {
-    SubM(out);
-  }
-  return out;
-}
-
-bool Montgomery::LessThanM(const Residue& a) const {
-  for (size_t i = n_; i-- > 0;) {
-    if (a[i] != m_[i]) {
-      return a[i] < m_[i];
-    }
-  }
-  return false;  // Equal counts as not-less.
-}
-
-void Montgomery::SubM(Residue& a) const {
-  int64_t borrow = 0;
-  for (size_t i = 0; i < n_; i++) {
-    int64_t d = static_cast<int64_t>(a[i]) - m_[i] - borrow;
-    if (d < 0) {
-      d += 1ll << 32;
-      borrow = 1;
+template <bool kSquare>
+void Montgomery::Product(const Limb* a, const Limb* b, Limb* out, Limb* u) const {
+  const size_t n = n_;
+  const Limb* m = m_.data();
+  // Column k of a*b + u*m, for k = 0 .. 2n-2. In the low n columns each
+  // quotient digit u[k] is chosen to clear the column's low limb (the
+  // division by R); the high n columns are the result.
+  Column acc;
+  for (size_t k = 0; k + 1 < 2 * n; k++) {
+    const size_t lo = k < n ? 0 : k - n + 1;
+    const size_t ab_end = std::min(k + 1, n);  // a[j] b[k-j] for j in [lo, ab_end).
+    const size_t um_end = std::min(k, n);      // u[k] is not known yet.
+    if constexpr (kSquare) {
+      // Each cross product a[j] a[k-j], j < k-j, once, then doubled.
+      Column cross;
+      for (size_t j = lo; 2 * j < k; j++) {
+        cross.Add(a[j], a[k - j]);
+      }
+      acc.AddWide(cross.low);
+      acc.AddWide(cross.low);
+      acc.high += 2 * cross.high;
+      if (k % 2 == 0) {
+        acc.Add(a[k / 2], a[k / 2]);
+      }
     } else {
-      borrow = 0;
+      for (size_t j = lo; j < ab_end; j++) {
+        acc.Add(a[j], b[k - j]);
+      }
     }
-    a[i] = static_cast<uint32_t>(d);
+    for (size_t j = lo; j < um_end; j++) {
+      acc.Add(u[j], m[k - j]);
+    }
+    if (k < n) {
+      u[k] = static_cast<Limb>(acc.low) * minv_;
+      acc.Add(u[k], m[0]);
+      acc.Shift();  // Zero by the choice of u[k].
+    } else {
+      // a and b are not read at or below limb k - n any more, so out
+      // may alias them.
+      out[k - n] = acc.Shift();
+    }
+  }
+  out[n - 1] = acc.Shift();
+  const auto top = static_cast<Limb>(acc.low);
+
+  // The result is below 2m, so one conditional subtraction lands in
+  // [0, m): take the difference (built in u, free now) unless it borrows
+  // past `top`, which means the result was already below m.
+  Limb borrow = 0;
+  for (size_t i = 0; i < n; i++) {
+    u128 d = static_cast<u128>(out[i]) - m[i] - borrow;
+    u[i] = static_cast<Limb>(d);
+    borrow = static_cast<Limb>(d >> 127);
+  }
+  if (borrow <= top) {
+    std::copy(u, u + n, out);
   }
 }
 
 Bignum Montgomery::PowMod(const Bignum& base, const Bignum& exp) const {
-  size_t bits = exp.BitLength();
+  const size_t bits = exp.BitLength();
   if (bits == 0) {
-    return Leave(one_);  // base^0 = 1 mod m (m >= 2 limbs, so 1 < m).
+    return Bignum(1);  // m >= 2^32, so 1 is already reduced.
   }
-  Residue b = Enter(ToResidue(Bignum::Mod(base, modulus_)));
-  // 4-bit fixed window: precompute b^0..b^15 once, then per window do
-  // four squarings plus at most one table multiply.
-  Residue table[16];
-  table[0] = one_;
-  table[1] = b;
-  for (int i = 2; i < 16; i++) {
-    table[i] = Mul(table[i - 1], b);
-  }
-  size_t windows = (bits + 3) / 4;
-  Residue result = one_;
-  bool started = false;
-  for (size_t w = windows; w-- > 0;) {
-    if (started) {
-      result = Mul(result, result);
-      result = Mul(result, result);
-      result = Mul(result, result);
-      result = Mul(result, result);
-    }
-    uint32_t win = 0;
-    for (size_t bit = 0; bit < 4; bit++) {
-      if (exp.Bit(4 * w + bit)) {
-        win |= 1u << bit;
+  const size_t n = n_;
+  const bool windowed = bits >= kWindowMinBits;
+  // One allocation: Product's quotient digits, the accumulator, and the
+  // powers b^1..b^15 in Montgomery form (just b^1 without the window).
+  const size_t powers = windowed ? 15 : 1;
+  std::vector<Limb> scratch(n + n + powers * n);
+  Limb* u = scratch.data();
+  Limb* acc = u + n;
+  Limb* pow = acc + n;  // b^k at pow + (k - 1) * n.
+
+  Widen(base < modulus_ ? base : Bignum::Mod(base, modulus_), acc, n);
+  Product<false>(acc, r2_.data(), pow, u);  // b -> bR mod m.
+
+  if (!windowed) {
+    std::copy(pow, pow + n, acc);
+    for (size_t i = bits - 1; i-- > 0;) {
+      Product<true>(acc, acc, acc, u);
+      if (exp.Bit(i)) {
+        Product<false>(acc, pow, acc, u);
       }
     }
-    if (win != 0) {
-      result = started ? Mul(result, table[win]) : table[win];
-      started = true;
+  } else {
+    for (size_t k = 2; k <= 15; k++) {
+      Product<false>(pow + (k - 2) * n, pow, pow + (k - 1) * n, u);
+    }
+    auto window = [&exp](size_t w) {
+      uint32_t win = 0;
+      for (size_t bit = 0; bit < 4; bit++) {
+        win |= static_cast<uint32_t>(exp.Bit(4 * w + bit)) << bit;
+      }
+      return win;
+    };
+    // The top window holds the exponent's leading 1 bit.
+    size_t w = (bits + 3) / 4 - 1;
+    const Limb* top = pow + (window(w) - 1) * n;
+    std::copy(top, top + n, acc);
+    while (w-- > 0) {
+      for (int sq = 0; sq < 4; sq++) {
+        Product<true>(acc, acc, acc, u);
+      }
+      if (uint32_t win = window(w); win != 0) {
+        Product<false>(acc, pow + (win - 1) * n, acc, u);
+      }
     }
   }
-  return Leave(started ? result : one_);
+
+  // Leave Montgomery form: one REDC against the plain value 1.
+  std::fill(pow, pow + n, 0);
+  pow[0] = 1;
+  Product<false>(acc, pow, acc, u);
+  return Narrow(acc, n);
 }
 
 Bignum Bignum::PowMod(const Bignum& base, const Bignum& exp, const Bignum& m) {
@@ -612,12 +651,13 @@ bool Bignum::IsProbablePrime(const Bignum& n, Prng& rng, int rounds) {
     return false;
   }
   for (uint32_t p : kSmallPrimes) {
-    Bignum bp(p);
-    if (Cmp(n, bp) == 0) {
-      return true;
+    // n mod p limb by limb, without materializing a quotient.
+    uint64_t rem = 0;
+    for (size_t i = n.limbs_.size(); i-- > 0;) {
+      rem = ((rem << 32) | n.limbs_[i]) % p;
     }
-    if (Mod(n, bp).IsZero()) {
-      return false;
+    if (rem == 0) {
+      return n == Bignum(p);
     }
   }
   // Write n-1 = d * 2^s with d odd.

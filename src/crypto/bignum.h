@@ -1,5 +1,6 @@
 // Arbitrary-precision unsigned integers, sized for RSA-768..RSA-2048.
-// Little-endian 32-bit limbs, always normalized (no high zero limbs).
+// Bignum stores little-endian 32-bit limbs, always normalized (no high
+// zero limbs); Montgomery exponentiation runs on 64-bit limbs.
 #ifndef SRC_CRYPTO_BIGNUM_H_
 #define SRC_CRYPTO_BIGNUM_H_
 
@@ -88,46 +89,51 @@ class Bignum {
 // multiplication, which is the difference between RSA signing being a
 // per-packet cost the AVMM can afford and one it cannot (§6.8).
 //
+// The kernel works on 64-bit limbs with unsigned __int128 partial
+// products, a quarter of the limb multiplies of the same work over
+// Bignum's 32-bit limbs. It interleaves multiplication and reduction
+// column by column (finely integrated product scanning), summing each
+// column in a three-limb accumulator, and squarings compute each cross
+// product once. Values cross between the two limb widths only at PowMod
+// entry and exit; everything in between runs in one scratch buffer
+// allocated per PowMod.
+//
 // Building a context costs one long division (for R^2 mod m), so hot
-// paths construct it once per key and reuse it across ModExp calls
+// paths construct it once per key and reuse it across PowMod calls
 // (RsaPrivateKey/RsaPublicKey cache one per modulus). A constructed
 // context is immutable: concurrent PowMod calls on the same context are
 // safe, which is what lets the async signing pipeline share a key with
 // the caller thread.
 class Montgomery {
  public:
-  // m must be odd and at least two limbs (all RSA moduli qualify).
+  // m must be odd and at least two 32-bit limbs (all RSA moduli qualify).
   explicit Montgomery(const Bignum& m);
 
-  using Residue = std::vector<uint32_t>;  // Exactly limb_count() limbs.
-
-  Residue ToResidue(const Bignum& a) const;
-  // a -> aR mod m.
-  Residue Enter(const Residue& a) const;
-  // aR -> a mod m.
-  Bignum Leave(const Residue& a) const;
-  // Montgomery product: REDC(a * b).
-  Residue Mul(const Residue& a, const Residue& b) const;
-
-  // (base ^ exp) mod m with 4-bit fixed-window exponentiation:
-  // ~bits/4 multiplies instead of the ~bits/2 of square-and-multiply,
-  // on top of the REDC savings.
+  // (base ^ exp) mod m. The exponent's bit length picks the method:
+  // below kWindowMinBits, left-to-right square-and-multiply; from there
+  // on, a 4-bit fixed window (~bits/4 multiplies instead of ~bits/2, for
+  // a 14-multiply table). An RSA verify with e = 65537 thus costs 16
+  // squarings and one multiply.
   Bignum PowMod(const Bignum& base, const Bignum& exp) const;
 
-  const Residue& one() const { return one_; }
-  size_t limb_count() const { return n_; }
-  const Bignum& modulus() const { return modulus_; }
+  // Break-even of the window table against square-and-multiply for an
+  // exponent with random bits: 14 + b/4 multiplies against b/2.
+  static constexpr size_t kWindowMinBits = 56;
 
  private:
-  bool LessThanM(const Residue& a) const;
-  void SubM(Residue& a) const;
+  using Limb = uint64_t;
+
+  // out = a * b * R^-1 mod m, R = 2^(64 n), for a, b < m; with kSquare,
+  // b is ignored and a * a is taken with each cross product computed
+  // once. out may alias a or b; u is n limbs of scratch.
+  template <bool kSquare>
+  void Product(const Limb* a, const Limb* b, Limb* out, Limb* u) const;
 
   Bignum modulus_;
-  std::vector<uint32_t> m_;
+  std::vector<Limb> m_;
   size_t n_ = 0;
-  uint32_t minv_ = 0;
-  Residue r2_;
-  Residue one_;
+  Limb minv_ = 0;         // -m^-1 mod 2^64.
+  std::vector<Limb> r2_;  // R^2 mod m.
 };
 
 }  // namespace avm

@@ -133,6 +133,86 @@ TEST(Bignum, PowModFermat) {
   }
 }
 
+// Square-and-multiply over division-based MulMod: an independent
+// reference for the Montgomery path that Bignum::PowMod takes for every
+// odd modulus of two or more limbs.
+Bignum ReferencePowMod(const Bignum& base, const Bignum& exp, const Bignum& m) {
+  Bignum result = Bignum::Mod(Bignum(1), m);
+  Bignum b = Bignum::Mod(base, m);
+  for (size_t i = exp.BitLength(); i-- > 0;) {
+    result = Bignum::MulMod(result, result, m);
+    if (exp.Bit(i)) {
+      result = Bignum::MulMod(result, b, m);
+    }
+  }
+  return result;
+}
+
+Bignum RandomOddModulus(Prng& rng, size_t limbs) {
+  Bignum m = Bignum::RandomWithBits(rng, 32 * limbs);
+  return m.IsOdd() ? m : Bignum::Add(m, Bignum(1));
+}
+
+TEST(Bignum, PowModMontgomeryMatchesReference) {
+  // 2..65 32-bit limbs: odd counts leave the top 64-bit limb half full,
+  // and 2 limbs is a single 64-bit limb.
+  Prng rng(16);
+  for (size_t limbs = 2; limbs <= 65; limbs++) {
+    Bignum m = RandomOddModulus(rng, limbs);
+    const size_t bits = m.BitLength();
+    const Bignum m1 = Bignum::Sub(m, Bignum(1));
+    const std::vector<Bignum> bases = {
+        Bignum(0),
+        Bignum(1),
+        m1,
+        m,
+        Bignum::Add(m, Bignum::RandomWithBits(rng, 1 + rng.Below(bits))),
+        Bignum::RandomWithBits(rng, 2 * bits),
+        Bignum::Mod(Bignum::RandomWithBits(rng, bits), m),
+    };
+    const std::vector<Bignum> exps = {
+        Bignum(0),
+        Bignum(1),
+        Bignum(2),
+        Bignum(3),
+        Bignum(65537),
+        Bignum::RandomWithBits(rng, 1 + rng.Below(Montgomery::kWindowMinBits - 1)),
+        Bignum::RandomWithBits(rng, Montgomery::kWindowMinBits - 1),
+        Bignum::RandomWithBits(rng, Montgomery::kWindowMinBits),
+        Bignum::RandomWithBits(rng, bits),
+    };
+    for (size_t bi = 0; bi < bases.size(); bi++) {
+      for (size_t ei = 0; ei < exps.size(); ei++) {
+        // Full-width exponents dominate the reference's cost; two bases
+        // (one reduced, one not) cover them.
+        if (ei + 1 == exps.size() && bi != 2 && bi != 5) {
+          continue;
+        }
+        EXPECT_EQ(Bignum::PowMod(bases[bi], exps[ei], m), ReferencePowMod(bases[bi], exps[ei], m))
+            << "limbs=" << limbs << " base#" << bi << " exp#" << ei;
+      }
+    }
+  }
+}
+
+TEST(Bignum, MontgomeryContextReusableAcrossCalls) {
+  // A context carries no state between PowMod calls (RSA keys share one
+  // across threads).
+  Prng rng(17);
+  Bignum m = RandomOddModulus(rng, 12);
+  Montgomery ctx(m);
+  for (int i = 0; i < 20; i++) {
+    Bignum base = Bignum::RandomWithBits(rng, 1 + rng.Below(400));
+    Bignum exp = Bignum::RandomWithBits(rng, 1 + rng.Below(400));
+    EXPECT_EQ(ctx.PowMod(base, exp), ReferencePowMod(base, exp, m)) << i;
+  }
+}
+
+TEST(Bignum, MontgomeryRejectsEvenOrSingleLimbModulus) {
+  EXPECT_THROW(Montgomery(Bignum::FromHex("10000000000000000")), std::invalid_argument);
+  EXPECT_THROW(Montgomery(Bignum(0xfffffffbu)), std::invalid_argument);
+}
+
 TEST(Bignum, GcdBasics) {
   EXPECT_EQ(Bignum::Gcd(Bignum(12), Bignum(18)).LowU64(), 6u);
   EXPECT_EQ(Bignum::Gcd(Bignum(17), Bignum(13)).LowU64(), 1u);

@@ -86,6 +86,48 @@ TEST(Rsa, DeterministicKeygenFromSeed) {
   EXPECT_EQ(a.pub.n, b.pub.n);
 }
 
+// Known answers recorded from the 32-bit-limb Montgomery implementation:
+// keygen (Miller-Rabin) and signing must stay bit-identical across
+// changes to the bignum kernel.
+std::string ModulusDigestHex(const RsaKeypair& kp) {
+  Hash256 h = Sha256::Digest(kp.pub.n.ToBytes());
+  return HexEncode(ByteView(h.v.data(), h.v.size()));
+}
+
+TEST(Rsa, DeterministicKeygenKnownModulus) {
+  Prng rng(99);
+  RsaKeypair kp = RsaKeypair::Generate(rng, 256);
+  EXPECT_EQ(kp.pub.n.ToHex(), "9bcaaf40e3d0b3def05f27f20325bf11c973eae1f42f1210e2eb0e21ca71e701");
+  EXPECT_EQ(ModulusDigestHex(kp), "08622707eb3118fc7348304ad6b909942c66e415ae22637ccfb98009463cdff2");
+}
+
+TEST(Rsa, KnownAnswerSignature768) {
+  RsaKeypair kp = TestKeypair(768, 768);
+  EXPECT_EQ(ModulusDigestHex(kp), "7310968a6f79141808d7c47ba58242cf8114a4da41ac26534a5c9b536f0f5149");
+  Bytes msg = ToBytes("accountable virtual machines");
+  Bytes sig = RsaSign(kp.priv, msg);
+  EXPECT_EQ(HexEncode(sig),
+            "847d40082bcaa306440826e04ca27c227d0ca25213c5c14dde18b2adb211610da54478c1fbee25e3b8a571d5f1"
+            "cc1f11e45e2de5409c827f7a46952fb936e769b9f026b071ed818da11e3d225eff6ffca100a007074861206e"
+            "4b1f03ed0e5aca");
+  EXPECT_TRUE(RsaVerify(kp.pub, msg, sig));
+}
+
+TEST(Rsa, KnownAnswerSignature2048) {
+  RsaKeypair kp = TestKeypair(2048, 2048);
+  EXPECT_EQ(ModulusDigestHex(kp), "58908d314d07c3625cbcfc158628f422d023c4694cf28c5f3391356d08897b5b");
+  Bytes msg = ToBytes("accountable virtual machines");
+  Bytes sig = RsaSign(kp.priv, msg);
+  EXPECT_EQ(HexEncode(sig),
+            "824e374d7a501c4f598f246299a85879331d391037dd3d6f4b49b81802dffe4725d94b93838ab99a9a90f5c4"
+            "3c0e1f4aed44651b10e202eafb7468665e939fcf3b3485605c5e257024d1d2bb3115c374c223df79f2232369"
+            "f4a2cdb79ee8d84d6f66b8edce9bba24600f736eb0c30eb1dcfdbf18f72aa823c3c3e9ab8a4e4cdd5102c630"
+            "e3660c7c4ae2a178ca3dd250a85874bde67876b4d64d31f0e310c95c9e8af1aa8cfc468bc132df815fe1766d"
+            "83271ee5dd634850bc7fdedc515a3196dbd4b8ce646582d5691392fb7b0f0845cdd930911fccad897d97fec3"
+            "aae98c1ab1ffe6c6ac073e333eacebd3b4d95bf2b660f2913005528e64c581f0bd3072f8");
+  EXPECT_TRUE(RsaVerify(kp.pub, msg, sig));
+}
+
 TEST(Rsa, PublicKeySerializationRoundTrip) {
   RsaKeypair kp = TestKeypair();
   RsaPublicKey restored = RsaPublicKey::Deserialize(kp.pub.Serialize());
