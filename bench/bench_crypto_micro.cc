@@ -11,9 +11,11 @@
 #include "src/crypto/keys.h"
 #include "src/crypto/merkle.h"
 #include "src/crypto/rsa.h"
+#include "src/store/segment_file.h"
 #include "src/tel/batch.h"
 #include "src/tel/log.h"
 #include "src/util/prng.h"
+#include "src/vm/trace.h"
 
 namespace avm {
 namespace {
@@ -26,7 +28,50 @@ void BM_Sha256(benchmark::State& state) {
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * state.range(0));
 }
-BENCHMARK(BM_Sha256)->Arg(64)->Arg(1024)->Arg(65536);
+BENCHMARK(BM_Sha256)->Arg(24)->Arg(64)->Arg(1024)->Arg(65536);
+
+// The per-entry record path, one stage at a time: serialize a trace
+// event, chain-hash it (content digest + the 73-byte link), and frame it
+// for the store.
+void BM_TraceEventSerialize(benchmark::State& state) {
+  TraceEvent ev;
+  ev.kind = TraceKind::kPortIn;
+  ev.port = 3;
+  ev.value = 5;
+  for (auto _ : state) {
+    ev.icount++;
+    benchmark::DoNotOptimize(ev.Serialize());
+  }
+}
+BENCHMARK(BM_TraceEventSerialize);
+
+void BM_ChainHash(benchmark::State& state) {
+  Prng rng(3);
+  Bytes content = rng.RandomBytes(24);  // A serialized port-read event.
+  Hash256 prev;
+  uint64_t seq = 0;
+  for (auto _ : state) {
+    prev = ChainHash(prev, ++seq, EntryType::kTraceTime, content);
+  }
+  benchmark::DoNotOptimize(prev);
+}
+BENCHMARK(BM_ChainHash);
+
+void BM_EncodeRecord(benchmark::State& state) {
+  Prng rng(4);
+  LogEntry e;
+  e.type = EntryType::kTraceTime;
+  e.content = rng.RandomBytes(24);
+  Bytes frame;  // Reused, as LogStore::Append does.
+  for (auto _ : state) {
+    e.seq++;
+    frame.clear();
+    EncodeRecord(e, frame);
+    benchmark::DoNotOptimize(frame.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_EncodeRecord);
 
 void BM_ChainAppend(benchmark::State& state) {
   Prng rng(2);

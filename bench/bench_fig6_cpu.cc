@@ -167,14 +167,17 @@ body3:
 
 // Telemetry must be free when off and near-free when on: the same
 // recording run with obs disabled vs enabled must produce a
-// bit-identical serialized log (verdict/wire equivalence) and stay
-// under the <2% overhead budget CI asserts on telemetry_overhead_pct.
+// bit-identical serialized log (verdict/wire equivalence) on every run
+// and stay under the <2% overhead budget CI asserts on
+// telemetry_overhead_pct (median over interleaved off/on pairs).
 void RunTelemetryOverhead(BenchJson& json) {
-  constexpr int kReps = 3;
   PrintRule();
-  std::printf("  telemetry overhead: identical recording run, obs off vs on (min of %d)\n",
-              kReps);
-  auto run_once = [&](bool on, Bytes* wire) {
+  std::printf("  telemetry overhead: identical recording run, obs off vs on\n"
+              "  (median of %d interleaved off/on pairs)\n",
+              kTelemetryPairs);
+  Bytes reference;
+  bool identical = true;
+  auto run_once = [&](bool on) {
     obs::SetEnabled(on);
     obs::ResetTrace();
     GameScenarioConfig cfg;
@@ -187,27 +190,24 @@ void RunTelemetryOverhead(BenchJson& json) {
     game.RunFor(4 * kMicrosPerSecond);
     double s = t.ElapsedSeconds();
     game.Finish();
-    LogSegment seg = game.server().log().Extract(1, game.server().log().LastSeq());
-    *wire = seg.Serialize();
+    Bytes wire = game.server().log().Extract(1, game.server().log().LastSeq()).Serialize();
+    if (reference.empty()) {
+      reference = std::move(wire);
+    } else if (wire != reference) {
+      identical = false;
+    }
     return s;
   };
-  double best[2] = {1e99, 1e99};
-  Bytes wire[2];
-  for (int on = 0; on < 2; on++) {
-    for (int rep = 0; rep < kReps; rep++) {
-      Bytes w;
-      best[on] = std::min(best[on], run_once(on != 0, &w));
-      wire[on] = std::move(w);
-    }
-  }
+  const PairedOverhead ab = MeasurePairedOverhead(kTelemetryPairs, run_once);
   obs::SetEnabled(false);
-  const bool identical = wire[0] == wire[1];
-  const double pct = 100.0 * (best[1] - best[0]) / best[0];
-  std::printf("  %-26s %10.3f s\n", "obs off", best[0]);
-  std::printf("  %-26s %10.3f s  (%+.2f%%)\n", "obs on", best[1], pct);
-  std::printf("  serialized server log bit-identical: %s (%zu bytes)\n",
-              identical ? "yes" : "NO (BUG)", wire[0].size());
-  json.Add("telemetry_overhead_pct", pct, "%");
+  std::printf("  %-26s %10.3f s\n", "obs off (median)", ab.off_s);
+  std::printf("  %-26s %10.3f s\n", "obs on (median)", ab.on_s);
+  std::printf("  %-26s %+10.2f%%  (%d pairs)\n", "median paired overhead", ab.median_pct,
+              ab.pairs);
+  std::printf("  serialized server log bit-identical on all %d runs: %s (%zu bytes)\n",
+              2 * ab.pairs, identical ? "yes" : "NO (BUG)", reference.size());
+  json.Add("telemetry_overhead_pct", ab.median_pct, "%");
+  json.Add("telemetry_overhead_pairs", ab.pairs, "count");
   json.Add("telemetry_log_identical", identical ? 1 : 0, "bool");
 }
 

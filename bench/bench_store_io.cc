@@ -157,33 +157,34 @@ void Run() {
   // Telemetry on/off: the full append+seal path must lay down
   // bit-identical bytes on disk and stay under the <2% overhead budget
   // CI asserts on telemetry_overhead_pct (store spans fire per group
-  // commit / per seal, never per entry).
-  constexpr int kObsReps = 3;
-  double sweep_best[2] = {1e99, 1e99};
-  uint64_t sweep_disk[2] = {0, 0};
-  for (int on = 0; on < 2; on++) {
-    obs::SetEnabled(on != 0);
+  // commit / per seal, never per entry). Median of interleaved pairs.
+  std::vector<uint64_t> disk_bytes;
+  auto sweep_once = [&](bool on) {
+    obs::SetEnabled(on);
     obs::ResetTrace();
-    for (int rep = 0; rep < kObsReps; rep++) {
-      auto s2 = FreshStore(base + "-obs", log.owner(), true);
-      WallTimer t;
-      for (const LogEntry& e : log.entries()) {
-        s2->Append(e);
-      }
-      s2->Seal();
-      sweep_best[on] = std::min(sweep_best[on], t.ElapsedSeconds());
-      sweep_disk[on] = s2->DiskBytes();
+    auto s2 = FreshStore(base + "-obs", log.owner(), true);
+    WallTimer t;
+    for (const LogEntry& e : log.entries()) {
+      s2->Append(e);
     }
-  }
+    s2->Seal();
+    const double s = t.ElapsedSeconds();
+    disk_bytes.push_back(s2->DiskBytes());
+    return s;
+  };
+  const PairedOverhead ab = MeasurePairedOverhead(kTelemetryPairs, sweep_once);
   obs::SetEnabled(false);
-  const bool disk_identical = sweep_disk[0] == sweep_disk[1];
-  const double overhead_pct = 100.0 * (sweep_best[1] - sweep_best[0]) / sweep_best[0];
-  std::printf("\n  telemetry overhead (append+seal, min of %d): off %.3fs, on %.3fs (%+.2f%%)\n",
-              kObsReps, sweep_best[0], sweep_best[1], overhead_pct);
-  std::printf("  disk bytes identical with telemetry on: %s (%llu bytes)\n",
+  const bool disk_identical =
+      std::all_of(disk_bytes.begin(), disk_bytes.end(),
+                  [&](uint64_t b) { return b == disk_bytes.front(); });
+  std::printf("\n  telemetry overhead (append+seal, median of %d interleaved off/on pairs):\n"
+              "  off %.3fs, on %.3fs (median paired overhead %+.2f%%)\n",
+              ab.pairs, ab.off_s, ab.on_s, ab.median_pct);
+  std::printf("  disk bytes identical across all %zu runs: %s (%llu bytes)\n", disk_bytes.size(),
               disk_identical ? "yes" : "NO (BUG)",
-              static_cast<unsigned long long>(sweep_disk[0]));
-  json.Add("telemetry_overhead_pct", overhead_pct, "%");
+              static_cast<unsigned long long>(disk_bytes.front()));
+  json.Add("telemetry_overhead_pct", ab.median_pct, "%");
+  json.Add("telemetry_overhead_pairs", ab.pairs, "count");
   json.Add("telemetry_disk_identical", disk_identical ? 1 : 0, "bool");
 
   fs::remove_all(base + "-raw");

@@ -177,7 +177,7 @@ AuditOutcome Auditor::Run(const Avmm& target, const LogSegment& segment,
                           const MaterializedState* start_state, uint64_t snapshot_bytes,
                           bool strict_crossref, ThreadPool* pool) {
   AuditOutcome out;
-  out.log_bytes = segment.Serialize().size();
+  out.log_bytes = segment.SerializedSize();
   out.snapshot_bytes = snapshot_bytes;
 
   // Pipelined mode: replay the segment on a worker while this thread

@@ -516,8 +516,7 @@ AuditOutcome CheckpointedAuditor::AuditFull(const Avmm& target, const SegmentSou
     out.ok = false;
     return out;
   }
-  out.log_bytes =
-      LogSegment{source.node(), Hash256::Zero(), {}}.Serialize().size() + entry_wire_bytes;
+  out.log_bytes = LogSegment::SerializedSize(source.node(), entry_wire_bytes);
 
   auto build_evidence = [&](EvidenceKind kind, const std::string& claim) {
     Evidence ev;

@@ -391,10 +391,8 @@ AuditOutcome PipelinedStreamingAuditFull(const Avmm& target, const SegmentSource
     out.ok = false;
     return out;
   }
-  // Exact log_bytes of the sequential path: the segment serialization is
-  // a fixed header plus each entry's wire encoding.
-  out.log_bytes = LogSegment{source.node(), Hash256::Zero(), {}}.Serialize().size() +
-                  entry_wire_bytes;
+  // Exact log_bytes of the sequential path.
+  out.log_bytes = LogSegment::SerializedSize(source.node(), entry_wire_bytes);
   // Evidence needs the whole serialized segment; this second read can
   // hit a store that broke *after* the scan, which must still surface
   // as an unreadable outcome, not an exception (auditor.h's contract).

@@ -1,5 +1,6 @@
 #include "src/crypto/sha256.h"
 
+#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 
@@ -221,14 +222,9 @@ decltype(&CompressPortableBlocks) ActiveCompressFn() {
 }  // namespace
 
 Sha256::Sha256() : compress_(ActiveCompressFn()) {
-  state_[0] = 0x6a09e667;
-  state_[1] = 0xbb67ae85;
-  state_[2] = 0x3c6ef372;
-  state_[3] = 0xa54ff53a;
-  state_[4] = 0x510e527f;
-  state_[5] = 0x9b05688c;
-  state_[6] = 0x1f83d9ab;
-  state_[7] = 0x5be0cd19;
+  static constexpr uint32_t kInit[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+                                        0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+  std::memcpy(state_, kInit, sizeof(state_));
 }
 
 Sha256 Sha256::PortableForTesting() {
@@ -241,24 +237,33 @@ Sha256& Sha256::Update(ByteView data) {
   if (finished_) {
     throw std::logic_error("Sha256: Update after Finish");
   }
+  if (data.empty()) {
+    return *this;
+  }
   total_len_ += data.size();
-  size_t i = 0;
+  const uint8_t* p = data.data();
+  size_t n = data.size();
   if (buf_len_ > 0) {
-    while (buf_len_ < 64 && i < data.size()) {
-      buf_[buf_len_++] = data[i++];
+    const size_t take = std::min(n, sizeof(buf_) - buf_len_);
+    std::memcpy(buf_ + buf_len_, p, take);
+    buf_len_ += take;
+    p += take;
+    n -= take;
+    if (buf_len_ < sizeof(buf_)) {
+      return *this;
     }
-    if (buf_len_ == 64) {
-      compress_(state_, buf_, 1);
-      buf_len_ = 0;
-    }
+    compress_(state_, buf_, 1);
+    buf_len_ = 0;
   }
-  if (i + 64 <= data.size()) {
-    const size_t blocks = (data.size() - i) / 64;
-    compress_(state_, data.data() + i, blocks);
-    i += blocks * 64;
+  if (n >= 64) {
+    const size_t blocks = n / 64;
+    compress_(state_, p, blocks);
+    p += blocks * 64;
+    n -= blocks * 64;
   }
-  while (i < data.size()) {
-    buf_[buf_len_++] = data[i++];
+  if (n > 0) {
+    std::memcpy(buf_, p, n);
+    buf_len_ = n;
   }
   return *this;
 }
@@ -269,9 +274,7 @@ Sha256& Sha256::Update(std::string_view s) {
 
 Sha256& Sha256::UpdateU64(uint64_t v) {
   uint8_t b[8];
-  for (int i = 0; i < 8; i++) {
-    b[i] = static_cast<uint8_t>(v >> (8 * i));
-  }
+  StoreLe(b, v);
   return Update(ByteView(b, 8));
 }
 
@@ -280,38 +283,22 @@ Hash256 Sha256::Finish() {
     throw std::logic_error("Sha256: Finish called twice");
   }
   finished_ = true;
-  uint64_t bit_len = total_len_ * 8;
-  // Padding: 0x80, zeros, 64-bit big-endian length.
-  uint8_t pad[72];
-  size_t pad_len = 0;
-  pad[pad_len++] = 0x80;
-  size_t rem = (buf_len_ + 1) % 64;
-  size_t zeros = (rem <= 56) ? (56 - rem) : (120 - rem);
-  for (size_t i = 0; i < zeros; i++) {
-    pad[pad_len++] = 0;
+  // Padding, written in place: 0x80, zeros up to byte 56 of the last
+  // block (spilling into a fresh block when fewer than 8 bytes remain),
+  // then the 64-bit big-endian bit length.
+  buf_[buf_len_++] = 0x80;
+  if (buf_len_ > 56) {
+    std::memset(buf_ + buf_len_, 0, sizeof(buf_) - buf_len_);
+    compress_(state_, buf_, 1);
+    buf_len_ = 0;
   }
-  for (int i = 7; i >= 0; i--) {
-    pad[pad_len++] = static_cast<uint8_t>(bit_len >> (8 * i));
-  }
-  // Feed padding through the block buffer directly (bypass Update's
-  // finished_ check and length accounting).
-  size_t i = 0;
-  while (i < pad_len) {
-    while (buf_len_ < 64 && i < pad_len) {
-      buf_[buf_len_++] = pad[i++];
-    }
-    if (buf_len_ == 64) {
-      compress_(state_, buf_, 1);
-      buf_len_ = 0;
-    }
-  }
+  std::memset(buf_ + buf_len_, 0, 56 - buf_len_);
+  StoreBe(buf_ + 56, total_len_ * 8);
+  compress_(state_, buf_, 1);
 
   Hash256 out;
   for (int j = 0; j < 8; j++) {
-    out.v[4 * j] = static_cast<uint8_t>(state_[j] >> 24);
-    out.v[4 * j + 1] = static_cast<uint8_t>(state_[j] >> 16);
-    out.v[4 * j + 2] = static_cast<uint8_t>(state_[j] >> 8);
-    out.v[4 * j + 3] = static_cast<uint8_t>(state_[j]);
+    StoreBe(out.v.data() + 4 * j, state_[j]);
   }
   return out;
 }

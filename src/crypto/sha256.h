@@ -43,6 +43,12 @@ struct Hash256 {
 // (__ARM_FEATURE_CRYPTO, i.e. -march=...+crypto — same policy as
 // CRC-32C), and the portable FIPS 180-4 implementation otherwise.
 // Digests are identical either way (sha256_test's agreement sweep).
+//
+// Buffering: Update copies into the 64-byte block buffer with memcpy only
+// to complete a partial block or to keep a sub-block tail; whole blocks
+// are compressed straight from the caller's data in one multi-block
+// call. Finish writes the padding and length in place in that buffer,
+// so a message of up to 55 bytes costs exactly one compression.
 class Sha256 {
  public:
   Sha256();

@@ -515,7 +515,8 @@ void LogStore::Append(const LogEntry& e) {
     if (active_file_ == nullptr) {
       StartSegmentLocked();
     }
-    Bytes record;
+    Bytes& record = record_scratch_;
+    record.clear();
     EncodeRecord(e, record);
     size_t to_write = record.size();
     switch (FaultAt("append-write", e.seq)) {

@@ -280,6 +280,9 @@ class LogStore final : public LogSink, public SegmentSource {
   size_t active_stream_bytes_ = 0;
   uint64_t active_entry_count_ = 0;
   std::vector<SparseIndexEntry> active_index_;
+  // Append's record frame, reused so the per-entry path allocates only
+  // when an entry outgrows every earlier one.
+  Bytes record_scratch_;
   bool stopping_ = false;
 
   // --- Lock-free ---

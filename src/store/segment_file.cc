@@ -1,5 +1,6 @@
 #include "src/store/segment_file.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "src/compress/lzss.h"
@@ -48,15 +49,22 @@ SegmentHeader DecodeSegmentHeader(ByteView file) {
 }
 
 void EncodeRecord(const LogEntry& e, Bytes& out) {
-  Writer w;
-  w.U64(e.seq);
-  w.U8(static_cast<uint8_t>(e.type));
-  w.Blob(e.content);
-  w.Raw(e.hash.view());
-  Bytes payload = w.Take();
-  PutU32(out, static_cast<uint32_t>(payload.size()));
-  PutU32(out, Crc32c(payload));
-  Append(out, payload);
+  // Framed in place: length, a CRC placeholder, then the payload
+  // (LogSegment's per-entry encoding, e.WireSize() bytes); the CRC is
+  // computed over the payload span and patched into the placeholder.
+  const size_t frame_at = out.size();
+  const size_t payload_len = e.WireSize();
+  if (out.capacity() - frame_at < 8 + payload_len) {
+    out.reserve(std::max(frame_at + 8 + payload_len, 2 * out.capacity()));
+  }
+  PutU32(out, static_cast<uint32_t>(payload_len));
+  PutU32(out, 0);
+  PutU64(out, e.seq);
+  out.push_back(static_cast<uint8_t>(e.type));
+  PutU32(out, static_cast<uint32_t>(e.content.size()));
+  Append(out, e.content);
+  Append(out, e.hash.view());
+  StoreLe(out.data() + frame_at + 4, Crc32c(ByteView(out).subspan(frame_at + 8)));
 }
 
 LogEntry DecodeRecordAt(ByteView stream, size_t* offset) {

@@ -1,6 +1,7 @@
 #include "src/tel/log.h"
 
 #include <algorithm>
+#include <cstring>
 #include <stdexcept>
 
 #include "src/util/serde.h"
@@ -31,13 +32,14 @@ const char* EntryTypeName(EntryType t) {
 
 Hash256 ChainHashWithContentHash(const Hash256& prev, uint64_t seq, EntryType type,
                                  const Hash256& content_hash) {
-  Sha256 h;
-  h.Update(prev.view());
-  h.UpdateU64(seq);
-  uint8_t t = static_cast<uint8_t>(type);
-  h.Update(ByteView(&t, 1));
-  h.Update(content_hash.view());
-  return h.Finish();
+  // The whole link h_{i-1} || s_i (u64 LE) || t_i || H(c_i), built on
+  // the stack and hashed in one call.
+  uint8_t link[32 + 8 + 1 + 32];
+  std::memcpy(link, prev.v.data(), 32);
+  StoreLe(link + 32, seq);
+  link[40] = static_cast<uint8_t>(type);
+  std::memcpy(link + 41, content_hash.v.data(), 32);
+  return Sha256::Digest(ByteView(link, sizeof(link)));
 }
 
 Hash256 ChainHash(const Hash256& prev, uint64_t seq, EntryType type, ByteView content) {
@@ -58,10 +60,7 @@ Hash256 Authenticator::SignedPayloadDigest(const NodeId& node, uint64_t seq,
   // is a u32 little-endian length followed by the raw characters.
   Sha256 h;
   uint8_t len[4];
-  uint32_t n = static_cast<uint32_t>(node.size());
-  for (int i = 0; i < 4; i++) {
-    len[i] = static_cast<uint8_t>(n >> (8 * i));
-  }
+  StoreLe(len, static_cast<uint32_t>(node.size()));
   h.Update(ByteView(len, 4));
   h.Update(std::string_view(node));
   h.UpdateU64(seq);
@@ -101,8 +100,12 @@ size_t LogSegment::WireSize() const {
   return total;
 }
 
+size_t LogSegment::SerializedSize(const NodeId& node, size_t entry_wire_bytes) {
+  return 4 + node.size() + 32 + 4 + entry_wire_bytes;
+}
+
 Bytes LogSegment::Serialize() const {
-  Writer w;
+  Writer w(SerializedSize());
   w.Str(node);
   w.Raw(prior_hash.view());
   w.U32(static_cast<uint32_t>(entries.size()));

@@ -86,6 +86,11 @@ struct LogSegment {
   uint64_t FirstSeq() const { return entries.empty() ? 0 : entries.front().seq; }
   uint64_t LastSeq() const { return entries.empty() ? 0 : entries.back().seq; }
   size_t WireSize() const;
+  // Exact Serialize().size() without serializing: a header (node id,
+  // prior hash, entry count) plus each entry's WireSize. The static form
+  // is for streaming audits that tally entry wire bytes as they go.
+  size_t SerializedSize() const { return SerializedSize(node, WireSize()); }
+  static size_t SerializedSize(const NodeId& node, size_t entry_wire_bytes);
 
   Bytes Serialize() const;
   static LogSegment Deserialize(ByteView data);

@@ -50,22 +50,18 @@ Bytes HexDecode(std::string_view hex) {
   return out;
 }
 
-void PutU16(Bytes& out, uint16_t v) {
-  out.push_back(static_cast<uint8_t>(v));
-  out.push_back(static_cast<uint8_t>(v >> 8));
+namespace {
+template <typename T>
+void PutLe(Bytes& out, T v) {
+  const size_t at = out.size();
+  out.resize(at + sizeof(v));
+  StoreLe(out.data() + at, v);
 }
+}  // namespace
 
-void PutU32(Bytes& out, uint32_t v) {
-  for (int i = 0; i < 4; i++) {
-    out.push_back(static_cast<uint8_t>(v >> (8 * i)));
-  }
-}
-
-void PutU64(Bytes& out, uint64_t v) {
-  for (int i = 0; i < 8; i++) {
-    out.push_back(static_cast<uint8_t>(v >> (8 * i)));
-  }
-}
+void PutU16(Bytes& out, uint16_t v) { PutLe(out, v); }
+void PutU32(Bytes& out, uint32_t v) { PutLe(out, v); }
+void PutU64(Bytes& out, uint64_t v) { PutLe(out, v); }
 
 uint16_t GetU16(ByteView in, size_t off) {
   return static_cast<uint16_t>(in[off]) | static_cast<uint16_t>(in[off + 1]) << 8;

@@ -2,7 +2,9 @@
 #ifndef SRC_UTIL_BYTES_H_
 #define SRC_UTIL_BYTES_H_
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <string>
 #include <string_view>
@@ -25,7 +27,40 @@ std::string HexEncode(ByteView b);
 // Decodes a hex string; throws std::invalid_argument on malformed input.
 Bytes HexDecode(std::string_view hex);
 
-// Appends `v` to `out` in little-endian byte order.
+// Reverses the byte order of a 16/32/64-bit unsigned integer.
+template <typename T>
+inline T ByteSwap(T v) {
+  static_assert(sizeof(T) == 2 || sizeof(T) == 4 || sizeof(T) == 8);
+  if constexpr (sizeof(T) == 2) {
+    return __builtin_bswap16(v);
+  } else if constexpr (sizeof(T) == 4) {
+    return __builtin_bswap32(v);
+  } else {
+    return __builtin_bswap64(v);
+  }
+}
+
+// Writes the unsigned integer `v` to `dst[0, sizeof(v))` in
+// little-endian (StoreLe) or big-endian (StoreBe) byte order: one
+// fixed-size copy, byte-swapped first when the host order differs.
+template <typename T>
+inline void StoreLe(uint8_t* dst, T v) {
+  if constexpr (std::endian::native != std::endian::little) {
+    v = ByteSwap(v);
+  }
+  std::memcpy(dst, &v, sizeof(v));
+}
+
+template <typename T>
+inline void StoreBe(uint8_t* dst, T v) {
+  if constexpr (std::endian::native != std::endian::big) {
+    v = ByteSwap(v);
+  }
+  std::memcpy(dst, &v, sizeof(v));
+}
+
+// Appends `v` to `out` in little-endian byte order (one grow of `out`,
+// one fixed-size store).
 void PutU16(Bytes& out, uint16_t v);
 void PutU32(Bytes& out, uint32_t v);
 void PutU64(Bytes& out, uint64_t v);

@@ -21,6 +21,11 @@ class SerdeError : public std::runtime_error {
 
 class Writer {
  public:
+  Writer() = default;
+  // Reserves room for `size_hint` bytes up front; a caller that knows
+  // the exact encoded size fills the buffer with no reallocation.
+  explicit Writer(size_t size_hint) { buf_.reserve(size_hint); }
+
   void U8(uint8_t v) { buf_.push_back(v); }
   void U16(uint16_t v) { PutU16(buf_, v); }
   void U32(uint32_t v) { PutU32(buf_, v); }

@@ -26,7 +26,7 @@ const char* TraceKindName(TraceKind k) {
 }
 
 Bytes TraceEvent::Serialize() const {
-  Writer w;
+  Writer w(1 + 8 + 2 + 4 + 4 + data.size());
   w.U8(static_cast<uint8_t>(kind));
   w.U64(icount);
   w.U16(port);

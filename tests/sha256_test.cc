@@ -57,6 +57,26 @@ TEST(Sha256, StreamingMatchesOneShotRandomSplits) {
   }
 }
 
+// Every message length 0..200 at every two-way split point: the
+// streaming block buffer (partial-block carry-over, whole blocks from the
+// caller's data, padding spilling into a second block in Finish) must
+// match the portable one-shot digest.
+TEST(Sha256, StreamingMatchesPortableAtEverySplit) {
+  Prng rng(78);
+  const Bytes data = rng.RandomBytes(200);
+  for (size_t len = 0; len <= data.size(); len++) {
+    Sha256 portable = Sha256::PortableForTesting();
+    portable.Update(ByteView(data.data(), len));
+    const Hash256 want = portable.Finish();
+    for (size_t split = 0; split <= len; split++) {
+      Sha256 h;
+      h.Update(ByteView(data.data(), split));
+      h.Update(ByteView(data.data() + split, len - split));
+      ASSERT_EQ(h.Finish(), want) << "length " << len << " split " << split;
+    }
+  }
+}
+
 TEST(Sha256, UpdateAfterFinishThrows) {
   Sha256 h;
   h.Finish();

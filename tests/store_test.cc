@@ -591,6 +591,52 @@ TEST_F(StoreFixture, TamperedSealedSegmentFailsCleanly) {
   EXPECT_THROW((void)fresh->Extract(1, 100), StoreError);
 }
 
+// Bit-identity pin for the on-disk record frame (u32 payload length,
+// u32 CRC-32C of the payload, then seq, type, length-prefixed content
+// and chain hash). The golden bytes were recorded from the original
+// two-buffer encoder; the second record is appended after the first to
+// pin that EncodeRecord extends `out` rather than replacing it.
+TEST(RecordFrame, GoldenBytes) {
+  LogEntry a;
+  a.seq = 1;
+  a.type = EntryType::kTraceTime;
+  a.content = ToBytes("abc");
+  for (size_t i = 0; i < a.hash.v.size(); i++) {
+    a.hash.v[i] = static_cast<uint8_t>(0x40 + i);
+  }
+  LogEntry b;
+  b.seq = 0x1122334455667788ULL;
+  b.type = EntryType::kSend;
+  b.content.resize(70);
+  for (size_t i = 0; i < b.content.size(); i++) {
+    b.content[i] = static_cast<uint8_t>(i * 7 + 3);
+  }
+  for (size_t i = 0; i < b.hash.v.size(); i++) {
+    b.hash.v[i] = static_cast<uint8_t>(i * 9 + 7);
+  }
+  const std::string kFrameA =
+      "300000001263caff01000000000000000403000000616263404142434445464748494a4b4c4d4e4f50515253545556"
+      "5758595a5b5c5d5e5f";
+  const std::string kFrameB =
+      "73000000339aaa1c88776655443322110146000000030a11181f262d343b424950575e656c737a81888f969da4ab"
+      "b2b9c0c7ced5dce3eaf1f8ff060d141b222930373e454c535a61686f767d848b9299a0a7aeb5bcc3cad1d8dfe607"
+      "1019222b343d464f58616a737c858e97a0a9b2bbc4cdd6dfe8f1fa030c151e";
+  Bytes out;
+  EncodeRecord(a, out);
+  EXPECT_EQ(HexEncode(out), kFrameA);
+  EncodeRecord(b, out);
+  EXPECT_EQ(HexEncode(out), kFrameA + kFrameB);
+
+  size_t offset = 0;
+  LogEntry back = DecodeRecordAt(out, &offset);
+  EXPECT_EQ(back.seq, a.seq);
+  EXPECT_EQ(back.content, a.content);
+  back = DecodeRecordAt(out, &offset);
+  EXPECT_EQ(back.seq, b.seq);
+  EXPECT_EQ(back.hash, b.hash);
+  EXPECT_EQ(offset, out.size());
+}
+
 // The store's on-disk framing depends on CRC-32C; the hardware
 // (SSE4.2 / ARMv8-CE) path and the table fallback must compute the
 // identical function on arbitrary buffers, seeds, and chains.

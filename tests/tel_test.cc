@@ -308,6 +308,74 @@ TEST_F(TelFixture, WireSizeAccounting) {
   EXPECT_EQ(log.Extract(1, 7).WireSize(), total);
 }
 
+// Bit-identity pins for the chain hash h_i = H(h_{i-1} || s_i || t_i ||
+// H(c_i)). The expected digests were recorded from the original
+// four-Update streaming implementation; content lengths cover every
+// SHA-256 padding boundary of H(c_i) (0, 1, 55/56, 63/64, 119/120).
+Hash256 PatternHash(uint8_t mul, uint8_t add) {
+  Hash256 h;
+  for (size_t i = 0; i < h.v.size(); i++) {
+    h.v[i] = static_cast<uint8_t>(i * mul + add);
+  }
+  return h;
+}
+
+TEST(ChainHashKnownAnswer, EveryContentPaddingBoundary) {
+  const struct {
+    size_t len;
+    const char* hex;
+  } kCases[] = {
+      {0, "4f412cd289aa8e85a0af4d1347417f6afaadd5ade418d1514d17d027132e7dcb"},
+      {1, "6aaee88723573b09afa165142fc0678bc4565fe3472c48eaa0f4a57074a55e9b"},
+      {55, "e06610052da8e38748dc98daab97876b62e62d8b6e0514caf07a7112160b32fb"},
+      {56, "8d83e825221f388abb3381a102c78f950ad88e7f0e012e15bbeb85af6bf1a679"},
+      {63, "6e5eabbccb04ce951dc8218ee8b8a86702ca83e4f97e1ca0090e2e965d557447"},
+      {64, "b5171ca3a6bfb996de0e530c2fed833cef50c363b61389b0d1a996827d4b3b59"},
+      {119, "009b588e8bd66b13679092a1d4786e4d4ff92b2bce45d976fffbd437196f4b29"},
+      {120, "011a83bc05e9514b660a9eb7d6c5efba6608f3f639355e0404b744f05af8e6ea"},
+  };
+  const Hash256 prev = PatternHash(1, 0);
+  for (const auto& c : kCases) {
+    Bytes content(c.len);
+    for (size_t i = 0; i < c.len; i++) {
+      content[i] = static_cast<uint8_t>(i * 7 + 3);
+    }
+    EXPECT_EQ(ChainHash(prev, 0x0102030405060708ULL, EntryType::kTraceMac, content).Hex(), c.hex)
+        << "content length " << c.len;
+    EXPECT_EQ(ChainHashWithContentHash(prev, 0x0102030405060708ULL, EntryType::kTraceMac,
+                                       Sha256::Digest(content))
+                  .Hex(),
+              c.hex)
+        << "content length " << c.len;
+  }
+  EXPECT_EQ(
+      ChainHashWithContentHash(PatternHash(3, 0x11), 42, EntryType::kSend, PatternHash(5, 0xa0))
+          .Hex(),
+      "66e81755d8a46b2faf1975aeff75b492f81c2e1a757635a4995b0b213a1ec2e7");
+}
+
+TEST_F(TelFixture, SerializedSizeMatchesSerialize) {
+  LogSegment empty{"bob", Hash256::Zero(), {}};
+  EXPECT_EQ(empty.SerializedSize(), empty.Serialize().size());
+  Fill(1);
+  LogSegment one = log.Extract(1, 1);
+  EXPECT_EQ(one.SerializedSize(), one.Serialize().size());
+
+  Prng content_rng(9);
+  TamperEvidentLog random_log("a-longer-node-name");
+  for (int i = 0; i < 200; i++) {
+    random_log.Append(static_cast<EntryType>(1 + content_rng.Below(8)),
+                      content_rng.RandomBytes(content_rng.Below(300)));
+  }
+  for (int trial = 0; trial < 20; trial++) {
+    uint64_t from = 1 + content_rng.Below(200);
+    uint64_t to = from + content_rng.Below(201 - from);
+    LogSegment seg = random_log.Extract(from, to);
+    EXPECT_EQ(seg.SerializedSize(), seg.Serialize().size()) << from << ".." << to;
+    EXPECT_EQ(LogSegment::SerializedSize(seg.node, seg.WireSize()), seg.SerializedSize());
+  }
+}
+
 TEST(EntryTypeNames, AllDistinct) {
   EXPECT_STREQ(EntryTypeName(EntryType::kSend), "SEND");
   EXPECT_STREQ(EntryTypeName(EntryType::kTraceTime), "TIMETRACKER");
