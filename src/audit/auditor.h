@@ -1,6 +1,7 @@
 // Auditing (§4.5): the syntactic check (log well-formedness, signatures,
 // ack pairing, message/trace cross-referencing) and the semantic check
-// (deterministic replay), plus full-audit and spot-check drivers.
+// (deterministic replay). The Auditor entry points below are thin
+// callers of the one audit engine in src/audit/pipeline.h.
 #ifndef SRC_AUDIT_AUDITOR_H_
 #define SRC_AUDIT_AUDITOR_H_
 
@@ -37,16 +38,15 @@ struct AuditConfig {
   // relaxed to packets visible within the segment.
   bool strict_message_crossref = true;
   // Overlap the syntactic check with the semantic check (deterministic
-  // replay) on the worker pool: replay runs concurrently with hashing +
-  // signature verification instead of strictly after it, and the
-  // store-backed AuditFull streams chunk i+1 through the syntactic
-  // checks while chunk i replays (O(chunk) memory). Takes effect only
-  // when the resolved thread count is > 1; every verdict — audit,
-  // spot check, evidence kind, failure seq — is bit-for-bit identical
-  // to the sequential phases (asserted by pipeline_audit_test), only
-  // wall-clock time changes.
+  // replay) on the worker pool: chunk i replays on a worker while chunk
+  // i+1 goes through hashing + signature verification, instead of each
+  // chunk replaying right after its check. Takes effect only when the
+  // resolved thread count is > 1; every verdict — audit, spot check,
+  // evidence kind, failure seq — is bit-for-bit identical either way
+  // (asserted by pipeline_audit_test), only wall-clock time changes.
   bool pipelined = true;
-  // Entries per chunk for the store-backed streaming pipeline.
+  // Entries per chunk of the audit engine's scan: every audit holds at
+  // most two chunks of the log in memory.
   size_t pipeline_chunk_entries = 2048;
   // Run the semantic check (deterministic replay) through the x86-64
   // JIT tier where compiled in (src/vm/jit). Off replays on the
@@ -73,12 +73,12 @@ struct AuditConfig {
 //    packets delivered into the guest (MAC DMA) match the RECV stream —
 //    this is the cross-reference that catches an AVMM forging, dropping
 //    or modifying messages between the network and the AVM.
-// The per-entry RSA checks (SEND/RECV payload signatures, ACK
-// authenticators) dominate the cost; passing a pool precomputes them in
-// parallel before the sequential cross-reference scan consumes them, so
-// verdicts are identical to the sequential path.
+// This is the plain sequential whole-segment walk: VerifyEvidence runs it
+// as the independent third-party path, and tests compare the audit engine
+// (RunAuditEngine, which fans the per-entry RSA checks across its pool
+// chunk by chunk) against it.
 CheckResult SyntacticMessageCheck(const LogSegment& segment, const KeyRegistry& registry,
-                                  const AuditConfig& cfg, ThreadPool* pool = nullptr);
+                                  const AuditConfig& cfg);
 
 struct AuditOutcome {
   bool ok = false;
@@ -153,10 +153,11 @@ class Auditor {
   // Store-backed variants: identical audits, but the log is read from
   // `source` (e.g. a store::LogStore opened from disk, possibly in a
   // different process than the one that recorded it) instead of the
-  // target's in-memory log. Since Extract yields the same entries, the
-  // verdicts are bit-for-bit those of the in-memory path. `target` still
-  // supplies what only the machine can: snapshot increments and fresh
-  // end-of-segment commitments.
+  // target's in-memory log; the overloads above wrap the in-memory log
+  // in an InMemorySegmentSource. Since Scan yields the same entries,
+  // the verdicts are bit-for-bit those of the in-memory path. `target`
+  // still supplies what only the machine can: snapshot increments and
+  // fresh end-of-segment commitments.
   AuditOutcome AuditFull(const Avmm& target, const SegmentSource& source,
                          ByteView reference_image, std::span<const Authenticator> auths);
   AuditOutcome SpotCheck(const Avmm& target, const SegmentSource& source,
@@ -169,11 +170,6 @@ class Auditor {
   const AuditConfig& config() const { return cfg_; }
 
  private:
-  AuditOutcome Run(const Avmm& target, const LogSegment& segment,
-                   std::span<const Authenticator> auths, ByteView reference_image,
-                   const MaterializedState* start_state, uint64_t snapshot_bytes,
-                   bool strict_crossref, ThreadPool* pool);
-
   // `snaps` is the log's snapshot index, computed once by the caller
   // (indexing scans the whole source, which for a store-backed log
   // means reading every segment -- too costly to repeat per window).
@@ -198,23 +194,22 @@ class Auditor {
   std::unique_ptr<ThreadPool> pool_;
 };
 
-// Streams the entire log of `source` through the §4.4/§4.5 syntactic
-// checks -- chain rule, seq continuity, authenticator matching, and the
-// full message-stream check -- without ever materializing more than one
-// store segment. This is how an auditor triages a log far larger than
-// RAM before deciding which windows are worth replaying; store-layer
-// corruption (bad CRC, truncated segment) surfaces as a failed check,
-// not an exception. Single-threaded by construction (the stream is
-// consumed in order), so there is no pool parameter.
+// The §4.4/§4.5 syntactic check of the entire log of `source` --
+// chain rule, seq continuity, authenticator matching, the full
+// message-stream check and (with cfg.attested_input) attested inputs --
+// without replay and without materializing more than one chunk. This is
+// how an auditor triages a log far larger than RAM before deciding
+// which windows are worth replaying; store-layer corruption (bad CRC,
+// truncated segment) surfaces as a failed check, not an exception.
 //
-// NOTE: this triage entry point reports the *first failure in seq
-// order* with the checks interleaved per entry — intentionally not the
-// phase-priority ordering of AuditFull (chain, then authenticators,
-// then message stream), which ChunkedSyntacticChecker in
-// src/audit/pipeline.h reproduces. When touching the chain rule or the
-// authenticator checks, update all three walks (VerifyChain, this, the
-// chunked checker) — the equivalence tests in pipeline_audit_test and
-// store_test will catch drift.
+// It is the audit engine (src/audit/pipeline.h) with replay off, so it
+// walks the log exactly as AuditFull does and reports the same verdict:
+// phase priority -- chain, then authenticators in span order, then the
+// message stream, then attested inputs -- not the first failure in seq
+// order. There is one walk to maintain (ChunkedSyntacticChecker); the
+// whole-segment primitives (VerifyChain, VerifyAgainstAuthenticators,
+// SyntacticMessageCheck, VerifyAttestedInputs) remain as the
+// independent reference VerifyEvidence and the tests check it against.
 CheckResult StreamingSyntacticCheck(const SegmentSource& source,
                                     std::span<const Authenticator> auths,
                                     const KeyRegistry& registry, const AuditConfig& cfg);

@@ -89,10 +89,9 @@ std::optional<AuditCheckpoint> LoadAuditCheckpoint(const std::string& dir,
 // How checkpointed audits behave.
 struct CheckpointConfig {
   // Capture cadence in log entries (0 = never write checkpoints).
-  // Captures land on the first chunk boundary at or after each multiple
-  // of the cadence, and only from fully-verified, replay-quiescent
-  // states — so the cadence changes how much a resume saves, never any
-  // verdict.
+  // The audit engine ends a chunk on every multiple of the cadence, and
+  // captures there only from fully-verified, replay-quiescent states —
+  // so the cadence changes how much a resume saves, never any verdict.
   uint64_t every_entries = 8192;
   // The auditing identity: names the checkpoint file, and — when
   // `signer` is set — signs checkpoints so the (auditee-controlled)
@@ -116,17 +115,17 @@ struct ResumeInfo {
   uint64_t resumed_from = 0;        // Watermark S when resumed.
   bool checkpoint_rejected = false; // A checkpoint existed but failed validation.
   std::string reject_reason;
-  uint64_t entries_scanned = 0;     // Entries read by this audit.
+  uint64_t entries_scanned = 0;     // Entries read and checked by this audit.
   uint64_t checkpoints_written = 0;
 };
 
-// A full-audit driver that resumes from (and refreshes) a persisted
-// checkpoint. Verdicts — ok, syntactic/semantic reason + seq, evidence
-// kind — are bit-for-bit those of Auditor::AuditFull at every cadence,
-// sign mode and thread count; only wall-clock time and the bytes-read
-// accounting change. With cfg.threads > 1 the replay of chunk i
-// overlaps the syntactic check of chunk i+1 (the src/audit/pipeline
-// idea, with a join at every capture point).
+// A full audit that resumes from (and refreshes) a persisted
+// checkpoint. It runs the audit engine (src/audit/pipeline.h) from the
+// restored checker and replayer, capturing at cadence boundaries, so
+// verdicts — ok, syntactic/semantic reason + seq, evidence kind — are
+// bit-for-bit those of Auditor::AuditFull at every cadence, sign mode
+// and thread count; only wall-clock time and the bytes-read accounting
+// change.
 class CheckpointedAuditor {
  public:
   CheckpointedAuditor(NodeId self, const KeyRegistry* registry, AuditConfig cfg = {},

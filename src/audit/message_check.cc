@@ -6,30 +6,22 @@
 #include "src/avmm/snapshot.h"
 #include "src/tel/batch.h"
 #include "src/util/serde.h"
-#include "src/util/threadpool.h"
 #include "src/vm/trace.h"
 
 namespace avm {
 
-SigVerdicts PrecomputeMessageSigVerdicts(const LogSegment& segment, const KeyRegistry& registry,
-                                         ThreadPool& pool) {
-  struct SigJob {
-    size_t entry;
-    bool is_ack;
-    MessageRecord msg;  // Parsed once here; valid when !is_ack.
-    Bytes sig;
-    Authenticator ack_auth;  // Valid when is_ack.
-  };
-  SigVerdicts verdicts(segment.entries.size(), -1);
-  std::vector<SigJob> jobs;
-  for (size_t i = 0; i < segment.entries.size(); i++) {
-    const LogEntry& e = segment.entries[i];
+std::vector<MessageSigJob> CollectMessageSigJobs(const NodeId& node,
+                                                std::span<const LogEntry> entries) {
+  std::vector<MessageSigJob> jobs;
+  for (size_t i = 0; i < entries.size(); i++) {
+    const LogEntry& e = entries[i];
     switch (e.type) {
       case EntryType::kSend:
       case EntryType::kRecv: {
-        SigJob job{i, false, {}, {}, {}};
+        MessageSigJob job{i, false, {}, {}, {}};
         if (ParseMessageEntry(e, &job.msg, &job.sig) &&
-            (e.type == EntryType::kSend ? job.msg.src : job.msg.dst) == segment.node) {
+            (e.type == EntryType::kSend ? job.msg.src : job.msg.dst) == node &&
+            !job.sig.empty()) {
           jobs.push_back(std::move(job));
         }
         break;
@@ -37,7 +29,7 @@ SigVerdicts PrecomputeMessageSigVerdicts(const LogSegment& segment, const KeyReg
       case EntryType::kAck: {
         try {
           AckFrame ack = AckFrame::Deserialize(e.content);
-          if (ack.orig_src == segment.node) {
+          if (ack.orig_src == node && !ack.auth.signature.empty()) {
             jobs.push_back({i, true, {}, {}, std::move(ack.auth)});
           }
         } catch (const SerdeError&) {
@@ -48,19 +40,12 @@ SigVerdicts PrecomputeMessageSigVerdicts(const LogSegment& segment, const KeyReg
         break;
     }
   }
-  // Signature-less entries (batched/async sign modes) are resolved
-  // against PeerCommitRecords by the sequential scan, not by an RSA
-  // check here; leave their verdicts at -1.
-  std::erase_if(jobs, [](const SigJob& job) {
-    return job.is_ack ? job.ack_auth.signature.empty() : job.sig.empty();
-  });
-  pool.ParallelFor(jobs.size(), [&](size_t k) {
-    const SigJob& job = jobs[k];
-    bool ok = job.is_ack ? job.ack_auth.VerifySignature(registry)
-                         : registry.Verify(job.msg.src, job.msg.Serialize(), job.sig);
-    verdicts[job.entry] = ok ? 1 : 0;
-  });
-  return verdicts;
+  return jobs;
+}
+
+bool MessageSigJob::Verify(const KeyRegistry& registry) const {
+  return is_ack ? ack_auth.VerifySignature(registry)
+                : registry.Verify(msg.src, msg.Serialize(), sig);
 }
 
 bool ParseMessageEntry(const LogEntry& e, MessageRecord* msg, Bytes* sig) {

@@ -1,11 +1,11 @@
-// The message-stream state machine of the §4.4/§4.5 syntactic check,
-// factored so the same code runs over a materialized segment
-// (SyntacticMessageCheck), over a streaming cursor
-// (StreamingSyntacticCheck), and over the chunked pipelined audit
-// (src/audit/pipeline.h). Feed() consumes entries in log order;
-// `sig_verdict` is a precomputed RSA result (-1 = verify inline), so
-// the batch path with a pool and every streaming path produce identical
-// verdicts at identical seqs.
+// The message-stream state machine of the §4.4/§4.5 syntactic check.
+// Every audit feeds it through the one chunked walk of the audit
+// engine (ChunkedSyntacticChecker in src/audit/pipeline.h); the
+// whole-segment SyntacticMessageCheck, which VerifyEvidence runs as
+// the independent third-party check, feeds the same state machine.
+// Feed() consumes entries in log order; `sig_verdict` is a precomputed
+// RSA result (-1 = verify inline), so a walk with a pool and one
+// without produce identical verdicts at identical seqs.
 //
 // Batched/async sign modes elide per-message signatures: SEND/RECV
 // entries carry an empty payload signature and ACK entries an unsigned
@@ -24,6 +24,7 @@
 #include <deque>
 #include <map>
 #include <set>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -35,26 +36,34 @@
 namespace avm {
 
 struct AuditConfig;
-class ThreadPool;
 
 // Parses the (MessageRecord, payload_sig) pair stored in SEND/RECV
 // entries. Returns false on malformed content.
 bool ParseMessageEntry(const LogEntry& e, MessageRecord* msg, Bytes* sig);
 
-// Signature verdicts for one run of entries, indexed by position:
-// -1 = nothing precomputed (the sequential scan verifies inline),
-// 0/1 = the entry's RSA check failed/passed.
-using SigVerdicts = std::vector<int8_t>;
+// One per-entry RSA check of a run of entries: a SEND/RECV payload
+// signature or an ACK authenticator. `entry` indexes the run.
+struct MessageSigJob {
+  size_t entry;
+  bool is_ack;
+  MessageRecord msg;  // Parsed once; valid when !is_ack.
+  Bytes sig;
+  Authenticator ack_auth;  // Valid when is_ack.
 
-// Fans the per-entry RSA verifications — SEND/RECV payload signatures
-// and ACK authenticators — across the pool. Only entries that parse and
-// pass their node check are precomputed; those are exactly the entries
-// whose signatures the sequential scan would reach, so consuming the
-// verdicts in order yields an identical result. (For a segment that
-// fails earlier for a non-signature reason this does some wasted
-// verifications; verdict-changing it is not.)
-SigVerdicts PrecomputeMessageSigVerdicts(const LogSegment& segment, const KeyRegistry& registry,
-                                         ThreadPool& pool);
+  bool Verify(const KeyRegistry& registry) const;
+};
+
+// The RSA checks of `node`'s entries that can run ahead of the scan, so
+// a walk with a pool can fan them out and feed the verdicts in. Only
+// entries that parse, pass their node check and carry a signature are
+// collected; those are exactly the entries whose signatures the scan
+// would reach, so consuming the verdicts in order yields an identical
+// result. (For a run that fails earlier for a non-signature reason this
+// does some wasted verifications; verdict-changing it is not.)
+// Signature-less entries (batched/async sign modes) are resolved
+// against PeerCommitRecords by the scan, not by an RSA check.
+std::vector<MessageSigJob> CollectMessageSigJobs(const NodeId& node,
+                                                std::span<const LogEntry> entries);
 
 class MessageCheckState {
  public:

@@ -1,9 +1,10 @@
 #include "src/audit/pipeline.h"
 
-#include <condition_variable>
-#include <deque>
+#include <algorithm>
+#include <exception>
 #include <limits>
-#include <mutex>
+#include <memory>
+#include <utility>
 
 #include "src/audit/replayer.h"
 #include "src/avmm/recorder.h"
@@ -16,19 +17,28 @@ ChunkedSyntacticChecker::ChunkedSyntacticChecker(const NodeId& node, uint64_t fi
                                                  uint64_t last_seq, const Hash256& prior_hash,
                                                  std::span<const Authenticator> auths,
                                                  const KeyRegistry& registry,
-                                                 const AuditConfig& cfg,
-                                                 std::span<const int8_t> auth_sig_verdicts)
-    : cfg_(cfg),
+                                                 const AuditConfig& cfg, ThreadPool* pool)
+    : node_(node),
       registry_(registry),
       auths_(auths),
-      auth_sig_verdicts_(auth_sig_verdicts),
       prior_hash_(prior_hash),
       auth_fail_idx_(std::numeric_limits<size_t>::max()),
       smc_(node, registry, cfg.strict_message_crossref) {
   for (size_t i = 0; i < auths.size(); i++) {
     if (auths[i].node == node && auths[i].seq >= first_seq && auths[i].seq <= last_seq) {
-      auth_by_seq_.emplace(auths[i].seq, i);
-      any_auth_relevant_ = true;
+      covering_.push_back({auths[i].seq, i, false});
+    }
+  }
+  std::sort(covering_.begin(), covering_.end());
+  obs::Span rsa_span(obs::kPhaseAuditRsaVerify, "audit");
+  auto verify = [&](size_t k) {
+    covering_[k].sig_ok = auths[covering_[k].index].VerifySignature(registry);
+  };
+  if (pool != nullptr) {
+    pool->ParallelFor(covering_.size(), verify);
+  } else {
+    for (size_t k = 0; k < covering_.size(); k++) {
+      verify(k);
     }
   }
   if (cfg.attested_input) {
@@ -36,18 +46,64 @@ ChunkedSyntacticChecker::ChunkedSyntacticChecker(const NodeId& node, uint64_t fi
   }
 }
 
+bool ChunkedSyntacticChecker::SignaturesValid() const {
+  return !covering_.empty() && std::all_of(covering_.begin(), covering_.end(),
+                                           [](const CoveringAuth& c) { return c.sig_ok; });
+}
+
 bool ChunkedSyntacticChecker::AnyFailure() const {
-  return !chain_fail_.ok || !any_auth_relevant_ || !auth_fail_.ok || !smc_fail_.ok ||
+  return !chain_fail_.ok || covering_.empty() || !auth_fail_.ok || !smc_fail_.ok ||
          !attested_fail_.ok;
 }
 
-void ChunkedSyntacticChecker::Feed(std::span<const LogEntry> entries,
-                                   std::span<const int8_t> smc_verdicts) {
+void ChunkedSyntacticChecker::Feed(std::span<const LogEntry> entries, ThreadPool* pool) {
+  if (entries.empty() || !chain_fail_.ok) {
+    return;  // A chain failure fixes the verdict; later entries cannot matter.
+  }
+  // The chain links run ahead of the scan, under audit.rsa_verify, so
+  // the chain hashing is attributed there as VerifyChain's was (e2ebench
+  // reports it as audit.chain_auth_s). Link i (i >= 1) is checked
+  // against entry i-1 of this run, which is exactly what the scan below
+  // would check once entry i-1 passed, so the links are independent;
+  // links_[i] == 1 lets the scan skip the rehash, and the first entry
+  // and any failing link are checked inline. Without a pool the links
+  // go in order and stop at the first failing one. With a pool they fan
+  // out in one ParallelFor together with the message RSA checks --
+  // unless a failure is already recorded: the message scan is then over
+  // and the rest only needs hashing, for chain precedence.
+  const size_t n = entries.size();
+  links_.assign(n, 0);
+  sig_verdicts_.assign(n, -1);
+  obs::Span ahead_span(obs::kPhaseAuditRsaVerify, "audit");
+  auto check_link = [&](size_t i) {
+    links_[i] = CheckChainLink(entries[i - 1].hash, entries[i - 1].seq + 1, entries[i]).ok ? 1 : 0;
+    return links_[i] == 1;
+  };
+  if (pool == nullptr) {
+    for (size_t i = 1; i < n && check_link(i); i++) {
+    }
+  } else {
+    std::vector<MessageSigJob> jobs;
+    if (!AnyFailure()) {
+      jobs = CollectMessageSigJobs(node_, entries);
+    }
+    // Links go in blocks: one hash is too little work per pool task.
+    constexpr size_t kLinksPerTask = 64;
+    const size_t link_tasks = (n - 1 + kLinksPerTask - 1) / kLinksPerTask;
+    pool->ParallelFor(jobs.size() + link_tasks, [&](size_t k) {
+      if (k < jobs.size()) {
+        sig_verdicts_[jobs[k].entry] = jobs[k].Verify(registry_) ? 1 : 0;
+        return;
+      }
+      const size_t begin = 1 + (k - jobs.size()) * kLinksPerTask;
+      for (size_t i = begin; i < std::min(n, begin + kLinksPerTask); i++) {
+        check_link(i);
+      }
+    });
+  }
+  ahead_span.End();
   for (size_t i = 0; i < entries.size(); i++) {
     const LogEntry& e = entries[i];
-    if (!chain_fail_.ok) {
-      return;  // The verdict is fixed; later entries cannot matter.
-    }
     fed_++;
     if (!started_) {
       started_ = true;
@@ -63,10 +119,12 @@ void ChunkedSyntacticChecker::Feed(std::span<const LogEntry> entries,
       }
     }
     // The chain rule, link by link (shared with VerifyChain).
-    CheckResult link = CheckChainLink(prior_hash_, expect_seq_, e);
-    if (!link.ok) {
-      chain_fail_ = link;
-      return;
+    if (links_[i] == 0) {
+      CheckResult link = CheckChainLink(prior_hash_, expect_seq_, e);
+      if (!link.ok) {
+        chain_fail_ = link;
+        return;
+      }
     }
     prior_hash_ = e.hash;
     expect_seq_++;
@@ -75,18 +133,25 @@ void ChunkedSyntacticChecker::Feed(std::span<const LogEntry> entries,
     // under the authenticator's *span index*: the sequential scan
     // reports the first failing authenticator in span order, not in
     // seq order.
-    auto [first, end] = auth_by_seq_.equal_range(e.seq);
-    for (auto it = first; it != end; ++it) {
-      CheckAuthAt(it->second, e.hash);
+    // Seqs stream strictly in order, so one cursor walks the sorted
+    // index.
+    while (next_auth_ < covering_.size() && covering_[next_auth_].seq < e.seq) {
+      next_auth_++;
+    }
+    if (next_auth_ < covering_.size() && covering_[next_auth_].seq == e.seq) {
+      auth_hashes_.emplace_back(e.seq, e.hash);
+    }
+    for (; next_auth_ < covering_.size() && covering_[next_auth_].seq == e.seq; next_auth_++) {
+      CheckAuthAt(covering_[next_auth_], e.hash);
     }
 
     // The message-stream state machine; stops at its first failure (the
     // sequential scan never feeds past it). An authenticator failure
     // outranks anything these scans could report, so once one is
-    // recorded their (RSA-heavy) work is moot and skipped — only the
+    // recorded their (RSA-heavy) work is moot and skipped -- only the
     // chain hashing above still matters for the final verdict.
     if (auth_fail_.ok && smc_fail_.ok) {
-      CheckResult r = smc_.Feed(e, i < smc_verdicts.size() ? smc_verdicts[i] : int8_t{-1});
+      CheckResult r = smc_.Feed(e, sig_verdicts_[i]);
       if (!r.ok) {
         smc_fail_ = r;
       }
@@ -100,27 +165,19 @@ void ChunkedSyntacticChecker::Feed(std::span<const LogEntry> entries,
   }
 }
 
-void ChunkedSyntacticChecker::CheckAuthAt(size_t auth_index, const Hash256& log_hash) {
-  if (auth_index >= auth_fail_idx_) {
+void ChunkedSyntacticChecker::CheckAuthAt(const CoveringAuth& c, const Hash256& log_hash) {
+  if (c.index >= auth_fail_idx_) {
     return;  // A smaller span index already failed.
   }
-  const Authenticator& a = auths_[auth_index];
-  const int8_t pre =
-      auth_index < auth_sig_verdicts_.size() ? auth_sig_verdicts_[auth_index] : int8_t{-1};
-  const bool sig_ok = pre >= 0 ? pre == 1 : a.VerifySignature(registry_);
-  if (!sig_ok) {
-    auth_fail_idx_ = auth_index;
+  const Authenticator& a = auths_[c.index];
+  if (!c.sig_ok) {
+    auth_fail_idx_ = c.index;
     auth_fail_ = CheckResult::Fail("authenticator signature invalid", a.seq);
   } else if (log_hash != a.hash) {
-    auth_fail_idx_ = auth_index;
+    auth_fail_idx_ = c.index;
     auth_fail_ =
         CheckResult::Fail("log does not match issued authenticator (tamper or fork)", a.seq);
   }
-}
-
-void ChunkedSyntacticChecker::ResolveAuthBehindWatermark(size_t auth_index,
-                                                         const Hash256& log_hash) {
-  CheckAuthAt(auth_index, log_hash);
 }
 
 void ChunkedSyntacticChecker::SerializeResumableState(Writer& w) const {
@@ -131,15 +188,44 @@ void ChunkedSyntacticChecker::SerializeResumableState(Writer& w) const {
   }
 }
 
-void ChunkedSyntacticChecker::RestoreResumableState(Reader& r, uint64_t watermark_seq) {
-  smc_.RestoreState(r);
-  bool has_attested = r.U8() != 0;
-  if (has_attested != attested_.has_value()) {
+namespace {
+
+// The one decoder of SerializeResumableState's format.
+void DecodeScanState(ByteView state, MessageCheckState& smc,
+                     std::optional<AttestedInputScanner>& attested) {
+  Reader r(state);
+  smc.RestoreState(r);
+  const bool has_attested = r.U8() != 0;
+  if (has_attested != attested.has_value()) {
     throw SerdeError("checkpoint attested-input mode does not match the audit config");
   }
-  if (attested_.has_value()) {
-    attested_->RestoreState(r);
+  if (attested.has_value()) {
+    attested->RestoreState(r);
   }
+  r.ExpectEnd();
+}
+
+}  // namespace
+
+std::string ChunkedSyntacticChecker::ResumableStateError(ByteView state, const NodeId& node,
+                                                         const KeyRegistry& registry,
+                                                         const AuditConfig& cfg) {
+  MessageCheckState smc(node, registry, cfg.strict_message_crossref);
+  std::optional<AttestedInputScanner> attested;
+  if (cfg.attested_input) {
+    attested.emplace(node, registry);
+  }
+  try {
+    DecodeScanState(state, smc, attested);
+  } catch (const SerdeError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+void ChunkedSyntacticChecker::RestoreResumableState(
+    ByteView state, uint64_t watermark_seq, const std::map<uint64_t, Hash256>& auth_hashes) {
+  DecodeScanState(state, smc_, attested_);
   // Behave as if entries 1..watermark had been fed (they were, by the
   // audit that wrote the checkpoint): the next entry must chain from
   // the ctor's prior_hash at watermark+1, and Finalize() must not
@@ -147,19 +233,28 @@ void ChunkedSyntacticChecker::RestoreResumableState(Reader& r, uint64_t watermar
   started_ = true;
   expect_seq_ = watermark_seq + 1;
   fed_ = watermark_seq;
+  // Authenticators at or behind the watermark never stream by; resolve
+  // them against the chain hashes verified when the checkpoint was
+  // written.
+  auth_hashes_.assign(auth_hashes.begin(), auth_hashes.end());
+  for (; next_auth_ < covering_.size() && covering_[next_auth_].seq <= watermark_seq;
+       next_auth_++) {
+    const CoveringAuth& c = covering_[next_auth_];
+    CheckAuthAt(c, auth_hashes.at(c.seq));
+  }
 }
 
 CheckResult ChunkedSyntacticChecker::Finalize() const {
-  // Exactly the sequential composition: VerifyChain (prechecks + links),
-  // then authenticator coverage + checks, then the message-stream scan
-  // and its Finalize, then attested inputs.
+  // Phase priority, exactly the whole-segment composition: VerifyChain
+  // (prechecks + links), then authenticator coverage + checks, then the
+  // message-stream scan and its Finalize, then attested inputs.
   if (fed_ == 0) {
     return CheckResult::Fail("empty segment");
   }
   if (!chain_fail_.ok) {
     return chain_fail_;
   }
-  if (!any_auth_relevant_) {
+  if (covering_.empty()) {
     return CheckResult::Fail("no authenticator covers the segment; cannot establish authenticity");
   }
   if (!auth_fail_.ok) {
@@ -178,264 +273,208 @@ CheckResult ChunkedSyntacticChecker::Finalize() const {
   return CheckResult::Ok();
 }
 
-namespace {
-
-// Bounded handoff of checked chunks from the syntactic task to the
-// replaying caller. The producer always runs to the end of the source
-// (readability of every chunk is part of the sequential verdict), so
-// the consumer must drain until Close().
-struct ChunkQueue {
-  static constexpr size_t kMaxQueued = 2;
-
-  std::mutex mu;
-  std::condition_variable cv;
-  std::deque<LogSegment> ready;
-  bool closed = false;
-  bool aborted = false;  // Consumer gone; pushes are discarded.
-
-  void Push(LogSegment seg) {
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [&] { return ready.size() < kMaxQueued || aborted; });
-    if (aborted) {
-      return;
-    }
-    ready.push_back(std::move(seg));
-    cv.notify_all();
-  }
-  void Close() {
-    std::unique_lock<std::mutex> lock(mu);
-    closed = true;
-    cv.notify_all();
-  }
-  void Abort() {
-    std::unique_lock<std::mutex> lock(mu);
-    aborted = true;
-    cv.notify_all();
-  }
-  // False = producer closed and nothing left.
-  bool Pop(LogSegment* out) {
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [&] { return !ready.empty() || closed; });
-    if (ready.empty()) {
-      return false;
-    }
-    *out = std::move(ready.front());
-    ready.pop_front();
-    cv.notify_all();
-    return true;
-  }
-};
-
-// Joins the producer task on every exit path: the task captures the
-// queue, checker and result slots by reference, so if anything on the
-// consumer side throws they must not be destroyed while the producer
-// runs. Abort() also unblocks a producer waiting in Push().
-struct PipelineJoinGuard {
-  ChunkQueue* queue;
-  ThreadPool* pool;
-  ~PipelineJoinGuard() {
-    queue->Abort();
-    try {
-      pool->Wait();
-    } catch (...) {
-      // Unwinding already; the producer swallows its own exceptions, so
-      // nothing of value is lost here.
-    }
-  }
-};
-
-}  // namespace
-
-AuditOutcome PipelinedStreamingAuditFull(const Avmm& target, const SegmentSource& source,
-                                         ByteView reference_image,
-                                         std::span<const Authenticator> auths,
-                                         const KeyRegistry& registry, const AuditConfig& cfg,
-                                         ThreadPool& pool) {
-  if (pool.thread_count() <= 1) {
-    // Submit() would run the producer inline and deadlock against the
-    // bounded queue; callers must use the sequential path instead.
-    throw std::logic_error("PipelinedStreamingAuditFull needs a pool with >1 threads");
-  }
-  const uint64_t last = source.LastSeq();
-  const size_t chunk_entries = cfg.pipeline_chunk_entries > 0 ? cfg.pipeline_chunk_entries : 2048;
-
-  // Replay gate, not a verdict: replay work is only worth starting if
-  // every authenticator the verdict can depend on carries a valid
-  // signature — otherwise a forged log (which anyone can chain-hash,
-  // but only the accused machine can sign) would cost this auditor a
-  // full replay before the syntactic check rejects it. The verdict
-  // itself still comes from the checker, in sequential order; the RSA
-  // results computed here are handed to the checker so no signature is
-  // verified twice.
-  std::vector<int8_t> auth_sig_verdicts(auths.size(), -1);
-  std::vector<size_t> relevant;
-  for (size_t i = 0; i < auths.size(); i++) {
-    if (auths[i].node == source.node() && auths[i].seq >= 1 && auths[i].seq <= last) {
-      relevant.push_back(i);
-    }
-  }
-  // Fan the gate's RSA checks across the (otherwise still idle) pool,
-  // as VerifyAgainstAuthenticators does on the materialized path.
-  {
-    obs::Span rsa_span(obs::kPhaseAuditRsaVerify, "audit");
-    pool.ParallelFor(relevant.size(), [&](size_t k) {
-      auth_sig_verdicts[relevant[k]] = auths[relevant[k]].VerifySignature(registry) ? 1 : 0;
-    });
-  }
-  bool replay_worthwhile = !relevant.empty();
-  for (size_t i : relevant) {
-    replay_worthwhile = replay_worthwhile && auth_sig_verdicts[i] == 1;
-  }
-
+AuditOutcome UnreadableSourceOutcome(const std::string& what) {
   AuditOutcome out;
-  out.snapshot_bytes = 0;
+  out.syntactic = CheckResult::Fail("log source unreadable: " + what);
+  return out;
+}
 
-  ChunkQueue queue;
-  ChunkedSyntacticChecker checker(source.node(), 1, last, Hash256::Zero(), auths, registry, cfg,
-                                  auth_sig_verdicts);
-  std::string unreadable;          // Nonempty = some chunk failed to extract.
-  bool have_unreadable = false;
-  std::exception_ptr producer_err;  // Non-runtime_error exceptions, rethrown.
-  uint64_t entry_wire_bytes = 0;
-  double syn_seconds = 0;
+AuditOutcome RunAuditEngine(const SegmentSource& source, std::span<const Authenticator> auths,
+                            const KeyRegistry& registry, const AuditConfig& cfg, ThreadPool* pool,
+                            const AuditRun& run) {
+  AuditOutcome out;
+  const NodeId& node = source.node();
+  const uint64_t last = run.last_seq;
+  if (last < run.first_seq) {
+    out.syntactic = CheckResult::Fail("empty segment");
+    return out;
+  }
 
-  pool.Submit([&] {
-    uint64_t s = 1;
-    try {
-      while (s <= last) {
-        // Timed per chunk, around the extraction + checks only: time
-        // blocked in Push() waiting for the replay consumer is not
-        // syntactic work.
-        WallTimer syn_timer;
-        obs::Span syn_span(obs::kPhaseAuditSyntactic, "audit");
-        const uint64_t to = std::min<uint64_t>(s + chunk_entries - 1, last);
-        LogSegment chunk;
-        try {
-          chunk = source.Extract(s, to);
-        } catch (const std::runtime_error& e) {
-          // The sequential path extracts the whole range up front, so a
-          // corrupt store anywhere in [1, last] yields the unreadable
-          // outcome regardless of earlier check failures.
-          unreadable = e.what();
-          have_unreadable = true;
-          break;
-        }
-        for (const LogEntry& e : chunk.entries) {
-          entry_wire_bytes += e.WireSize();
-        }
-        // With spare workers beyond the producer + replayer pair, fan
-        // this chunk's per-message RSA checks across the pool (same
-        // precompute the materialized path uses; verdict-identical).
-        // Once any failure is recorded the message scan is over — the
-        // remaining chunks only need hashing, for chain/unreadable
-        // precedence — so skip the (expensive) RSA precompute then.
-        SigVerdicts smc_verdicts;
-        if (pool.thread_count() > 2 && !checker.AnyFailure()) {
-          smc_verdicts = PrecomputeMessageSigVerdicts(chunk, registry, pool);
-        }
-        checker.Feed(chunk.entries, smc_verdicts);
-        syn_seconds += syn_timer.ElapsedSeconds();
-        syn_span.End();  // Blocked time in Push() is not syntactic work.
-        // Replay's result is discarded on any syntactic failure, so
-        // stop shipping chunks once one is recorded (the checker still
-        // scans the rest of the log: a later chain break or unreadable
-        // chunk outranks the recorded failure).
-        if (replay_worthwhile && !checker.AnyFailure()) {
-          queue.Push(std::move(chunk));
-        }
-        s = to + 1;
-      }
-    } catch (...) {
-      producer_err = std::current_exception();
-    }
-    queue.Close();
-  });
-  PipelineJoinGuard join_guard{&queue, &pool};
+  // The checker verifies every covering authenticator's signature up
+  // front: the replay gate. The verdict itself still comes from the
+  // checker, in phase order.
+  const AuditResume* resume = run.resume;
+  AuditConfig check_cfg = cfg;
+  check_cfg.strict_message_crossref = run.strict_crossref;
+  WallTimer gate_timer;
+  obs::Span gate_span(obs::kPhaseAuditSyntactic, "audit");
+  ChunkedSyntacticChecker checker(node, run.first_seq, last,
+                                  resume != nullptr ? resume->chain_hash : run.prior_hash, auths,
+                                  registry, check_cfg, pool);
+  const bool replay_gate = run.replay && checker.SignaturesValid();
+  gate_span.End();
+  double syn_seconds = gate_timer.ElapsedSeconds();
+  // Heap-allocated: the replayer registers itself as the machine's
+  // device backend, so it must never move.
+  std::unique_ptr<StreamingReplayer> replayer;
+  if (run.replay) {
+    const MaterializedState* start = resume != nullptr ? &resume->machine : run.start_state;
+    replayer = start != nullptr
+                   ? std::make_unique<StreamingReplayer>(*start)
+                   : std::make_unique<StreamingReplayer>(run.reference_image, cfg.mem_size);
+    replayer->mutable_machine().set_jit_enabled(cfg.jit_replay);
+  }
+  if (resume != nullptr) {
+    checker.RestoreResumableState(resume->scan_state, resume->watermark, resume->auth_hashes);
+  }
 
-  StreamingReplayer replayer(reference_image, cfg.mem_size);
-  replayer.mutable_machine().set_jit_enabled(cfg.jit_replay);
+  // With a pool and `pipelined`, chunk i replays on a worker while this
+  // thread checks chunk i+1; otherwise replay runs inline. Workers
+  // beyond the replay task fan each chunk's checks.
+  const bool overlap = pool != nullptr && pool->thread_count() > 1 && cfg.pipelined;
+  ThreadPool* check_pool =
+      pool != nullptr && pool->thread_count() > (overlap ? 2u : 1u) ? pool : nullptr;
+  const size_t chunk_entries = cfg.pipeline_chunk_entries > 0 ? cfg.pipeline_chunk_entries : 2048;
+  std::vector<LogEntry> chunk;     // Being filled by the scan.
+  std::vector<LogEntry> inflight;  // Being replayed by the worker task.
+  bool task_in_flight = false;
   std::exception_ptr replay_err;
   double sem_seconds = 0;
-  {
-    LogSegment chunk;
-    while (queue.Pop(&chunk)) {
-      if (replay_err != nullptr) {
-        continue;  // Keep draining so the producer never blocks.
-      }
-      // Timed per chunk: time blocked in Pop() waiting for the
-      // producer's syntactic work is not replay cost (symmetric with
-      // the producer's syn_timer).
-      WallTimer sem_timer;
-      obs::Span replay_span(obs::kPhaseAuditReplay, "audit");
-      try {
-        replayer.Feed(chunk.entries);
-      } catch (...) {
-        // A hostile log can make the replayer throw (e.g. an oversized
-        // DMA write). The sequential path only replays after the whole
-        // syntactic check passed, so hold the exception until the
-        // syntactic verdict is known.
-        replay_err = std::current_exception();
-      }
-      sem_seconds += sem_timer.ElapsedSeconds();
+  auto replay = [&](const std::vector<LogEntry>& entries) {
+    WallTimer sem_timer;
+    obs::Span replay_span(obs::kPhaseAuditReplay, "audit");
+    try {
+      replayer->Feed(entries);
+    } catch (...) {
+      // A hostile log can make the replayer throw (e.g. an oversized
+      // DMA write). Hold the exception until the syntactic verdict is
+      // known: a syntactic failure outranks it.
+      replay_err = std::current_exception();
     }
+    sem_seconds += sem_timer.ElapsedSeconds();
+  };
+  auto join_replay = [&] {
+    if (task_in_flight) {
+      pool->Wait();
+      task_in_flight = false;
+    }
+  };
+  auto replay_wanted = [&] {
+    return replay_gate && replay_err == nullptr && !checker.AnyFailure();
+  };
+  auto process_chunk = [&](uint64_t end_seq) {
+    {
+      WallTimer syn_timer;
+      obs::Span syn_span(obs::kPhaseAuditSyntactic, "audit");
+      checker.Feed(chunk, check_pool);
+      syn_seconds += syn_timer.ElapsedSeconds();
+    }
+    join_replay();
+    // Replay's result is discarded on any syntactic failure, so stop
+    // replaying once one is recorded (the checker still scans the rest:
+    // a later chain break or unreadable entry outranks it).
+    if (replay_wanted()) {
+      if (overlap) {
+        std::swap(chunk, inflight);
+        task_in_flight = true;
+        pool->Submit([&] { replay(inflight); });
+      } else {
+        replay(chunk);
+      }
+    }
+    if (run.on_boundary && run.boundary_every > 0 && end_seq % run.boundary_every == 0) {
+      join_replay();
+      if (replay_wanted() && replayer->Checkpointable()) {
+        run.on_boundary(end_seq, checker, *replayer);
+      }
+    }
+    chunk.clear();
+  };
+
+  // The one forward scan. The whole range is read even after a failure:
+  // an unreadable entry anywhere outranks every check verdict.
+  const uint64_t scan_from = resume != nullptr ? resume->watermark + 1 : run.first_seq;
+  uint64_t next = scan_from;  // Seq position of the next entry scanned.
+  uint64_t entry_wire_bytes = 0;
+  std::exception_ptr visit_err;  // Thrown by the checks, not by the source.
+  std::optional<std::string> unreadable;
+  try {
+    if (scan_from <= last) {
+      source.Scan(scan_from, last, [&](const LogEntry& e) {
+        try {
+          entry_wire_bytes += e.WireSize();
+          chunk.push_back(e);
+          if (chunk.size() >= chunk_entries || next == last ||
+              (run.boundary_every > 0 && next % run.boundary_every == 0)) {
+            process_chunk(next);
+          }
+        } catch (...) {
+          visit_err = std::current_exception();
+          return false;
+        }
+        next++;
+        return true;
+      });
+    }
+  } catch (const std::runtime_error& e) {
+    // Store-layer corruption (CRC mismatch, truncated segment, ...).
+    unreadable = e.what();
+  } catch (...) {
+    join_replay();  // The task captures this frame's locals.
+    throw;
   }
-  pool.Wait();
-  if (producer_err != nullptr) {
-    std::rethrow_exception(producer_err);
+  join_replay();
+  if (visit_err != nullptr) {
+    std::rethrow_exception(visit_err);
+  }
+  if (run.entries_checked != nullptr) {
+    // Entries still in `chunk` were read but never reached the checks.
+    *run.entries_checked = next - scan_from - chunk.size();
+  }
+  if (!unreadable.has_value() && next <= last) {
+    unreadable = "log ends before seq " + std::to_string(next);
+  }
+  if (unreadable.has_value()) {
+    return UnreadableSourceOutcome(*unreadable);
   }
 
   out.syntactic_seconds = syn_seconds;
-  if (have_unreadable) {
-    // Mirrors UnreadableSourceOutcome: no evidence, default semantic.
-    out.syntactic = CheckResult::Fail(std::string("log source unreadable: ") + unreadable);
-    out.ok = false;
-    return out;
-  }
-  // Exact log_bytes of the sequential path.
-  out.log_bytes = LogSegment::SerializedSize(source.node(), entry_wire_bytes);
-  // Evidence needs the whole serialized segment; this second read can
-  // hit a store that broke *after* the scan, which must still surface
-  // as an unreadable outcome, not an exception (auditor.h's contract).
-  auto build_evidence = [&](EvidenceKind kind, const std::string& claim) -> bool {
+  out.log_bytes = LogSegment::SerializedSize(node, entry_wire_bytes);
+  // Evidence ships the whole audited segment; this second read can hit
+  // a store that broke after the scan, which must still surface as an
+  // unreadable outcome, not an exception.
+  auto attach_evidence = [&](EvidenceKind kind, const std::string& claim) {
+    if (run.accused == nullptr) {
+      return;
+    }
     Evidence ev;
     ev.kind = kind;
-    ev.accused = target.id();
+    ev.accused = run.accused->id();
     ev.claim = claim;
     try {
-      ev.segment = source.Extract(1, last).Serialize();
+      ev.segment = source.Extract(run.first_seq, last).Serialize();
     } catch (const std::runtime_error& e) {
-      out.syntactic = CheckResult::Fail(std::string("log source unreadable: ") + e.what());
-      out.semantic = ReplayResult{};
-      out.evidence.reset();
-      out.ok = false;
-      return false;
+      out = UnreadableSourceOutcome(e.what());
+      return;
     }
     for (const Authenticator& a : auths) {
       ev.auths.push_back(a.Serialize());
     }
     ev.mem_size = cfg.mem_size;
     out.evidence = std::move(ev);
-    return true;
   };
 
   out.syntactic = checker.Finalize();
   if (!out.syntactic.ok) {
-    build_evidence(EvidenceKind::kProtocolViolation, out.syntactic.reason);
-    out.ok = false;
+    attach_evidence(EvidenceKind::kProtocolViolation, out.syntactic.reason);
+    return out;
+  }
+  if (!run.replay) {
+    out.ok = true;
     return out;
   }
   if (replay_err != nullptr) {
     std::rethrow_exception(replay_err);
   }
-
-  WallTimer finish_timer;
-  obs::Span finish_span(obs::kPhaseAuditReplay, "audit");
-  out.semantic = replayer.Finish();
-  out.semantic_seconds = sem_seconds + finish_timer.ElapsedSeconds();
-  finish_span.End();
+  {
+    WallTimer finish_timer;
+    obs::Span finish_span(obs::kPhaseAuditReplay, "audit");
+    out.semantic = replayer->Finish();
+    out.semantic_seconds = sem_seconds + finish_timer.ElapsedSeconds();
+  }
   out.ok = out.semantic.ok;
   if (!out.ok) {
-    build_evidence(EvidenceKind::kReplayDivergence, out.semantic.reason);
+    attach_evidence(EvidenceKind::kReplayDivergence, out.semantic.reason);
   }
   return out;
 }

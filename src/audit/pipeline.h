@@ -1,35 +1,40 @@
-// The pipelined audit (perf layer over §4.5).
+// The audit engine (§4.5): every full audit, spot check, checkpointed
+// audit and syntactic triage runs the one loop defined here.
 //
-// A full audit has two phases: the syntactic check (hash chain,
-// authenticator RSA, message-stream cross-reference) and the semantic
-// check (deterministic replay). The sequential auditor runs them
-// strictly in order; the pipeline overlaps them — the syntactic check
-// of chunk i+1 runs on a worker while chunk i replays — without
-// changing a single verdict. Two pieces:
+// A §4.5 audit is a syntactic check (hash chain, authenticators,
+// message stream, attested inputs) followed by a semantic check
+// (deterministic replay); a §3.5 spot check is the same procedure
+// started from a verified snapshot. The engine reads the audited range
+// of a SegmentSource in one forward Scan, cuts it into
+// AuditConfig::pipeline_chunk_entries chunks, and feeds each chunk to
+// a ChunkedSyntacticChecker and then to the one StreamingReplayer. Only
+// two chunks are ever materialized, so every audit streams in
+// O(chunk) memory, at every thread count. Two pieces:
 //
-//  * ChunkedSyntacticChecker: the whole-segment syntactic check as an
-//    incremental consumer of entry runs. It records every failure
-//    category separately (chain rule, authenticator, message stream,
-//    attested input) and Finalize() assembles them in exactly the
-//    priority order of the sequential composition
-//    VerifyAgainstAuthenticators -> SyntacticMessageCheck ->
-//    VerifyAttestedInputs, so the reported verdict — reason and seq —
-//    is bit-for-bit the sequential one even though the scan interleaves
-//    the checks per chunk.
+//  * ChunkedSyntacticChecker: the syntactic check as an incremental
+//    consumer of entry runs. It records every failure category
+//    separately (chain rule, authenticator, message stream, attested
+//    input) and Finalize() reports them in phase priority -- chain,
+//    then authenticators in span order, then message stream, then
+//    attested inputs -- which is exactly the verdict of the
+//    whole-segment composition VerifyAgainstAuthenticators ->
+//    SyntacticMessageCheck -> VerifyAttestedInputs that VerifyEvidence
+//    runs as the independent third-party path.
 //
-//  * PipelinedStreamingAuditFull: the store-backed full audit driver.
-//    A pool task extracts chunk after chunk from the SegmentSource
-//    (O(chunk) memory, SegmentCursor-style) and feeds the checker; the
-//    calling thread replays the chunks from a small bounded queue.
-//    Unreadable-source, syntactic and semantic outcomes mirror the
-//    sequential Auditor::AuditFull exactly.
+//  * RunAuditEngine: the loop itself. Replay runs inline on the scanning
+//    thread, or -- with a pool and AuditConfig::pipelined -- on a
+//    worker with one chunk in flight while the next chunk is checked.
+//    Verdicts are bit-for-bit identical either way.
 #ifndef SRC_AUDIT_PIPELINE_H_
 #define SRC_AUDIT_PIPELINE_H_
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
 #include <span>
+#include <string>
+#include <vector>
 
 #include "src/audit/auditor.h"
 #include "src/audit/message_check.h"
@@ -41,78 +46,98 @@ class ChunkedSyntacticChecker {
  public:
   // `auths` must outlive the checker. `first_seq`/`last_seq` bound the
   // authenticator coverage exactly as VerifyAgainstAuthenticators does
-  // with the materialized segment; `prior_hash` is the segment's prior
-  // chain hash (Zero for a log audited from its head).
-  // `auth_sig_verdicts`, when nonempty, is indexed like `auths`:
-  // -1 = verify the RSA signature inline when the seq streams by,
-  // 0/1 = precomputed invalid/valid (so a caller that already verified
-  // a signature — e.g. the streaming driver's replay gate — does not
-  // pay for it twice). Precomputed values must equal what
-  // VerifySignature would return; verdicts are then identical.
+  // with the materialized segment; `prior_hash` is the chain hash the
+  // next fed entry must continue (Zero for a log audited from its head).
+  // The RSA signature of every covering authenticator is verified here,
+  // up front (fanned across `pool` when given), and consumed when its
+  // seq streams by.
   ChunkedSyntacticChecker(const NodeId& node, uint64_t first_seq, uint64_t last_seq,
                           const Hash256& prior_hash, std::span<const Authenticator> auths,
                           const KeyRegistry& registry, const AuditConfig& cfg,
-                          std::span<const int8_t> auth_sig_verdicts = {});
+                          ThreadPool* pool = nullptr);
+
+  // The replay gate: some authenticator covers the segment and every
+  // covering signature is valid. Otherwise the verdict is a syntactic
+  // failure whatever the log holds -- a forged log, which anyone can
+  // chain-hash but only the accused machine can sign, must not buy a
+  // replay.
+  bool SignaturesValid() const;
 
   // Consumes the next run of entries (in log order, continuing the
-  // previous runs). `smc_verdicts`, when nonempty, is indexed like
-  // `entries` and carries PrecomputeMessageSigVerdicts results for the
-  // message-stream scan (-1 = verify inline).
-  void Feed(std::span<const LogEntry> entries, std::span<const int8_t> smc_verdicts = {});
+  // previous runs). With a pool, the run's chain links and per-message
+  // RSA checks are fanned across it first, in one ParallelFor; the
+  // verdict is unchanged.
+  void Feed(std::span<const LogEntry> entries, ThreadPool* pool = nullptr);
 
   // True if any failure has been recorded; the final outcome will be a
   // syntactic failure, so replay work can be skipped (its result would
   // be discarded).
   bool AnyFailure() const;
 
-  // The verdict of the sequential syntactic composition over everything
-  // fed so far.
+  // The phase-priority verdict over everything fed so far.
   CheckResult Finalize() const;
 
   // ---- Checkpoint support (src/audit/checkpoint.h) ----
   // Chain hash of the last entry fed (h_S): what a checkpoint records
   // as its verified watermark.
   const Hash256& chain_cursor() const { return prior_hash_; }
-  // Seq the next fed entry must carry.
-  uint64_t next_seq() const { return expect_seq_; }
+  // Chain hash at every covering authenticator's seq seen so far
+  // (streamed by, or restored from a checkpoint).
+  std::map<uint64_t, Hash256> auth_hashes() const {
+    return {auth_hashes_.begin(), auth_hashes_.end()};
+  }
 
   // Serializes the streaming scan state (message-stream state machine +
   // attested-input cursor) after feeding entries 1..S; failure slots are
-  // intentionally not captured — checkpoints are only taken from
+  // intentionally not captured -- checkpoints are only taken from
   // fully-verified states (AnyFailure() must be false).
   void SerializeResumableState(Writer& w) const;
+  // "" if `state` restores into a checker built for `node`/`cfg`, else
+  // why not. A checkpoint is validated with this before it is resumed.
+  static std::string ResumableStateError(ByteView state, const NodeId& node,
+                                         const KeyRegistry& registry, const AuditConfig& cfg);
   // Restores into a freshly constructed checker whose ctor received the
   // checkpoint's chain hash as `prior_hash`. The checker then behaves
-  // as if entries 1..`watermark_seq` (already verified when the
-  // checkpoint was written) had been fed. Throws SerdeError on
-  // malformed input.
-  void RestoreResumableState(Reader& r, uint64_t watermark_seq);
-
-  // Resolves one authenticator whose seq lies at or behind the resume
-  // watermark against `log_hash`, the log's (previously verified) chain
-  // hash at that seq — the same sig + hash checks the entry streaming
-  // by would have triggered, recorded under the same span index, so the
-  // composed verdict is bit-for-bit the from-genesis one.
-  void ResolveAuthBehindWatermark(size_t auth_index, const Hash256& log_hash);
+  // as if entries 1..`watermark_seq` had been fed: covering
+  // authenticators at or behind the watermark are resolved against
+  // `auth_hashes` (the chain hashes verified when the checkpoint was
+  // written) under their span index, so the verdict is bit-for-bit the
+  // from-genesis one. Throws SerdeError on malformed input and
+  // std::out_of_range if `auth_hashes` misses a covering seq.
+  void RestoreResumableState(ByteView state, uint64_t watermark_seq,
+                             const std::map<uint64_t, Hash256>& auth_hashes);
 
  private:
-  const AuditConfig cfg_;
-  const KeyRegistry& registry_;
-  std::span<const Authenticator> auths_;
-  std::span<const int8_t> auth_sig_verdicts_;
-  Hash256 prior_hash_;   // Expected prior hash of the next entry.
-  uint64_t expect_seq_ = 0;
-  bool started_ = false;
-  uint64_t fed_ = 0;
-
-  // seq -> indices into auths_, in span order (the order the sequential
-  // scan reports authenticator failures in).
-  std::multimap<uint64_t, size_t> auth_by_seq_;
-  bool any_auth_relevant_ = false;
+  struct CoveringAuth {
+    uint64_t seq;
+    size_t index;  // Into auths_: the span order failures are reported in.
+    bool sig_ok;
+    bool operator<(const CoveringAuth& o) const {
+      return seq != o.seq ? seq < o.seq : index < o.index;
+    }
+  };
 
   // Shared sig + hash check for one authenticator, whether its seq
   // streamed by (Feed) or was resolved behind a resume watermark.
-  void CheckAuthAt(size_t auth_index, const Hash256& log_hash);
+  void CheckAuthAt(const CoveringAuth& c, const Hash256& log_hash);
+
+  const NodeId node_;
+  const KeyRegistry& registry_;
+  std::span<const Authenticator> auths_;
+  Hash256 prior_hash_;  // Expected prior hash of the next entry.
+  uint64_t expect_seq_ = 0;
+  bool started_ = false;
+  uint64_t fed_ = 0;
+  // Reused by Feed: chain-link and message-signature verdicts fanned
+  // across the pool ahead of the scan (0 / -1 = check inline).
+  std::vector<int8_t> links_;
+  std::vector<int8_t> sig_verdicts_;
+
+  // Every covering authenticator, sorted by seq, then span order.
+  // next_auth_ is the first whose seq has not streamed by yet.
+  std::vector<CoveringAuth> covering_;
+  size_t next_auth_ = 0;
+  std::vector<std::pair<uint64_t, Hash256>> auth_hashes_;  // In seq order.
 
   CheckResult chain_fail_;     // First chain-rule/seq failure, entry order.
   size_t auth_fail_idx_;       // Smallest failing authenticator span index.
@@ -124,15 +149,62 @@ class ChunkedSyntacticChecker {
   std::optional<AttestedInputScanner> attested_;
 };
 
-// Store-backed full audit with the syntactic check of chunk i+1
-// overlapping the replay of chunk i. Requires pool.thread_count() > 1
-// and source.LastSeq() >= 1; verdicts (including unreadable-source
-// handling and evidence) are identical to the sequential AuditFull.
-AuditOutcome PipelinedStreamingAuditFull(const Avmm& target, const SegmentSource& source,
-                                         ByteView reference_image,
-                                         std::span<const Authenticator> auths,
-                                         const KeyRegistry& registry, const AuditConfig& cfg,
-                                         ThreadPool& pool);
+// A verified audit state to continue from (src/audit/checkpoint.h):
+// entries 1..watermark were checked and replayed by an earlier audit.
+struct AuditResume {
+  uint64_t watermark = 0;
+  Hash256 chain_hash;  // h_watermark.
+  MaterializedState machine;
+  Bytes scan_state;  // ChunkedSyntacticChecker::SerializeResumableState.
+  std::map<uint64_t, Hash256> auth_hashes;
+};
+
+// What one engine run audits.
+struct AuditRun {
+  // The audited segment [first_seq, last_seq]: it bounds authenticator
+  // coverage and is what evidence ships. An empty range fails with
+  // "empty segment".
+  uint64_t first_seq = 1;
+  uint64_t last_seq = 0;
+  Hash256 prior_hash;  // h_{first_seq-1}; Zero when first_seq == 1.
+  // Full audits cross-reference the message stream strictly; spot
+  // checks begin mid-queue and relax it.
+  bool strict_crossref = true;
+  // The semantic check, from `start_state` when set, else from
+  // `reference_image`. Off = the syntactic check alone (triage).
+  bool replay = true;
+  ByteView reference_image;
+  const MaterializedState* start_state = nullptr;
+  // When set, the scan starts after resume->watermark from the restored
+  // checker and replayer instead of at first_seq.
+  const AuditResume* resume = nullptr;
+  // When nonzero, chunks also end on every multiple of boundary_every;
+  // at each such seq, once replay has caught up and nothing has failed,
+  // on_boundary(seq, checker, replayer) runs (checkpoint capture).
+  // Exceptions it throws propagate out of the engine.
+  uint64_t boundary_every = 0;
+  std::function<void(uint64_t, const ChunkedSyntacticChecker&, const StreamingReplayer&)>
+      on_boundary;
+  // Evidence names this machine; null = no evidence is assembled.
+  const Avmm* accused = nullptr;
+  // When set, receives how many entries the scan handed to the checks:
+  // fewer than the range when the source stops being readable.
+  uint64_t* entries_checked = nullptr;
+};
+
+// Runs the audit of `run` over `source`: the authenticator signatures
+// (the replay gate), one forward Scan of the range, the chunked
+// syntactic check and replay, then the verdict, log_bytes and
+// evidence. A source that throws std::runtime_error while being read
+// yields the "log source unreadable" outcome. `pool` may be null
+// (everything on this thread).
+AuditOutcome RunAuditEngine(const SegmentSource& source, std::span<const Authenticator> auths,
+                            const KeyRegistry& registry, const AuditConfig& cfg, ThreadPool* pool,
+                            const AuditRun& run);
+
+// The outcome of an audit whose source could not be read: no verdict
+// on the machine, no evidence. `what` says why.
+AuditOutcome UnreadableSourceOutcome(const std::string& what);
 
 }  // namespace avm
 

@@ -64,13 +64,9 @@ class PassMux : public InstructionObserver {
 
 AnalysisReport AnalyzeSegment(const LogSegment& segment, ByteView reference_image, size_t mem_size,
                               std::vector<std::unique_ptr<AnalysisPass>> passes) {
-  StreamingReplayer replayer(reference_image, mem_size);
   PassMux mux(&passes);
-  replayer.mutable_machine().set_observer(&mux);
-  replayer.Feed(segment.entries);
-
   AnalysisReport report;
-  report.replay = replayer.Finish();
+  report.replay = ReplaySegment(segment, reference_image, mem_size, &mux);
   report.instructions_analyzed = mux.retired();
   for (auto& p : passes) {
     for (AnalysisFinding& f : p->TakeFindings()) {

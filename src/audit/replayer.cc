@@ -272,8 +272,10 @@ ReplayResult StreamingReplayer::Finish() {
   return result_;
 }
 
-ReplayResult ReplaySegment(const LogSegment& segment, ByteView reference_image, size_t mem_size) {
+ReplayResult ReplaySegment(const LogSegment& segment, ByteView reference_image, size_t mem_size,
+                           InstructionObserver* observer) {
   StreamingReplayer r(reference_image, mem_size);
+  r.mutable_machine().set_observer(observer);
   r.Feed(segment.entries);
   return r.Finish();
 }

@@ -99,8 +99,10 @@ class StreamingReplayer : public DeviceBackend {
   uint64_t start_icount_ = 0;
 };
 
-// Convenience wrapper: batch semantic check of one segment.
-ReplayResult ReplaySegment(const LogSegment& segment, ByteView reference_image, size_t mem_size);
+// Convenience wrapper: batch semantic check of one segment. `observer`
+// (replay-time analysis, §7.5) sees every retired instruction.
+ReplayResult ReplaySegment(const LogSegment& segment, ByteView reference_image, size_t mem_size,
+                           InstructionObserver* observer = nullptr);
 ReplayResult ReplaySegment(const LogSegment& segment, const MaterializedState& start);
 
 }  // namespace avm

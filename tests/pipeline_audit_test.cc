@@ -7,12 +7,17 @@
 
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <mutex>
 
+#include "src/audit/checkpoint.h"
 #include "src/audit/pipeline.h"
+#include "src/obs/metrics.h"
 #include "src/sim/scenario.h"
 #include "src/store/log_store.h"
 #include "src/util/serde.h"
 #include "src/vm/assembler.h"
+#include "src/vm/jit/jit.h"
 
 namespace avm {
 namespace {
@@ -37,6 +42,43 @@ void ExpectSameOutcome(const AuditOutcome& a, const AuditOutcome& b, const std::
     EXPECT_EQ(a.evidence->claim, b.evidence->claim) << what;
     EXPECT_EQ(a.evidence->segment, b.evidence->segment) << what;
   }
+}
+
+// The independent reference every engine verdict is checked against:
+// the whole-segment primitives VerifyEvidence runs, composed over the
+// extracted segment (authenticators -> message stream -> attested
+// inputs -> replay).
+AuditOutcome PrimitiveReference(const LogSegment& seg, std::span<const Authenticator> auths,
+                                const KeyRegistry& registry, const AuditConfig& cfg,
+                                ByteView image, const MaterializedState* start = nullptr) {
+  AuditOutcome ref;
+  ref.log_bytes = seg.SerializedSize();
+  ref.syntactic = VerifyAgainstAuthenticators(seg, auths, registry);
+  if (ref.syntactic.ok) {
+    ref.syntactic = SyntacticMessageCheck(seg, registry, cfg);
+  }
+  if (ref.syntactic.ok && cfg.attested_input) {
+    ref.syntactic = VerifyAttestedInputs(seg, registry);
+  }
+  if (ref.syntactic.ok) {
+    ref.semantic = start != nullptr ? ReplaySegment(seg, *start)
+                                    : ReplaySegment(seg, image, cfg.mem_size);
+  }
+  ref.ok = ref.syntactic.ok && ref.semantic.ok;
+  return ref;
+}
+
+void ExpectMatchesReference(const AuditOutcome& a, const AuditOutcome& ref,
+                            const std::string& what) {
+  EXPECT_EQ(a.ok, ref.ok) << what;
+  EXPECT_EQ(a.syntactic.ok, ref.syntactic.ok) << what;
+  EXPECT_EQ(a.syntactic.reason, ref.syntactic.reason) << what;
+  EXPECT_EQ(a.syntactic.bad_seq, ref.syntactic.bad_seq) << what;
+  EXPECT_EQ(a.semantic.ok, ref.semantic.ok) << what;
+  EXPECT_EQ(a.semantic.reason, ref.semantic.reason) << what;
+  EXPECT_EQ(a.semantic.diverged_seq, ref.semantic.diverged_seq) << what;
+  EXPECT_EQ(a.semantic.replay_icount, ref.semantic.replay_icount) << what;
+  EXPECT_EQ(a.log_bytes, ref.log_bytes) << what;
 }
 
 AuditConfig MakeConfig(size_t mem_size, unsigned threads, bool pipelined,
@@ -144,11 +186,16 @@ class PipelineAuditTest : public ::testing::Test {
 
   // Audits `source` with the sequential phases and with the pipeline at
   // several thread counts / chunk sizes; all outcomes must agree with
-  // the sequential threads=1 baseline. Returns the baseline.
+  // the sequential threads=1 baseline, and the baseline with the
+  // whole-segment primitives. Returns the baseline.
   AuditOutcome ExpectParity(const SegmentSource& source, std::span<const Authenticator> auths,
                             const std::string& what) {
     Auditor base("auditor", &registry_, MakeConfig(kMem, 1, false));
     AuditOutcome baseline = base.AuditFull(*node_, source, image_, auths);
+    ExpectMatchesReference(baseline,
+                           PrimitiveReference(source.Extract(1, source.LastSeq()), auths,
+                                              registry_, base.config(), image_),
+                           what + " vs primitives");
     for (unsigned threads : {2u, 4u}) {
       for (size_t chunk : {size_t{7}, size_t{2048}}) {
         Auditor seq("auditor", &registry_, MakeConfig(kMem, threads, false, chunk));
@@ -284,6 +331,12 @@ TEST_F(PipelineAuditTest, ChainBreakOutranksEarlierMessageFailure) {
   EXPECT_FALSE(base.ok);
   EXPECT_EQ(base.syntactic.reason, "hash chain broken");
   EXPECT_EQ(base.syntactic.bad_seq, chain_victim);
+  // The syntactic triage walks the log as AuditFull does, so it reports
+  // the same phase-priority verdict, not the earlier-seq message failure.
+  CheckResult triage =
+      StreamingSyntacticCheck(source, auths, registry_, MakeConfig(kMem, 1, false));
+  EXPECT_EQ(triage.reason, base.syntactic.reason);
+  EXPECT_EQ(triage.bad_seq, base.syntactic.bad_seq);
 
   // Sanity: with the chain repaired, the same log fails on the message
   // stream instead — again identically in every mode.
@@ -431,6 +484,16 @@ TEST_F(PipelineStoreTest, CorruptSealedSegmentIsUnreadableIdentically) {
       << a.syntactic.reason;
   EXPECT_FALSE(a.evidence.has_value());
   EXPECT_FALSE(b.evidence.has_value());
+
+  // The checkpointed driver fails the same way and counts only the
+  // entries it checked before the store stopped being readable.
+  CheckpointedAuditor ck("auditor", &registry_, MakeConfig(kMem, 2, true, 64));
+  ResumeInfo info;
+  AuditOutcome c = ck.AuditFull(*node_, *store, image_, auths, "", &info);
+  EXPECT_FALSE(c.ok);
+  EXPECT_EQ(c.syntactic.reason, a.syntactic.reason);
+  EXPECT_FALSE(c.evidence.has_value());
+  EXPECT_LT(info.entries_scanned, store->LastSeq());
 }
 
 // --- spot-check windows -------------------------------------------------
@@ -480,6 +543,238 @@ TEST(PipelineSpotCheck, WindowVerdictsMatchSequentialIncludingCheat) {
     failures += seq[i].ok ? 0 : 1;
   }
   EXPECT_EQ(failures, 1) << "exactly the corrupted window must fail";
+
+  // Each window against the whole-segment primitives, started from the
+  // same materialized snapshot with the same endpoint commitment.
+  AuditConfig ref_cfg;
+  ref_cfg.mem_size = cfg.run.mem_size;
+  ref_cfg.strict_message_crossref = false;
+  for (size_t i = 0; i < windows.size(); i++) {
+    const uint64_t from = snaps[i].seq;
+    const uint64_t to = snaps[i + 1].seq;
+    std::vector<Authenticator> window_auths = auths;
+    window_auths.push_back(kv.server().CommitLogAt(to));
+    MaterializedState start =
+        kv.server().snapshot_store().Materialize(windows[i].first, cfg.run.mem_size);
+    ExpectMatchesReference(seq[i],
+                           PrimitiveReference(kv.server().log().Extract(from, to), window_auths,
+                                              kv.registry(), ref_cfg, ByteView(), &start),
+                           "window " + std::to_string(i) + " vs primitives");
+  }
+}
+
+// --- the engine over a kv server log on disk ----------------------------
+
+// Records every read an audit makes of the wrapped source.
+class CountingSource final : public SegmentSource {
+ public:
+  using Range = std::pair<uint64_t, uint64_t>;
+
+  explicit CountingSource(const SegmentSource& inner) : inner_(inner) {}
+
+  const NodeId& node() const override { return inner_.node(); }
+  uint64_t LastSeq() const override { return inner_.LastSeq(); }
+  LogSegment Extract(uint64_t from_seq, uint64_t to_seq) const override {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      extracts_.emplace_back(from_seq, to_seq);
+    }
+    return inner_.Extract(from_seq, to_seq);
+  }
+  void Scan(uint64_t from_seq, uint64_t to_seq, const EntryVisitor& visit) const override {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      scans_.emplace_back(from_seq, to_seq);
+    }
+    inner_.Scan(from_seq, to_seq, visit);
+  }
+
+  std::vector<Range> scans() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return scans_;
+  }
+  std::vector<Range> extracts() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return extracts_;
+  }
+
+ private:
+  const SegmentSource& inner_;
+  mutable std::mutex mu_;
+  mutable std::vector<Range> scans_;
+  mutable std::vector<Range> extracts_;
+};
+
+// An honest kv server run with periodic snapshots (so spot-check
+// windows exist), spilled to a multi-segment store.
+class EngineKvTest : public ::testing::Test {
+ protected:
+  using Range = CountingSource::Range;
+
+  void SetUp() override {
+    const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+    dir_ = (fs::path(::testing::TempDir()) / (std::string("avm_engine_") + info->name())).string();
+    fs::remove_all(dir_);
+    KvScenarioConfig cfg;
+    cfg.run = RunConfig::AvmmNoSig();
+    cfg.seed = 78;
+    cfg.snapshot_interval = 200 * kMicrosPerMilli;
+    cfg.client.op_period_us = 5 * kMicrosPerMilli;
+    mem_size_ = cfg.run.mem_size;
+    kv_ = std::make_unique<KvScenario>(cfg);
+    kv_->Start();
+    LogStoreOptions opts;
+    opts.seal_threshold_bytes = 16 * 1024;
+    opts.sync = false;
+    store_ = LogStore::Open((fs::path(dir_) / "log").string(), kv_->server().id(), opts);
+    kv_->server().SpillTo(store_.get());
+    kv_->RunFor(kMicrosPerSecond);
+    kv_->Finish();
+    kv_->server().log().SetSink(nullptr);
+    store_->Seal();
+    ASSERT_GE(store_->SealedCount(), 3u);
+    auths_ = kv_->CollectAuthsForServer();
+    snaps_ = IndexSnapshots(kv_->server().log());
+    ASSERT_GE(snaps_.size(), 3u);
+  }
+  void TearDown() override {
+    store_.reset();
+    kv_.reset();
+    fs::remove_all(dir_);
+  }
+
+  AuditConfig Cfg(unsigned threads, bool pipelined, bool jit = true) const {
+    AuditConfig cfg = MakeConfig(mem_size_, threads, pipelined, 256);
+    cfg.jit_replay = jit;
+    return cfg;
+  }
+  CheckpointConfig Cadence() const {
+    CheckpointConfig ck;
+    ck.every_entries = store_->LastSeq() / 3 + 1;
+    return ck;
+  }
+  std::string CheckpointDir() const { return (fs::path(dir_) / "ckpt").string(); }
+  AuditOutcome Full(Auditor& a, const SegmentSource& source) {
+    return a.AuditFull(kv_->server(), source, kv_->reference_server_image(), auths_);
+  }
+  AuditOutcome Checkpointed(CheckpointedAuditor& a, const SegmentSource& source,
+                            ResumeInfo* info) {
+    return a.AuditFull(kv_->server(), source, kv_->reference_server_image(), auths_,
+                       CheckpointDir(), info);
+  }
+
+  std::string dir_;
+  size_t mem_size_ = 0;
+  std::unique_ptr<KvScenario> kv_;
+  std::unique_ptr<LogStore> store_;
+  std::vector<Authenticator> auths_;
+  std::vector<SnapshotIndexEntry> snaps_;
+};
+
+TEST_F(EngineKvTest, JitReplayConfigHonoredOnEveryAuditPath) {
+  // AuditConfig::jit_replay = false must keep replay off the JIT on
+  // every path; on builds with the JIT tier, true must use it.
+  obs::Counter* native_enters = obs::Registry::Global().GetCounter("avm.jit.native_enters");
+  InMemorySegmentSource memory(kv_->server().log());
+  std::vector<std::pair<uint64_t, uint64_t>> windows;
+  for (size_t i = 0; i + 1 < snaps_.size(); i++) {
+    windows.emplace_back(snaps_[i].meta.snapshot_id, snaps_[i + 1].meta.snapshot_id);
+  }
+  for (bool jit : {false, true}) {
+    auto expect_tier = [&](const std::string& what, const std::function<bool()>& audit) {
+      const uint64_t before = native_enters->Value();
+      EXPECT_TRUE(audit()) << what;
+      const uint64_t delta = native_enters->Value() - before;
+      if (!jit) {
+        EXPECT_EQ(delta, 0u) << what << ": jit_replay=false entered native code";
+      } else if (jit::JitSupported()) {
+        EXPECT_GT(delta, 0u) << what << ": jit_replay=true never entered native code";
+      }
+    };
+    const std::string tier = jit ? "jit " : "interp ";
+    for (unsigned threads : {1u, 4u}) {
+      for (bool pipelined : {false, true}) {
+        Auditor a("client", &kv_->registry(), Cfg(threads, pipelined, jit));
+        const std::string mode = tier + "threads=" + std::to_string(threads) +
+                                 (pipelined ? " pipelined" : " sequential");
+        expect_tier(mode + " memory", [&] { return Full(a, memory).ok; });
+        expect_tier(mode + " store", [&] { return Full(a, *store_).ok; });
+      }
+    }
+    Auditor seq("client", &kv_->registry(), Cfg(1, false, jit));
+    expect_tier(tier + "spot check", [&] {
+      return seq.SpotCheck(kv_->server(), windows[0].first, windows[0].second, auths_).ok;
+    });
+    Auditor pooled("client", &kv_->registry(), Cfg(4, true, jit));
+    expect_tier(tier + "spot check many", [&] {
+      bool all_ok = true;
+      for (const AuditOutcome& o : pooled.SpotCheckMany(kv_->server(), *store_, windows, auths_)) {
+        all_ok = all_ok && o.ok;
+      }
+      return all_ok;
+    });
+    fs::remove_all(CheckpointDir());
+    CheckpointedAuditor ck("client", &kv_->registry(), Cfg(4, true, jit), Cadence());
+    ResumeInfo cold_info;
+    ResumeInfo resumed_info;
+    expect_tier(tier + "checkpointed cold",
+                [&] { return Checkpointed(ck, *store_, &cold_info).ok; });
+    expect_tier(tier + "checkpointed resumed",
+                [&] { return Checkpointed(ck, *store_, &resumed_info).ok; });
+    EXPECT_TRUE(resumed_info.resumed) << tier;
+  }
+}
+
+TEST_F(EngineKvTest, EveryAuditReadsItsRangeInOneForwardScan) {
+  // The engine reads the audited range in exactly one forward Scan and
+  // never Extracts it (Extract is reserved for building evidence, and
+  // an honest audit has none) -- at every thread count, pipelined or
+  // not, and checkpointed with and without resume.
+  const uint64_t last = store_->LastSeq();
+  for (unsigned threads : {1u, 4u}) {
+    for (bool pipelined : {false, true}) {
+      const std::string what =
+          "threads=" + std::to_string(threads) + (pipelined ? " pipelined" : " sequential");
+      CountingSource source(*store_);
+      Auditor a("client", &kv_->registry(), Cfg(threads, pipelined));
+      EXPECT_TRUE(Full(a, source).ok) << what;
+      EXPECT_EQ(source.scans(), (std::vector<Range>{{1, last}})) << what;
+      EXPECT_TRUE(source.extracts().empty()) << what;
+    }
+
+    // Checkpointed: cold, then resumed. The resume validates its anchor
+    // with one HashAt probe of the watermark entry, then scans the rest.
+    fs::remove_all(CheckpointDir());
+    CheckpointedAuditor ck("client", &kv_->registry(), Cfg(threads, true), Cadence());
+    CountingSource cold_source(*store_);
+    ResumeInfo cold_info;
+    EXPECT_TRUE(Checkpointed(ck, cold_source, &cold_info).ok);
+    EXPECT_GT(cold_info.checkpoints_written, 0u);
+    EXPECT_EQ(cold_source.scans(), (std::vector<Range>{{1, last}}));
+    EXPECT_TRUE(cold_source.extracts().empty());
+
+    CountingSource resumed_source(*store_);
+    ResumeInfo resumed_info;
+    EXPECT_TRUE(Checkpointed(ck, resumed_source, &resumed_info).ok);
+    ASSERT_TRUE(resumed_info.resumed);
+    const uint64_t w = resumed_info.resumed_from;
+    ASSERT_LT(w, last);
+    EXPECT_EQ(resumed_source.scans(), (std::vector<Range>{{w, w}, {w + 1, last}}));
+    EXPECT_TRUE(resumed_source.extracts().empty());
+    EXPECT_EQ(resumed_info.entries_scanned, last - w);
+  }
+
+  // A spot check indexes the snapshots (one scan of the log), probes
+  // the window's prior hash with HashAt, then scans the window once.
+  const uint64_t from = snaps_[1].seq;
+  const uint64_t to = snaps_[2].seq;
+  CountingSource source(*store_);
+  Auditor a("client", &kv_->registry(), Cfg(1, false));
+  EXPECT_TRUE(a.SpotCheck(kv_->server(), source, snaps_[1].meta.snapshot_id,
+                          snaps_[2].meta.snapshot_id, auths_)
+                  .ok);
+  EXPECT_EQ(source.scans(), (std::vector<Range>{{1, last}, {from - 1, from - 1}, {from, to}}));
+  EXPECT_TRUE(source.extracts().empty());
 }
 
 }  // namespace
