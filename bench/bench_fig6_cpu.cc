@@ -51,13 +51,12 @@ void Run() {
 
 // Beyond the paper: single-stream replay throughput, the semantic
 // check's fundamental limit (§6.6: replay takes about as long as the
-// original execution). Four tiers: "seed dispatch" is the original
-// per-word-decode switch loop; "decoded cache" is the pre-decoded
-// instruction cache + threaded dispatch; "jit" is the x86-64 dynamic
-// binary translator (src/vm/jit) with direct block chaining and the
-// static analysis hints off (the plain per-block translator);
-// "jit+analysis" adds the src/vm/analysis pass: region fusion across
-// direct jumps and liveness-based dead-writeback elimination.
+// original execution). Two tiers: "reference" is the per-instruction
+// Step() loop (set_jit_enabled(false)); "jit" is the fast path, the
+// x86-64 dynamic binary translator (src/vm/jit) with direct block
+// chaining, guided by the src/vm/analysis pass over the loaded image
+// (region fusion across direct jumps, liveness-based dead-writeback
+// elimination).
 void RunReplaySpeed(BenchJson& json) {
   Bytes image = Assemble(R"(
     movi r1, 0
@@ -87,43 +86,27 @@ body3:
   std::printf("  %-22s %10s %10s\n", "tier", "MIPS", "seconds");
   struct Tier {
     const char* name;
-    bool icache;
     bool jit;
-    bool analysis;
   };
-  constexpr Tier kTiers[] = {
-      {"seed dispatch", false, false, false},
-      {"decoded cache", true, false, false},
-      {"jit", true, true, false},
-      {"jit+analysis", true, true, true},
-  };
-  constexpr int kNumTiers = 4;
+  constexpr Tier kTiers[] = {{"reference", false}, {"jit", true}};
+  constexpr int kNumTiers = 2;
   double mips[kNumTiers] = {0};
   for (int tier = 0; tier < kNumTiers; tier++) {
     NullBackend backend;
     Machine m(256 * 1024, &backend);
     m.LoadImage(image);
-    m.set_decoded_cache_enabled(kTiers[tier].icache);
     m.set_jit_enabled(kTiers[tier].jit);
-    m.set_jit_analysis_enabled(kTiers[tier].analysis);
     WallTimer t;
     m.RunUntilIcount(kInstructions);
     double s = t.ElapsedSeconds();
     mips[tier] = kInstructions / s / 1e6;
     std::printf("  %-22s %10.1f %10.3f\n", kTiers[tier].name, mips[tier], s);
   }
-  std::printf("  decoded-cache speedup: %.2fx (threaded dispatch compiled in: %s)\n",
-              mips[1] / mips[0], Machine::ThreadedDispatchCompiledIn() ? "yes" : "no");
-  std::printf("  jit speedup: %.2fx vs decoded cache, %.2fx vs seed (jit compiled in: %s)\n",
-              mips[2] / mips[1], mips[2] / mips[0], Machine::JitCompiledIn() ? "yes" : "no");
-  std::printf("  analysis-guided jit: %.2fx vs plain jit\n", mips[3] / mips[2]);
-  json.Add("replay_mips_seed_dispatch", mips[0], "Minsn/s");
-  json.Add("replay_mips_decoded_cache", mips[1], "Minsn/s");
-  json.Add("replay_mips_jit", mips[2], "Minsn/s");
-  json.Add("replay_mips_jit_analysis", mips[3], "Minsn/s");
-  json.Add("replay_dispatch_speedup", mips[1] / mips[0], "x");
-  json.Add("replay_jit_vs_threaded_speedup", mips[2] / mips[1], "x");
-  json.Add("replay_jit_analysis_speedup", mips[3] / mips[2], "x");
+  std::printf("  jit speedup: %.2fx vs reference (jit compiled in: %s)\n", mips[1] / mips[0],
+              Machine::JitCompiledIn() ? "yes" : "no");
+  json.Add("replay_mips_reference", mips[0], "Minsn/s");
+  json.Add("replay_mips_jit", mips[1], "Minsn/s");
+  json.Add("replay_jit_speedup", mips[1] / mips[0], "x");
 
   // The same comparison through the full record->replay loop: a real
   // recorded log, replayed by the auditor's StreamingReplayer.
@@ -136,15 +119,12 @@ body3:
   game.RunFor(4 * kMicrosPerSecond);
   game.Finish();
   LogSegment seg = game.server().log().Extract(1, game.server().log().LastSeq());
-  constexpr const char* kAuditNames[kNumTiers] = {"audit replay (seed)", "audit replay (cache)",
-                                                  "audit replay (jit)",
-                                                  "audit replay (jit+an)"};
+  constexpr const char* kAuditNames[kNumTiers] = {"audit replay (reference)",
+                                                  "audit replay (jit)"};
   double replay_mips[kNumTiers] = {0};
   for (int tier = 0; tier < kNumTiers; tier++) {
     StreamingReplayer r(game.reference_server_image(), cfg.run.mem_size);
-    r.mutable_machine().set_decoded_cache_enabled(kTiers[tier].icache);
     r.mutable_machine().set_jit_enabled(kTiers[tier].jit);
-    r.mutable_machine().set_jit_analysis_enabled(kTiers[tier].analysis);
     WallTimer t;
     r.Feed(seg.entries);
     ReplayResult res = r.Finish();
@@ -153,16 +133,10 @@ body3:
     std::printf("  %-22s %10.1f %10.3f  (recorded server log, %s)\n", kAuditNames[tier],
                 replay_mips[tier], s, res.ok ? "PASS" : "FAIL");
   }
-  std::printf("  audit replay speedup: cache %.2fx, jit %.2fx, jit+analysis %.2fx vs seed\n",
-              replay_mips[1] / replay_mips[0], replay_mips[2] / replay_mips[0],
-              replay_mips[3] / replay_mips[0]);
-  json.Add("audit_replay_mips_seed", replay_mips[0], "Minsn/s");
-  json.Add("audit_replay_mips_cache", replay_mips[1], "Minsn/s");
-  json.Add("audit_replay_mips_jit", replay_mips[2], "Minsn/s");
-  json.Add("audit_replay_mips_jit_analysis", replay_mips[3], "Minsn/s");
-  json.Add("audit_replay_speedup", replay_mips[1] / replay_mips[0], "x");
-  json.Add("audit_replay_jit_speedup", replay_mips[2] / replay_mips[0], "x");
-  json.Add("audit_replay_jit_analysis_speedup", replay_mips[3] / replay_mips[0], "x");
+  std::printf("  audit replay speedup: jit %.2fx vs reference\n", replay_mips[1] / replay_mips[0]);
+  json.Add("audit_replay_mips_reference", replay_mips[0], "Minsn/s");
+  json.Add("audit_replay_mips_jit", replay_mips[1], "Minsn/s");
+  json.Add("audit_replay_jit_speedup", replay_mips[1] / replay_mips[0], "x");
 }
 
 // Telemetry must be free when off and near-free when on: the same

@@ -107,7 +107,7 @@ void Run(BenchJson& json) {
   json.Add("semantic_syntactic_ratio", semantic_syntactic, "x");
 
   // The semantic check re-run per replay tier: the JIT (the default
-  // AuditFull path above) vs the decoded-cache interpreter. The verdict
+  // AuditFull path above) vs the reference Step() loop. The verdict
   // must match in both — only the wall clock moves.
   PrintRule();
   std::printf("  semantic check by replay tier (same server log):\n");
@@ -121,13 +121,13 @@ void Run(BenchJson& json) {
     ReplayResult res = r.Finish();
     tier_s[jit_on] = t.ElapsedSeconds();
     tier_ok[jit_on] = res.ok;
-    std::printf("  %-26s %10.3f s  (%s)\n", jit_on ? "replay with jit" : "replay interpreter",
+    std::printf("  %-26s %10.3f s  (%s)\n", jit_on ? "replay with jit" : "replay reference",
                 tier_s[jit_on], res.ok ? "PASS" : "FAIL");
   }
   std::printf("  audit-time jit speedup: %.2fx, verdicts identical: %s\n",
               tier_s[0] / std::max(tier_s[1], 1e-9),
               tier_ok[0] == tier_ok[1] ? "yes" : "NO (BUG)");
-  json.Add("phase_replay_interp_s", tier_s[0], "s");
+  json.Add("phase_replay_reference_s", tier_s[0], "s");
   json.Add("phase_replay_jit_s", tier_s[1], "s");
   json.Add("audit_replay_jit_speedup", tier_s[0] / std::max(tier_s[1], 1e-9), "x");
 }

@@ -100,8 +100,6 @@ void VerifyReferenceImage(ByteView image, size_t mem_size, AuditOutcome* out) {
   }
 }
 
-}  // namespace
-
 std::optional<AuditOutcome> DetectLogRewind(const Avmm& target, const SegmentSource& source,
                                             std::span<const Authenticator> auths,
                                             const KeyRegistry& registry, size_t mem_size) {
@@ -126,36 +124,36 @@ std::optional<AuditOutcome> DetectLogRewind(const Avmm& target, const SegmentSou
   return std::nullopt;
 }
 
-AuditOutcome Auditor::AuditFull(const Avmm& target, const SegmentSource& source,
-                                ByteView reference_image, std::span<const Authenticator> auths) {
+}  // namespace
+
+AuditOutcome PrecheckedFullAudit(const Avmm& target, const SegmentSource& source,
+                                 ByteView reference_image, std::span<const Authenticator> auths,
+                                 const KeyRegistry& registry, const AuditConfig& cfg,
+                                 const std::function<AuditOutcome()>& audit) {
   AuditOutcome image_check;
-  if (cfg_.verify_image) {
-    VerifyReferenceImage(reference_image, cfg_.mem_size, &image_check);
+  if (cfg.verify_image) {
+    VerifyReferenceImage(reference_image, cfg.mem_size, &image_check);
     if (image_check.image_errors > 0) {
-      // A reference image the verifier rejects (illegal opcodes on a
-      // reachable path, jumps out of the image, statically
-      // out-of-bounds accesses) makes any replay verdict meaningless:
-      // fail up front without replaying an instruction. Note this
-      // accuses the auditor's own inputs, not the auditee — no
-      // evidence is attached.
       return image_check;
     }
   }
-  // Warnings (and the findings list) ride along on whichever outcome
-  // the audit proper produces.
-  auto attach = [&image_check](AuditOutcome out) {
-    out.image_findings = std::move(image_check.image_findings);
-    out.image_warnings = image_check.image_warnings;
-    return out;
-  };
-  if (auto rewound = DetectLogRewind(target, source, auths, *registry_, cfg_.mem_size)) {
-    return attach(*std::move(rewound));
-  }
-  AuditRun run;
-  run.last_seq = source.LastSeq();
-  run.reference_image = reference_image;
-  run.accused = &target;
-  return attach(RunAuditEngine(source, auths, *registry_, cfg_, EnsurePool(), run));
+  std::optional<AuditOutcome> rewound =
+      DetectLogRewind(target, source, auths, registry, cfg.mem_size);
+  AuditOutcome out = rewound.has_value() ? *std::move(rewound) : audit();
+  out.image_findings = std::move(image_check.image_findings);
+  out.image_warnings = image_check.image_warnings;
+  return out;
+}
+
+AuditOutcome Auditor::AuditFull(const Avmm& target, const SegmentSource& source,
+                                ByteView reference_image, std::span<const Authenticator> auths) {
+  return PrecheckedFullAudit(target, source, reference_image, auths, *registry_, cfg_, [&] {
+    AuditRun run;
+    run.last_seq = source.LastSeq();
+    run.reference_image = reference_image;
+    run.accused = &target;
+    return RunAuditEngine(source, auths, *registry_, cfg_, EnsurePool(), run);
+  });
 }
 
 AuditOutcome Auditor::SpotCheck(const Avmm& target, uint64_t from_snapshot_id,

@@ -5,6 +5,7 @@
 #ifndef SRC_AUDIT_AUDITOR_H_
 #define SRC_AUDIT_AUDITOR_H_
 
+#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
@@ -48,11 +49,10 @@ struct AuditConfig {
   // Entries per chunk of the audit engine's scan: every audit holds at
   // most two chunks of the log in memory.
   size_t pipeline_chunk_entries = 2048;
-  // Run the semantic check (deterministic replay) through the x86-64
-  // JIT tier where compiled in (src/vm/jit). Off replays on the
-  // decoded-cache interpreter. Verdicts are bit-for-bit identical
-  // either way (asserted by pipeline_audit_test); only replay wall
-  // clock changes.
+  // Run the semantic check (deterministic replay) on the fast path, the
+  // x86-64 JIT where compiled in (src/vm/jit). Off replays on the
+  // reference Step() loop. Verdicts are bit-for-bit identical either way
+  // (asserted by pipeline_audit_test); only replay wall clock changes.
   bool jit_replay = true;
   // Pre-audit pass: statically verify the reference image (CFG
   // recovery + the src/vm/analysis verifier) before replay starts. An
@@ -99,18 +99,27 @@ struct AuditOutcome {
   std::string Describe() const;
 };
 
-// Full-audit precheck shared by Auditor and CheckpointedAuditor: a
-// signature-verified authenticator past the end of the served log is
-// evidence of a rewind (§4.3) — the machine signed a commitment at
-// seq X but cannot produce a log containing it. Honest crash recovery
-// never looks like this (no authenticator is released above the
-// durability watermark), and spot checks audit a window by design, so
-// the check applies to full audits only. Unverified signatures are
-// skipped: a forged authenticator must not frame the auditee. Returns
-// the failed outcome with kProtocolViolation evidence, or nullopt.
-std::optional<AuditOutcome> DetectLogRewind(const Avmm& target, const SegmentSource& source,
-                                            std::span<const Authenticator> auths,
-                                            const KeyRegistry& registry, size_t mem_size);
+// The full-audit prechecks shared by Auditor::AuditFull and
+// CheckpointedAuditor::AuditFull, run in this order before `audit`:
+//  * with cfg.verify_image, the static verifier over the reference
+//    image. An image with errors fails the audit without replaying an
+//    instruction; that accuses the auditor's own inputs, not the
+//    auditee, so no evidence is attached. Warnings and findings ride
+//    along on whatever outcome the audit produces.
+//  * the log-rewind check: a signature-verified authenticator past the
+//    end of the served log is evidence of a rewind (§4.3): the machine
+//    signed a commitment at seq X but cannot produce a log containing
+//    it. Honest crash recovery never looks like this (no authenticator
+//    is released above the durability watermark), and spot checks
+//    audit a window by design, so the check applies to full audits
+//    only. Unverified signatures are skipped: a forged authenticator
+//    must not frame the auditee. A rewind fails the audit with
+//    kProtocolViolation evidence.
+// `audit` runs only when both pass.
+AuditOutcome PrecheckedFullAudit(const Avmm& target, const SegmentSource& source,
+                                 ByteView reference_image, std::span<const Authenticator> auths,
+                                 const KeyRegistry& registry, const AuditConfig& cfg,
+                                 const std::function<AuditOutcome()>& audit);
 
 // Positions (seq) and metadata of the kSnapshot entries in a log.
 struct SnapshotIndexEntry {

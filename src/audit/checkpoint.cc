@@ -226,11 +226,18 @@ AuditOutcome CheckpointedAuditor::AuditFull(const Avmm& target, const SegmentSou
   ResumeInfo local_info;
   ResumeInfo& ri = info != nullptr ? *info : local_info;
   ri = ResumeInfo{};
+  return PrecheckedFullAudit(target, source, reference_image, auths, *registry_, cfg_, [&] {
+    return AuditFromCheckpoint(target, source, reference_image, auths, checkpoint_dir, ri);
+  });
+}
 
+AuditOutcome CheckpointedAuditor::AuditFromCheckpoint(const Avmm& target,
+                                                      const SegmentSource& source,
+                                                      ByteView reference_image,
+                                                      std::span<const Authenticator> auths,
+                                                      const std::string& checkpoint_dir,
+                                                      ResumeInfo& ri) {
   const uint64_t last = source.LastSeq();
-  if (auto rewound = DetectLogRewind(target, source, auths, *registry_, cfg_.mem_size)) {
-    return *std::move(rewound);
-  }
   AuditRun run;
   run.last_seq = last;
   run.reference_image = reference_image;

@@ -145,6 +145,11 @@ class CheckpointedAuditor {
 
  private:
   ThreadPool* EnsurePool();
+  // AuditFull after its prechecks pass: resume, run, capture.
+  AuditOutcome AuditFromCheckpoint(const Avmm& target, const SegmentSource& source,
+                                   ByteView reference_image,
+                                   std::span<const Authenticator> auths,
+                                   const std::string& checkpoint_dir, ResumeInfo& ri);
 
   NodeId self_;
   const KeyRegistry* registry_;

@@ -1,7 +1,6 @@
 #include "src/tel/verifier.h"
 
 #include "src/tel/batch.h"
-#include "src/util/threadpool.h"
 
 namespace avm {
 
@@ -15,23 +14,7 @@ CheckResult CheckChainLink(const Hash256& prev, uint64_t expect_seq, const LogEn
   return CheckResult::Ok();
 }
 
-namespace {
-
-// Checks link i of the chain: entry i must continue the stored hash of
-// entry i-1 (or the segment's prior hash for i == 0) and carry the next
-// sequence number. If every link holds, the recomputed running hash of
-// the sequential scan equals the stored one at every step, so per-link
-// checking accepts exactly the same segments — and rejects at the same
-// entry, because the sequential scan only reaches entry i after entries
-// [0, i) matched their stored hashes.
-CheckResult CheckSegmentLink(const LogSegment& segment, size_t i) {
-  const Hash256& prev = i == 0 ? segment.prior_hash : segment.entries[i - 1].hash;
-  return CheckChainLink(prev, segment.entries.front().seq + i, segment.entries[i]);
-}
-
-}  // namespace
-
-CheckResult VerifyChain(const LogSegment& segment, ThreadPool* pool) {
+CheckResult VerifyChain(const LogSegment& segment) {
   if (segment.entries.empty()) {
     return CheckResult::Fail("empty segment");
   }
@@ -42,66 +25,43 @@ CheckResult VerifyChain(const LogSegment& segment, ThreadPool* pool) {
   if (first_seq == 1 && !segment.prior_hash.IsZero()) {
     return CheckResult::Fail("segment starts at seq 1 but prior hash is nonzero", 1);
   }
-  size_t n = segment.entries.size();
-  if (pool == nullptr || pool->thread_count() <= 1 || n <= 1) {
-    for (size_t i = 0; i < n; i++) {
-      CheckResult r = CheckSegmentLink(segment, i);
-      if (!r.ok) {
-        return r;
-      }
-    }
-    return CheckResult::Ok();
-  }
-  std::vector<CheckResult> results(n);
-  pool->ParallelFor(n, [&](size_t i) { results[i] = CheckSegmentLink(segment, i); });
-  for (const CheckResult& r : results) {
+  Hash256 prev = segment.prior_hash;
+  uint64_t expect_seq = first_seq;
+  for (const LogEntry& e : segment.entries) {
+    CheckResult r = CheckChainLink(prev, expect_seq++, e);
     if (!r.ok) {
       return r;
     }
+    prev = e.hash;
   }
   return CheckResult::Ok();
 }
 
 CheckResult VerifyAgainstAuthenticators(const LogSegment& segment,
                                         std::span<const Authenticator> auths,
-                                        const KeyRegistry& registry, ThreadPool* pool) {
-  CheckResult chain = VerifyChain(segment, pool);
+                                        const KeyRegistry& registry) {
+  CheckResult chain = VerifyChain(segment);
   if (!chain.ok) {
     return chain;
   }
   uint64_t first = segment.FirstSeq();
   uint64_t last = segment.LastSeq();
-  // Authenticators that cover the segment, in their original order (the
-  // order the sequential scan reports failures in).
-  std::vector<size_t> relevant;
-  for (size_t i = 0; i < auths.size(); i++) {
-    if (auths[i].node == segment.node && auths[i].seq >= first && auths[i].seq <= last) {
-      relevant.push_back(i);
+  bool covered = false;
+  for (const Authenticator& a : auths) {
+    if (a.node != segment.node || a.seq < first || a.seq > last) {
+      continue;
     }
-  }
-  if (relevant.empty()) {
-    return CheckResult::Fail("no authenticator covers the segment; cannot establish authenticity");
-  }
-  // The RSA verifications are independent; fan them out, then report the
-  // first failure in authenticator order so the verdict matches the
-  // sequential path exactly. Sequentially, verify as we scan so a bad
-  // first authenticator costs one RSA check, not one per authenticator.
-  bool parallel = pool != nullptr && pool->thread_count() > 1 && relevant.size() > 1;
-  std::vector<uint8_t> sig_ok(parallel ? relevant.size() : 0);
-  if (parallel) {
-    pool->ParallelFor(relevant.size(), [&](size_t k) {
-      sig_ok[k] = auths[relevant[k]].VerifySignature(registry) ? 1 : 0;
-    });
-  }
-  for (size_t k = 0; k < relevant.size(); k++) {
-    const Authenticator& a = auths[relevant[k]];
-    if (parallel ? !sig_ok[k] : !a.VerifySignature(registry)) {
+    covered = true;
+    if (!a.VerifySignature(registry)) {
       return CheckResult::Fail("authenticator signature invalid", a.seq);
     }
     const LogEntry& e = segment.entries[a.seq - first];
     if (e.hash != a.hash) {
       return CheckResult::Fail("log does not match issued authenticator (tamper or fork)", a.seq);
     }
+  }
+  if (!covered) {
+    return CheckResult::Fail("no authenticator covers the segment; cannot establish authenticity");
   }
   return CheckResult::Ok();
 }

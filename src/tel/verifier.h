@@ -13,8 +13,6 @@
 
 namespace avm {
 
-class ThreadPool;
-
 struct CheckResult {
   bool ok = true;
   // Human-readable reason for the first failure; empty when ok.
@@ -37,26 +35,17 @@ CheckResult CheckChainLink(const Hash256& prev, uint64_t expect_seq, const LogEn
 // Recomputes the hash chain across the segment: sequence numbers must be
 // consecutive and every h_i must match the hash rule. Detects in-segment
 // tampering, reordering, insertion and deletion.
-//
-// Each link of the chain depends only on the *stored* hash of the entry
-// before it, so links can be checked independently; passing a pool fans
-// them across its workers. The verdict — including which seq is reported
-// for the first broken link — is identical to the sequential scan.
-CheckResult VerifyChain(const LogSegment& segment, ThreadPool* pool = nullptr);
+CheckResult VerifyChain(const LogSegment& segment);
 
 // Checks the segment against previously collected authenticators:
 // every authenticator whose seq falls inside the segment must match the
 // recomputed hash, and its signature must verify. Detects log forks: a
 // machine that shows different histories to different auditors must have
-// signed two different hashes for the same seq.
-//
-// The per-authenticator RSA checks are the audit's syntactic hot loop;
-// passing a pool fans them across its workers. Verdicts are identical to
-// the sequential path (failures are reported in authenticator order).
+// signed two different hashes for the same seq. Failures are reported
+// in authenticator order.
 CheckResult VerifyAgainstAuthenticators(const LogSegment& segment,
                                         std::span<const Authenticator> auths,
-                                        const KeyRegistry& registry,
-                                        ThreadPool* pool = nullptr);
+                                        const KeyRegistry& registry);
 
 // Two signed authenticators from the same node with the same seq but
 // different hashes are standalone proof of misbehavior (a forked log).

@@ -27,7 +27,6 @@ static_assert(offsetof(JitContext, target) == kCtxTarget);
 static_assert(offsetof(JitContext, pc) == kCtxPc);
 static_assert(offsetof(JitContext, exit_slot) == kCtxExitSlot);
 static_assert(offsetof(JitContext, dirty) == kCtxDirty);
-static_assert(offsetof(JitContext, ivalid) == kCtxIvalid);
 static_assert(offsetof(JitContext, code_pages) == kCtxCodePages);
 static_assert(offsetof(JitContext, cpu) == kCtxCpu);
 static_assert(offsetof(JitContext, mod_addr) == kCtxModAddr);
@@ -415,16 +414,14 @@ bool JitEngine::EmitBlock(uint32_t head, Emitter* emp, std::vector<size_t>* slot
         } else {
           em.StoreMem8(R32::kEcx);
         }
-        // Page bookkeeping, mirroring the interpreter's store tails:
-        // dirty[page] = 1, ivalid[page] = 0, and a side-exit when the
-        // page holds translations so the runtime can drop them (the
-        // store itself has retired by then).
+        // Page bookkeeping, mirroring Step()'s store tails:
+        // dirty[page] = 1, and a side-exit when the page holds
+        // translations so the runtime can drop them (the store itself
+        // has retired by then).
         em.MovEdxEax();
         em.ShrEdxImm(12);
         em.LoadCtxPtrRcx(kCtxDirty);
         em.StoreByteRcxRdx(1);
-        em.LoadCtxPtrRcx(kCtxIvalid);
-        em.StoreByteRcxRdx(0);
         em.LoadCtxPtrRcx(kCtxCodePages);
         em.CmpByteRcxRdxZero();
         selfmods.push_back({em.Jcc(Cc::kNe), p + 4, n + 1});

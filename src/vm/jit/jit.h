@@ -26,9 +26,9 @@
 //     re-checks). Replay divergence behavior is therefore inherited
 //     from the interpreter, not re-implemented.
 //   * Self-modifying writes: stores check a per-page "has translations"
-//     byte map (the same granularity as the interpreter's per-page
-//     icache_valid_ seam) and side-exit so the runtime can drop the
-//     affected translations — including the currently running block.
+//     byte map (the same map Machine's write paths consult) and
+//     side-exit so the runtime can drop the affected translations —
+//     including the currently running block.
 //     Invalidated entries are patched to a thunk, which also neutralizes
 //     stale chain edges pointing at them.
 //
@@ -81,10 +81,9 @@ struct JitContext {
   uint32_t pc = 0;                // +32  entry/exit pc (in/out)
   uint32_t exit_slot = 0;         // +36  chain slot id on kExitChainMiss
   uint8_t* dirty = nullptr;       // +40  per-page dirty bytes
-  uint8_t* ivalid = nullptr;      // +48  per-page decoded-cache valid bytes
-  uint8_t* code_pages = nullptr;  // +56  per-page "has translations" bytes
-  CpuState* cpu = nullptr;        // +64  for int_enabled writes (DI)
-  uint32_t mod_addr = 0;          // +72  self-modifying store address
+  uint8_t* code_pages = nullptr;  // +48  per-page "has translations" bytes
+  CpuState* cpu = nullptr;        // +56  for int_enabled writes (DI)
+  uint32_t mod_addr = 0;          // +64  self-modifying store address
   uint32_t pad_ = 0;
 };
 
@@ -95,10 +94,9 @@ inline constexpr uint8_t kCtxTarget = 24;
 inline constexpr uint8_t kCtxPc = 32;
 inline constexpr uint8_t kCtxExitSlot = 36;
 inline constexpr uint8_t kCtxDirty = 40;
-inline constexpr uint8_t kCtxIvalid = 48;
-inline constexpr uint8_t kCtxCodePages = 56;
-inline constexpr uint8_t kCtxCpu = 64;
-inline constexpr uint8_t kCtxModAddr = 72;
+inline constexpr uint8_t kCtxCodePages = 48;
+inline constexpr uint8_t kCtxCpu = 56;
+inline constexpr uint8_t kCtxModAddr = 64;
 
 // Exit codes returned in eax by the generated code.
 enum JitExit : uint32_t {
@@ -111,14 +109,14 @@ enum JitExit : uint32_t {
   kExitNoBudget = 1,
   // Register-indirect transfer (JR/JALR): ctx.pc holds the runtime
   // target; the dispatcher re-enters through the interrupt-checking
-  // boundary exactly like the interpreter's VM_NEXT_IRQ.
+  // boundary that Step() passes before every instruction.
   kExitDynamic = 2,
   // ctx.pc points at an instruction the JIT defers to the interpreter
   // (IN/OUT/EI/IRET/HALT/illegal, or a memory op whose bounds check
   // failed); icount counts only the instructions retired before it.
   kExitFallback = 3,
   // A store landed on a page holding translations; the store itself has
-  // retired (icount/pc include it, dirty/ivalid updated). ctx.mod_addr
+  // retired (icount/pc include it, dirty updated). ctx.mod_addr
   // is the written address; the runtime invalidates and resumes.
   kExitSelfMod = 4,
 };
@@ -188,13 +186,15 @@ class JitEngine {
   // JMP/JAL, liveness-based dead-writeback elimination, and pre-arms
   // the self-modification seam for statically-detected self-modifying
   // pages. Hints are advisory: emission always decodes live guest
-  // memory, so stale hints cost performance, never correctness.
-  // Flushes existing translations. `hints` must outlive the engine or
+  // memory, so stale hints cost performance, never correctness. A
+  // machine started from a snapshot loads no image and translates
+  // without hints, one basic block at a time. Flushes existing
+  // translations. `hints` must outlive the engine or
   // the next SetAnalysisHints call.
   void SetAnalysisHints(const analysis::ImageAnalysis* hints);
 
   // False when executable memory is unavailable; the Machine falls back
-  // to the interpreter permanently.
+  // to the reference Step() loop permanently.
   bool ok() const { return cache_.ok(); }
 
   JitContext& ctx() { return ctx_; }

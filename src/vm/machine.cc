@@ -8,20 +8,6 @@
 #include "src/vm/analysis/analysis.h"
 #include "src/vm/jit/jit.h"
 
-// Dispatch mode for the fast path (RunLoop). Computed-goto threaded
-// dispatch on GNU-compatible compilers, unless the build disables it
-// with -DAVM_THREADED_DISPATCH=0 (CMake option AVM_THREADED_DISPATCH);
-// every other compiler gets the portable switch fallback. Both variants
-// expand the same instruction bodies, so they cannot drift apart.
-#if !defined(AVM_THREADED_DISPATCH)
-#define AVM_THREADED_DISPATCH 1
-#endif
-#if AVM_THREADED_DISPATCH && (defined(__GNUC__) || defined(__clang__))
-#define AVM_USE_COMPUTED_GOTO 1
-#else
-#define AVM_USE_COMPUTED_GOTO 0
-#endif
-
 namespace avm {
 
 Bytes CpuState::Serialize() const {
@@ -84,7 +70,6 @@ void Machine::LoadImage(ByteView image, uint32_t addr) {
   }
   std::memcpy(mem_.data() + addr, image.data(), image.size());
   MarkAllDirty();
-  icache_valid_.assign(icache_valid_.size(), 0);
   // The static-analysis window grows to cover everything ever loaded as
   // an image (analysis always starts from the reset vector at 0).
   const uint64_t limit = static_cast<uint64_t>(addr) + image.size();
@@ -151,7 +136,7 @@ void Machine::WriteMem32(uint32_t addr, uint32_t value) {
   }
   std::memcpy(mem_.data() + addr, &value, 4);
   dirty_[addr / kPageSize] = true;
-  InvalidateDecoded(addr);
+  InvalidateTranslations(addr);
 }
 
 void Machine::WriteMem8(uint32_t addr, uint8_t value) {
@@ -160,7 +145,7 @@ void Machine::WriteMem8(uint32_t addr, uint8_t value) {
   }
   mem_[addr] = value;
   dirty_[addr / kPageSize] = true;
-  InvalidateDecoded(addr);
+  InvalidateTranslations(addr);
 }
 
 void Machine::WriteMemRange(uint32_t addr, ByteView data) {
@@ -171,9 +156,6 @@ void Machine::WriteMemRange(uint32_t addr, ByteView data) {
   for (size_t p = addr / kPageSize; p <= (addr + data.size() - 1) / kPageSize && !data.empty();
        p++) {
     dirty_[p] = true;
-    if (!icache_valid_.empty()) {
-      icache_valid_[p] = 0;
-    }
     if (!jit_code_pages_.empty() && jit_code_pages_[p] != 0) {
       JitInvalidateWrite(static_cast<uint32_t>(p * kPageSize));
     }
@@ -313,7 +295,7 @@ bool Machine::Step() {
       }
       std::memcpy(mem_.data() + addr, &r[in.ra], 4);
       dirty_[addr / kPageSize] = true;
-      InvalidateDecoded(addr);
+      InvalidateTranslations(addr);
       break;
     }
     case Op::kLb: {
@@ -333,7 +315,7 @@ bool Machine::Step() {
       }
       mem_[addr] = static_cast<uint8_t>(r[in.ra]);
       dirty_[addr / kPageSize] = true;
-      InvalidateDecoded(addr);
+      InvalidateTranslations(addr);
       break;
     }
 
@@ -402,7 +384,8 @@ bool Machine::Step() {
 
 bool Machine::StepObserved() {
   // Slow path for replay-time analysis: snapshot the architectural state,
-  // execute one instruction via the fast path, then notify the observer.
+  // execute one instruction via the unobserved Step(), then notify the
+  // observer.
   CpuState before = cpu_;
   if (before.pc % 4 != 0 || before.pc > mem_.size() - 4) {
     Fault("instruction fetch out of bounds");
@@ -412,7 +395,7 @@ bool Machine::StepObserved() {
   std::memcpy(&word, mem_.data() + before.pc, 4);
   Insn insn = Decode(word);
   InstructionObserver* obs = observer_;
-  observer_ = nullptr;  // Reenter Step() on the fast path.
+  observer_ = nullptr;  // Reenter Step() without the observer.
   bool cont = Step();
   observer_ = obs;
   observer_->OnRetired(*this, before, insn);
@@ -427,15 +410,16 @@ RunExit Machine::RunUntilIcount(uint64_t target_icount) {
   if (cpu_.halted || faulted_) {
     return faulted_ ? RunExit::kFault : RunExit::kHalted;
   }
-  if (observer_ == nullptr && icache_enabled_) {
-    if (jit_enabled_ && !jit_failed_ && JitCompiledIn()) {
-      return RunJit(target_icount);
-    }
-    return RunLoop(target_icount);
+  if (observer_ == nullptr && jit_enabled_ && JitCompiledIn()) {
+    return RunJit(target_icount);
   }
-  // Observer attached or decoded cache disabled: the original per-word
-  // decode loop. The fast path below retires bit-for-bit the same
-  // architectural state; this loop is the reference it is tested against.
+  return RunReference(target_icount);
+}
+
+// The reference loop: Step() per instruction. It runs with an observer
+// attached, with the JIT off, and wherever the JIT is unavailable; the
+// fast path is tested against it.
+RunExit Machine::RunReference(uint64_t target_icount) {
   while (cpu_.icount < target_icount) {
     if (!Step()) {
       return faulted_ ? RunExit::kFault : RunExit::kHalted;
@@ -444,433 +428,10 @@ RunExit Machine::RunUntilIcount(uint64_t target_icount) {
   return RunExit::kIcountReached;
 }
 
-// The replay fast path. One pass over the straight-line skeleton:
-//
-//   fetch:  icount-landmark check -> IRQ check -> decoded-cache lookup
-//           (page decoded on first touch, re-decoded after any write to
-//           it) -> dispatch on the pre-decoded opcode
-//   body:   the per-opcode work, reading pre-extended operands
-//   commit: pc = next_pc; icount++; back to fetch
-//
-// pc and icount live in locals and are synced to cpu_ only at exits,
-// faults and backend calls (the recorder's clock-stall optimization bumps
-// cpu_.icount from inside PortIn, so icount is reloaded after backend
-// calls). Architectural behavior is bit-for-bit that of the Step() loop.
-RunExit Machine::RunLoop(uint64_t target_icount) {
-  if (icache_.empty()) {
-    icache_.resize(mem_.size() / 4);
-    icache_valid_.assign(mem_.size() / kPageSize, 0);
-  }
-  uint32_t* const r = cpu_.regs;
-  uint8_t* const mem = mem_.data();
-  const size_t mem_size = mem_.size();
-  const DecodedInsn* const icache = icache_.data();
-  uint8_t* const ivalid = icache_valid_.data();
-  uint32_t pc = cpu_.pc;
-  uint64_t icount = cpu_.icount;
-  uint32_t next_pc = 0;
-  const DecodedInsn* d = nullptr;
-
-#if AVM_USE_COMPUTED_GOTO
-  // Label-address table indexed by the raw opcode byte (the classic
-  // direct-threaded interpreter pattern); unused encodings hit Illegal.
-#define AVM_ILL &&L_Illegal
-#define AVM_ILL4 AVM_ILL, AVM_ILL, AVM_ILL, AVM_ILL
-#define AVM_ILL16 AVM_ILL4, AVM_ILL4, AVM_ILL4, AVM_ILL4
-  static const void* const kTargets[256] = {
-      /* 0x00 */ &&L_Nop, &&L_Halt, AVM_ILL, AVM_ILL, AVM_ILL4, AVM_ILL4, AVM_ILL4,
-      /* 0x10 */ &&L_Movi, &&L_Movhi, &&L_Ori, &&L_Mov, AVM_ILL4, AVM_ILL4, AVM_ILL4,
-      /* 0x20 */ &&L_Add, &&L_Sub, &&L_Mul, &&L_Divu, &&L_Remu, &&L_And, &&L_Or, &&L_Xor,
-      /* 0x28 */ &&L_Shl, &&L_Shr, &&L_Sra, &&L_Addi, &&L_Slt, &&L_Sltu, AVM_ILL, AVM_ILL,
-      /* 0x30 */ &&L_Lw, &&L_Sw, &&L_Lb, &&L_Sb, AVM_ILL4, AVM_ILL4, AVM_ILL4,
-      /* 0x40 */ &&L_Beq, &&L_Bne, &&L_Blt, &&L_Bge, &&L_Bltu, &&L_Bgeu, &&L_Jmp, &&L_Jal,
-      /* 0x48 */ &&L_Jr, &&L_Jalr, AVM_ILL, AVM_ILL, AVM_ILL4,
-      /* 0x50 */ &&L_In, &&L_Out, AVM_ILL, AVM_ILL, AVM_ILL4, AVM_ILL4, AVM_ILL4,
-      /* 0x60 */ &&L_Ei, &&L_Di, &&L_Iret, AVM_ILL, AVM_ILL4, AVM_ILL4, AVM_ILL4,
-      /* 0x70 */ AVM_ILL16, AVM_ILL16, AVM_ILL16, AVM_ILL16, AVM_ILL16,
-      /* 0xc0 */ AVM_ILL16, AVM_ILL16, AVM_ILL16, AVM_ILL16,
-  };
-#undef AVM_ILL16
-#undef AVM_ILL4
-#undef AVM_ILL
-#define VM_CASE(name) L_##name:
-#define VM_CASE_ILLEGAL L_Illegal:
-#define VM_DISPATCH_BEGIN goto* kTargets[d->opcode];
-#define VM_DISPATCH_END
-  // Replicated dispatch: every instruction body ends with its own copy
-  // of the fetch + indirect jump, so the branch predictor sees one
-  // indirect-branch site per opcode (pairwise opcode correlation)
-  // instead of a single shared site that mispredicts constantly.
-  // The alignment half of the fetch check is skipped here: pc is
-  // 4-aligned at every VM_NEXT boundary (sequential flow and word-offset
-  // branches preserve alignment; JR/JALR/IRET, whose register targets
-  // can misalign pc, re-enter through the fully-checked fetch_irq).
-  // With pc aligned and mem_size a page multiple, `pc > mem_size - 4`
-  // rejects exactly the fetches the full check would.
-#define VM_NEXT                                  \
-  do {                                           \
-    pc = next_pc;                                \
-    icount++;                                    \
-    if (icount >= target_icount) {               \
-      goto exit_icount;                          \
-    }                                            \
-    if (pc > mem_size - 4) {                     \
-      goto fetch_fault;                          \
-    }                                            \
-    {                                            \
-      const size_t pg_ = pc / kPageSize;         \
-      if (!ivalid[pg_]) {                        \
-        DecodePage(pg_);                         \
-      }                                          \
-    }                                            \
-    d = icache + pc / 4;                         \
-    next_pc = pc + 4;                            \
-    goto* kTargets[d->opcode];                   \
-  } while (0)
-#else
-#define VM_CASE(name) case Op::k##name:
-#define VM_CASE_ILLEGAL default:
-#define VM_DISPATCH_BEGIN switch (static_cast<Op>(d->opcode)) {
-#define VM_DISPATCH_END }
-#define VM_NEXT goto commit
-#endif
-  // Ops that may change `pending_irqs && int_enabled` re-enter through
-  // the interrupt-checking prologue in both modes.
-#define VM_NEXT_IRQ  \
-  do {               \
-    pc = next_pc;    \
-    icount++;        \
-    goto fetch_irq;  \
-  } while (0)
-
-  // The interrupt-checking fetch. VM_NEXT (the straight-line fast path)
-  // skips the interrupt re-check: `pending_irqs && int_enabled` can only
-  // change at an EI/IRET, a backend call (RaiseIrq from PortIn/PortOut),
-  // or the IRQ dispatch itself — every such path re-enters through
-  // here, so the boundary at which an interrupt is taken is identical
-  // to the per-step check of the Step() loop.
-fetch_irq:
-  if (icount >= target_icount) {
-    goto exit_icount;
-  }
-  if (cpu_.pending_irqs != 0 && cpu_.int_enabled) {
-    cpu_.pc = pc;
-    TakeIrqIfPending();
-    pc = cpu_.pc;
-  }
-#if !AVM_USE_COMPUTED_GOTO
-fetch:
-#endif
-  if (pc % 4 != 0 || pc > mem_size - 4) {
-    goto fetch_fault;
-  }
-  {
-    const size_t page = pc / kPageSize;
-    if (!ivalid[page]) {
-      DecodePage(page);
-    }
-  }
-  d = icache + pc / 4;
-  next_pc = pc + 4;
-  VM_DISPATCH_BEGIN
-
-  VM_CASE(Nop) { VM_NEXT; }
-  VM_CASE(Halt) {
-    cpu_.halted = true;
-    cpu_.icount = icount + 1;
-    cpu_.pc = next_pc;
-    return RunExit::kHalted;
-  }
-  VM_CASE(Movi) {
-    r[d->ra] = static_cast<uint32_t>(d->simm);
-    VM_NEXT;
-  }
-  VM_CASE(Movhi) {
-    r[d->ra] = static_cast<uint32_t>(d->Imm()) << 16;
-    VM_NEXT;
-  }
-  VM_CASE(Ori) {
-    r[d->ra] |= d->Imm();
-    VM_NEXT;
-  }
-  VM_CASE(Mov) {
-    r[d->ra] = r[d->rb];
-    VM_NEXT;
-  }
-  VM_CASE(Add) {
-    r[d->ra] += r[d->rb];
-    VM_NEXT;
-  }
-  VM_CASE(Sub) {
-    r[d->ra] -= r[d->rb];
-    VM_NEXT;
-  }
-  VM_CASE(Mul) {
-    r[d->ra] *= r[d->rb];
-    VM_NEXT;
-  }
-  VM_CASE(Divu) {
-    r[d->ra] = (r[d->rb] == 0) ? 0xffffffffu : r[d->ra] / r[d->rb];
-    VM_NEXT;
-  }
-  VM_CASE(Remu) {
-    r[d->ra] = (r[d->rb] == 0) ? r[d->ra] : r[d->ra] % r[d->rb];
-    VM_NEXT;
-  }
-  VM_CASE(And) {
-    r[d->ra] &= r[d->rb];
-    VM_NEXT;
-  }
-  VM_CASE(Or) {
-    r[d->ra] |= r[d->rb];
-    VM_NEXT;
-  }
-  VM_CASE(Xor) {
-    r[d->ra] ^= r[d->rb];
-    VM_NEXT;
-  }
-  VM_CASE(Shl) {
-    r[d->ra] <<= (r[d->rb] & 31);
-    VM_NEXT;
-  }
-  VM_CASE(Shr) {
-    r[d->ra] >>= (r[d->rb] & 31);
-    VM_NEXT;
-  }
-  VM_CASE(Sra) {
-    r[d->ra] = static_cast<uint32_t>(static_cast<int32_t>(r[d->ra]) >> (r[d->rb] & 31));
-    VM_NEXT;
-  }
-  VM_CASE(Addi) {
-    r[d->ra] += static_cast<uint32_t>(d->simm);
-    VM_NEXT;
-  }
-  VM_CASE(Slt) {
-    r[d->ra] = static_cast<int32_t>(r[d->ra]) < static_cast<int32_t>(r[d->rb]) ? 1 : 0;
-    VM_NEXT;
-  }
-  VM_CASE(Sltu) {
-    r[d->ra] = r[d->ra] < r[d->rb] ? 1 : 0;
-    VM_NEXT;
-  }
-  VM_CASE(Lw) {
-    const uint32_t addr = r[d->rb] + static_cast<uint32_t>(d->simm);
-    if (addr % 4 != 0 || addr > mem_size - 4) {
-      cpu_.pc = pc;
-      cpu_.icount = icount;
-      Fault("LW out of bounds");
-      return RunExit::kFault;
-    }
-    std::memcpy(&r[d->ra], mem + addr, 4);
-    VM_NEXT;
-  }
-  VM_CASE(Sw) {
-    const uint32_t addr = r[d->rb] + static_cast<uint32_t>(d->simm);
-    if (addr % 4 != 0 || addr > mem_size - 4) {
-      cpu_.pc = pc;
-      cpu_.icount = icount;
-      Fault("SW out of bounds");
-      return RunExit::kFault;
-    }
-    std::memcpy(mem + addr, &r[d->ra], 4);
-    dirty_[addr / kPageSize] = true;
-    ivalid[addr / kPageSize] = 0;
-    VM_NEXT;
-  }
-  VM_CASE(Lb) {
-    const uint32_t addr = r[d->rb] + static_cast<uint32_t>(d->simm);
-    if (addr >= mem_size) {
-      cpu_.pc = pc;
-      cpu_.icount = icount;
-      Fault("LB out of bounds");
-      return RunExit::kFault;
-    }
-    r[d->ra] = mem[addr];
-    VM_NEXT;
-  }
-  VM_CASE(Sb) {
-    const uint32_t addr = r[d->rb] + static_cast<uint32_t>(d->simm);
-    if (addr >= mem_size) {
-      cpu_.pc = pc;
-      cpu_.icount = icount;
-      Fault("SB out of bounds");
-      return RunExit::kFault;
-    }
-    mem[addr] = static_cast<uint8_t>(r[d->ra]);
-    dirty_[addr / kPageSize] = true;
-    ivalid[addr / kPageSize] = 0;
-    VM_NEXT;
-  }
-  VM_CASE(Beq) {
-    if (r[d->ra] == r[d->rb]) {
-      next_pc = pc + 4 + static_cast<uint32_t>(d->simm * 4);
-    }
-    VM_NEXT;
-  }
-  VM_CASE(Bne) {
-    if (r[d->ra] != r[d->rb]) {
-      next_pc = pc + 4 + static_cast<uint32_t>(d->simm * 4);
-    }
-    VM_NEXT;
-  }
-  VM_CASE(Blt) {
-    if (static_cast<int32_t>(r[d->ra]) < static_cast<int32_t>(r[d->rb])) {
-      next_pc = pc + 4 + static_cast<uint32_t>(d->simm * 4);
-    }
-    VM_NEXT;
-  }
-  VM_CASE(Bge) {
-    if (static_cast<int32_t>(r[d->ra]) >= static_cast<int32_t>(r[d->rb])) {
-      next_pc = pc + 4 + static_cast<uint32_t>(d->simm * 4);
-    }
-    VM_NEXT;
-  }
-  VM_CASE(Bltu) {
-    if (r[d->ra] < r[d->rb]) {
-      next_pc = pc + 4 + static_cast<uint32_t>(d->simm * 4);
-    }
-    VM_NEXT;
-  }
-  VM_CASE(Bgeu) {
-    if (r[d->ra] >= r[d->rb]) {
-      next_pc = pc + 4 + static_cast<uint32_t>(d->simm * 4);
-    }
-    VM_NEXT;
-  }
-  VM_CASE(Jmp) {
-    next_pc = pc + 4 + static_cast<uint32_t>(d->simm * 4);
-    VM_NEXT;
-  }
-  VM_CASE(Jal) {
-    r[d->ra] = pc + 4;
-    next_pc = pc + 4 + static_cast<uint32_t>(d->simm * 4);
-    VM_NEXT;
-  }
-  VM_CASE(Jr) {
-    // Register targets can misalign pc; take the fully-checked fetch.
-    next_pc = r[d->ra];
-    VM_NEXT_IRQ;
-  }
-  VM_CASE(Jalr) {
-    const uint32_t target = r[d->rb];
-    r[d->ra] = pc + 4;
-    next_pc = target;
-    VM_NEXT_IRQ;
-  }
-  VM_CASE(In) {
-    cpu_.pc = pc;
-    cpu_.icount = icount;
-    r[d->ra] = backend_->PortIn(*this, d->Imm());
-    icount = cpu_.icount;
-    goto commit_after_backend;
-  }
-  VM_CASE(Out) {
-    cpu_.pc = pc;
-    cpu_.icount = icount;
-    backend_->PortOut(*this, d->Imm(), r[d->ra]);
-    icount = cpu_.icount;
-    goto commit_after_backend;
-  }
-  VM_CASE(Ei) {
-    cpu_.int_enabled = true;
-    VM_NEXT_IRQ;
-  }
-  VM_CASE(Di) {
-    cpu_.int_enabled = false;
-    VM_NEXT;
-  }
-  VM_CASE(Iret) {
-    next_pc = cpu_.saved_pc;
-    cpu_.int_enabled = true;
-    VM_NEXT_IRQ;
-  }
-  VM_CASE_ILLEGAL {
-    cpu_.pc = pc;
-    cpu_.icount = icount;
-    Fault("illegal opcode");
-    return RunExit::kFault;
-  }
-  VM_DISPATCH_END
-
-#if !AVM_USE_COMPUTED_GOTO
-commit:
-  pc = next_pc;
-  icount++;
-  if (icount >= target_icount) {
-    goto exit_icount;
-  }
-  goto fetch;
-#endif
-
-commit_after_backend:
-  // Backends reach the machine through the Machine& they are handed, so
-  // they can halt or fault it mid-instruction; mirror Step()'s
-  // end-of-instruction check for that (rare) case.
-  pc = next_pc;
-  icount++;
-  if (cpu_.halted || faulted_) {
-    cpu_.pc = pc;
-    cpu_.icount = icount;
-    return faulted_ ? RunExit::kFault : RunExit::kHalted;
-  }
-  goto fetch_irq;
-
-exit_icount:
-  cpu_.pc = pc;
-  cpu_.icount = icount;
-  return RunExit::kIcountReached;
-
-fetch_fault:
-  cpu_.pc = pc;
-  cpu_.icount = icount;
-  Fault("instruction fetch out of bounds");
-  return RunExit::kFault;
-
-#undef VM_CASE
-#undef VM_CASE_ILLEGAL
-#undef VM_DISPATCH_BEGIN
-#undef VM_DISPATCH_END
-#undef VM_NEXT
-#undef VM_NEXT_IRQ
-}
-
-void Machine::DecodePage(size_t page) {
-  const uint8_t* src = mem_.data() + page * kPageSize;
-  DecodedInsn* out = icache_.data() + page * (kPageSize / 4);
-  for (size_t i = 0; i < kPageSize / 4; i++) {
-    uint32_t w;
-    std::memcpy(&w, src + 4 * i, 4);
-    out[i].opcode = static_cast<uint8_t>(w >> 24);
-    out[i].ra = static_cast<uint8_t>((w >> 20) & 0xf);
-    out[i].rb = static_cast<uint8_t>((w >> 16) & 0xf);
-    out[i].simm = static_cast<int16_t>(static_cast<uint16_t>(w & 0xffff));
-  }
-  icache_valid_[page] = 1;
-}
-
-bool Machine::ThreadedDispatchCompiledIn() {
-#if AVM_USE_COMPUTED_GOTO
-  return true;
-#else
-  return false;
-#endif
-}
-
 bool Machine::JitCompiledIn() { return jit::JitSupported(); }
 
 const jit::JitStats* Machine::jit_stats() const {
   return jit_ == nullptr ? nullptr : &jit_->stats();
-}
-
-void Machine::set_jit_enabled(bool on) {
-  // Flush on disable: RunLoop's store path does not check for live
-  // translations (that is what keeps today's interpreter tiers
-  // untouched), so no translation may survive into an interpreter-tier
-  // run. Re-enabling retranslates from current memory.
-  if (!on && jit_ != nullptr) {
-    jit_->Flush();
-  }
-  jit_enabled_ = on;
 }
 
 void Machine::JitInvalidateWrite(uint32_t addr) {
@@ -879,31 +440,19 @@ void Machine::JitInvalidateWrite(uint32_t addr) {
   }
 }
 
-void Machine::set_jit_analysis_enabled(bool on) {
-  if (jit_analysis_enabled_ == on) {
-    return;
-  }
-  jit_analysis_enabled_ = on;
-  jit_hints_stale_ = true;  // Applied (and translations flushed) at the
-                            // next JIT-tier entry.
-}
-
 void Machine::RefreshJitHints() {
-  if (!jit_hints_stale_ || jit_ == nullptr) {
+  // Only a loaded image is analyzed: a machine started from a snapshot
+  // has none and translates unhinted.
+  if (!jit_hints_stale_ || jit_ == nullptr || image_limit_ < 4) {
     return;
   }
   jit_hints_stale_ = false;
-  if (jit_analysis_enabled_ && image_limit_ >= 4) {
-    // Reaching defs is skipped: the JIT consumes the CFG, liveness and
-    // the verifier's self-modifying-page set only.
-    jit_hints_ = std::make_unique<analysis::ImageAnalysis>(analysis::AnalyzeImage(
-        ByteView(mem_.data(), std::min<size_t>(image_limit_, mem_.size())),
-        mem_.size(), /*with_reaching_defs=*/false));
-    jit_->SetAnalysisHints(jit_hints_.get());
-  } else {
-    jit_->SetAnalysisHints(nullptr);
-    jit_hints_.reset();
-  }
+  // Reaching defs is skipped: the JIT consumes the CFG, liveness and
+  // the verifier's self-modifying-page set only.
+  jit_hints_ = std::make_unique<analysis::ImageAnalysis>(analysis::AnalyzeImage(
+      ByteView(mem_.data(), std::min<size_t>(image_limit_, mem_.size())), mem_.size(),
+      /*with_reaching_defs=*/false));
+  jit_->SetAnalysisHints(jit_hints_.get());
 }
 
 void Machine::EnsureJit() {
@@ -928,30 +477,24 @@ void Machine::EnsureJit() {
   }
 }
 
-// The JIT tier dispatcher. Mirrors RunLoop's fetch_irq boundary: the
+// The JIT tier dispatcher. Mirrors Step()'s instruction boundary: the
 // icount-landmark check and the interrupt check happen at every block
 // boundary reached through the dispatcher, and chained native blocks
 // only span straight-line stretches where `pending_irqs && int_enabled`
 // cannot become true (EI/IRET and backend calls are fallback exits).
 // Everything the generated code cannot retire exactly is single-stepped
 // through the reference interpreter, so replay is bit-for-bit the
-// Step() semantics at every tier.
+// Step() semantics.
 RunExit Machine::RunJit(uint64_t target_icount) {
   EnsureJit();
   if (jit_ == nullptr) {
-    return RunLoop(target_icount);
+    return RunReference(target_icount);  // No executable memory here.
   }
   RefreshJitHints();
-  if (icache_valid_.empty()) {
-    // Native store tails clear per-page decoded-cache validity through
-    // ctx.ivalid, so the map must exist even if RunLoop never ran.
-    icache_valid_.assign(PageCount(), 0);
-  }
   jit::JitContext& ctx = jit_->ctx();
   ctx.regs = cpu_.regs;
   ctx.mem = mem_.data();
   ctx.dirty = dirty_.data();
-  ctx.ivalid = icache_valid_.data();
   ctx.cpu = &cpu_;
   ctx.target = target_icount;
 
@@ -1019,12 +562,7 @@ RunExit Machine::RunJit(uint64_t target_icount) {
         // The block at pc would overshoot the icount landmark (fewer
         // than one block length remains): single-step the reference
         // interpreter to the exact boundary.
-        while (cpu_.icount < target_icount) {
-          if (!Step()) {
-            return faulted_ ? RunExit::kFault : RunExit::kHalted;
-          }
-        }
-        return RunExit::kIcountReached;
+        return RunReference(target_icount);
       case jit::kExitDynamic:
         // JR/JALR: register targets can misalign pc and need the
         // interrupt re-check; both happen at the top of the loop.

@@ -72,21 +72,6 @@ enum class RunExit {
   kFault,          // Illegal instruction / bad memory access.
 };
 
-// One pre-decoded instruction of the decoded cache: the fields of Insn
-// with the sign extension already applied, so the hot loop never touches
-// the encoding again. Kept per word (index pc/4) and validated per page,
-// so self-modifying guests re-decode exactly the pages they overwrite.
-struct DecodedInsn {
-  uint8_t opcode = 0;  // Raw opcode byte; dispatch key.
-  uint8_t ra = 0;
-  uint8_t rb = 0;
-  uint8_t pad_ = 0;
-  int32_t simm = 0;  // Sign-extended immediate; truncate back to 16 bits
-                     // for the zero-extended uses (ORI, MOVHI, ports).
-
-  uint16_t Imm() const { return static_cast<uint16_t>(simm); }
-};
-
 class Machine {
  public:
   // mem_size must be a multiple of kPageSize and large enough for the
@@ -144,22 +129,14 @@ class Machine {
   // interpreter down while attached; intended for offline replay only.
   void set_observer(InstructionObserver* o) { observer_ = o; }
 
-  // Toggles the pre-decoded instruction cache + threaded-dispatch fast
-  // path. Off runs the original per-word-decode Step() loop; execution
-  // is bit-for-bit identical either way (asserted by machine_test and
-  // the replay-equivalence tests), only the speed differs.
-  void set_decoded_cache_enabled(bool on) { icache_enabled_ = on; }
-  bool decoded_cache_enabled() const { return icache_enabled_; }
-  // True when the build uses computed-goto threaded dispatch (GNU/Clang
-  // with AVM_THREADED_DISPATCH); false for the portable switch fallback.
-  static bool ThreadedDispatchCompiledIn();
-
-  // Toggles the top execution tier: x86-64 dynamic binary translation
-  // of hot basic blocks (src/vm/jit). On by default where compiled in;
-  // off (or on non-x86-64 builds) runs the decoded-cache interpreter.
-  // All three tiers retire bit-for-bit identical architectural state.
-  void set_jit_enabled(bool on);
-  bool jit_enabled() const { return jit_enabled_; }
+  // Selects the execution tier. On (the default) runs the fast path:
+  // x86-64 dynamic binary translation of hot basic blocks (src/vm/jit),
+  // guided by a static analysis of the loaded image, wherever the JIT is
+  // compiled in and executable memory is available. Off runs the
+  // reference Step() loop. Both retire bit-for-bit identical
+  // architectural state (asserted by the machine_test, replay_test and
+  // analysis_test lockstep sweeps); only the speed differs.
+  void set_jit_enabled(bool on) { jit_enabled_ = on; }
   // True when the build can translate to native code on this host
   // (CMake option AVM_JIT, x86-64 only).
   static bool JitCompiledIn();
@@ -169,46 +146,30 @@ class Machine {
   // Translation-layer counters; nullptr until the JIT tier first runs.
   const jit::JitStats* jit_stats() const;
 
-  // Toggles analysis-guided translation: a static pass over the loaded
-  // image (src/vm/analysis) feeds the JIT region fusion across direct
-  // jumps, liveness-based dead-writeback elimination, and pre-armed
-  // self-modification pages. Purely advisory — architectural state at
-  // every exit and icount landmark is bit-identical either way; off
-  // reproduces the plain per-block PR 9 translator. On by default.
-  void set_jit_analysis_enabled(bool on);
-  bool jit_analysis_enabled() const { return jit_analysis_enabled_; }
-
  private:
   bool Step();  // Returns false when execution must stop (halt/fault).
   bool StepObserved();  // Step() + InstructionObserver notification.
   void Fault(const std::string& why);
   void TakeIrqIfPending();
+  RunExit RunReference(uint64_t target_icount);  // The Step() loop.
 
-  // The fast path: decoded-cache + threaded-dispatch execution until
-  // `target_icount` (or halt/fault). Only entered with no observer.
-  RunExit RunLoop(uint64_t target_icount);
-  void DecodePage(size_t page);
-  // Drops the decoded entries of the page containing byte `addr`; called
-  // from every memory-write path next to the dirty_ marking. Also drops
-  // JIT translations when the page holds any (jit_code_pages_ is all
-  // zero until the JIT engine exists, so the extra check costs nothing
-  // on builds and runs that never enter the JIT tier).
-  void InvalidateDecoded(uint32_t addr) {
-    if (!icache_valid_.empty()) {
-      icache_valid_[addr / kPageSize] = 0;
-    }
+  // Drops the JIT translations of the page containing byte `addr`;
+  // called from every memory-write path next to the dirty_ marking.
+  // jit_code_pages_ is empty until the JIT engine exists, so the check
+  // costs nothing on runs that never enter the fast path.
+  void InvalidateTranslations(uint32_t addr) {
     if (!jit_code_pages_.empty() && jit_code_pages_[addr / kPageSize] != 0) {
       JitInvalidateWrite(addr);
     }
   }
 
   // The JIT tier: block dispatch loop, lazy engine construction, and the
-  // out-of-line invalidation slow path behind InvalidateDecoded.
+  // out-of-line invalidation slow path behind InvalidateTranslations.
   RunExit RunJit(uint64_t target_icount);
   void EnsureJit();
   void JitInvalidateWrite(uint32_t addr);
   // Re-runs the static analysis over [0, image_limit_) when stale and
-  // installs (or clears) the result as the engine's hints.
+  // installs the result as the engine's hints.
   void RefreshJitHints();
 
   CpuState cpu_;
@@ -219,16 +180,10 @@ class Machine {
   DeviceBackend* backend_;
   InstructionObserver* observer_ = nullptr;
 
-  // Decoded instruction cache (allocated lazily on first fast-path run).
-  bool icache_enabled_ = true;
-  std::vector<DecodedInsn> icache_;    // One slot per 32-bit word.
-  std::vector<uint8_t> icache_valid_;  // One flag per page.
-
   // JIT tier state (engine constructed lazily on first JIT-tier run).
   bool jit_enabled_ = true;
   bool jit_harden_wx_ = false;
   bool jit_failed_ = false;  // Executable memory unavailable; stay off.
-  bool jit_analysis_enabled_ = true;
   bool jit_hints_stale_ = true;
   uint32_t image_limit_ = 0;  // Bytes of memory covered by LoadImage.
   // Hints must outlive the engine that holds a pointer to them, hence

@@ -417,32 +417,45 @@ TEST(Machine, HostMem32BoundsCheckDoesNotWrap) {
 
 TEST(Machine, GuestMem32AtTopOfAddressSpaceFaults) {
   for (const char* op : {"lw r2, [r1]", "sw r2, [r1]"}) {
-    for (bool cache : {false, true}) {
+    for (bool jit : {false, true}) {
       NullBackend backend;
       Machine m(kMem, &backend);
-      m.set_decoded_cache_enabled(cache);
+      m.set_jit_enabled(jit);
       m.LoadImage(Assemble(std::string("la r1, 0xFFFFFFFC\n ") + op + "\n halt"));
-      EXPECT_EQ(m.Run(10), RunExit::kFault) << op << " cache=" << cache;
+      EXPECT_EQ(m.Run(10), RunExit::kFault) << op << " jit=" << jit;
       EXPECT_TRUE(m.faulted());
     }
   }
 }
 
-// --- Decoded-cache / threaded-dispatch equivalence ---------------------
+// --- Fast path vs reference equivalence --------------------------------
 //
-// The fast path (decoded cache + threaded dispatch) must retire
-// bit-for-bit the architectural state of the original per-word-decode
-// Step() loop, which stays reachable via set_decoded_cache_enabled(false).
+// The fast path (the JIT, guided by the image analysis) must retire
+// bit-for-bit the architectural state of the reference Step() loop,
+// which runs with set_jit_enabled(false). On builds without the JIT both
+// machines run the reference loop and the sweeps check determinism.
+
+// How a sweep puts the guest into memory. kImage is LoadImage, which the
+// JIT analyzes; kSnapshot writes the same bytes as a snapshot restore
+// does, so the JIT translates without analysis hints.
+enum class Load { kImage, kSnapshot };
 
 // Runs the same image on both paths in lockstep quanta and compares the
 // full architectural state, fault status and memory.
 void ExpectBothPathsAgree(const Bytes& image, const std::vector<uint64_t>& quanta,
-                          const std::vector<std::pair<int, uint32_t>>& irqs_at_quantum = {}) {
+                          const std::vector<std::pair<int, uint32_t>>& irqs_at_quantum = {},
+                          bool harden_wx = false, Load load = Load::kImage) {
   NullBackend b0, b1;
   Machine fast(kMem, &b0), slow(kMem, &b1);
-  fast.LoadImage(image);
-  slow.LoadImage(image);
-  slow.set_decoded_cache_enabled(false);
+  fast.set_jit_harden_wx(harden_wx);
+  slow.set_jit_enabled(false);
+  for (Machine* m : {&fast, &slow}) {
+    if (load == Load::kImage) {
+      m->LoadImage(image);
+    } else {
+      m->WriteMemRange(0, image);
+    }
+  }
   for (size_t q = 0; q < quanta.size(); q++) {
     for (const auto& [at, cause] : irqs_at_quantum) {
       if (static_cast<size_t>(at) == q) {
@@ -461,10 +474,10 @@ void ExpectBothPathsAgree(const Bytes& image, const std::vector<uint64_t>& quant
   }
 }
 
-TEST(MachineEquivalence, SelfModifyingCodeInvalidatesDecodedCache) {
+TEST(MachineEquivalence, SelfModifyingCodeAgrees) {
   // The guest overwrites the instruction at `patch:` (addi r1, 1 ->
   // addi r1, 5) after 3 loop iterations, then keeps running it; a stale
-  // decoded cache would keep executing the old increment.
+  // translation would keep executing the old increment.
   Bytes image = Assemble(R"(
     movi r1, 0
     movi r2, 0
@@ -539,43 +552,11 @@ TEST(MachineEquivalence, RandomProgramSweepAgrees) {
   }
 }
 
-// --- JIT tier equivalence ----------------------------------------------
+// --- JIT tier edges ----------------------------------------------------
 //
-// Note ExpectBothPathsAgree above already drives the JIT: its `fast`
-// machine is a default-constructed Machine, and the JIT tier is on by
-// default where compiled in. The tests below pin the JIT against the
-// decoded-cache tier specifically (so a shared bug in Step() cannot
-// mask a translator bug) and probe the translator's own edges: icount
-// landmarks inside a translated block, page invalidation, and the W^X
-// cache mode.
-
-// Lockstep compare: JIT tier vs decoded-cache interpreter tier.
-void ExpectJitMatchesInterpreter(const Bytes& image, const std::vector<uint64_t>& quanta,
-                                 const std::vector<std::pair<int, uint32_t>>& irqs_at_quantum = {},
-                                 bool harden_wx = false) {
-  NullBackend b0, b1;
-  Machine jit(kMem, &b0), interp(kMem, &b1);
-  jit.set_jit_harden_wx(harden_wx);
-  interp.set_jit_enabled(false);
-  jit.LoadImage(image);
-  interp.LoadImage(image);
-  for (size_t q = 0; q < quanta.size(); q++) {
-    for (const auto& [at, cause] : irqs_at_quantum) {
-      if (static_cast<size_t>(at) == q) {
-        jit.RaiseIrq(cause);
-        interp.RaiseIrq(cause);
-      }
-    }
-    RunExit ej = jit.Run(quanta[q]);
-    RunExit ei = interp.Run(quanta[q]);
-    ASSERT_EQ(ej, ei) << "exit differs at quantum " << q;
-    ASSERT_TRUE(jit.cpu() == interp.cpu()) << "cpu state differs at quantum " << q;
-    ASSERT_EQ(jit.faulted(), interp.faulted());
-    ASSERT_EQ(jit.fault_reason(), interp.fault_reason());
-    ASSERT_EQ(jit.ReadMemRange(0, kMem), interp.ReadMemRange(0, kMem))
-        << "memory differs at quantum " << q;
-  }
-}
+// The translator's own edges, each checked against the reference loop
+// with ExpectBothPathsAgree: icount landmarks inside a translated block,
+// page invalidation, the unhinted translator and the W^X cache mode.
 
 constexpr char kJitHotLoop[] = R"(
     movi r1, 0
@@ -594,7 +575,7 @@ TEST(MachineJit, HotLoopMatchesInterpreterAtOddQuanta) {
   // Quanta chosen so landmarks land at every offset inside the 5-insn
   // translated block, including repeated single-step stops.
   std::vector<uint64_t> quanta = {1, 3, 257, 64, 1000, 1, 1, 1, 2, 5000, 7, 4000};
-  ExpectJitMatchesInterpreter(Assemble(kJitHotLoop), quanta);
+  ExpectBothPathsAgree(Assemble(kJitHotLoop), quanta);
 }
 
 TEST(MachineJit, MidBlockIcountStopIsExact) {
@@ -614,31 +595,7 @@ TEST(MachineJit, MidBlockIcountStopIsExact) {
     ASSERT_EQ(m.RunUntilIcount(target), RunExit::kIcountReached);
     ASSERT_EQ(m.cpu().icount, target);
   }
-  ExpectJitMatchesInterpreter(Assemble(body), std::vector<uint64_t>(100, 1));
-}
-
-TEST(MachineJit, IrqAtLandmarksAgrees) {
-  if (!Machine::JitCompiledIn()) GTEST_SKIP() << "JIT not compiled in";
-  Bytes image = Assemble(R"(
-    jmp main
-    jmp irqh
-irqh:
-    in r5, IRQ_CAUSE
-    add r6, r5
-    iret
-main:
-    movi r6, 0
-    ei
-loop:
-    addi r7, 1
-    jmp loop
-  )");
-  std::vector<uint64_t> quanta(40, 13);
-  std::vector<std::pair<int, uint32_t>> irqs;
-  for (int q = 0; q < 40; q += 3) {
-    irqs.emplace_back(q, q % 2 == 0 ? kIrqNetRx : kIrqInput);
-  }
-  ExpectJitMatchesInterpreter(image, quanta, irqs);
+  ExpectBothPathsAgree(Assemble(body), std::vector<uint64_t>(100, 1));
 }
 
 TEST(MachineJit, SelfModifyingCodeInvalidatesTranslations) {
@@ -662,7 +619,7 @@ cont:
     bne r2, r4, loop
     halt
   )");
-  ExpectJitMatchesInterpreter(image, {50, 301, 99, 2000});
+  ExpectBothPathsAgree(image, {50, 301, 99, 2000});
 
   NullBackend b;
   Machine m(kMem, &b);
@@ -708,7 +665,7 @@ TEST(MachineJit, PageStraddlingTerminatorInvalidates) {
       "done:\n"
       "    halt\n";
   Bytes image = Assemble(src);
-  ExpectJitMatchesInterpreter(image, {50, 120, 57, 1000, 1000});
+  ExpectBothPathsAgree(image, {50, 120, 57, 1000, 1000});
 
   NullBackend b;
   Machine m(kMem, &b);
@@ -751,7 +708,7 @@ TEST(MachineJit, PageAlignedSingleJumpBlockInvalidates) {
       "done:\n"
       "    halt\n";
   Bytes image = Assemble(src);
-  ExpectJitMatchesInterpreter(image, {150, 77, 1000, 1000});
+  ExpectBothPathsAgree(image, {150, 77, 1000, 1000});
 
   NullBackend b;
   Machine m(kMem, &b);
@@ -764,8 +721,11 @@ TEST(MachineJit, PageAlignedSingleJumpBlockInvalidates) {
   EXPECT_GT(stats->blocks_invalidated, 0u);
 }
 
-TEST(MachineJit, RandomProgramSweepJitVsDecodedCache) {
+TEST(MachineJit, RandomProgramSweepUnhintedAgrees) {
   if (!Machine::JitCompiledIn()) GTEST_SKIP() << "JIT not compiled in";
+  // The same soup written into memory as a snapshot restore does: no
+  // image is loaded, so the JIT translates without analysis hints, the
+  // way it does for every replay started from a snapshot.
   constexpr uint8_t kOps[] = {0x00, 0x01, 0x10, 0x11, 0x12, 0x13, 0x20, 0x21, 0x22, 0x23,
                               0x24, 0x25, 0x26, 0x27, 0x28, 0x29, 0x2a, 0x2b, 0x2c, 0x2d,
                               0x30, 0x31, 0x32, 0x33, 0x40, 0x41, 0x42, 0x43, 0x44, 0x45,
@@ -782,32 +742,53 @@ TEST(MachineJit, RandomProgramSweepJitVsDecodedCache) {
       PutU32(image, Encode(static_cast<Op>(op), static_cast<uint8_t>(rng.Next() % 16),
                            static_cast<uint8_t>(rng.Next() % 16), imm));
     }
-    ExpectJitMatchesInterpreter(image, {257, 1000, 1, 3});
+    ExpectBothPathsAgree(image, {257, 1000, 1, 3}, {}, false, Load::kSnapshot);
   }
 }
 
 TEST(MachineJit, HardenedWxModeAgrees) {
   if (!Machine::JitCompiledIn()) GTEST_SKIP() << "JIT not compiled in";
-  ExpectJitMatchesInterpreter(Assemble(kJitHotLoop), {257, 5000, 1, 4000},
+  ExpectBothPathsAgree(Assemble(kJitHotLoop), {257, 5000, 1, 4000},
                               /*irqs_at_quantum=*/{}, /*harden_wx=*/true);
 }
 
-TEST(MachineJit, DisableMidRunFlushesAndStaysEquivalent) {
+TEST(MachineJit, DisableMidRunStaysEquivalent) {
   if (!Machine::JitCompiledIn()) GTEST_SKIP() << "JIT not compiled in";
-  NullBackend b0, b1;
-  Machine toggled(kMem, &b0), interp(kMem, &b1);
-  interp.set_jit_enabled(false);
-  Bytes image = Assemble(kJitHotLoop);
-  toggled.LoadImage(image);
-  interp.LoadImage(image);
-  for (int q = 0; q < 12; q++) {
-    toggled.set_jit_enabled(q % 3 != 2);  // On, on, off, on, on, off...
-    toggled.Run(701);
-    interp.Run(701);
-    ASSERT_TRUE(toggled.cpu() == interp.cpu()) << "quantum " << q;
-    ASSERT_EQ(toggled.ReadMemRange(0, kMem), interp.ReadMemRange(0, kMem));
+  // Translations stay live while the JIT is off, so the reference loop's
+  // stores must drop the ones they overwrite: the patching guest rewrites
+  // its hot loop during an off quantum.
+  const Bytes patching = Assemble(R"(
+    movi r1, 0
+    movi r2, 0
+    la r3, patch
+    la r4, 3000
+loop:
+patch:
+    addi r1, 1
+    addi r2, 1
+    movi r5, 760        ; Patched inside the off quantum [3505, 4206).
+    bne r2, r5, cont
+    la r6, 0x2b100005   ; addi r1, 5
+    sw r6, [r3]
+cont:
+    bne r2, r4, loop
+    halt
+  )");
+  for (const Bytes& image : {Assemble(kJitHotLoop), patching}) {
+    NullBackend b0, b1;
+    Machine toggled(kMem, &b0), interp(kMem, &b1);
+    interp.set_jit_enabled(false);
+    toggled.LoadImage(image);
+    interp.LoadImage(image);
+    for (int q = 0; q < 12; q++) {
+      toggled.set_jit_enabled(q % 3 != 2);  // On, on, off, on, on, off...
+      toggled.Run(701);
+      interp.Run(701);
+      ASSERT_TRUE(toggled.cpu() == interp.cpu()) << "quantum " << q;
+      ASSERT_EQ(toggled.ReadMemRange(0, kMem), interp.ReadMemRange(0, kMem));
+    }
+    EXPECT_FALSE(toggled.faulted());
   }
-  EXPECT_FALSE(toggled.faulted());
 }
 
 }  // namespace

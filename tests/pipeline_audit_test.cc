@@ -5,6 +5,7 @@
 // the sequential path's at every thread count and chunk size.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -16,6 +17,7 @@
 #include "src/sim/scenario.h"
 #include "src/store/log_store.h"
 #include "src/util/serde.h"
+#include "src/vm/analysis/cfg.h"
 #include "src/vm/assembler.h"
 #include "src/vm/jit/jit.h"
 
@@ -260,8 +262,8 @@ TEST_F(PipelineAuditTest, TamperedTraceValueFailsSemanticallyIdentically) {
 
 TEST_F(PipelineAuditTest, JitReplayVerdictsMatchInterpreter) {
   // The semantic check through the JIT tier (AuditConfig::jit_replay,
-  // the default) must produce the bit-for-bit outcome of the
-  // decoded-cache interpreter — on an honest log and, more importantly,
+  // the default) must produce the bit-for-bit outcome of the reference
+  // Step() loop — on an honest log and, more importantly,
   // on a tampered one, where the divergence seq and evidence must not
   // move between tiers.
   RecordSolo();
@@ -775,6 +777,55 @@ TEST_F(EngineKvTest, EveryAuditReadsItsRangeInOneForwardScan) {
                   .ok);
   EXPECT_EQ(source.scans(), (std::vector<Range>{{1, last}, {from - 1, from - 1}, {from, to}}));
   EXPECT_TRUE(source.extracts().empty());
+}
+
+TEST_F(EngineKvTest, CheckpointedAuditHonoursVerifyImage) {
+  // A reference image with a reachable illegal opcode (the middle of
+  // its largest block, as avm-lint --seed-corruption illegal plants
+  // it) must fail the checkpointed audit up front, exactly as it fails
+  // Auditor::AuditFull: cold, and with a valid checkpoint to resume from.
+  Bytes bad_image = kv_->reference_server_image();
+  const analysis::Cfg cfg = analysis::BuildCfg(bad_image);
+  const analysis::BasicBlock* biggest = nullptr;
+  for (const analysis::BasicBlock& b : cfg.blocks) {
+    if (biggest == nullptr || b.insn_count() > biggest->insn_count()) {
+      biggest = &b;
+    }
+  }
+  ASSERT_NE(biggest, nullptr);
+  const uint32_t illegal = 0xee000000u;
+  std::memcpy(bad_image.data() + biggest->start + 4 * (biggest->insn_count() / 2), &illegal, 4);
+
+  AuditConfig acfg = Cfg(4, true);
+  acfg.verify_image = true;
+  fs::remove_all(CheckpointDir());
+  CheckpointedAuditor ck("client", &kv_->registry(), acfg, Cadence());
+  auto audit = [&](const Bytes& image, ResumeInfo* info) {
+    return ck.AuditFull(kv_->server(), *store_, image, auths_, CheckpointDir(), info);
+  };
+  auto expect_rejected = [](const AuditOutcome& out, const ResumeInfo& info,
+                            const std::string& what) {
+    EXPECT_FALSE(out.ok) << what;
+    EXPECT_GT(out.image_errors, 0) << what;
+    EXPECT_EQ(out.semantic.instructions_replayed, 0u) << what << ": replayed a corrupt image";
+    EXPECT_FALSE(info.resumed) << what;
+    EXPECT_EQ(info.checkpoints_written, 0u) << what;
+    EXPECT_NE(out.Describe().find("FAIL (image)"), std::string::npos) << out.Describe();
+  };
+
+  ResumeInfo cold;
+  expect_rejected(audit(bad_image, &cold), cold, "cold");
+
+  // The genuine image passes and leaves checkpoints behind...
+  ResumeInfo honest;
+  AuditOutcome good = audit(kv_->reference_server_image(), &honest);
+  EXPECT_TRUE(good.ok) << good.Describe();
+  EXPECT_EQ(good.image_errors, 0);
+  ASSERT_GT(honest.checkpoints_written, 0u);
+
+  // ...which the corrupt image must not resume from.
+  ResumeInfo resumed;
+  expect_rejected(audit(bad_image, &resumed), resumed, "resumed");
 }
 
 }  // namespace

@@ -295,28 +295,16 @@ TEST_F(ReplayFixture, VmRecModeRecordsNothingTamperEvident) {
   EXPECT_GT(node->vmware_equiv_bytes(), 0u);   // ...but plain recording happened.
 }
 
-// --- Decoded-cache replay equivalence ---------------------------------
+// --- Fast path vs reference replay equivalence -------------------------
 //
 // Recording always runs the fast path; these tests replay the same log
-// with the decoded cache on and off and require identical ReplayResults,
-// so the fast path cannot drift from the reference interpreter anywhere
-// in the record->replay loop.
+// with the JIT on and off and require identical ReplayResults, so the
+// fast path cannot drift from the reference Step() loop anywhere in the
+// record->replay loop.
 
-ReplayResult ReplayWithCache(const LogSegment& seg, const Bytes& image, size_t mem_size,
-                             bool cache_on) {
+ReplayResult ReplayWithJit(const LogSegment& seg, const Bytes& image, size_t mem_size, bool jit) {
   StreamingReplayer r(image, mem_size);
-  r.mutable_machine().set_decoded_cache_enabled(cache_on);
-  r.Feed(seg.entries);
-  return r.Finish();
-}
-
-// Replay tier selector: 0 = seed dispatch, 1 = decoded cache, 2 = JIT.
-// (ReplayWithCache above leaves the JIT at its default, so its cache_on
-// path is the JIT tier where compiled in; this helper pins each tier.)
-ReplayResult ReplayWithTier(const LogSegment& seg, const Bytes& image, size_t mem_size, int tier) {
-  StreamingReplayer r(image, mem_size);
-  r.mutable_machine().set_decoded_cache_enabled(tier >= 1);
-  r.mutable_machine().set_jit_enabled(tier >= 2);
+  r.mutable_machine().set_jit_enabled(jit);
   r.Feed(seg.entries);
   return r.Finish();
 }
@@ -329,7 +317,7 @@ void ExpectSameReplay(const ReplayResult& a, const ReplayResult& b) {
   EXPECT_EQ(a.instructions_replayed, b.instructions_replayed);
 }
 
-TEST_F(ReplayFixture, ReplayEquivalentWithCacheOnAndOff) {
+TEST_F(ReplayFixture, ReplayEquivalentWithJitOnAndOff) {
   Bytes image = Assemble(kNoisyGuest);
   auto node = MakeAvmm(image);
   for (int i = 0; i < 20; i++) {
@@ -337,14 +325,14 @@ TEST_F(ReplayFixture, ReplayEquivalentWithCacheOnAndOff) {
   }
   Record(*node, 40);
   LogSegment seg = node->log().Extract(1, node->log().LastSeq());
-  ReplayResult fast = ReplayWithCache(seg, image, node->config().mem_size, true);
-  ReplayResult slow = ReplayWithCache(seg, image, node->config().mem_size, false);
+  ReplayResult fast = ReplayWithJit(seg, image, node->config().mem_size, true);
+  ReplayResult slow = ReplayWithJit(seg, image, node->config().mem_size, false);
   EXPECT_TRUE(fast.ok) << fast.reason;
   ExpectSameReplay(fast, slow);
   EXPECT_EQ(fast.replay_icount, node->machine().cpu().icount);
 }
 
-TEST_F(ReplayFixture, IrqTraceReplayEquivalentWithCacheOnAndOff) {
+TEST_F(ReplayFixture, IrqTraceReplayEquivalentWithJitOnAndOff) {
   Bytes image = Assemble(kIrqGuest);
   RunConfig cfg = RunConfig::AvmmNoSig();
   cfg.rx_irq = true;
@@ -373,13 +361,12 @@ TEST_F(ReplayFixture, IrqTraceReplayEquivalentWithCacheOnAndOff) {
   ASSERT_GT(node->stats().guest_packets_delivered, 3u);
 
   LogSegment seg = node->log().Extract(1, node->log().LastSeq());
-  ReplayResult fast = ReplayWithCache(seg, image, cfg.mem_size, true);
-  ReplayResult slow = ReplayWithCache(seg, image, cfg.mem_size, false);
+  ReplayResult fast = ReplayWithJit(seg, image, cfg.mem_size, true);
+  ReplayResult slow = ReplayWithJit(seg, image, cfg.mem_size, false);
   EXPECT_TRUE(fast.ok) << fast.reason;
-  ExpectSameReplay(fast, slow);
-  // The async-IRQ landmarks must also replay identically under the JIT,
+  // The async-IRQ landmarks must replay identically under the JIT,
   // whose translated blocks skip interrupt polling entirely.
-  ExpectSameReplay(ReplayWithTier(seg, image, cfg.mem_size, 2), slow);
+  ExpectSameReplay(fast, slow);
 }
 
 // A guest that patches its own loop body (addi r1, 1 -> addi r1, 2)
@@ -418,15 +405,15 @@ TEST_F(ReplayFixture, SelfModifyingGuestRecordsAndReplaysIdentically) {
   ASSERT_FALSE(node->debug_values().empty());
 
   LogSegment seg = node->log().Extract(1, node->log().LastSeq());
-  ReplayResult fast = ReplayWithCache(seg, image, node->config().mem_size, true);
-  ReplayResult slow = ReplayWithCache(seg, image, node->config().mem_size, false);
+  ReplayResult fast = ReplayWithJit(seg, image, node->config().mem_size, true);
+  ReplayResult slow = ReplayWithJit(seg, image, node->config().mem_size, false);
   EXPECT_TRUE(fast.ok) << fast.reason << " at seq " << fast.diverged_seq;
   ExpectSameReplay(fast, slow);
 }
 
-TEST_F(ReplayFixture, JitReplayEquivalentAcrossAllTiers) {
-  // The same recorded log replayed by all three execution tiers (seed
-  // dispatch, decoded cache, JIT) must yield one ReplayResult.
+TEST_F(ReplayFixture, JitReplayEquivalentToReference) {
+  // A second input stream through the same guest: the JIT and the
+  // reference loop must yield one ReplayResult.
   Bytes image = Assemble(kNoisyGuest);
   auto node = MakeAvmm(image);
   for (int i = 0; i < 20; i++) {
@@ -434,32 +421,30 @@ TEST_F(ReplayFixture, JitReplayEquivalentAcrossAllTiers) {
   }
   Record(*node, 40);
   LogSegment seg = node->log().Extract(1, node->log().LastSeq());
-  ReplayResult seed = ReplayWithTier(seg, image, node->config().mem_size, 0);
-  ReplayResult cache = ReplayWithTier(seg, image, node->config().mem_size, 1);
-  ReplayResult jit = ReplayWithTier(seg, image, node->config().mem_size, 2);
+  ReplayResult seed = ReplayWithJit(seg, image, node->config().mem_size, false);
+  ReplayResult jit = ReplayWithJit(seg, image, node->config().mem_size, true);
   EXPECT_TRUE(seed.ok) << seed.reason;
   ExpectSameReplay(jit, seed);
-  ExpectSameReplay(cache, seed);
   EXPECT_EQ(jit.replay_icount, node->machine().cpu().icount);
 }
 
 TEST_F(ReplayFixture, JitSelfModifyingReplayEquivalent) {
   // The patching guest under the JIT: the recorded writes land in pages
   // holding live translations, so replay exercises the native-store
-  // invalidation side exit. All tiers must still agree bit-for-bit.
+  // invalidation side exit. It must still agree with the reference.
   Bytes image = Assemble(kPatchingGuest);
   auto node = MakeAvmm(image);
   node->PushInput(7);
   node->PushInput(9);
   Record(*node, 30);
   LogSegment seg = node->log().Extract(1, node->log().LastSeq());
-  ReplayResult seed = ReplayWithTier(seg, image, node->config().mem_size, 0);
-  ReplayResult jit = ReplayWithTier(seg, image, node->config().mem_size, 2);
+  ReplayResult seed = ReplayWithJit(seg, image, node->config().mem_size, false);
+  ReplayResult jit = ReplayWithJit(seg, image, node->config().mem_size, true);
   EXPECT_TRUE(jit.ok) << jit.reason << " at seq " << jit.diverged_seq;
   ExpectSameReplay(jit, seed);
 }
 
-TEST_F(ReplayFixture, SpotCheckReplayEquivalentWithCacheOnAndOff) {
+TEST_F(ReplayFixture, SpotCheckReplayEquivalentWithJitOnAndOff) {
   Bytes image = Assemble(kNoisyGuest);
   RunConfig cfg = RunConfig::AvmmNoSig();
   cfg.snapshot_interval = 10 * kMicrosPerMilli;
@@ -481,11 +466,11 @@ TEST_F(ReplayFixture, SpotCheckReplayEquivalentWithCacheOnAndOff) {
       node->snapshot_store().Materialize(snaps[1].second.snapshot_id, cfg.mem_size);
   ReplayResult fast;
   ReplayResult slow;
-  for (bool cache_on : {true, false}) {
+  for (bool jit : {true, false}) {
     StreamingReplayer r(start);
-    r.mutable_machine().set_decoded_cache_enabled(cache_on);
+    r.mutable_machine().set_jit_enabled(jit);
     r.Feed(seg.entries);
-    (cache_on ? fast : slow) = r.Finish();
+    (jit ? fast : slow) = r.Finish();
   }
   EXPECT_TRUE(fast.ok) << fast.reason;
   ExpectSameReplay(fast, slow);
