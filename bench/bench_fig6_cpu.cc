@@ -10,6 +10,7 @@
 // per configuration. The "accountability share" column corresponds to
 // the paper's daemon-hyperthread utilization.
 #include <algorithm>
+#include <vector>
 
 #include "bench/bench_common.h"
 #include "src/audit/replayer.h"
@@ -51,7 +52,8 @@ void Run() {
 
 // Beyond the paper: single-stream replay throughput, the semantic
 // check's fundamental limit (§6.6: replay takes about as long as the
-// original execution). Two tiers: "reference" is the per-instruction
+// original execution), raw and through the auditor's replayer on a
+// recorded log. Two tiers: "reference" is the per-instruction
 // Step() loop (set_jit_enabled(false)); "jit" is the fast path, the
 // x86-64 dynamic binary translator (src/vm/jit) with direct block
 // chaining, guided by the src/vm/analysis pass over the loaded image
@@ -80,33 +82,14 @@ body3:
     halt
   )");
   constexpr uint64_t kInstructions = 40'000'000;
-  PrintRule();
-  std::printf("  replayed-instructions/sec (single stream, %llu Minsn mixed ALU/mem/branch)\n",
-              static_cast<unsigned long long>(kInstructions / 1'000'000));
-  std::printf("  %-22s %10s %10s\n", "tier", "MIPS", "seconds");
   struct Tier {
     const char* name;
+    const char* audit_name;
     bool jit;
   };
-  constexpr Tier kTiers[] = {{"reference", false}, {"jit", true}};
+  constexpr Tier kTiers[] = {{"reference", "audit replay (reference)", false},
+                             {"jit", "audit replay (jit)", true}};
   constexpr int kNumTiers = 2;
-  double mips[kNumTiers] = {0};
-  for (int tier = 0; tier < kNumTiers; tier++) {
-    NullBackend backend;
-    Machine m(256 * 1024, &backend);
-    m.LoadImage(image);
-    m.set_jit_enabled(kTiers[tier].jit);
-    WallTimer t;
-    m.RunUntilIcount(kInstructions);
-    double s = t.ElapsedSeconds();
-    mips[tier] = kInstructions / s / 1e6;
-    std::printf("  %-22s %10.1f %10.3f\n", kTiers[tier].name, mips[tier], s);
-  }
-  std::printf("  jit speedup: %.2fx vs reference (jit compiled in: %s)\n", mips[1] / mips[0],
-              Machine::JitCompiledIn() ? "yes" : "no");
-  json.Add("replay_mips_reference", mips[0], "Minsn/s");
-  json.Add("replay_mips_jit", mips[1], "Minsn/s");
-  json.Add("replay_jit_speedup", mips[1] / mips[0], "x");
 
   // The same comparison through the full record->replay loop: a real
   // recorded log, replayed by the auditor's StreamingReplayer.
@@ -119,21 +102,63 @@ body3:
   game.RunFor(4 * kMicrosPerSecond);
   game.Finish();
   LogSegment seg = game.server().log().Extract(1, game.server().log().LastSeq());
-  constexpr const char* kAuditNames[kNumTiers] = {"audit replay (reference)",
-                                                  "audit replay (jit)"};
+
+  // Every row is the median of kRuns runs, interleaved across rows so
+  // that host noise spreads over all of them alike.
+  constexpr int kRuns = 5;
+  std::vector<double> raw_mips[kNumTiers];
+  std::vector<double> raw_s[kNumTiers];
+  std::vector<double> audit_mips[kNumTiers];
+  std::vector<double> audit_s[kNumTiers];
+  bool audit_ok[kNumTiers] = {true, true};
+  for (int run = 0; run < kRuns; run++) {
+    for (int tier = 0; tier < kNumTiers; tier++) {
+      NullBackend backend;
+      Machine m(256 * 1024, &backend);
+      m.LoadImage(image);
+      m.set_jit_enabled(kTiers[tier].jit);
+      WallTimer t;
+      m.RunUntilIcount(kInstructions);
+      const double s = t.ElapsedSeconds();
+      raw_s[tier].push_back(s);
+      raw_mips[tier].push_back(kInstructions / s / 1e6);
+
+      StreamingReplayer r(game.reference_server_image(), cfg.run.mem_size);
+      r.mutable_machine().set_jit_enabled(kTiers[tier].jit);
+      WallTimer ta;
+      r.Feed(seg.entries);
+      ReplayResult res = r.Finish();
+      const double sa = ta.ElapsedSeconds();
+      audit_s[tier].push_back(sa);
+      audit_mips[tier].push_back(res.instructions_replayed / sa / 1e6);
+      audit_ok[tier] = audit_ok[tier] && res.ok;
+    }
+  }
+
+  PrintRule();
+  std::printf("  replayed-instructions/sec (single stream, %llu Minsn mixed ALU/mem/branch;\n"
+              "  median of %d interleaved runs per row)\n",
+              static_cast<unsigned long long>(kInstructions / 1'000'000), kRuns);
+  std::printf("  %-22s %10s %10s\n", "tier", "MIPS", "seconds");
+  double mips[kNumTiers] = {0};
+  for (int tier = 0; tier < kNumTiers; tier++) {
+    mips[tier] = Median(raw_mips[tier]);
+    std::printf("  %-22s %10.1f %10.3f\n", kTiers[tier].name, mips[tier], Median(raw_s[tier]));
+  }
+  std::printf("  jit speedup: %.2fx vs reference (jit compiled in: %s)\n", mips[1] / mips[0],
+              Machine::JitCompiledIn() ? "yes" : "no");
+  json.Add("replay_mips_reference", mips[0], "Minsn/s");
+  json.Add("replay_mips_jit", mips[1], "Minsn/s");
+  json.Add("replay_jit_speedup", mips[1] / mips[0], "x");
+
   double replay_mips[kNumTiers] = {0};
   for (int tier = 0; tier < kNumTiers; tier++) {
-    StreamingReplayer r(game.reference_server_image(), cfg.run.mem_size);
-    r.mutable_machine().set_jit_enabled(kTiers[tier].jit);
-    WallTimer t;
-    r.Feed(seg.entries);
-    ReplayResult res = r.Finish();
-    double s = t.ElapsedSeconds();
-    replay_mips[tier] = res.instructions_replayed / s / 1e6;
-    std::printf("  %-22s %10.1f %10.3f  (recorded server log, %s)\n", kAuditNames[tier],
-                replay_mips[tier], s, res.ok ? "PASS" : "FAIL");
+    replay_mips[tier] = Median(audit_mips[tier]);
+    std::printf("  %-22s %10.1f %10.3f  (recorded server log, %s)\n", kTiers[tier].audit_name,
+                replay_mips[tier], Median(audit_s[tier]), audit_ok[tier] ? "PASS" : "FAIL");
   }
   std::printf("  audit replay speedup: jit %.2fx vs reference\n", replay_mips[1] / replay_mips[0]);
+  std::printf("  audit replay / raw, jit: %.2f\n", replay_mips[1] / mips[1]);
   json.Add("audit_replay_mips_reference", replay_mips[0], "Minsn/s");
   json.Add("audit_replay_mips_jit", replay_mips[1], "Minsn/s");
   json.Add("audit_replay_jit_speedup", replay_mips[1] / replay_mips[0], "x");

@@ -1,8 +1,32 @@
 #include "src/audit/replayer.h"
 
+#include <algorithm>
+
+#include "src/obs/metrics.h"
 #include "src/util/serde.h"
 
 namespace avm {
+
+namespace {
+
+constexpr char kLandmarkInPast[] = "event landmark lies in the past; execution diverged earlier";
+constexpr char kIoDidNotOccur[] = "expected I/O instruction did not occur during replay";
+
+// Items the guest itself produces by executing IN or a logged OUT.
+bool IsGuestInitiated(TraceKind k) {
+  return k == TraceKind::kPortIn || k == TraceKind::kOutConsole || k == TraceKind::kOutDebug ||
+         k == TraceKind::kOutPacket;
+}
+
+// avm.replay.machine_entries: RunUntilIcount calls that enter the
+// machine (one per host landmark plus one per guest I/O run).
+void CountMachineEntry() {
+  static obs::Counter* const entries =
+      obs::Registry::Global().GetCounter("avm.replay.machine_entries");
+  entries->Inc();
+}
+
+}  // namespace
 
 StreamingReplayer::StreamingReplayer(ByteView reference_image, size_t mem_size)
     : machine_(mem_size, this) {
@@ -25,12 +49,13 @@ void StreamingReplayer::Diverge(std::string why, uint64_t seq) {
 
 bool StreamingReplayer::RunTo(uint64_t target, uint64_t ctx_seq) {
   if (machine_.cpu().icount > target) {
-    Diverge("event landmark lies in the past; execution diverged earlier", ctx_seq);
+    Diverge(kLandmarkInPast, ctx_seq);
     return false;
   }
   if (machine_.cpu().icount == target) {
     return true;
   }
+  CountMachineEntry();
   RunExit ex = machine_.RunUntilIcount(target);
   if (!result_.ok) {
     return false;  // A backend callback detected divergence mid-run.
@@ -58,6 +83,10 @@ uint32_t StreamingReplayer::PortIn(Machine& m, uint16_t port) {
     return 0;
   }
   const PendingItem& item = pending_.front();
+  if (const char* missed = MissedGuestIo(item)) {
+    Diverge(missed, item.seq);
+    return 0;
+  }
   if (item.kind != PendingItem::Kind::kEvent || item.event.kind != TraceKind::kPortIn) {
     Diverge("guest performed IN where the log records " +
                 std::string(item.kind == PendingItem::Kind::kEvent ? TraceKindName(item.event.kind)
@@ -79,6 +108,7 @@ uint32_t StreamingReplayer::PortIn(Machine& m, uint16_t port) {
   }
   uint32_t value = item.event.value;
   pending_.pop_front();
+  front_ready_icount_ = m.cpu().icount + 1;
   return value;
 }
 
@@ -111,6 +141,10 @@ void StreamingReplayer::PortOut(Machine& m, uint16_t port, uint32_t value) {
     return;
   }
   const PendingItem& item = pending_.front();
+  if (const char* missed = MissedGuestIo(item)) {
+    Diverge(missed, item.seq);
+    return;
+  }
   if (item.kind != PendingItem::Kind::kEvent || item.event.kind != expect_kind) {
     Diverge(std::string("guest output ") + TraceKindName(expect_kind) +
                 " where the log records something else",
@@ -133,11 +167,79 @@ void StreamingReplayer::PortOut(Machine& m, uint16_t port, uint32_t value) {
     return;
   }
   pending_.pop_front();
+  front_ready_icount_ = m.cpu().icount + 1;
+}
+
+const char* StreamingReplayer::MissedGuestIo(const PendingItem& item) const {
+  if (item.kind != PendingItem::Kind::kEvent || !IsGuestInitiated(item.event.kind)) {
+    return nullptr;
+  }
+  // Reported exactly as a replay that stopped at every item's landmark
+  // and retired one instruction there would report it.
+  if (item.event.icount < front_ready_icount_) {
+    return kLandmarkInPast;
+  }
+  return machine_.cpu().icount > item.event.icount ? kIoDidNotOccur : nullptr;
+}
+
+bool StreamingReplayer::RunGuestIo() {
+  const PendingItem& first = pending_.front();
+  if (machine_.cpu().icount > first.event.icount) {
+    Diverge(kLandmarkInPast, first.seq);
+    return false;
+  }
+  // Run past every guest item queued before the next host item, and on
+  // to that item's landmark when it is a DMA, IRQ or snapshot, so that
+  // it needs no machine entry of its own. A clock stall instead needs
+  // the machine stopped right after the clock read it follows.
+  uint64_t stop = 0;
+  for (const PendingItem& item : pending_) {
+    if (item.kind == PendingItem::Kind::kSnapshotCheck) {
+      stop = std::max(stop, item.snapshot.icount);
+      break;
+    }
+    if (!IsGuestInitiated(item.event.kind)) {
+      if (item.event.kind != TraceKind::kClockStall) {
+        stop = std::max(stop, item.event.icount);
+      }
+      break;
+    }
+    stop = std::max(stop, item.event.icount + 1);
+  }
+  front_ready_icount_ = machine_.cpu().icount;
+  if (machine_.cpu().icount < stop) {
+    CountMachineEntry();
+    machine_.RunUntilIcount(stop);
+  }
+  if (!result_.ok) {
+    return false;  // A backend callback detected divergence mid-run.
+  }
+  if (pending_.empty()) {
+    return true;
+  }
+  // Every item the guest reached was consumed; what is left at the front
+  // either still lies ahead (a host item) or was missed.
+  const PendingItem& item = pending_.front();
+  if (item.kind != PendingItem::Kind::kEvent || !IsGuestInitiated(item.event.kind)) {
+    return true;
+  }
+  if (const char* missed = MissedGuestIo(item)) {
+    Diverge(missed, item.seq);
+  } else if (machine_.faulted()) {
+    // A fault does not retire its instruction, so this one sat at or
+    // before the landmark.
+    Diverge("replayed machine faulted: " + machine_.fault_reason(), item.seq);
+  } else if (machine_.cpu().icount < item.event.icount) {
+    Diverge("replayed machine halted before event landmark", item.seq);
+  } else {
+    Diverge(kIoDidNotOccur, item.seq);  // Halted right at the landmark.
+  }
+  return false;
 }
 
 void StreamingReplayer::Pump() {
   while (result_.ok && !pending_.empty()) {
-    PendingItem item = pending_.front();
+    const PendingItem& item = pending_.front();
     if (item.kind == PendingItem::Kind::kSnapshotCheck) {
       if (!RunTo(item.snapshot.icount, item.seq)) {
         return;
@@ -188,27 +290,11 @@ void StreamingReplayer::Pump() {
       case TraceKind::kPortIn:
       case TraceKind::kOutConsole:
       case TraceKind::kOutDebug:
-      case TraceKind::kOutPacket: {
-        // Guest-initiated: position just before the recorded instruction,
-        // then execute it; the backend callback consumes the item.
-        if (!RunTo(e.icount, item.seq)) {
-          return;
-        }
-        size_t before = pending_.size();
-        RunExit ex = machine_.Run(1);
-        if (!result_.ok) {
-          return;
-        }
-        if (ex == RunExit::kFault) {
-          Diverge("replayed machine faulted: " + machine_.fault_reason(), item.seq);
-          return;
-        }
-        if (pending_.size() == before) {
-          Diverge("expected I/O instruction did not occur during replay", item.seq);
+      case TraceKind::kOutPacket:
+        if (!RunGuestIo()) {
           return;
         }
         break;
-      }
     }
   }
 }

@@ -90,11 +90,21 @@ class StreamingReplayer : public DeviceBackend {
   // Runs the machine to `target` icount; any port activity on the way is
   // validated against the pending stream by the backend callbacks.
   bool RunTo(uint64_t target, uint64_t ctx_seq);
+  // Replays the queued run of guest-initiated items (IN and logged OUT)
+  // at the front in one machine entry; the callbacks consume each item
+  // as the guest reaches it.
+  bool RunGuestIo();
+  // The divergence for guest item `item` when the guest retired past
+  // its landmark without performing it, or nullptr when it has not.
+  const char* MissedGuestIo(const PendingItem& item) const;
 
   Machine machine_;
   std::deque<PendingItem> pending_;
   ReplayResult result_;
   bool finished_ = false;
+  // Machine icount when the front guest item became the front: a
+  // landmark below it lay in the past before the guest could reach it.
+  uint64_t front_ready_icount_ = 0;
   WallTimer total_timer_;
   uint64_t start_icount_ = 0;
 };

@@ -10,6 +10,13 @@
 //   r13 = live icount            (committed to ctx at every exit)
 //   r14 = target icount
 //   eax/ecx/edx = scratch
+//   esi, edi, r8d-r11d, r15d = guest registers held in host registers
+//                  (self-loop regions only; see MapGuest)
+//
+// Every guest-register operand is encoded as x86 r/m: [rbp + 4*greg]
+// by default, or the mapped host register once MapGuest assigned one,
+// so each translation rule serves both the memory-resident and the
+// register-resident form.
 //
 // Code is emitted into a plain byte vector and copied into the
 // TranslationCache once the block is complete; rel32 fixups inside the
@@ -30,6 +37,7 @@ enum class Cc : uint8_t {
   kAe = 0x3,  // above-or-equal (unsigned >=)
   kE = 0x4,   // equal
   kNe = 0x5,  // not equal
+  kBe = 0x6,  // below-or-equal (unsigned <=)
   kA = 0x7,   // above (unsigned >)
   kL = 0xC,   // less (signed <)
   kGe = 0xD,  // greater-or-equal (signed >=)
@@ -38,8 +46,19 @@ enum class Cc : uint8_t {
 // 32-bit scratch registers used by the generated code.
 enum class R32 : uint8_t { kEax = 0, kEcx = 1, kEdx = 2 };
 
+// Host registers that can hold a guest register across a self-loop:
+// esi, edi, r8d-r11d and r15d. None is a scratch register of the
+// translation rules, and r15 is saved by the trampoline.
+inline constexpr uint8_t kGuestHostRegs[] = {6, 7, 8, 9, 10, 11, 15};
+
 class Emitter {
  public:
+  Emitter() {
+    for (int8_t& h : host_) {
+      h = -1;
+    }
+  }
+
   const std::vector<uint8_t>& bytes() const { return buf_; }
   size_t size() const { return buf_.size(); }
 
@@ -54,7 +73,23 @@ class Emitter {
     return static_cast<uint8_t>(mod << 6 | (reg & 7) << 3 | (rm & 7));
   }
 
-  // --- Guest register file accesses: [rbp + 4*greg], disp8 -------------
+  // --- Guest register placement -----------------------------------------
+
+  // From now on guest register `greg` lives in host register `host` (one
+  // of kGuestHostRegs) for every r/m operand emitted.
+  void MapGuest(int greg, uint8_t host) { host_[greg] = static_cast<int8_t>(host); }
+  // Host register holding `greg`, or -1 when it stays in memory.
+  int HostOf(int greg) const { return host_[greg]; }
+  // Guest-register operands emitted so far, per register: the weights
+  // for choosing which registers a self-loop holds in host registers.
+  uint32_t GuestUses(int greg) const { return uses_[greg]; }
+
+  // mov host32, [rbp + 4*greg]
+  void LoadHostFromGuestMem(uint8_t host, int greg) { HostMemRbp(0x8B, host, greg); }
+  // mov [rbp + 4*greg], host32
+  void StoreHostToGuestMem(int greg, uint8_t host) { HostMemRbp(0x89, host, greg); }
+
+  // --- Guest register accesses: [rbp + 4*greg] or the mapped register ---
 
   // mov r32, [rbp + 4*greg]
   void LoadGuest(R32 r, int greg) { MemRbp(0x8B, static_cast<uint8_t>(r), greg); }
@@ -67,10 +102,7 @@ class Emitter {
   void OrMemGuest(int greg, R32 r) { MemRbp(0x09, static_cast<uint8_t>(r), greg); }
   void XorMemGuest(int greg, R32 r) { MemRbp(0x31, static_cast<uint8_t>(r), greg); }
   // imul eax, [rbp + 4*greg]
-  void ImulEaxGuest(int greg) {
-    Byte(0x0F);
-    MemRbp(0xAF, 0, greg);
-  }
+  void ImulEaxGuest(int greg) { MemRbp(0xAF, 0, greg, /*escape_0f=*/true); }
   // cmp eax, [rbp + 4*greg]
   void CmpEaxGuest(int greg) { MemRbp(0x3B, 0, greg); }
   // mov dword [rbp + 4*greg], imm32
@@ -201,6 +233,39 @@ class Emitter {
     Byte(ModRM(1, 0, 3));
     Byte(disp);
   }
+  // mov [rbx + disp8], r13
+  void StoreCtxR13(uint8_t disp) {
+    Byte(0x4C);
+    Byte(0x89);
+    Byte(ModRM(1, 5, 3));
+    Byte(disp);
+  }
+  // mov r13, [rbx + disp8]
+  void LoadR13Ctx(uint8_t disp) {
+    Byte(0x4C);
+    Byte(0x8B);
+    Byte(ModRM(1, 5, 3));
+    Byte(disp);
+  }
+  // Calls the helper whose pointer is at [rbx + disp8] with the context
+  // as its only argument, then tests its uint32_t result:
+  //   mov rdi, rbx; sub rsp, 8; call [rbx + disp8]; add rsp, 8; test eax, eax
+  // Generated code runs with rsp = 8 (mod 16) (the trampoline pushes six
+  // registers after the caller's return address), hence the padding.
+  // The call clobbers the caller-saved registers, mapped ones included.
+  void CallCtxHelper(uint8_t disp) {
+    static constexpr uint8_t kPre[] = {0x48, 0x89, 0xDF, 0x48, 0x83, 0xEC, 0x08};
+    for (uint8_t b : kPre) {
+      Byte(b);
+    }
+    Byte(0xFF);
+    Byte(ModRM(1, 2, 3));
+    Byte(disp);
+    static constexpr uint8_t kPost[] = {0x48, 0x83, 0xC4, 0x08, 0x85, 0xC0};
+    for (uint8_t b : kPost) {
+      Byte(b);
+    }
+  }
   // mov [rbx + disp8], eax
   void StoreCtx32Eax(uint8_t disp) {
     Byte(0x89);
@@ -282,6 +347,12 @@ class Emitter {
     U32(0);
     return at;
   }
+  // jcc rel32 to an already emitted offset (a loop back edge).
+  void JccTo(Cc cc, size_t target) {
+    Byte(0x0F);
+    Byte(static_cast<uint8_t>(0x80 + static_cast<uint8_t>(cc)));
+    U32(static_cast<uint32_t>(static_cast<int64_t>(target) - static_cast<int64_t>(size() + 4)));
+  }
   // Points a previously emitted rel32 at the current position.
   void Bind(size_t fixup_at) { PatchU32(fixup_at, static_cast<uint32_t>(size() - (fixup_at + 4))); }
   void PatchU32(size_t at, uint32_t v) {
@@ -313,14 +384,41 @@ class Emitter {
   }
 
  private:
-  // opcode + modrm(01, reg, rbp) + disp8 for the guest register file.
-  void MemRbp(uint8_t opcode, uint8_t reg, int greg) {
+  // [REX.B] [0x0F] opcode + r/m for guest register `greg`: modrm(01, reg,
+  // rbp) + disp8 into the register file, or modrm(11, reg, host) when
+  // the register is mapped. `reg` is a scratch register or an opcode
+  // extension (< 8), so REX.R is never needed.
+  void MemRbp(uint8_t opcode, uint8_t reg, int greg, bool escape_0f = false) {
+    uses_[greg]++;
+    const int host = host_[greg];
+    if (host >= 8) {
+      Byte(0x41);
+    }
+    if (escape_0f) {
+      Byte(0x0F);
+    }
     Byte(opcode);
-    Byte(ModRM(1, reg, 5));
+    if (host < 0) {
+      Byte(ModRM(1, reg, 5));
+      Byte(static_cast<uint8_t>(4 * greg));
+    } else {
+      Byte(ModRM(3, reg, static_cast<uint8_t>(host)));
+    }
+  }
+  // [REX.R] opcode + modrm(01, host, rbp) + disp8: moves between a host
+  // register and the guest register file.
+  void HostMemRbp(uint8_t opcode, uint8_t host, int greg) {
+    if (host >= 8) {
+      Byte(0x44);
+    }
+    Byte(opcode);
+    Byte(ModRM(1, host, 5));
     Byte(static_cast<uint8_t>(4 * greg));
   }
 
   std::vector<uint8_t> buf_;
+  int8_t host_[16];
+  uint32_t uses_[16] = {0};
 };
 
 }  // namespace jit

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstring>
+#include <iterator>
 
 #include "src/obs/metrics.h"
 #include "src/vm/analysis/analysis.h"
@@ -30,12 +31,14 @@ static_assert(offsetof(JitContext, dirty) == kCtxDirty);
 static_assert(offsetof(JitContext, code_pages) == kCtxCodePages);
 static_assert(offsetof(JitContext, cpu) == kCtxCpu);
 static_assert(offsetof(JitContext, mod_addr) == kCtxModAddr);
+static_assert(offsetof(JitContext, io_fn) == kCtxIoFn);
 // DI writes cpu->int_enabled through a disp8 addressing mode.
 static_assert(offsetof(CpuState, int_enabled) < 128);
 
 // Instructions the translator emits inline, i.e. a block continues past
-// them. Everything else ends a block: control transfers (translated as
-// chain/dynamic exits) and runtime-deferred ops (fallback exits).
+// them (IN/OUT as helper calls). Everything else ends a block: control
+// transfers (translated as chain/dynamic exits) and runtime-deferred
+// ops (fallback exits).
 bool IsStraightLine(uint8_t opcode) {
   switch (static_cast<Op>(opcode)) {
     case Op::kNop:
@@ -62,13 +65,55 @@ bool IsStraightLine(uint8_t opcode) {
     case Op::kLb:
     case Op::kSb:
     case Op::kDi:
+    case Op::kIn:
+    case Op::kOut:
       return true;
     default:
       return false;
   }
 }
 
+// Ops only the interpreter retires: HALT, EI, IRET and undecodable
+// words. A translation unit can never start at one.
+bool IsRuntimeDeferred(uint8_t opcode) {
+  if (IsStraightLine(opcode)) {
+    return false;
+  }
+  switch (static_cast<Op>(opcode)) {
+    case Op::kBeq:
+    case Op::kBne:
+    case Op::kBlt:
+    case Op::kBge:
+    case Op::kBltu:
+    case Op::kBgeu:
+    case Op::kJmp:
+    case Op::kJal:
+    case Op::kJr:
+    case Op::kJalr:
+      return false;
+    default:
+      return true;
+  }
+}
+
+constexpr const char* kIoExitNames[kNumIoExits] = {"irq", "icount", "invalidate", "halt_fault",
+                                                   "exception"};
+
 }  // namespace
+
+// What one EmitBlock pass produced.
+struct JitEngine::Emitted {
+  // Buffer offsets of the chain slots' rel32 immediates, in slot-id
+  // order starting at chain_slots_.size().
+  std::vector<size_t> slot_sites;
+  uint32_t insn_count = 0;
+  // Guest byte ranges covered (one per fused block).
+  std::vector<std::pair<uint32_t, uint32_t>> spans;
+  uint32_t blocks_fused = 0;
+  uint32_t dead_writes = 0;
+  bool self_loop = false;  // Some chain exit targets the head itself.
+  bool has_io = false;     // Contains an IN/OUT helper call.
+};
 
 bool JitSupported() { return AVM_JIT_X86 != 0; }
 
@@ -97,6 +142,11 @@ JitEngine::JitEngine(const JitConfig& cfg, uint8_t* mem, size_t mem_size, uint8_
   c_regions_fused_ = reg.GetCounter("avm.jit.regions_fused");
   c_dead_writes_ = reg.GetCounter("avm.jit.dead_writes_skipped");
   c_native_enters_ = reg.GetCounter("avm.jit.native_enters");
+  c_io_calls_ = reg.GetCounter("avm.jit.io_calls");
+  for (int i = 0; i < kNumIoExits; i++) {
+    c_io_exits_[i] = reg.GetCounter("avm.jit.io_exits", {{"reason", kIoExitNames[i]}});
+  }
+  c_loop_regions_ = reg.GetCounter("avm.jit.loop_regions");
   h_region_insns_ = reg.GetHistogram("avm.jit.region_insns");
   h_region_blocks_ = reg.GetHistogram("avm.jit.region_blocks");
   h_block_exec_ = reg.GetHistogram("avm.jit.block_exec");
@@ -146,18 +196,26 @@ void JitEngine::CountSelfMod() {
   c_selfmod_->Inc();
 }
 
+void JitEngine::CountIoCall() {
+  stats_.io_calls++;
+  c_io_calls_->Inc();
+}
+
+void JitEngine::CountIoExit(IoExit why) {
+  const int i = static_cast<int>(why);
+  stats_.io_exits[i]++;
+  c_io_exits_[i]->Inc();
+}
+
 // Emits one translation unit starting at `head` into `em`: a single
 // basic block, or — with analysis hints installed — a straight-line
 // region fused across direct JMP/JAL edges the static CFG resolved.
 // Returns false when the head instruction itself is runtime-deferred
-// (nothing to translate). slot_sites collects the buffer offsets of the
-// chain slots' rel32 immediates, in slot-id order starting at
-// chain_slots_.size(). `spans` receives the guest byte ranges covered
-// (one per fused block), `blocks_fused` the number of fusion events.
-bool JitEngine::EmitBlock(uint32_t head, Emitter* emp, std::vector<size_t>* slot_sites,
-                          uint32_t* insn_count,
-                          std::vector<std::pair<uint32_t, uint32_t>>* spans,
-                          uint32_t* blocks_fused) {
+// (nothing to translate). With `hold_loop_regs` the unit is a self-loop
+// whose guest registers `em` maps to host registers: they are loaded
+// after the entry budget check, written back before every exit, and the
+// chain edge to `head` becomes an in-place back edge.
+bool JitEngine::EmitBlock(uint32_t head, bool hold_loop_regs, Emitter* emp, Emitted* out) {
   Emitter& em = *emp;
   const uint32_t base_slot = static_cast<uint32_t>(chain_slots_.size());
   // With hints the cap covers whole regions; plain blocks keep the
@@ -169,38 +227,80 @@ bool JitEngine::EmitBlock(uint32_t head, Emitter* emp, std::vector<size_t>* slot
   struct PendingStub {
     size_t fix_at;     // rel32 to bind at the stub.
     uint32_t pc;       // Guest pc the stub reports.
-    uint32_t retired;  // Instructions retired when the stub runs.
+    uint32_t retired;  // Instructions the stub adds to r13.
   };
   std::vector<PendingStub> falls;     // Failed bounds checks -> interpreter.
   std::vector<PendingStub> selfmods;  // Stores into translated pages.
+  std::vector<size_t> io_exits;       // IN/OUT helper said "leave".
+  std::vector<size_t> count_sites;    // disp32s that receive the unit length.
+
+  // Writes the host-held guest registers back before an exit.
+  auto write_back = [&] {
+    if (!hold_loop_regs) {
+      return;
+    }
+    for (int g = 0; g < kNumRegs; g++) {
+      if (em.HostOf(g) >= 0) {
+        em.StoreHostToGuestMem(g, static_cast<uint8_t>(em.HostOf(g)));
+      }
+    }
+  };
 
   // Entry budget check: run only when icount + insn_count <= target, so
   // a chained run can never overshoot an icount landmark. The count is
   // patched in once the block length is known.
-  const size_t count_at = em.LeaRaxR13Disp32(0);
+  count_sites.push_back(em.LeaRaxR13Disp32(0));
   em.CmpRaxR14();
   const size_t budget_fix = em.Jcc(Cc::kA);
-
-  // A chain slot: commit icount and the successor pc, then a patchable
-  // jmp that initially falls into its own miss stub. PatchChain later
-  // redirects the jmp straight to the successor's entry.
-  auto chain_to = [&](uint32_t succ, uint32_t retired) {
-    em.AddR13Imm(retired);
-    em.StoreCtx32Imm(kCtxPc, succ);
-    const uint32_t slot_id = base_slot + static_cast<uint32_t>(slot_sites->size());
-    const size_t fix = em.Jmp();
-    slot_sites->push_back(fix);
-    em.Bind(fix);
-    em.StoreCtx32Imm(kCtxExitSlot, slot_id);
-    em.ExitEpilogue(kExitChainMiss, kCtxIcount);
-  };
+  if (hold_loop_regs) {
+    for (int g = 0; g < kNumRegs; g++) {
+      if (em.HostOf(g) >= 0) {
+        em.LoadHostFromGuestMem(static_cast<uint8_t>(em.HostOf(g)), g);
+      }
+    }
+  }
+  const size_t loop_top = em.size();
 
   uint32_t p = head;   // Guest pc being translated.
   uint32_t n = 0;      // Straight-line instructions emitted so far.
   uint32_t total = 0;  // Retired count on the block's longest path.
+  // Instructions already added to r13: an IN/OUT helper call commits the
+  // count before it, and later exits add only the difference.
+  uint32_t committed = 0;
   bool open = true;
   uint32_t span_start = head;           // Start of the current guest span.
   std::vector<uint32_t> fused_heads{head};  // Loop guard for fusion.
+
+  // A chain slot: commit icount and the successor pc, then a patchable
+  // jmp that initially falls into its own miss stub. PatchChain later
+  // redirects the jmp straight to the successor's entry. In a self-loop
+  // the edge back to `head` instead re-checks the budget for one more
+  // pass and jumps to loop_top, keeping the registers in place.
+  auto chain_to = [&](uint32_t succ, uint32_t retired) {
+    em.AddR13Imm(retired - committed);
+    if (succ == head) {
+      out->self_loop = true;
+      if (hold_loop_regs) {
+        count_sites.push_back(em.LeaRaxR13Disp32(0));
+        em.CmpRaxR14();
+        em.JccTo(Cc::kBe, loop_top);
+        // Not enough budget for another pass: leave exactly as a failed
+        // entry check would, with every instruction so far retired.
+        write_back();
+        em.StoreCtx32Imm(kCtxPc, head);
+        em.ExitEpilogue(kExitNoBudget, kCtxIcount);
+        return;
+      }
+    }
+    write_back();
+    em.StoreCtx32Imm(kCtxPc, succ);
+    const uint32_t slot_id = base_slot + static_cast<uint32_t>(out->slot_sites.size());
+    const size_t fix = em.Jmp();
+    out->slot_sites.push_back(fix);
+    em.Bind(fix);
+    em.StoreCtx32Imm(kCtxExitSlot, slot_id);
+    em.ExitEpilogue(kExitChainMiss, kCtxIcount);
+  };
 
   // Region fusion: a direct JMP/JAL whose target the static CFG knows
   // can be translated *through* — the jump retires (icount) but emits
@@ -218,11 +318,9 @@ bool JitEngine::EmitBlock(uint32_t head, Emitter* emp, std::vector<size_t>* slot
   };
   auto fuse_to = [&](uint32_t target) {
     fused_heads.push_back(target);
-    spans->emplace_back(span_start, p + 4);
+    out->spans.emplace_back(span_start, p + 4);
     span_start = target;
-    (*blocks_fused)++;
-    stats_.regions_fused++;
-    c_regions_fused_->Inc();
+    out->blocks_fused++;
     n++;  // The jump itself retires.
     p = target;
   };
@@ -233,8 +331,9 @@ bool JitEngine::EmitBlock(uint32_t head, Emitter* emp, std::vector<size_t>* slot
   // (pure compute, NOP, DI) between the def and its redef — the sole
   // exit in such a window is the entry budget check, which runs before
   // anything retires — so no exit or landmark can observe the stale
-  // value. Loads/stores (fault side-exits), terminators and fallbacks
-  // are barriers; the redef must also land inside this unit's cap.
+  // value. Loads/stores (fault side-exits), IN/OUT (helper calls read
+  // the register file), terminators and fallbacks are barriers; the
+  // redef must also land inside this unit's cap.
   auto dead_writeback = [&](const Insn& in) {
     if (hints_ == nullptr) {
       return false;
@@ -279,8 +378,7 @@ bool JitEngine::EmitBlock(uint32_t head, Emitter* emp, std::vector<size_t>* slot
     const uint32_t simm = static_cast<uint32_t>(in.SImm());
     if (analysis::IsPureComputeOp(static_cast<uint8_t>(word >> 24)) &&
         dead_writeback(in)) {
-      stats_.dead_writes_skipped++;
-      c_dead_writes_->Inc();
+      out->dead_writes++;
       n++;
       p += 4;
       continue;
@@ -380,9 +478,9 @@ bool JitEngine::EmitBlock(uint32_t head, Emitter* emp, std::vector<size_t>* slot
         em.LoadGuest(R32::kEax, in.rb);
         em.AddEaxImm(simm);
         em.TestEaxImm(3);
-        falls.push_back({em.Jcc(Cc::kNe), p, n});
+        falls.push_back({em.Jcc(Cc::kNe), p, n - committed});
         em.CmpEaxImm(static_cast<uint32_t>(mem_size_ - 4));
-        falls.push_back({em.Jcc(Cc::kA), p, n});
+        falls.push_back({em.Jcc(Cc::kA), p, n - committed});
         em.LoadMem32(R32::kEcx);
         em.StoreGuest(in.ra, R32::kEcx);
         break;
@@ -390,7 +488,7 @@ bool JitEngine::EmitBlock(uint32_t head, Emitter* emp, std::vector<size_t>* slot
         em.LoadGuest(R32::kEax, in.rb);
         em.AddEaxImm(simm);
         em.CmpEaxImm(static_cast<uint32_t>(mem_size_));
-        falls.push_back({em.Jcc(Cc::kAe), p, n});
+        falls.push_back({em.Jcc(Cc::kAe), p, n - committed});
         em.LoadMem8(R32::kEcx);
         em.StoreGuest(in.ra, R32::kEcx);
         break;
@@ -401,12 +499,12 @@ bool JitEngine::EmitBlock(uint32_t head, Emitter* emp, std::vector<size_t>* slot
         em.AddEaxImm(simm);
         if (word_op) {
           em.TestEaxImm(3);
-          falls.push_back({em.Jcc(Cc::kNe), p, n});
+          falls.push_back({em.Jcc(Cc::kNe), p, n - committed});
           em.CmpEaxImm(static_cast<uint32_t>(mem_size_ - 4));
-          falls.push_back({em.Jcc(Cc::kA), p, n});
+          falls.push_back({em.Jcc(Cc::kA), p, n - committed});
         } else {
           em.CmpEaxImm(static_cast<uint32_t>(mem_size_));
-          falls.push_back({em.Jcc(Cc::kAe), p, n});
+          falls.push_back({em.Jcc(Cc::kAe), p, n - committed});
         }
         em.LoadGuest(R32::kEcx, in.ra);
         if (word_op) {
@@ -424,7 +522,7 @@ bool JitEngine::EmitBlock(uint32_t head, Emitter* emp, std::vector<size_t>* slot
         em.StoreByteRcxRdx(1);
         em.LoadCtxPtrRcx(kCtxCodePages);
         em.CmpByteRcxRdxZero();
-        selfmods.push_back({em.Jcc(Cc::kNe), p + 4, n + 1});
+        selfmods.push_back({em.Jcc(Cc::kNe), p + 4, n + 1 - committed});
         break;
       }
       case Op::kBeq:
@@ -479,35 +577,46 @@ bool JitEngine::EmitBlock(uint32_t head, Emitter* emp, std::vector<size_t>* slot
         break;
       }
       case Op::kJr:
-        em.LoadGuest(R32::kEax, in.ra);
+      case Op::kJalr:
+        if (in.op == Op::kJr) {
+          em.LoadGuest(R32::kEax, in.ra);
+        } else {
+          em.LoadGuest(R32::kEax, in.rb);  // Target before the link write:
+          em.MovGuestImm(in.ra, p + 4);    // ra may alias rb.
+        }
         em.StoreCtx32Eax(kCtxPc);
-        em.AddR13Imm(n + 1);
+        em.AddR13Imm(n + 1 - committed);
+        write_back();
         em.ExitEpilogue(kExitDynamic, kCtxIcount);
         total = n + 1;
         p += 4;
         open = false;
         break;
-      case Op::kJalr:
-        em.LoadGuest(R32::kEax, in.rb);  // Target before the link write:
-        em.MovGuestImm(in.ra, p + 4);    // ra may alias rb.
-        em.StoreCtx32Eax(kCtxPc);
-        em.AddR13Imm(n + 1);
-        em.ExitEpilogue(kExitDynamic, kCtxIcount);
-        total = n + 1;
-        p += 4;
-        open = false;
+      case Op::kIn:
+      case Op::kOut:
+        // The helper retires the instruction through Step(); icount and
+        // pc are committed first so the backend sees the exact landmark.
+        // The helper returns nonzero when native code must not continue.
+        out->has_io = true;
+        em.AddR13Imm(n - committed);
+        committed = n;
+        em.StoreCtxR13(kCtxIcount);
+        em.StoreCtx32Imm(kCtxPc, p);
+        em.CallCtxHelper(kCtxIoFn);
+        io_exits.push_back(em.Jcc(Cc::kNe));
         break;
       case Op::kDi:
         em.LoadCtxPtrRax(kCtxCpu);
         em.StoreByteRaxDisp(static_cast<uint8_t>(offsetof(CpuState, int_enabled)), 0);
         break;
       default:
-        // HALT/IN/OUT/EI/IRET/illegal: defer to the interpreter, which
-        // owns backend calls, interrupt boundaries and fault messages.
+        // HALT/EI/IRET/illegal: defer to the interpreter, which owns
+        // interrupt boundaries and fault messages.
         if (n == 0) {
           return false;
         }
-        em.AddR13Imm(n);
+        em.AddR13Imm(n - committed);
+        write_back();
         em.StoreCtx32Imm(kCtxPc, p);
         em.ExitEpilogue(kExitFallback, kCtxIcount);
         total = n;
@@ -527,6 +636,7 @@ bool JitEngine::EmitBlock(uint32_t head, Emitter* emp, std::vector<size_t>* slot
   for (const PendingStub& s : falls) {
     em.Bind(s.fix_at);
     em.AddR13Imm(s.retired);
+    write_back();
     em.StoreCtx32Imm(kCtxPc, s.pc);
     em.ExitEpilogue(kExitFallback, kCtxIcount);
   }
@@ -534,32 +644,55 @@ bool JitEngine::EmitBlock(uint32_t head, Emitter* emp, std::vector<size_t>* slot
     em.Bind(s.fix_at);
     em.StoreCtx32Eax(kCtxModAddr);  // eax still holds the store address.
     em.AddR13Imm(s.retired);
+    write_back();
     em.StoreCtx32Imm(kCtxPc, s.pc);
     em.ExitEpilogue(kExitSelfMod, kCtxIcount);
   }
+  for (size_t fix : io_exits) {
+    // The helper left the post-instruction icount/pc in ctx.
+    em.Bind(fix);
+    em.LoadR13Ctx(kCtxIcount);
+    em.ExitEpilogue(kExitIo, kCtxIcount);
+  }
 
-  em.PatchU32(count_at, total);
-  *insn_count = total;
+  for (size_t site : count_sites) {
+    em.PatchU32(site, total);
+  }
+  out->insn_count = total;
   // Fallback/cap terminators are re-fetched by the interpreter and stay
   // outside the spans; translated terminators were counted above.
   if (p > span_start) {
-    spans->emplace_back(span_start, p);
+    out->spans.emplace_back(span_start, p);
   }
   return true;
 }
 
 TranslatedBlock* JitEngine::Compile(uint32_t pc) {
-  if (!cache_.ok() || pc % 4 != 0 || mem_size_ < 4 || pc > mem_size_ - 4) {
-    return nullptr;
-  }
   for (int attempt = 0; attempt < 2; attempt++) {
     Emitter em;
-    std::vector<size_t> slot_sites;
-    uint32_t insn_count = 0;
-    std::vector<std::pair<uint32_t, uint32_t>> spans;
-    uint32_t blocks_fused = 0;
-    if (!EmitBlock(pc, &em, &slot_sites, &insn_count, &spans, &blocks_fused)) {
+    Emitted out;
+    if (!EmitBlock(pc, /*hold_loop_regs=*/false, &em, &out)) {
       return nullptr;
+    }
+    const bool loop_regs = out.self_loop && !out.has_io;
+    if (loop_regs) {
+      // A self-loop: translate again with its most-used guest registers
+      // held in host registers (the first pass counted the uses).
+      Emitter loop_em;
+      int order[kNumRegs];
+      for (int g = 0; g < kNumRegs; g++) {
+        order[g] = g;
+      }
+      std::stable_sort(order, order + kNumRegs, [&](int a, int b) {
+        return em.GuestUses(a) > em.GuestUses(b);
+      });
+      for (size_t i = 0; i < std::size(kGuestHostRegs) && em.GuestUses(order[i]) != 0; i++) {
+        loop_em.MapGuest(order[i], kGuestHostRegs[i]);
+      }
+      Emitted loop_out;
+      EmitBlock(pc, /*hold_loop_regs=*/true, &loop_em, &loop_out);
+      em = std::move(loop_em);
+      out = std::move(loop_out);
     }
     cache_.MakeWritable();
     uint8_t* dst = cache_.Alloc(em.size());
@@ -574,11 +707,11 @@ TranslatedBlock* JitEngine::Compile(uint32_t pc) {
     std::memcpy(dst, em.bytes().data(), em.size());
     cache_.MakeExecutable();
 
-    for (size_t site : slot_sites) {
+    for (size_t site : out.slot_sites) {
       chain_slots_.push_back(ChainSlot{dst + site});
     }
     block_storage_.push_back(
-        TranslatedBlock{pc, insn_count, dst, false, std::move(spans), 0});
+        TranslatedBlock{pc, out.insn_count, dst, false, std::move(out.spans), 0});
     TranslatedBlock* b = &block_storage_.back();
     blocks_by_pc_[pc] = b;
     for (const auto& [s, e] : b->spans) {
@@ -595,8 +728,16 @@ TranslatedBlock* JitEngine::Compile(uint32_t pc) {
     stats_.code_bytes += em.size();
     c_translations_->Inc();
     c_code_bytes_->Inc(em.size());
-    h_region_insns_->Record(insn_count);
-    h_region_blocks_->Record(blocks_fused + 1);
+    stats_.regions_fused += out.blocks_fused;
+    c_regions_fused_->Inc(out.blocks_fused);
+    stats_.dead_writes_skipped += out.dead_writes;
+    c_dead_writes_->Inc(out.dead_writes);
+    if (loop_regs) {
+      stats_.loop_regions++;
+      c_loop_regions_->Inc();
+    }
+    h_region_insns_->Record(out.insn_count);
+    h_region_blocks_->Record(out.blocks_fused + 1);
     return b;
   }
   return nullptr;
@@ -607,18 +748,22 @@ TranslatedBlock* JitEngine::MaybeCompile(uint32_t pc) {
   if (it != blocks_by_pc_.end()) {
     return it->second;
   }
-  if (!cache_.ok()) {
+  if (!cache_.ok() || pc % 4 != 0 || pc > mem_size_ - 4) {
+    return nullptr;
+  }
+  // A head only the interpreter can retire (EI, IRET, HALT, illegal)
+  // never translates: skip the heat count and the throwaway Compile.
+  // Decoding live memory keeps this right when the guest rewrites it.
+  uint32_t word;
+  std::memcpy(&word, mem_ + pc, 4);
+  if (IsRuntimeDeferred(static_cast<uint8_t>(word >> 24))) {
     return nullptr;
   }
   if (++heat_[pc] < cfg_.hot_threshold) {
     return nullptr;
   }
   TranslatedBlock* b = Compile(pc);  // May Flush(), which clears heat_.
-  if (b == nullptr) {
-    heat_[pc] = 0;  // Untranslatable head: cool off, retry later.
-  } else {
-    heat_.erase(pc);
-  }
+  heat_.erase(pc);
   return b;
 }
 
@@ -656,6 +801,7 @@ void JitEngine::InvalidatePage(size_t page) {
   if (page >= page_count_) {
     return;
   }
+  invalidation_epoch_++;
   std::vector<TranslatedBlock*>& list = page_blocks_[page];
   if (!list.empty()) {
     cache_.MakeWritable();
@@ -683,6 +829,7 @@ void JitEngine::InvalidatePage(size_t page) {
 }
 
 void JitEngine::Flush() {
+  invalidation_epoch_++;
   for (TranslatedBlock& b : block_storage_) {
     if (!b.invalidated) {
       RetireExecCount(&b);

@@ -7,8 +7,8 @@
 //
 //   * A block is a straight-line run of guest instructions ending at a
 //     control transfer (branch/JMP/JAL/JR/JALR), an instruction that
-//     needs the runtime (IN/OUT/EI/IRET/HALT/illegal), or the length
-//     cap. Translation reads guest memory through the same Decode() the
+//     needs the interpreter (EI/IRET/HALT/illegal), or the length cap.
+//     Translation reads guest memory through the same Decode() the
 //     interpreter uses.
 //   * Every block entry re-checks the icount budget: the block runs
 //     only when `icount + insn_count <= target_icount`, so RunUntilIcount
@@ -19,12 +19,26 @@
 //     with the successor pc + slot id); once the successor is compiled
 //     the slot jumps straight to its entry, whose budget check keeps
 //     landmark stops exact.
-//   * Anything hard side-exits with pc/icount synced to just BEFORE the
-//     difficult instruction and lets Machine::Step() execute it: memory
-//     ops that would fault, IN/OUT (backends can stall the clock, halt,
-//     or raise IRQs mid-instruction), EI/IRET (interrupt-boundary
-//     re-checks). Replay divergence behavior is therefore inherited
-//     from the interpreter, not re-implemented.
+//   * IN/OUT stay inside the block as a call through JitContext::io_fn
+//     with icount and pc committed first. The Machine's helper retires
+//     the instruction with the reference Step(), so backend calls, §6.5
+//     clock stalls and divergence reasons live in one place, and native
+//     code continues only when the instruction retired plainly (icount
+//     +1, pc +4, no deliverable interrupt, no invalidated translation,
+//     no halt or fault). Otherwise the block leaves with kExitIo. The
+//     helper catches backend exceptions, so none unwinds through
+//     generated code; the dispatcher rethrows them.
+//   * Anything else hard side-exits with pc/icount synced to just
+//     BEFORE the difficult instruction and lets Machine::Step() execute
+//     it: memory ops that would fault and EI/IRET/HALT (interrupt-
+//     boundary re-checks). Fault behaviour is therefore inherited from
+//     the interpreter, not re-implemented.
+//   * Self-loops: a region without IN/OUT whose chain successor is its
+//     own head holds up to seven of the guest registers it touches in
+//     host registers. They are loaded after the entry budget check and
+//     written back before every exit; the back edge adds the region
+//     length to icount, re-checks the budget and jumps back inside the
+//     region instead of re-entering through the dispatcher or a chain.
 //   * Self-modifying writes: stores check a per-page "has translations"
 //     byte map (the same map Machine's write paths consult) and
 //     side-exit so the runtime can drop the affected translations —
@@ -85,6 +99,12 @@ struct JitContext {
   CpuState* cpu = nullptr;        // +56  for int_enabled writes (DI)
   uint32_t mod_addr = 0;          // +64  self-modifying store address
   uint32_t pad_ = 0;
+  // +72  IN/OUT helper: retires the instruction at ctx.pc (icount in
+  // ctx.icount) and returns 0 when native code may continue; otherwise
+  // it leaves the post-instruction icount/pc in ctx and the block exits
+  // with kExitIo.
+  uint32_t (*io_fn)(JitContext*) = nullptr;
+  void* host = nullptr;           // +80  the Machine, for io_fn
 };
 
 inline constexpr uint8_t kCtxRegs = 0;
@@ -97,6 +117,7 @@ inline constexpr uint8_t kCtxDirty = 40;
 inline constexpr uint8_t kCtxCodePages = 48;
 inline constexpr uint8_t kCtxCpu = 56;
 inline constexpr uint8_t kCtxModAddr = 64;
+inline constexpr uint8_t kCtxIoFn = 72;
 
 // Exit codes returned in eax by the generated code.
 enum JitExit : uint32_t {
@@ -112,14 +133,28 @@ enum JitExit : uint32_t {
   // boundary that Step() passes before every instruction.
   kExitDynamic = 2,
   // ctx.pc points at an instruction the JIT defers to the interpreter
-  // (IN/OUT/EI/IRET/HALT/illegal, or a memory op whose bounds check
-  // failed); icount counts only the instructions retired before it.
+  // (EI/IRET/HALT/illegal, or a memory op whose bounds check failed);
+  // icount counts only the instructions retired before it.
   kExitFallback = 3,
   // A store landed on a page holding translations; the store itself has
   // retired (icount/pc include it, dirty updated). ctx.mod_addr
   // is the written address; the runtime invalidates and resumes.
   kExitSelfMod = 4,
+  // The IN/OUT helper retired its instruction (or threw) but native code
+  // may not continue; ctx holds the post-instruction icount/pc.
+  kExitIo = 5,
 };
+
+// Why an IN/OUT helper call left native code (avm.jit.io_exits labels).
+enum class IoExit : uint8_t {
+  kIrq,         // A deliverable interrupt is pending.
+  kIcount,      // icount moved by other than 1 (a §6.5 clock stall),
+                // or pc did not move to the next word.
+  kInvalidate,  // The instruction invalidated or flushed translations.
+  kHaltFault,   // The machine halted or faulted.
+  kException,   // The backend threw; the dispatcher rethrows.
+};
+inline constexpr int kNumIoExits = 5;
 
 struct TranslatedBlock {
   uint32_t guest_pc = 0;     // First instruction.
@@ -149,6 +184,9 @@ struct JitStats {
   uint64_t native_enters = 0;
   uint64_t regions_fused = 0;        // Extra basic blocks merged into regions.
   uint64_t dead_writes_skipped = 0;  // Writebacks proven dead by liveness.
+  uint64_t io_calls = 0;             // IN/OUT retired through the helper.
+  uint64_t io_exits[kNumIoExits] = {0};  // Helper calls that left native code.
+  uint64_t loop_regions = 0;         // Self-loops translated with host registers.
 };
 
 struct JitConfig {
@@ -205,8 +243,9 @@ class JitEngine {
   }
 
   // Heat-counts pc and compiles once it crosses the threshold. Returns
-  // the block, or nullptr when pc is still cold or untranslatable. May
-  // flush the whole cache when full.
+  // the block, or nullptr when pc is still cold or untranslatable (out
+  // of range, or its live word is EI/IRET/HALT/illegal, which is never
+  // heat-counted). May flush the whole cache when full.
   TranslatedBlock* MaybeCompile(uint32_t pc);
 
   // Runs native code starting at `b` (chains run inside). The caller
@@ -227,6 +266,14 @@ class JitEngine {
   // Dispatcher-side stat hooks for exits the native code cannot count.
   void CountFallback();
   void CountSelfMod();
+  // IN/OUT helper hooks.
+  void CountIoCall();
+  void CountIoExit(IoExit why);
+
+  // Bumped by every InvalidatePage and Flush: the IN/OUT helper compares
+  // it across the instruction to see whether the running translation
+  // may have been dropped.
+  uint64_t invalidation_epoch() const { return invalidation_epoch_; }
 
   // Cache generation, bumped by Flush: the dispatcher uses it to detect
   // that a chain slot id from before a compile-triggered flush is stale.
@@ -240,11 +287,10 @@ class JitEngine {
     uint8_t* patch_at = nullptr;  // The 5-byte jmp rel32 to rewrite.
   };
 
+  struct Emitted;  // EmitBlock's results; defined in jit.cc.
+
   TranslatedBlock* Compile(uint32_t pc);
-  bool EmitBlock(uint32_t head, Emitter* em, std::vector<size_t>* slot_sites,
-                 uint32_t* insn_count,
-                 std::vector<std::pair<uint32_t, uint32_t>>* spans,
-                 uint32_t* blocks_fused);
+  bool EmitBlock(uint32_t head, bool hold_loop_regs, Emitter* em, Emitted* out);
   void PatchJmp(uint8_t* at, const uint8_t* target);
   bool IsStaticSelfmodPage(size_t page) const {
     return page < static_selfmod_pages_.size() && static_selfmod_pages_[page] != 0;
@@ -265,6 +311,7 @@ class JitEngine {
   std::unordered_map<uint32_t, uint32_t> heat_;
   std::vector<ChainSlot> chain_slots_;
   uint64_t generation_ = 0;
+  uint64_t invalidation_epoch_ = 0;
 
   // Static-analysis hints (optional; see SetAnalysisHints).
   const analysis::ImageAnalysis* hints_ = nullptr;
@@ -282,6 +329,9 @@ class JitEngine {
   obs::Counter* c_regions_fused_;
   obs::Counter* c_dead_writes_;
   obs::Counter* c_native_enters_;
+  obs::Counter* c_io_calls_;
+  obs::Counter* c_io_exits_[kNumIoExits];
+  obs::Counter* c_loop_regions_;
   obs::Histogram* h_region_insns_;   // Insns per translation unit.
   obs::Histogram* h_region_blocks_;  // Basic blocks per translation unit.
   obs::Histogram* h_block_exec_;     // Dispatcher entries per translation.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <stdexcept>
+#include <utility>
 
 #include "src/util/serde.h"
 #include "src/vm/analysis/analysis.h"
@@ -477,11 +478,51 @@ void Machine::EnsureJit() {
   }
 }
 
+uint32_t Machine::JitIoCall(jit::JitContext* ctx) {
+  Machine* m = static_cast<Machine*>(ctx->host);
+  CpuState& cpu = m->cpu_;
+  jit::JitEngine& engine = *m->jit_;
+  cpu.icount = ctx->icount;
+  cpu.pc = ctx->pc;
+  engine.CountIoCall();
+  const uint64_t epoch = engine.invalidation_epoch();
+  bool leave = true;
+  jit::IoExit why = jit::IoExit::kIrq;
+  try {
+    // Native code only runs where no interrupt is deliverable (the
+    // dispatcher takes them before entering, and this helper exits when
+    // one becomes deliverable), so Step() takes none before the IN/OUT.
+    m->Step();
+    if (cpu.halted || m->faulted_) {
+      why = jit::IoExit::kHaltFault;
+    } else if (engine.invalidation_epoch() != epoch) {
+      why = jit::IoExit::kInvalidate;
+    } else if (cpu.icount != ctx->icount + 1 || cpu.pc != ctx->pc + 4) {
+      why = jit::IoExit::kIcount;
+    } else if (cpu.int_enabled && cpu.pending_irqs != 0) {
+      why = jit::IoExit::kIrq;
+    } else {
+      leave = false;
+    }
+  } catch (...) {
+    m->jit_io_exception_ = std::current_exception();
+    why = jit::IoExit::kException;
+  }
+  if (!leave) {
+    return 0;
+  }
+  engine.CountIoExit(why);
+  ctx->icount = cpu.icount;
+  ctx->pc = cpu.pc;
+  return 1;
+}
+
 // The JIT tier dispatcher. Mirrors Step()'s instruction boundary: the
 // icount-landmark check and the interrupt check happen at every block
 // boundary reached through the dispatcher, and chained native blocks
 // only span straight-line stretches where `pending_irqs && int_enabled`
-// cannot become true (EI/IRET and backend calls are fallback exits).
+// cannot become true (EI/IRET are fallback exits, and an IN/OUT helper
+// call that leaves an interrupt deliverable exits with kExitIo).
 // Everything the generated code cannot retire exactly is single-stepped
 // through the reference interpreter, so replay is bit-for-bit the
 // Step() semantics.
@@ -497,6 +538,8 @@ RunExit Machine::RunJit(uint64_t target_icount) {
   ctx.dirty = dirty_.data();
   ctx.cpu = &cpu_;
   ctx.target = target_icount;
+  ctx.io_fn = &Machine::JitIoCall;
+  ctx.host = this;
 
   // One pending chain patch: set at a chain-miss exit, applied when the
   // next iteration obtains the successor block (guarded against flushes
@@ -567,11 +610,18 @@ RunExit Machine::RunJit(uint64_t target_icount) {
         // JR/JALR: register targets can misalign pc and need the
         // interrupt re-check; both happen at the top of the loop.
         break;
+      case jit::kExitIo:
+        // An IN/OUT retired (or threw) in JitIoCall; the loop top sees
+        // halts, faults, stalled icounts and deliverable interrupts.
+        if (jit_io_exception_ != nullptr) {
+          std::rethrow_exception(std::exchange(jit_io_exception_, nullptr));
+        }
+        break;
       case jit::kExitFallback:
-        // The instruction at pc is runtime-deferred (IN/OUT/HALT/EI/
-        // IRET/illegal, or a memory op that will fault): the
-        // interpreter retires it with exact semantics — unless the
-        // block before it ended exactly on the icount landmark.
+        // The instruction at pc is runtime-deferred (HALT/EI/IRET/
+        // illegal, or a memory op that will fault): the interpreter
+        // retires it with exact semantics — unless the block before it
+        // ended exactly on the icount landmark.
         jit_->CountFallback();
         if (cpu_.icount >= target_icount) {
           return RunExit::kIcountReached;

@@ -5,6 +5,7 @@
 #define SRC_VM_MACHINE_H_
 
 #include <cstdint>
+#include <exception>
 #include <memory>
 #include <string>
 #include <vector>
@@ -22,6 +23,7 @@ struct ImageAnalysis;
 
 namespace jit {
 class JitEngine;
+struct JitContext;
 struct JitStats;
 }  // namespace jit
 
@@ -171,6 +173,9 @@ class Machine {
   // Re-runs the static analysis over [0, image_limit_) when stale and
   // installs the result as the engine's hints.
   void RefreshJitHints();
+  // JitContext::io_fn: retires the IN/OUT at ctx->pc with Step() on
+  // behalf of generated code. Returns 0 when native code may continue.
+  static uint32_t JitIoCall(jit::JitContext* ctx);
 
   CpuState cpu_;
   std::vector<uint8_t> mem_;
@@ -194,6 +199,9 @@ class Machine {
   // here (written by the engine) so the inline write paths above can
   // test it without touching the engine.
   std::vector<uint8_t> jit_code_pages_;
+  // A backend exception caught by JitIoCall (it must not unwind through
+  // generated code); RunJit rethrows it once native code has exited.
+  std::exception_ptr jit_io_exception_;
 };
 
 // A trivial backend for tests: IN returns scripted constants (0 default),

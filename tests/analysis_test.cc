@@ -533,6 +533,24 @@ TEST(AnalysisJit, RandomProgramSweepAgrees) {
   }
 }
 
+// A hot loop closed by JR: every iteration leaves native code through
+// a dynamic exit and re-enters its translation through the dispatcher.
+constexpr char kJrClosedLoop[] = R"(
+    movi r1, 0
+    movi r2, 1500
+    la r5, loop
+loop:
+    addi r1, 1
+    jmp a
+a:
+    add r3, r1
+    xor r4, r3
+    beq r1, r2, done
+    jr r5
+done:
+    halt
+)";
+
 TEST(AnalysisJit, CoverageCountersPopulate) {
   if (!Machine::JitCompiledIn()) GTEST_SKIP() << "JIT not compiled in";
   // The avm.jit.* coverage instrumentation that feeds hot_threshold
@@ -542,6 +560,7 @@ TEST(AnalysisJit, CoverageCountersPopulate) {
   obs::Histogram* exec = reg.GetHistogram("avm.jit.block_exec");
   obs::Histogram* insns = reg.GetHistogram("avm.jit.region_insns");
   obs::Histogram* blocks = reg.GetHistogram("avm.jit.region_blocks");
+  obs::Counter* loops = reg.GetCounter("avm.jit.loop_regions");
   const uint64_t exec0 = exec->Count();
   const uint64_t exec_sum0 = exec->Sum();
   const uint64_t insns0 = insns->Count();
@@ -549,7 +568,7 @@ TEST(AnalysisJit, CoverageCountersPopulate) {
   {
     NullBackend b;
     Machine m(kMem, &b);
-    m.LoadImage(Assemble(kTrampolineLoop));
+    m.LoadImage(Assemble(kJrClosedLoop));
     m.Run(20000);
   }  // Teardown retires the live blocks' execution counts.
   EXPECT_GT(insns->Count(), insns0);
@@ -558,6 +577,19 @@ TEST(AnalysisJit, CoverageCountersPopulate) {
   // The hot loop re-enters its translation many times, so the retired
   // execution total far exceeds the number of blocks.
   EXPECT_GT(exec->Sum() - exec_sum0, exec->Count() - exec0);
+
+  // The trampoline loop's fused region chains back to its own head, so
+  // it runs as one self-loop in host registers and never re-enters.
+  const uint64_t loops0 = loops->Value();
+  {
+    NullBackend b;
+    Machine m(kMem, &b);
+    m.LoadImage(Assemble(kTrampolineLoop));
+    m.Run(20000);
+    ASSERT_NE(m.jit_stats(), nullptr);
+    EXPECT_EQ(m.jit_stats()->loop_regions, loops->Value() - loops0);
+  }
+  EXPECT_GT(loops->Value(), loops0);
 }
 
 // --- Auditor pre-audit pass (AuditConfig::verify_image) ----------------

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "src/util/prng.h"
 #include "src/vm/assembler.h"
 #include "src/vm/jit/jit.h"
@@ -750,6 +752,307 @@ TEST(MachineJit, HardenedWxModeAgrees) {
   if (!Machine::JitCompiledIn()) GTEST_SKIP() << "JIT not compiled in";
   ExpectBothPathsAgree(Assemble(kJitHotLoop), {257, 5000, 1, 4000},
                               /*irqs_at_quantum=*/{}, /*harden_wx=*/true);
+}
+
+TEST(MachineJit, IretHeadedHandlerAgrees) {
+  // The handler's first instruction is IRET, a head the JIT can never
+  // translate: the dispatcher must keep interpreting it (without a
+  // compile attempt per visit) and agree with the reference 1000 times.
+  Bytes image = Assemble(R"(
+    jmp main
+    jmp irqh
+irqh:
+    iret
+main:
+    movi r6, 0
+    ei
+loop:
+    addi r7, 1
+    add r6, r7
+    jmp loop
+  )");
+  std::vector<uint64_t> quanta(1000, 13);
+  std::vector<std::pair<int, uint32_t>> irqs;
+  for (int q = 0; q < 1000; q++) {
+    irqs.emplace_back(q, q % 2 == 0 ? kIrqNetRx : kIrqTimer);
+  }
+  ExpectBothPathsAgree(image, quanta, irqs);
+}
+
+// --- IN/OUT helper calls ----------------------------------------------
+//
+// IN/OUT run inside translated code as helper calls. This backend gives
+// each IN port a side effect that must send native code back to the
+// dispatcher, and logs every call with the machine state it saw.
+
+struct PortCall {
+  bool in;
+  uint16_t port;
+  uint32_t value;
+  uint64_t icount;
+  uint32_t pc;
+  bool operator==(const PortCall& o) const {
+    return in == o.in && port == o.port && value == o.value && icount == o.icount && pc == o.pc;
+  }
+};
+
+constexpr uint32_t kScriptedData = 0x0800;  // A data word on the code's page.
+
+class ScriptedBackend : public DeviceBackend {
+ public:
+  uint32_t PortIn(Machine& m, uint16_t port) override {
+    calls.push_back({true, port, 0, m.cpu().icount, m.cpu().pc});
+    const uint32_t n = static_cast<uint32_t>(calls.size());
+    switch (port) {
+      case kPortClockLo:
+        m.mutable_cpu().icount += 37;  // A §6.5 stall inside the IN.
+        break;
+      case kPortInput:
+        if (++input_reads % 2 == 0) {
+          m.RaiseIrq(kIrqInput);  // Deliverable: the guest runs with EI.
+        }
+        break;
+      case kPortRand:
+        m.WriteMem32(kScriptedData, n);  // The running region's page.
+        break;
+      case kPortNetRxLen:
+        if (++rxlen_reads % 17 == 0) {
+          throw std::runtime_error("backend crash");
+        }
+        break;
+      default:
+        break;
+    }
+    return n * 2654435761u;
+  }
+  void PortOut(Machine& m, uint16_t port, uint32_t value) override {
+    calls.push_back({false, port, value, m.cpu().icount, m.cpu().pc});
+    if (port == kPortFrame && calls.size() > 600) {
+      m.mutable_cpu().halted = true;
+    }
+  }
+
+  std::vector<PortCall> calls;
+  int input_reads = 0;
+  int rxlen_reads = 0;
+};
+
+TEST(MachineJit, ScriptedBackendInAgrees) {
+  Bytes image = Assemble(R"(
+    jmp main
+    jmp irqh
+irqh:
+    in r5, IRQ_CAUSE
+    add r6, r5
+    iret
+main:
+    movi r0, 0
+    movi r6, 0
+    la r9, 0x0800
+    ei
+loop:
+    addi r7, 1
+    in r1, CLOCK_LO     ; Stalls: icount jumps inside the IN.
+    add r2, r1
+    in r3, INPUT        ; Raises a deliverable IRQ every second read.
+    add r2, r3
+    out r2, DEBUG
+    in r4, RAND         ; Writes a word on this code page.
+    lw r8, [r9]
+    add r2, r8
+    in r10, NET_RXLEN   ; Throws on every 17th read.
+    movi r11, 20
+spin:
+    addi r11, -1
+    bne r11, r0, spin
+    out r2, FRAME       ; Halts the machine eventually.
+    jmp loop
+    .org 0x0800
+    .word 0
+  )");
+  ScriptedBackend b0, b1;
+  Machine fast(kMem, &b0), slow(kMem, &b1);
+  slow.set_jit_enabled(false);
+  fast.LoadImage(image);
+  slow.LoadImage(image);
+  constexpr uint64_t kQuanta[] = {7, 64, 301, 1, 1000, 13};
+  int throws = 0;
+  for (int q = 0; q < 5000 && !slow.cpu().halted; q++) {
+    bool threw[2] = {false, false};
+    Machine* ms[2] = {&fast, &slow};
+    RunExit ex[2] = {RunExit::kIcountReached, RunExit::kIcountReached};
+    for (int i = 0; i < 2; i++) {
+      try {
+        ex[i] = ms[i]->Run(kQuanta[q % 6]);
+      } catch (const std::runtime_error&) {
+        threw[i] = true;
+      }
+    }
+    ASSERT_EQ(threw[0], threw[1]) << "quantum " << q;
+    throws += threw[1] ? 1 : 0;
+    if (!threw[1]) {
+      ASSERT_EQ(ex[0], ex[1]) << "quantum " << q;
+    }
+    ASSERT_TRUE(fast.cpu() == slow.cpu()) << "cpu state differs at quantum " << q;
+    ASSERT_EQ(fast.ReadMemRange(0, kMem), slow.ReadMemRange(0, kMem)) << "quantum " << q;
+    ASSERT_TRUE(b0.calls == b1.calls) << "backend calls differ at quantum " << q;
+  }
+  EXPECT_TRUE(slow.cpu().halted);
+  EXPECT_GE(throws, 3);
+  if (Machine::JitCompiledIn()) {
+    const jit::JitStats* st = fast.jit_stats();
+    ASSERT_NE(st, nullptr);
+    EXPECT_GT(st->io_calls, 0u);
+    for (jit::IoExit why : {jit::IoExit::kIrq, jit::IoExit::kIcount, jit::IoExit::kInvalidate,
+                            jit::IoExit::kHaltFault, jit::IoExit::kException}) {
+      EXPECT_GT(st->io_exits[static_cast<int>(why)], 0u) << static_cast<int>(why);
+    }
+  }
+}
+
+// --- Self-loops held in host registers ---------------------------------
+//
+// A region whose chain successor is its own head runs its back edge in
+// place with guest registers in host registers. Every way out must
+// write them back: the back edge's budget failure (checked by stopping
+// at every offset), fault and self-modification exits.
+
+// Runs fresh machine pairs to warmup + k for every k across three loop
+// iterations (one RunUntilIcount each, so the native loop itself meets
+// the landmark), then on to completion, comparing at both stops.
+void ExpectLoopAgreesAtEveryOffset(const Bytes& image, uint64_t warmup, uint64_t body_len) {
+  for (uint64_t k = 0; k <= 3 * body_len; k++) {
+    NullBackend b0, b1;
+    Machine fast(kMem, &b0), slow(kMem, &b1);
+    slow.set_jit_enabled(false);
+    fast.LoadImage(image);
+    slow.LoadImage(image);
+    for (uint64_t target : {warmup + k, warmup + k + 200000}) {
+      ASSERT_EQ(fast.RunUntilIcount(target), slow.RunUntilIcount(target)) << "offset " << k;
+      ASSERT_TRUE(fast.cpu() == slow.cpu()) << "offset " << k << " target " << target;
+      ASSERT_EQ(fast.faulted(), slow.faulted());
+      ASSERT_EQ(fast.fault_reason(), slow.fault_reason());
+      ASSERT_EQ(fast.ReadMemRange(0, kMem), slow.ReadMemRange(0, kMem)) << "offset " << k;
+    }
+    if (k == 0 && Machine::JitCompiledIn()) {
+      ASSERT_NE(fast.jit_stats(), nullptr);
+      EXPECT_GT(fast.jit_stats()->loop_regions, 0u) << "the loop never ran in registers";
+    }
+  }
+}
+
+TEST(MachineJit, SelfLoopStopsExactlyAtEveryOffset) {
+  Bytes image = Assemble(R"(
+    movi r1, 0
+    movi r2, 300
+    movi r3, 7
+loop:
+    addi r1, 1
+    add r3, r1
+    xor r4, r3
+    mul r4, r3
+    sub r5, r4
+    bne r1, r2, loop
+    halt
+  )");
+  ExpectLoopAgreesAtEveryOffset(image, 40, 6);
+  std::vector<uint64_t> quanta = {40, 1, 1, 1, 2, 3, 5, 7, 11, 6, 6, 100, 1, 1000};
+  ExpectBothPathsAgree(image, quanta);
+  ExpectBothPathsAgree(image, quanta, {}, false, Load::kSnapshot);
+}
+
+TEST(MachineJit, SelfLoopLoadFaultsOnIterationK) {
+  // r3 walks up to the end of memory: the LW faults on iteration 12,
+  // after the loop is running natively with r3 in a host register.
+  Bytes image = Assemble(R"(
+    movi r1, 0
+    movi r2, 0
+    la r3, 0xFFD0
+loop:
+    lw r4, [r3]
+    add r2, r4
+    addi r3, 4
+    addi r1, 1
+    jmp loop
+  )");
+  ExpectLoopAgreesAtEveryOffset(image, 20, 5);
+  NullBackend b;
+  Machine m(kMem, &b);
+  m.LoadImage(image);
+  EXPECT_EQ(m.Run(10000), RunExit::kFault);
+  EXPECT_EQ(m.cpu().regs[1], 12u);
+  EXPECT_EQ(m.cpu().regs[3], 0x10000u);
+}
+
+TEST(MachineJit, SelfLoopStoresIntoItsOwnPage) {
+  Bytes image = Assemble(R"(
+    movi r1, 0
+    movi r2, 50
+    la r6, 0x0200
+loop:
+    addi r1, 1
+    sw r1, [r6]
+    add r7, r1
+    bne r1, r2, loop
+    halt
+    .org 0x0200
+    .word 0
+  )");
+  ExpectLoopAgreesAtEveryOffset(image, 20, 4);
+  ExpectBothPathsAgree(image, {20, 1, 3, 7, 1000});
+}
+
+TEST(MachineJit, SelfLoopTouchingElevenRegisters) {
+  // More guest registers than host registers: seven are held, the rest
+  // stay in the register file, and both kinds must come out right.
+  Bytes image = Assemble(R"(
+    movi r1, 0
+    la r11, 500
+loop:
+    addi r1, 1
+    add r2, r1
+    add r3, r2
+    add r4, r3
+    add r5, r4
+    add r6, r5
+    add r7, r6
+    add r8, r7
+    add r9, r8
+    add r10, r9
+    bne r1, r11, loop
+    halt
+  )");
+  ExpectLoopAgreesAtEveryOffset(image, 40, 11);
+  ExpectBothPathsAgree(image, {40, 1, 2, 10, 11, 12, 5000});
+}
+
+TEST(MachineJit, SelfLoopDivideByZeroAndShifts) {
+  // DIVU/REMU by zero every fourth iteration and shift amounts past 31,
+  // with the operands in host registers.
+  Bytes image = Assemble(R"(
+    movi r1, 0
+    la r2, 400
+    la r3, 0x12345678
+loop:
+    addi r1, 1
+    mov r4, r3
+    movi r5, 3
+    and r5, r1
+    divu r4, r5
+    mov r6, r3
+    remu r6, r5
+    mov r7, r1
+    shl r3, r7
+    shr r4, r7
+    sra r6, r7
+    xor r3, r4
+    xor r3, r6
+    addi r3, 1
+    bne r1, r2, loop
+    halt
+  )");
+  ExpectLoopAgreesAtEveryOffset(image, 60, 15);
+  ExpectBothPathsAgree(image, {60, 1, 14, 15, 16, 10000});
 }
 
 TEST(MachineJit, DisableMidRunStaysEquivalent) {

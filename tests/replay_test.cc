@@ -1,7 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+
+#include "src/apps/kvstore.h"
 #include "src/audit/replayer.h"
 #include "src/avmm/recorder.h"
+#include "src/obs/metrics.h"
+#include "src/sim/scenario.h"
 #include "src/vm/assembler.h"
 
 namespace avm {
@@ -444,6 +450,146 @@ TEST_F(ReplayFixture, JitSelfModifyingReplayEquivalent) {
   ExpectSameReplay(jit, seed);
 }
 
+// --- Tampered logs: reasons and seqs pinned, JIT on and off ------------
+//
+// Replay runs every queued guest I/O item in one machine entry; the
+// divergence it reports for a doctored log must still be the one a
+// replay that stopped at each item's landmark reports.
+
+// A guest that sends a packet (logged, not delivered: the destination
+// is itself) and emits a clock-derived debug value every iteration.
+constexpr char kPacketGuest[] = R"(
+    jmp main
+    jmp irqh
+irqh:
+    iret
+main:
+    movi r0, 0
+    la r9, TX_BUF
+loop:
+    in r1, RAND
+    sw r0, [r9+0]
+    sw r1, [r9+4]
+    movi r2, 8
+    out r2, NET_TXLEN
+    in r3, CLOCK_LO
+    out r3, DEBUG
+    movi r4, 300
+work:
+    addi r4, -1
+    bne r4, r0, work
+    jmp loop
+)";
+
+struct Tampered {
+  LogSegment seg;
+  Bytes image;
+  size_t mem_size;
+};
+
+// Index of the `nth` trace entry matching `pred`, or the entry count.
+template <typename Pred>
+size_t NthTrace(const LogSegment& seg, int nth, Pred pred) {
+  for (size_t i = 0; i < seg.entries.size(); i++) {
+    const LogEntry& e = seg.entries[i];
+    if (e.type != EntryType::kTraceTime && e.type != EntryType::kTraceMac &&
+        e.type != EntryType::kTraceOther) {
+      continue;
+    }
+    if (pred(TraceEvent::Deserialize(e.content)) && nth-- == 0) {
+      return i;
+    }
+  }
+  return seg.entries.size();
+}
+
+void RewriteEvent(LogEntry& e, const std::function<void(TraceEvent&)>& edit) {
+  TraceEvent ev = TraceEvent::Deserialize(e.content);
+  edit(ev);
+  e.content = ev.Serialize();
+}
+
+// Replays with the JIT on and off; both must report `reason` at `seq`.
+void ExpectTamperReported(const Tampered& t, const std::string& reason, uint64_t seq) {
+  ReplayResult fast = ReplayWithJit(t.seg, t.image, t.mem_size, true);
+  ReplayResult slow = ReplayWithJit(t.seg, t.image, t.mem_size, false);
+  EXPECT_FALSE(slow.ok);
+  EXPECT_EQ(slow.reason, reason);
+  EXPECT_EQ(slow.diverged_seq, seq);
+  ExpectSameReplay(fast, slow);
+}
+
+TEST_F(ReplayFixture, TamperedGuestIoReportsTheSameDivergence) {
+  Bytes image = Assemble(kNoisyGuest);
+  auto node = MakeAvmm(image);
+  for (int i = 0; i < 20; i++) {
+    node->PushInput(static_cast<uint32_t>(i + 1));
+  }
+  Record(*node, 20);
+  const LogSegment seg = node->log().Extract(1, node->log().LastSeq());
+  const size_t mem = node->config().mem_size;
+  auto port_in = [](uint16_t port) {
+    return [port](const TraceEvent& ev) {
+      return ev.kind == TraceKind::kPortIn && ev.port == port;
+    };
+  };
+
+  // One IN entry dropped.
+  Tampered drop{seg, image, mem};
+  drop.seg.entries.erase(drop.seg.entries.begin() +
+                         static_cast<ptrdiff_t>(NthTrace(seg, 7, port_in(kPortRand))));
+  ExpectTamperReported(drop, "IN port mismatch: log says 3, guest read 2", 39);
+
+  // The clock read's landmark moved one instruction late, then one
+  // early (onto the JMP before it).
+  Tampered late{seg, image, mem};
+  RewriteEvent(late.seg.entries[NthTrace(seg, 7, port_in(kPortClockLo))],
+               [](TraceEvent& ev) { ev.icount += 1; });
+  ExpectTamperReported(late, "IN landmark mismatch: log says icount 34359, guest is at 34358",
+                       36);
+  Tampered early{seg, image, mem};
+  RewriteEvent(early.seg.entries[NthTrace(seg, 7, port_in(kPortClockLo))],
+               [](TraceEvent& ev) { ev.icount -= 1; });
+  ExpectTamperReported(early, "expected I/O instruction did not occur during replay", 36);
+
+  // The RNG read moved one early, onto the clock read it follows (a
+  // host landmark, the clock read's stall, lies between them), and the
+  // input read moved one early onto the RNG read (none does).
+  Tampered past{seg, image, mem};
+  RewriteEvent(past.seg.entries[NthTrace(seg, 7, port_in(kPortRand))],
+               [](TraceEvent& ev) { ev.icount -= 1; });
+  ExpectTamperReported(past, "event landmark lies in the past; execution diverged earlier", 38);
+  Tampered past_in_run{seg, image, mem};
+  RewriteEvent(past_in_run.seg.entries[NthTrace(seg, 7, port_in(kPortInput))],
+               [](TraceEvent& ev) { ev.icount -= 1; });
+  ExpectTamperReported(past_in_run, "event landmark lies in the past; execution diverged earlier",
+                       39);
+
+  // The log ends early: the trace after the 8th loop iteration is cut,
+  // leaving the final snapshot, so the guest performs IN past the end
+  // of the recorded I/O.
+  Tampered cut{seg, image, mem};
+  const size_t from = NthTrace(seg, 8, port_in(kPortClockLo));
+  auto& es = cut.seg.entries;
+  es.erase(std::remove_if(es.begin() + static_cast<ptrdiff_t>(from), es.end(),
+                          [](const LogEntry& e) { return e.type != EntryType::kSnapshot; }),
+           es.end());
+  ExpectTamperReported(cut, "guest performed IN where the log records a snapshot", 53);
+}
+
+TEST_F(ReplayFixture, TamperedPacketReportsTheSameDivergence) {
+  Bytes image = Assemble(kPacketGuest);
+  auto node = MakeAvmm(image);
+  Record(*node, 10);
+  const LogSegment seg = node->log().Extract(1, node->log().LastSeq());
+  Tampered flip{seg, image, node->config().mem_size};
+  const size_t at = NthTrace(
+      seg, 5, [](const TraceEvent& ev) { return ev.kind == TraceKind::kOutPacket; });
+  ASSERT_LT(at, seg.entries.size());
+  RewriteEvent(flip.seg.entries[at], [](TraceEvent& ev) { ev.data[6] ^= 0x01; });
+  ExpectTamperReported(flip, "transmitted packet differs from the logged packet", 23);
+}
+
 TEST_F(ReplayFixture, SpotCheckReplayEquivalentWithJitOnAndOff) {
   Bytes image = Assemble(kNoisyGuest);
   RunConfig cfg = RunConfig::AvmmNoSig();
@@ -502,6 +648,54 @@ TEST_F(ReplayFixture, SpotCheckFromMidSnapshot) {
   ReplayResult r = ReplaySegment(seg, start);
   EXPECT_TRUE(r.ok) << r.reason << " at seq " << r.diverged_seq;
   EXPECT_EQ(r.instructions_replayed, to.second.icount - from.second.icount);
+}
+
+TEST(ReplayMachineEntries, KvClientEntersTheMachineOncePerHostLandmark) {
+  // The kv client logs a clock read and a mailbox poll every loop turn
+  // but only occasional DMA and snapshots. Replay must run each stretch
+  // of guest I/O between host landmarks in one machine entry.
+  KvScenarioConfig cfg;
+  cfg.run = RunConfig::AvmmNoSig();
+  cfg.seed = 3;
+  cfg.snapshot_interval = kMicrosPerSecond / 2;
+  KvScenario kv(cfg);
+  kv.Start();
+  kv.RunFor(2 * kMicrosPerSecond);
+  kv.Finish();
+  const LogSegment seg = kv.client().log().Extract(1, kv.client().log().LastSeq());
+  uint64_t landmarks = 0;
+  uint64_t guest_io = 0;
+  for (const LogEntry& e : seg.entries) {
+    if (e.type == EntryType::kSnapshot) {
+      landmarks++;
+    } else if (e.type == EntryType::kTraceTime || e.type == EntryType::kTraceMac ||
+               e.type == EntryType::kTraceOther) {
+      const TraceKind k = TraceEvent::Deserialize(e.content).kind;
+      if (k == TraceKind::kDmaPacket || k == TraceKind::kAsyncIrq ||
+          k == TraceKind::kClockStall) {
+        landmarks++;
+      } else {
+        guest_io++;
+      }
+    }
+  }
+  ASSERT_GT(guest_io, 4 * landmarks) << "workload no longer I/O-heavy";
+
+  obs::Counter* entries = obs::Registry::Global().GetCounter("avm.replay.machine_entries");
+  constexpr size_t kChunk = 1000;
+  const uint64_t chunks = (seg.entries.size() + kChunk - 1) / kChunk;
+  for (bool jit : {true, false}) {
+    const uint64_t before = entries->Value();
+    StreamingReplayer r(BuildKvClientImage(cfg.client), cfg.run.mem_size);
+    r.mutable_machine().set_jit_enabled(jit);
+    for (size_t at = 0; at < seg.entries.size(); at += kChunk) {
+      r.Feed(std::span<const LogEntry>(seg.entries).subspan(
+          at, std::min(kChunk, seg.entries.size() - at)));
+    }
+    ReplayResult res = r.Finish();
+    EXPECT_TRUE(res.ok) << res.reason << " at seq " << res.diverged_seq;
+    EXPECT_LE(entries->Value() - before, landmarks + chunks) << "jit=" << jit;
+  }
 }
 
 }  // namespace
