@@ -93,7 +93,6 @@ void RunThroughputDegradation(BenchJson& json) {
 
   AuditConfig acfg;
   acfg.threads = 1;
-  acfg.pipelined = false;
 
   // Baseline: no injector anywhere.
   FleetAuditConfig clean_cfg;
@@ -183,7 +182,6 @@ void RunRecoveryTime(BenchJson& json) {
   AuditConfig acfg;
   acfg.mem_size = cfg.run.mem_size;
   acfg.threads = 1;
-  acfg.pipelined = false;
 
   auto run_job = [&](FleetAuditService& service, LogStore* src, LogStore* ckpt_store,
                      std::function<RecoveredSource()> recover) {
@@ -217,7 +215,7 @@ void RunRecoveryTime(BenchJson& json) {
   hcfg.checkpoint.every_entries = 300;
   FleetAuditService healthy(&kv.registry(), hcfg);
   auto [healthy_s, healthy_r] = run_job(healthy, store.get(), store.get(), nullptr);
-  fs::remove(fs::path(dir) / AuditCheckpointFileName(hcfg.checkpoint.auditor));
+  fs::remove(fs::path(dir) / AuditCheckpointFileName(hcfg.auditor));
 
   // Poisoned store: the first checkpoint capture hits an injected fsync
   // failure, which poisons the store until recover_source reopens it.

@@ -52,7 +52,8 @@ void Run() {
   Auditor auditor("client", &kv.registry());
 
   // Full audit baseline for normalization.
-  AuditOutcome full = auditor.AuditFull(kv.server(), kv.reference_server_image(), auths);
+  AuditOutcome full = auditor.AuditFull(kv.server(), InMemorySegmentSource(kv.server().log()),
+                                        kv.reference_server_image(), auths);
   if (!full.ok) {
     std::printf("  unexpected: full audit failed: %s\n", full.Describe().c_str());
     return;

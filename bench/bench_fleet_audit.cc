@@ -51,11 +51,10 @@ void RunColdVsResumed(BenchJson& json) {
   AuditConfig acfg;
   acfg.mem_size = cfg.run.mem_size;
   acfg.threads = 1;
-  acfg.pipelined = false;
   // One capture at ~60% of the log (2*cadence > last, so exactly one).
   CheckpointConfig ck;
   ck.every_entries = last * 6 / 10;
-  CheckpointedAuditor auditor("auditor", &kv.registry(), acfg, ck);
+  Auditor auditor("auditor", &kv.registry(), acfg, ck);
 
   // Cold: no checkpoint on disk; this run verifies from genesis and
   // plants the watermark.
@@ -144,8 +143,7 @@ void RunShardSweep(BenchJson& json) {
     fcfg.workers = workers;
     fcfg.audit.mem_size = cfg.run.mem_size;
     fcfg.audit.threads = 1;
-    fcfg.audit.pipelined = false;
-    fcfg.resume_from_checkpoints = false;
+    fcfg.checkpoint.every_entries = 0;
     FleetAuditService service(nullptr, fcfg);
     for (FleetScenario::AuditeeRef& a : fleet.Auditees()) {
       FleetAuditService::Registration reg;

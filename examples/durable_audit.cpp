@@ -80,7 +80,8 @@ int main() {
   AuditOutcome disk =
       auditor.AuditFull(game.player(0), *store, game.reference_client_image(), auths);
   AuditOutcome mem =
-      auditor.AuditFull(game.player(0), game.reference_client_image(), auths);
+      auditor.AuditFull(game.player(0), InMemorySegmentSource(game.player(0).log()),
+                        game.reference_client_image(), auths);
   std::printf("full audit from disk -> %s (in-memory path agrees: %s)\n", disk.Describe().c_str(),
               disk.Describe() == mem.Describe() ? "yes" : "NO");
 

@@ -4,16 +4,18 @@
 #include <sstream>
 #include <vector>
 
+#include "src/audit/checkpoint.h"
 #include "src/audit/message_check.h"
 #include "src/audit/pipeline.h"
+#include "src/obs/trace.h"
 #include "src/vm/analysis/cfg.h"
 #include "src/vm/analysis/verifier.h"
 
 namespace avm {
 
 CheckResult SyntacticMessageCheck(const LogSegment& segment, const KeyRegistry& registry,
-                                  const AuditConfig& cfg) {
-  MessageCheckState state(segment.node, registry, cfg.strict_message_crossref);
+                                  bool strict) {
+  MessageCheckState state(segment.node, registry, strict);
   for (const LogEntry& e : segment.entries) {
     CheckResult r = state.Feed(e, /*sig_verdict=*/-1);
     if (!r.ok) {
@@ -28,9 +30,12 @@ CheckResult StreamingSyntacticCheck(const SegmentSource& source,
                                     const KeyRegistry& registry, const AuditConfig& cfg) {
   AuditRun run;
   run.last_seq = source.LastSeq();
-  run.strict_crossref = cfg.strict_message_crossref;
   run.replay = false;
-  return RunAuditEngine(source, auths, registry, cfg, /*pool=*/nullptr, run).syntactic;
+  std::unique_ptr<ThreadPool> pool;
+  if (ResolveThreads(cfg.threads) > 1) {
+    pool = std::make_unique<ThreadPool>(cfg.threads);
+  }
+  return RunAuditEngine(source, auths, registry, cfg, pool.get(), run).syntactic;
 }
 
 std::vector<SnapshotIndexEntry> IndexSnapshots(const TamperEvidentLog& log) {
@@ -70,11 +75,6 @@ std::string AuditOutcome::Describe() const {
     os << "FAIL (semantic): " << semantic.reason << " at seq " << semantic.diverged_seq;
   }
   return os.str();
-}
-
-AuditOutcome Auditor::AuditFull(const Avmm& target, ByteView reference_image,
-                                std::span<const Authenticator> auths) {
-  return AuditFull(target, InMemorySegmentSource(target.log()), reference_image, auths);
 }
 
 namespace {
@@ -126,34 +126,90 @@ std::optional<AuditOutcome> DetectLogRewind(const Avmm& target, const SegmentSou
 
 }  // namespace
 
-AuditOutcome PrecheckedFullAudit(const Avmm& target, const SegmentSource& source,
-                                 ByteView reference_image, std::span<const Authenticator> auths,
-                                 const KeyRegistry& registry, const AuditConfig& cfg,
-                                 const std::function<AuditOutcome()>& audit) {
+AuditOutcome Auditor::AuditFull(const Avmm& target, const SegmentSource& source,
+                                ByteView reference_image, std::span<const Authenticator> auths,
+                                const std::string& checkpoint_dir, ResumeInfo* info) {
+  ResumeInfo local_info;
+  ResumeInfo& ri = info != nullptr ? *info : local_info;
+  ri = ResumeInfo{};
   AuditOutcome image_check;
-  if (cfg.verify_image) {
-    VerifyReferenceImage(reference_image, cfg.mem_size, &image_check);
+  if (cfg_.verify_image) {
+    VerifyReferenceImage(reference_image, cfg_.mem_size, &image_check);
     if (image_check.image_errors > 0) {
       return image_check;
     }
   }
   std::optional<AuditOutcome> rewound =
-      DetectLogRewind(target, source, auths, registry, cfg.mem_size);
-  AuditOutcome out = rewound.has_value() ? *std::move(rewound) : audit();
+      DetectLogRewind(target, source, auths, *registry_, cfg_.mem_size);
+  AuditOutcome out = rewound.has_value()
+                         ? *std::move(rewound)
+                         : FullAuditAfterPrechecks(target, source, reference_image, auths,
+                                                   checkpoint_dir, ri);
   out.image_findings = std::move(image_check.image_findings);
   out.image_warnings = image_check.image_warnings;
   return out;
 }
 
-AuditOutcome Auditor::AuditFull(const Avmm& target, const SegmentSource& source,
-                                ByteView reference_image, std::span<const Authenticator> auths) {
-  return PrecheckedFullAudit(target, source, reference_image, auths, *registry_, cfg_, [&] {
-    AuditRun run;
-    run.last_seq = source.LastSeq();
-    run.reference_image = reference_image;
-    run.accused = &target;
+AuditOutcome Auditor::FullAuditAfterPrechecks(const Avmm& target, const SegmentSource& source,
+                                              ByteView reference_image,
+                                              std::span<const Authenticator> auths,
+                                              const std::string& checkpoint_dir,
+                                              ResumeInfo& ri) {
+  AuditRun run;
+  run.last_seq = source.LastSeq();
+  run.reference_image = reference_image;
+  run.accused = &target;
+  run.entries_checked = &ri.entries_scanned;
+  const uint64_t cadence = checkpoint_dir.empty() ? 0 : ckpt_.every_entries;
+  if (cadence == 0) {
     return RunAuditEngine(source, auths, *registry_, cfg_, EnsurePool(), run);
-  });
+  }
+
+  // Resume from the checkpoint this auditor left behind, if it validates.
+  AuditResume resume;
+  {
+    obs::Span load_span(obs::kPhaseAuditCheckpointIo, "audit");
+    std::string reject;
+    std::optional<AuditCheckpoint> cp = LoadAuditCheckpoint(checkpoint_dir, self_, &reject);
+    if (cp.has_value()) {
+      reject = ValidateAuditCheckpoint(*cp, self_, ckpt_.signer != nullptr, source, auths,
+                                       *registry_, cfg_.mem_size, &resume);
+    }
+    if (cp.has_value() && reject.empty()) {
+      run.resume = &resume;
+      ri.resumed = true;
+      ri.resumed_from = resume.watermark;
+    } else if (!reject.empty()) {
+      ri.checkpoint_rejected = true;
+      ri.reject_reason = reject;
+    }
+  }
+
+  // Capture at cadence boundaries: the engine calls back only from a
+  // fully verified, replay-quiescent state.
+  run.boundary_every = cadence;
+  run.on_boundary = [&](uint64_t seq, const ChunkedSyntacticChecker& checker,
+                        const StreamingReplayer& replayer) {
+    AuditCheckpoint cp = CaptureAuditCheckpoint(source.node(), self_, seq, checker, replayer,
+                                                 ckpt_.signer);
+    // Plain-file capture is a pure optimization: a full disk or an
+    // unwritable directory must cost a future resume, never this
+    // verdict. A failure from the auditee's own store, though, is a
+    // store-health signal (poisoned writer, failed fsync) that the
+    // fleet's retry/recovery path must see -- rethrow it so the job
+    // errors, the owner can reopen the store, and the audit reruns
+    // instead of silently losing its checkpoint cadence.
+    try {
+      obs::Span save_span(obs::kPhaseAuditCheckpointIo, "audit");
+      SaveAuditCheckpoint(checkpoint_dir, cp, ckpt_.sync, ckpt_.aux_store);
+      ri.checkpoints_written++;
+    } catch (const std::runtime_error&) {
+      if (ckpt_.aux_store != nullptr) {
+        throw;
+      }
+    }
+  };
+  return RunAuditEngine(source, auths, *registry_, cfg_, EnsurePool(), run);
 }
 
 AuditOutcome Auditor::SpotCheck(const Avmm& target, uint64_t from_snapshot_id,

@@ -6,15 +6,11 @@
 #include <filesystem>
 #include <utility>
 
-#include "src/audit/pipeline.h"
 #include "src/audit/replayer.h"
-#include "src/avmm/recorder.h"
 #include "src/avmm/snapshot.h"
 #include "src/crypto/sha256.h"
-#include "src/obs/trace.h"
 #include "src/store/log_store.h"
 #include "src/util/serde.h"
-#include "src/util/threadpool.h"
 
 namespace avm {
 
@@ -132,34 +128,29 @@ std::optional<AuditCheckpoint> LoadAuditCheckpoint(const std::string& dir,
   }
 }
 
-namespace {
-
-// Validates `cp` against the log and the audit configuration. Returns
-// the reason the checkpoint must be rejected, or "" with `out` filled.
-// Everything in the file is untrusted input: a reject is a silent
-// fall-back to a from-genesis audit, never an audit failure.
-std::string ValidateCheckpoint(const AuditCheckpoint& cp, const SegmentSource& source,
-                               uint64_t last, const KeyRegistry& registry,
-                               const CheckpointConfig& ckpt, const AuditConfig& cfg,
-                               std::span<const Authenticator> auths, AuditResume* out) {
+std::string ValidateAuditCheckpoint(const AuditCheckpoint& cp, const NodeId& auditor,
+                                    bool must_be_signed, const SegmentSource& source,
+                                    std::span<const Authenticator> auths,
+                                    const KeyRegistry& registry, size_t mem_size,
+                                    AuditResume* out) {
   if (cp.node != source.node()) {
     return "checkpoint names a different node";
   }
-  if (cp.auditor != ckpt.auditor) {
+  if (cp.auditor != auditor) {
     return "checkpoint written by a different auditor";
   }
   // A forged checkpoint would let a tampered prefix escape verification,
   // so when the auditing identity has a real key the signature is
   // load-bearing, not optional.
-  if (ckpt.signer != nullptr || registry.RequiresSignature(cp.auditor)) {
+  if (must_be_signed || registry.RequiresSignature(cp.auditor)) {
     if (!registry.VerifyDigest(cp.auditor, cp.PayloadDigest(), cp.signature)) {
       return "checkpoint signature invalid";
     }
   }
-  if (cp.seq < 1 || cp.seq > last) {
+  if (cp.seq < 1 || cp.seq > source.LastSeq()) {
     return "watermark beyond the end of the log (log rewound or foreign)";
   }
-  if (cp.mem_size != cfg.mem_size) {
+  if (cp.mem_size != mem_size) {
     return "checkpoint machine size does not match the audit config";
   }
   // The anchor: the log's stored chain hash at the watermark must still
@@ -194,10 +185,8 @@ std::string ValidateCheckpoint(const AuditCheckpoint& cp, const SegmentSource& s
   if (rs.machine.memory.size() != cp.mem_size) {
     return "checkpoint memory size mismatch";
   }
-  AuditConfig full_cfg = cfg;
-  full_cfg.strict_message_crossref = true;
   std::string scan_err =
-      ChunkedSyntacticChecker::ResumableStateError(cp.scan_state, cp.node, registry, full_cfg);
+      ChunkedSyntacticChecker::ResumableStateError(cp.scan_state, cp.node, registry);
   if (!scan_err.empty()) {
     return "checkpoint scan state undecodable: " + scan_err;
   }
@@ -209,104 +198,29 @@ std::string ValidateCheckpoint(const AuditCheckpoint& cp, const SegmentSource& s
   return "";
 }
 
-}  // namespace
-
-ThreadPool* CheckpointedAuditor::EnsurePool() {
-  if (pool_ == nullptr && ResolveThreads(cfg_.threads) > 1) {
-    pool_ = std::make_unique<ThreadPool>(cfg_.threads);
+AuditCheckpoint CaptureAuditCheckpoint(const NodeId& node, const NodeId& auditor, uint64_t seq,
+                                       const ChunkedSyntacticChecker& checker,
+                                       const StreamingReplayer& replayer, const Signer* signer) {
+  AuditCheckpoint cp;
+  cp.node = node;
+  cp.auditor = auditor;
+  cp.seq = seq;
+  cp.chain_hash = checker.chain_cursor();
+  const Machine& m = replayer.machine();
+  cp.mem_size = m.mem_size();
+  MaterializedState ms;
+  ms.cpu = m.cpu();
+  ms.memory = m.ReadMemRange(0, m.mem_size());
+  ms.root = ComputeStateRoot(m);
+  cp.machine_state = ms.Serialize();
+  Writer w;
+  checker.SerializeResumableState(w);
+  cp.scan_state = w.Take();
+  cp.verified_auth_hashes = checker.auth_hashes();
+  if (signer != nullptr) {
+    cp.signature = signer->SignDigest(cp.PayloadDigest());
   }
-  return pool_.get();
-}
-
-AuditOutcome CheckpointedAuditor::AuditFull(const Avmm& target, const SegmentSource& source,
-                                            ByteView reference_image,
-                                            std::span<const Authenticator> auths,
-                                            const std::string& checkpoint_dir,
-                                            ResumeInfo* info) {
-  ResumeInfo local_info;
-  ResumeInfo& ri = info != nullptr ? *info : local_info;
-  ri = ResumeInfo{};
-  return PrecheckedFullAudit(target, source, reference_image, auths, *registry_, cfg_, [&] {
-    return AuditFromCheckpoint(target, source, reference_image, auths, checkpoint_dir, ri);
-  });
-}
-
-AuditOutcome CheckpointedAuditor::AuditFromCheckpoint(const Avmm& target,
-                                                      const SegmentSource& source,
-                                                      ByteView reference_image,
-                                                      std::span<const Authenticator> auths,
-                                                      const std::string& checkpoint_dir,
-                                                      ResumeInfo& ri) {
-  const uint64_t last = source.LastSeq();
-  AuditRun run;
-  run.last_seq = last;
-  run.reference_image = reference_image;
-  run.accused = &target;
-
-  // Try to resume from a persisted checkpoint.
-  const uint64_t cadence = checkpoint_dir.empty() ? 0 : ckpt_.every_entries;
-  AuditResume resume;
-  if (cadence > 0) {
-    obs::Span load_span(obs::kPhaseAuditCheckpointIo, "audit");
-    std::string reject;
-    std::optional<AuditCheckpoint> cp = LoadAuditCheckpoint(checkpoint_dir, ckpt_.auditor,
-                                                            &reject);
-    if (cp.has_value()) {
-      reject = ValidateCheckpoint(*cp, source, last, *registry_, ckpt_, cfg_, auths, &resume);
-    }
-    if (cp.has_value() && reject.empty()) {
-      run.resume = &resume;
-      ri.resumed = true;
-      ri.resumed_from = resume.watermark;
-    } else if (!reject.empty()) {
-      ri.checkpoint_rejected = true;
-      ri.reject_reason = reject;
-    }
-  }
-
-  // Capture at cadence boundaries: the engine calls back only from a
-  // fully verified, replay-quiescent state.
-  run.boundary_every = cadence;
-  run.on_boundary = [&](uint64_t seq, const ChunkedSyntacticChecker& checker,
-                        const StreamingReplayer& replayer) {
-    AuditCheckpoint ncp;
-    ncp.node = source.node();
-    ncp.auditor = ckpt_.auditor;
-    ncp.seq = seq;
-    ncp.chain_hash = checker.chain_cursor();
-    ncp.mem_size = cfg_.mem_size;
-    const Machine& m = replayer.machine();
-    MaterializedState ms;
-    ms.cpu = m.cpu();
-    ms.memory = m.ReadMemRange(0, m.mem_size());
-    ms.root = ComputeStateRoot(m);
-    ncp.machine_state = ms.Serialize();
-    Writer w;
-    checker.SerializeResumableState(w);
-    ncp.scan_state = w.Take();
-    ncp.verified_auth_hashes = checker.auth_hashes();
-    if (ckpt_.signer != nullptr) {
-      ncp.signature = ckpt_.signer->SignDigest(ncp.PayloadDigest());
-    }
-    // Plain-file capture is a pure optimization: a full disk or an
-    // unwritable directory must cost a future resume, never this
-    // verdict. A failure from the auditee's own store, though, is a
-    // store-health signal (poisoned writer, failed fsync) that the
-    // fleet's retry/recovery path must see — rethrow it so the job
-    // errors, the owner can reopen the store, and the audit reruns
-    // instead of silently losing its checkpoint cadence.
-    try {
-      obs::Span save_span(obs::kPhaseAuditCheckpointIo, "audit");
-      SaveAuditCheckpoint(checkpoint_dir, ncp, ckpt_.sync, ckpt_.aux_store);
-      ri.checkpoints_written++;
-    } catch (const std::runtime_error&) {
-      if (ckpt_.aux_store != nullptr) {
-        throw;
-      }
-    }
-  };
-  run.entries_checked = &ri.entries_scanned;
-  return RunAuditEngine(source, auths, *registry_, cfg_, EnsurePool(), run);
+  return cp;
 }
 
 }  // namespace avm

@@ -15,9 +15,12 @@
 //  * the chain hashes at every authenticator seq verified so far.
 //
 // A later audit resumes at S+1 and produces bit-for-bit the verdict of
-// a from-genesis audit. Trust model: the checkpoint is the *auditor's*
-// own record (signed with the auditor's key and kept in the auditee's
-// store directory); a forged or stale file fails signature/digest/chain
+// a from-genesis audit. Auditor::AuditFull drives this when given a
+// checkpoint directory (see CheckpointConfig in src/audit/auditor.h);
+// this header holds the file format, its validation and its capture.
+// Trust model: the checkpoint is the *auditor's* own record (named by
+// and signed with the Auditor's identity, kept in the auditee's store
+// directory); a forged or stale file fails signature/digest/chain
 // validation and the audit silently falls back to genesis, and
 // tampering behind an accepted checkpoint is still caught — rewriting
 // the prefix changes h_S (checkpoint rejected, genesis audit catches
@@ -27,12 +30,12 @@
 #define SRC_AUDIT_CHECKPOINT_H_
 
 #include <map>
-#include <memory>
 #include <optional>
 #include <span>
 #include <string>
 
 #include "src/audit/auditor.h"
+#include "src/audit/pipeline.h"
 #include "src/crypto/keys.h"
 #include "src/tel/segment_source.h"
 #include "src/util/bytes.h"
@@ -86,77 +89,24 @@ std::optional<AuditCheckpoint> LoadAuditCheckpoint(const std::string& dir,
                                                    const NodeId& auditor,
                                                    std::string* reject_reason = nullptr);
 
-// How checkpointed audits behave.
-struct CheckpointConfig {
-  // Capture cadence in log entries (0 = never write checkpoints).
-  // The audit engine ends a chunk on every multiple of the cadence, and
-  // captures there only from fully-verified, replay-quiescent states —
-  // so the cadence changes how much a resume saves, never any verdict.
-  uint64_t every_entries = 8192;
-  // The auditing identity: names the checkpoint file, and — when
-  // `signer` is set — signs checkpoints so the (auditee-controlled)
-  // store cannot forge one. With no signer, checkpoints carry an empty
-  // signature and validation degrades to digest + chain-hash checks
-  // (the avmm-nosig posture: fine against corruption, not malice).
-  NodeId auditor = "auditor";
-  const Signer* signer = nullptr;
-  // fsync checkpoint files (tests and benches leave this off).
-  bool sync = false;
-  // When set, checkpoint writes go through this store's batched-fsync
-  // path (LogStore::WriteAuxFileBatched) instead of a standalone
-  // synchronous write; `sync` is then irrelevant. Typically the
-  // auditee's own store, whose directory also holds the checkpoint.
-  LogStore* aux_store = nullptr;
-};
+// Validates `cp`, loaded from the checkpoint file of `auditor`, against
+// the log of `source` and the audit's inputs. Everything in the file is
+// untrusted: the result is the reason to reject it ("" = accepted, with
+// `out` filled for the engine to resume from), and a reject is a silent
+// fall-back to a from-genesis audit, never an audit failure. With
+// `must_be_signed` (the auditor signs its checkpoints), or whenever the
+// registry holds a real key for `auditor`, the signature must verify.
+std::string ValidateAuditCheckpoint(const AuditCheckpoint& cp, const NodeId& auditor,
+                                    bool must_be_signed, const SegmentSource& source,
+                                    std::span<const Authenticator> auths,
+                                    const KeyRegistry& registry, size_t mem_size,
+                                    AuditResume* out);
 
-// Why the last AuditFull call did or did not resume.
-struct ResumeInfo {
-  bool resumed = false;
-  uint64_t resumed_from = 0;        // Watermark S when resumed.
-  bool checkpoint_rejected = false; // A checkpoint existed but failed validation.
-  std::string reject_reason;
-  uint64_t entries_scanned = 0;     // Entries read and checked by this audit.
-  uint64_t checkpoints_written = 0;
-};
-
-// A full audit that resumes from (and refreshes) a persisted
-// checkpoint. It runs the audit engine (src/audit/pipeline.h) from the
-// restored checker and replayer, capturing at cadence boundaries, so
-// verdicts — ok, syntactic/semantic reason + seq, evidence kind — are
-// bit-for-bit those of Auditor::AuditFull at every cadence, sign mode
-// and thread count; only wall-clock time and the bytes-read accounting
-// change.
-class CheckpointedAuditor {
- public:
-  CheckpointedAuditor(NodeId self, const KeyRegistry* registry, AuditConfig cfg = {},
-                      CheckpointConfig ckpt = {})
-      : self_(std::move(self)), registry_(registry), cfg_(cfg), ckpt_(ckpt) {}
-
-  // Full audit of `source`, resuming from the checkpoint in
-  // `checkpoint_dir` when one validates (pass "" to disable both resume
-  // and capture). `target` plays the same role as in Auditor::AuditFull
-  // (accused identity for evidence).
-  AuditOutcome AuditFull(const Avmm& target, const SegmentSource& source,
-                         ByteView reference_image, std::span<const Authenticator> auths,
-                         const std::string& checkpoint_dir, ResumeInfo* info = nullptr);
-
-  const AuditConfig& config() const { return cfg_; }
-  const CheckpointConfig& checkpoint_config() const { return ckpt_; }
-
- private:
-  ThreadPool* EnsurePool();
-  // AuditFull after its prechecks pass: resume, run, capture.
-  AuditOutcome AuditFromCheckpoint(const Avmm& target, const SegmentSource& source,
-                                   ByteView reference_image,
-                                   std::span<const Authenticator> auths,
-                                   const std::string& checkpoint_dir, ResumeInfo& ri);
-
-  NodeId self_;
-  const KeyRegistry* registry_;
-  AuditConfig cfg_;
-  CheckpointConfig ckpt_;
-  std::unique_ptr<ThreadPool> pool_;
-};
+// The checkpoint of an audit engine state at `seq` (a capture boundary:
+// fully verified and replay-quiescent), signed by `signer` when given.
+AuditCheckpoint CaptureAuditCheckpoint(const NodeId& node, const NodeId& auditor, uint64_t seq,
+                                       const ChunkedSyntacticChecker& checker,
+                                       const StreamingReplayer& replayer, const Signer* signer);
 
 }  // namespace avm
 

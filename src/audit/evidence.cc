@@ -2,6 +2,7 @@
 
 #include "src/audit/auditor.h"
 #include "src/audit/replayer.h"
+#include "src/avmm/attested_input.h"
 #include "src/avmm/snapshot.h"
 #include "src/tel/verifier.h"
 #include "src/util/serde.h"
@@ -115,11 +116,14 @@ EvidenceVerdict VerifyEvidence(const Evidence& evidence, const KeyRegistry& regi
     return verdict;
   }
 
-  // Repeat the syntactic message check.
-  AuditConfig cfg;
-  cfg.mem_size = evidence.mem_size;
-  cfg.strict_message_crossref = evidence.snapshot_deltas.empty();
-  CheckResult syntactic = SyntacticMessageCheck(segment, registry, cfg);
+  // Repeat the syntactic check: the message stream (strict unless the
+  // segment is a spot-check window, which starts from a snapshot), then
+  // attested inputs under the registry's input-device policy.
+  CheckResult syntactic =
+      SyntacticMessageCheck(segment, registry, /*strict=*/evidence.snapshot_deltas.empty());
+  if (syntactic.ok && InputAttestationRequired(segment.node, registry)) {
+    syntactic = VerifyAttestedInputs(segment, registry);
+  }
   if (!syntactic.ok) {
     verdict.fault_confirmed = true;
     verdict.detail = "protocol violation confirmed: " + syntactic.reason + " at seq " +

@@ -52,7 +52,11 @@ struct EvidenceVerdict {
 };
 
 // Independently verifies evidence. The verifier needs only the key
-// registry and its own trusted copy of the reference image. Accuracy
+// registry and its own trusted copy of the reference image, and repeats
+// the audit's checks with the whole-segment primitives in the audit
+// engine's phase order: authenticators, message stream, attested inputs
+// (when InputAttestationRequired), replay; so evidence of a fault the
+// engine's checks found is confirmed here (§4.7 completeness). Accuracy
 // (§4.7): if the accused is correct, no evidence can verify against it.
 EvidenceVerdict VerifyEvidence(const Evidence& evidence, const KeyRegistry& registry,
                                ByteView reference_image);

@@ -380,22 +380,18 @@ FleetJobResult FleetAuditService::RunJob(Auditee& auditee, const Job& job) {
   r.priority = job.priority;
   WallTimer timer;
   obs::Span span(obs::kPhaseFleetService, "fleet");
+  CheckpointConfig ckpt = cfg_.checkpoint;
+  ckpt.aux_store = reg.checkpoint_store;
+  Auditor auditor(cfg_.auditor, registry, acfg, ckpt);
   switch (job.type) {
-    case FleetJobType::kFullAudit: {
-      CheckpointConfig ckpt = cfg_.checkpoint;
-      ckpt.aux_store = reg.checkpoint_store;
-      CheckpointedAuditor auditor(ckpt.auditor, registry, acfg, ckpt);
-      const std::string dir = cfg_.resume_from_checkpoints ? reg.checkpoint_dir : std::string();
+    case FleetJobType::kFullAudit:
       r.outcome = auditor.AuditFull(*reg.target, *reg.source, reg.reference_image, reg.auths,
-                                    dir, &r.resume);
+                                    reg.checkpoint_dir, &r.resume);
       break;
-    }
-    case FleetJobType::kSpotCheck: {
-      Auditor auditor(cfg_.checkpoint.auditor, registry, acfg);
+    case FleetJobType::kSpotCheck:
       r.outcome = auditor.SpotCheck(*reg.target, *reg.source, job.from_snapshot,
                                     job.to_snapshot, reg.auths);
       break;
-    }
     case FleetJobType::kOnlinePoll: {
       if (auditee.online == nullptr) {
         auditee.online =

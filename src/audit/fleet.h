@@ -11,10 +11,10 @@
 //  * among runnable auditees, the highest-priority queued job wins;
 //    ties go to the least-recently-served auditee (round robin), so a
 //    chatty auditee cannot starve the rest;
-//  * full audits run through CheckpointedAuditor: each one resumes
-//    from the auditee's persisted checkpoint (src/audit/checkpoint)
-//    and refreshes it, so re-auditing a long-lived machine costs
-//    O(new entries), not O(total log);
+//  * full audits run Auditor::AuditFull with the auditee's checkpoint
+//    directory: each one resumes from the persisted checkpoint
+//    (src/audit/checkpoint) and refreshes it, so re-auditing a
+//    long-lived machine costs O(new entries), not O(total log);
 //  * online polls keep a persistent OnlineAuditor per auditee (the
 //    §6.11 lag metric), surfacing a target-log rewind as its own
 //    status instead of stale progress.
@@ -44,7 +44,6 @@
 #include <vector>
 
 #include "src/audit/auditor.h"
-#include "src/audit/checkpoint.h"
 #include "src/audit/online.h"
 #include "src/obs/metrics.h"
 
@@ -102,11 +101,14 @@ struct FleetAuditConfig {
   // audit runs with `audit.threads` (defaulted to 1 here, so a fleet
   // does not multiply thread counts unless explicitly asked to).
   unsigned workers = 2;
+  // The service's auditing identity: every job's Auditor runs as it, so
+  // it names (and, with checkpoint.signer, signs) the checkpoint files.
+  NodeId auditor = "auditor";
   AuditConfig audit;
+  // Full audits resume from (and refresh) per-auditee checkpoints when
+  // the registration names a checkpoint directory; every_entries = 0
+  // turns both off.
   CheckpointConfig checkpoint;
-  // Resume full audits from (and refresh) per-auditee checkpoints when
-  // the registration names a checkpoint directory.
-  bool resume_from_checkpoints = true;
   // Start with the scheduler paused: jobs queue but none runs until
   // Resume(). Lets a caller submit a whole batch and observe the
   // fairness policy deterministically (tests do).

@@ -67,8 +67,9 @@ std::vector<MessageSigJob> CollectMessageSigJobs(const NodeId& node,
 
 class MessageCheckState {
  public:
-  MessageCheckState(NodeId node, const KeyRegistry& registry, bool strict_message_crossref)
-      : node_(std::move(node)), registry_(registry), strict_(strict_message_crossref) {}
+  // `strict`: see SyntacticMessageCheck (src/audit/auditor.h).
+  MessageCheckState(NodeId node, const KeyRegistry& registry, bool strict)
+      : node_(std::move(node)), registry_(registry), strict_(strict) {}
 
   CheckResult Feed(const LogEntry& e, int8_t sig_verdict);
 

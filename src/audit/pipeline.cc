@@ -17,13 +17,13 @@ ChunkedSyntacticChecker::ChunkedSyntacticChecker(const NodeId& node, uint64_t fi
                                                  uint64_t last_seq, const Hash256& prior_hash,
                                                  std::span<const Authenticator> auths,
                                                  const KeyRegistry& registry,
-                                                 const AuditConfig& cfg, ThreadPool* pool)
+                                                 bool strict_crossref, ThreadPool* pool)
     : node_(node),
       registry_(registry),
       auths_(auths),
       prior_hash_(prior_hash),
       auth_fail_idx_(std::numeric_limits<size_t>::max()),
-      smc_(node, registry, cfg.strict_message_crossref) {
+      smc_(node, registry, strict_crossref) {
   for (size_t i = 0; i < auths.size(); i++) {
     if (auths[i].node == node && auths[i].seq >= first_seq && auths[i].seq <= last_seq) {
       covering_.push_back({auths[i].seq, i, false});
@@ -41,7 +41,7 @@ ChunkedSyntacticChecker::ChunkedSyntacticChecker(const NodeId& node, uint64_t fi
       verify(k);
     }
   }
-  if (cfg.attested_input) {
+  if (InputAttestationRequired(node, registry)) {
     attested_.emplace(node, registry);
   }
 }
@@ -197,7 +197,7 @@ void DecodeScanState(ByteView state, MessageCheckState& smc,
   smc.RestoreState(r);
   const bool has_attested = r.U8() != 0;
   if (has_attested != attested.has_value()) {
-    throw SerdeError("checkpoint attested-input mode does not match the audit config");
+    throw SerdeError("checkpoint attested-input mode does not match the registry");
   }
   if (attested.has_value()) {
     attested->RestoreState(r);
@@ -208,11 +208,10 @@ void DecodeScanState(ByteView state, MessageCheckState& smc,
 }  // namespace
 
 std::string ChunkedSyntacticChecker::ResumableStateError(ByteView state, const NodeId& node,
-                                                         const KeyRegistry& registry,
-                                                         const AuditConfig& cfg) {
-  MessageCheckState smc(node, registry, cfg.strict_message_crossref);
+                                                         const KeyRegistry& registry) {
+  MessageCheckState smc(node, registry, /*strict=*/true);
   std::optional<AttestedInputScanner> attested;
-  if (cfg.attested_input) {
+  if (InputAttestationRequired(node, registry)) {
     attested.emplace(node, registry);
   }
   try {
@@ -294,13 +293,11 @@ AuditOutcome RunAuditEngine(const SegmentSource& source, std::span<const Authent
   // front: the replay gate. The verdict itself still comes from the
   // checker, in phase order.
   const AuditResume* resume = run.resume;
-  AuditConfig check_cfg = cfg;
-  check_cfg.strict_message_crossref = run.strict_crossref;
   WallTimer gate_timer;
   obs::Span gate_span(obs::kPhaseAuditSyntactic, "audit");
   ChunkedSyntacticChecker checker(node, run.first_seq, last,
                                   resume != nullptr ? resume->chain_hash : run.prior_hash, auths,
-                                  registry, check_cfg, pool);
+                                  registry, run.strict_crossref, pool);
   const bool replay_gate = run.replay && checker.SignaturesValid();
   gate_span.End();
   double syn_seconds = gate_timer.ElapsedSeconds();
@@ -318,10 +315,10 @@ AuditOutcome RunAuditEngine(const SegmentSource& source, std::span<const Authent
     checker.RestoreResumableState(resume->scan_state, resume->watermark, resume->auth_hashes);
   }
 
-  // With a pool and `pipelined`, chunk i replays on a worker while this
-  // thread checks chunk i+1; otherwise replay runs inline. Workers
-  // beyond the replay task fan each chunk's checks.
-  const bool overlap = pool != nullptr && pool->thread_count() > 1 && cfg.pipelined;
+  // With a pool, chunk i replays on a worker while this thread checks
+  // chunk i+1; without one, replay runs inline. Workers beyond the
+  // replay task fan each chunk's checks.
+  const bool overlap = pool != nullptr && pool->thread_count() > 1 && run.replay;
   ThreadPool* check_pool =
       pool != nullptr && pool->thread_count() > (overlap ? 2u : 1u) ? pool : nullptr;
   const size_t chunk_entries = cfg.pipeline_chunk_entries > 0 ? cfg.pipeline_chunk_entries : 2048;

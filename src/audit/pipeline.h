@@ -21,10 +21,10 @@
 //    SyntacticMessageCheck -> VerifyAttestedInputs that VerifyEvidence
 //    runs as the independent third-party path.
 //
-//  * RunAuditEngine: the loop itself. Replay runs inline on the scanning
-//    thread, or -- with a pool and AuditConfig::pipelined -- on a
-//    worker with one chunk in flight while the next chunk is checked.
-//    Verdicts are bit-for-bit identical either way.
+//  * RunAuditEngine: the loop itself. Without a pool (threads=1, the
+//    reference) replay runs inline on the scanning thread; with one, it
+//    runs on a worker with one chunk in flight while the next chunk is
+//    checked. Verdicts are bit-for-bit identical either way.
 #ifndef SRC_AUDIT_PIPELINE_H_
 #define SRC_AUDIT_PIPELINE_H_
 
@@ -50,10 +50,12 @@ class ChunkedSyntacticChecker {
   // next fed entry must continue (Zero for a log audited from its head).
   // The RSA signature of every covering authenticator is verified here,
   // up front (fanned across `pool` when given), and consumed when its
-  // seq streams by.
+  // seq streams by. `strict_crossref` is MessageCheckState's
+  // strictness; attested inputs are checked iff
+  // InputAttestationRequired(node, registry).
   ChunkedSyntacticChecker(const NodeId& node, uint64_t first_seq, uint64_t last_seq,
                           const Hash256& prior_hash, std::span<const Authenticator> auths,
-                          const KeyRegistry& registry, const AuditConfig& cfg,
+                          const KeyRegistry& registry, bool strict_crossref,
                           ThreadPool* pool = nullptr);
 
   // The replay gate: some authenticator covers the segment and every
@@ -92,10 +94,11 @@ class ChunkedSyntacticChecker {
   // intentionally not captured -- checkpoints are only taken from
   // fully-verified states (AnyFailure() must be false).
   void SerializeResumableState(Writer& w) const;
-  // "" if `state` restores into a checker built for `node`/`cfg`, else
-  // why not. A checkpoint is validated with this before it is resumed.
+  // "" if `state` restores into a full-audit (strict) checker for
+  // `node` under `registry`, else why not. A checkpoint is validated
+  // with this before it is resumed.
   static std::string ResumableStateError(ByteView state, const NodeId& node,
-                                         const KeyRegistry& registry, const AuditConfig& cfg);
+                                         const KeyRegistry& registry);
   // Restores into a freshly constructed checker whose ctor received the
   // checkpoint's chain hash as `prior_hash`. The checker then behaves
   // as if entries 1..`watermark_seq` had been fed: covering
@@ -168,7 +171,7 @@ struct AuditRun {
   uint64_t last_seq = 0;
   Hash256 prior_hash;  // h_{first_seq-1}; Zero when first_seq == 1.
   // Full audits cross-reference the message stream strictly; spot
-  // checks begin mid-queue and relax it.
+  // checks begin mid-queue and relax it (see SyntacticMessageCheck).
   bool strict_crossref = true;
   // The semantic check, from `start_state` when set, else from
   // `reference_image`. Off = the syntactic check alone (triage).
@@ -197,7 +200,7 @@ struct AuditRun {
 // syntactic check and replay, then the verdict, log_bytes and
 // evidence. A source that throws std::runtime_error while being read
 // yields the "log source unreadable" outcome. `pool` may be null
-// (everything on this thread).
+// (everything on this thread); with one, replay overlaps the checks.
 AuditOutcome RunAuditEngine(const SegmentSource& source, std::span<const Authenticator> auths,
                             const KeyRegistry& registry, const AuditConfig& cfg, ThreadPool* pool,
                             const AuditRun& run);

@@ -10,6 +10,10 @@ NodeId InputDeviceId(const NodeId& node) {
   return node + "/input";
 }
 
+bool InputAttestationRequired(const NodeId& node, const KeyRegistry& registry) {
+  return registry.Knows(InputDeviceId(node));
+}
+
 Bytes AttestedInputEvent::SignedPayload(const NodeId& device, uint64_t index, uint32_t code) {
   Writer w;
   w.Str(device);

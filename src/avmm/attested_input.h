@@ -12,8 +12,8 @@
 // keypair certified in the key registry under the device identity
 // "<node>/input". Each event is signed over (device id, event index,
 // code); the AVMM logs the attestation alongside the input value, and
-// the syntactic check (when the scenario declares attested input)
-// verifies every consumed input event. A forged event either carries no
+// the syntactic check (whenever the registry certifies the node's input
+// device) verifies every consumed input event. A forged event either carries no
 // valid attestation (detected) or must reuse an old one (detected by the
 // strictly increasing event index).
 #ifndef SRC_AVMM_ATTESTED_INPUT_H_
@@ -33,6 +33,13 @@ namespace avm {
 // Device identity under which an input attestor's public key is
 // registered: "<node id>/input".
 NodeId InputDeviceId(const NodeId& node);
+
+// The attested-input policy: `node`'s consumed input events must carry
+// valid attestations iff the registry certifies its input device
+// (InputDeviceId(node)). Every audit path -- the audit engine's
+// checker, checkpoint validation and VerifyEvidence -- asks this one
+// question, so none of them can disagree about it.
+bool InputAttestationRequired(const NodeId& node, const KeyRegistry& registry);
 
 struct AttestedInputEvent {
   NodeId device;       // The signing device's registry identity.
@@ -73,7 +80,7 @@ class InputAttestor {
 
 // Streaming form of the audit-side check: Feed() entries in log order;
 // the first failure is the scan's verdict. Factored out so the chunked
-// pipelined audit (src/audit/pipeline.h) can run the identical check
+// audit engine (src/audit/pipeline.h) can run the identical check
 // without materializing the segment.
 class AttestedInputScanner {
  public:
@@ -98,7 +105,7 @@ class AttestedInputScanner {
 // Audit-side check over a log segment: every consumed input event (a
 // PortIn on the INPUT port with a nonzero value) must carry a valid
 // attestation with strictly increasing indices. Runs as part of the
-// syntactic check when the scenario declares attested input.
+// syntactic check when InputAttestationRequired().
 CheckResult VerifyAttestedInputs(const LogSegment& segment, const KeyRegistry& registry);
 
 }  // namespace avm

@@ -211,9 +211,9 @@ AuditOutcome GameScenario::AuditPlayer(int player_index) {
   std::vector<Authenticator> auths = CollectAuths(target.id());
   AuditConfig acfg;
   acfg.mem_size = cfg_.run.mem_size;
-  acfg.attested_input = cfg_.attested_input;
   Auditor auditor("auditor", &registry_, acfg);
-  return auditor.AuditFull(target, reference_client_image_, auths);
+  return auditor.AuditFull(target, InMemorySegmentSource(target.log()), reference_client_image_,
+                           auths);
 }
 
 // ---------------------------------------------------------------- KV ----

@@ -39,8 +39,9 @@ struct GameScenarioConfig {
   // fraction of events that are FIRE.
   SimTime input_mean_gap_us = 100 * kMicrosPerMilli;
   double fire_fraction = 0.4;
-  // §7.2 extension: every player's keyboard signs its events; audits
-  // verify the attestations, which catches the forged-input aimbot.
+  // §7.2 extension: every player's keyboard signs its events and the
+  // registry certifies its key ("<player>/input"), so audits verify the
+  // attestations, which catches the forged-input aimbot.
   bool attested_input = false;
   // Chaos seam, wired into the scenario's SimNetwork. The injector's
   // own RNG streams derive from its plan seed; a scenario under an

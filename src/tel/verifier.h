@@ -29,7 +29,7 @@ struct CheckResult {
 // One link of the chain rule: `e` must carry `expect_seq` and extend
 // `prev` per the hash rule (seq checked first, as every scan does).
 // The single source of truth shared by VerifyChain, the streaming
-// syntactic check and the chunked pipelined checker.
+// syntactic check and the audit engine's chunked checker.
 CheckResult CheckChainLink(const Hash256& prev, uint64_t expect_seq, const LogEntry& e);
 
 // Recomputes the hash chain across the segment: sequence numbers must be

@@ -613,7 +613,8 @@ TEST(VerifyImageAudit, CleanImagePassesAndCorruptImageFailsBeforeReplay) {
 
   // Genuine reference image: the pre-audit pass finds no errors and the
   // audit proceeds to a normal PASS.
-  AuditOutcome good = auditor.AuditFull(game.server(), game.reference_server_image(), auths);
+  AuditOutcome good = auditor.AuditFull(game.server(), InMemorySegmentSource(game.server().log()),
+                                        game.reference_server_image(), auths);
   EXPECT_TRUE(good.ok) << good.Describe();
   EXPECT_EQ(good.image_errors, 0);
   EXPECT_GT(good.semantic.instructions_replayed, 0u);
@@ -636,7 +637,8 @@ TEST(VerifyImageAudit, CleanImagePassesAndCorruptImageFailsBeforeReplay) {
   bad_image[victim + 2] = 0x00;
   bad_image[victim + 3] = 0xee;  // Little-endian word 0xee000000.
 
-  AuditOutcome bad = auditor.AuditFull(game.server(), bad_image, auths);
+  AuditOutcome bad = auditor.AuditFull(game.server(), InMemorySegmentSource(game.server().log()),
+                                       bad_image, auths);
   EXPECT_FALSE(bad.ok);
   EXPECT_GT(bad.image_errors, 0);
   EXPECT_FALSE(bad.image_findings.empty());

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "src/audit/evidence.h"
 #include "src/avmm/attested_input.h"
 #include "src/sim/scenario.h"
 
@@ -87,6 +88,69 @@ TEST(AttestedInputAudit, CatchesTheForgedInputAimbot) {
   EXPECT_TRUE(honest.ok) << honest.Describe();
 }
 
+// Evidence a would-be accuser can assemble against `player` from its
+// real log: the whole segment plus every collected authenticator.
+Evidence ClaimAgainst(GameScenario& game, int player, EvidenceKind kind) {
+  const Avmm& target = game.player(player);
+  Evidence ev;
+  ev.kind = kind;
+  ev.accused = target.id();
+  ev.claim = "accuser's claim";
+  ev.segment = target.log().Extract(1, target.log().LastSeq()).Serialize();
+  for (const Authenticator& a : game.CollectAuths(target.id())) {
+    ev.auths.push_back(a.Serialize());
+  }
+  ev.mem_size = game.config().run.mem_size;
+  return ev;
+}
+
+TEST(AttestedInputAudit, ForgedInputEvidenceConvincesAThirdParty) {
+  // §4.7 completeness: the audit's evidence against the forged-input
+  // aimbot must convince a third party holding only the keys and the
+  // reference image. And accuracy: no claim against the honest player's
+  // real log is confirmed.
+  GameScenario game(AttestedCfg(11));
+  game.SetCheat(0, RunnableCheat::kForgedInputAimbot);
+  game.Start();
+  game.RunFor(2 * kMicrosPerSecond);
+  game.Finish();
+
+  AuditOutcome cheater = game.AuditPlayer(0);
+  ASSERT_FALSE(cheater.ok);
+  ASSERT_TRUE(cheater.evidence.has_value());
+  EXPECT_EQ(cheater.evidence->kind, EvidenceKind::kProtocolViolation);
+  Evidence shipped = Evidence::Deserialize(cheater.evidence->Serialize());
+  EvidenceVerdict verdict =
+      VerifyEvidence(shipped, game.registry(), game.reference_client_image());
+  EXPECT_TRUE(verdict.fault_confirmed) << verdict.detail;
+  EXPECT_NE(verdict.detail.find("attestation"), std::string::npos) << verdict.detail;
+
+  for (EvidenceKind kind : {EvidenceKind::kProtocolViolation, EvidenceKind::kReplayDivergence}) {
+    EvidenceVerdict honest = VerifyEvidence(ClaimAgainst(game, 1, kind), game.registry(),
+                                            game.reference_client_image());
+    EXPECT_FALSE(honest.fault_confirmed) << EvidenceKindName(kind) << ": " << honest.detail;
+  }
+}
+
+TEST(AttestedInputAudit, HonestPlayersYieldNoConfirmedEvidence) {
+  GameScenario game(AttestedCfg(10));
+  game.Start();
+  game.RunFor(2 * kMicrosPerSecond);
+  game.Finish();
+  for (int i = 0; i < 2; i++) {
+    AuditOutcome audit = game.AuditPlayer(i);
+    EXPECT_TRUE(audit.ok) << audit.Describe();
+    EXPECT_FALSE(audit.evidence.has_value());
+    for (EvidenceKind kind :
+         {EvidenceKind::kProtocolViolation, EvidenceKind::kReplayDivergence}) {
+      EvidenceVerdict v = VerifyEvidence(ClaimAgainst(game, i, kind), game.registry(),
+                                         game.reference_client_image());
+      EXPECT_FALSE(v.fault_confirmed) << "player " << i << " " << EvidenceKindName(kind)
+                                      << ": " << v.detail;
+    }
+  }
+}
+
 TEST(AttestedInputAudit, SameCheatInvisibleWithoutAttestation) {
   // Control: identical scenario minus the trusted device -> undetected
   // (reproduces the baseline §4.8 limitation side by side).
@@ -99,6 +163,15 @@ TEST(AttestedInputAudit, SameCheatInvisibleWithoutAttestation) {
   game.Finish();
   AuditOutcome cheater = game.AuditPlayer(0);
   EXPECT_TRUE(cheater.ok) << cheater.Describe();
+  // No device key is registered, so no attestation is required of the
+  // log, and no claim against it is confirmed either.
+  EXPECT_FALSE(InputAttestationRequired(game.player_id(0), game.registry()));
+  EXPECT_FALSE(cheater.evidence.has_value());
+  for (EvidenceKind kind : {EvidenceKind::kProtocolViolation, EvidenceKind::kReplayDivergence}) {
+    EvidenceVerdict v = VerifyEvidence(ClaimAgainst(game, 0, kind), game.registry(),
+                                       game.reference_client_image());
+    EXPECT_FALSE(v.fault_confirmed) << EvidenceKindName(kind) << ": " << v.detail;
+  }
 }
 
 TEST(AttestedInputAudit, ReplayedAttestationRejected) {

@@ -41,7 +41,8 @@ TEST(GameAudit, HonestServerLogVerifies) {
   AuditConfig acfg;
   acfg.mem_size = game.config().run.mem_size;
   Auditor auditor("third-party", &game.registry(), acfg);
-  AuditOutcome audit = auditor.AuditFull(game.server(), game.reference_server_image(), auths);
+  AuditOutcome audit = auditor.AuditFull(game.server(), InMemorySegmentSource(game.server().log()),
+                                         game.reference_server_image(), auths);
   EXPECT_TRUE(audit.ok) << audit.Describe();
 }
 
@@ -173,9 +174,7 @@ TEST(GameAudit, SyntacticCheckCatchesForgedSend) {
     prev = e.hash;
   }
 
-  AuditConfig acfg;
-  acfg.mem_size = game.config().run.mem_size;
-  CheckResult check = SyntacticMessageCheck(seg, game.registry(), acfg);
+  CheckResult check = SyntacticMessageCheck(seg, game.registry(), /*strict=*/true);
   EXPECT_FALSE(check.ok);
   EXPECT_NE(check.reason.find("SEND"), std::string::npos);
 }

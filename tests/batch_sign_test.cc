@@ -176,11 +176,9 @@ TEST_F(BatchTransportFixture, RoundTripDeliversAndAmortizesSignatures) {
   std::vector<Authenticator> alice_commits = bob_auths.AllFor("alice");
   LogSegment seg = alice_log.Extract(1, alice_log.LastSeq());
   EXPECT_TRUE(VerifyAgainstAuthenticators(seg, alice_commits, registry).ok);
-  AuditConfig relaxed;
-  relaxed.strict_message_crossref = false;
-  EXPECT_TRUE(SyntacticMessageCheck(seg, registry, relaxed).ok);
+  EXPECT_TRUE(SyntacticMessageCheck(seg, registry, /*strict=*/false).ok);
   LogSegment bseg = bob_log.Extract(1, bob_log.LastSeq());
-  EXPECT_TRUE(SyntacticMessageCheck(bseg, registry, relaxed).ok);
+  EXPECT_TRUE(SyntacticMessageCheck(bseg, registry, /*strict=*/false).ok);
 }
 
 TEST_F(BatchTransportFixture, RetransmissionSurvivesPartition) {
@@ -578,7 +576,8 @@ TEST_P(KvRsaSweep, FullAuditAndSpotCheckPass) {
   AuditConfig acfg;
   acfg.mem_size = cfg.run.mem_size;
   Auditor auditor("auditor", &kv.registry(), acfg);
-  AuditOutcome full = auditor.AuditFull(kv.server(), kv.reference_server_image(), auths);
+  AuditOutcome full = auditor.AuditFull(kv.server(), InMemorySegmentSource(kv.server().log()),
+                                        kv.reference_server_image(), auths);
   EXPECT_TRUE(full.ok) << SignModeName(GetParam()) << ": " << full.Describe();
 
   // Spot check the window between the initial and final snapshots.

@@ -60,7 +60,6 @@ void ExpectSameVerdict(const AuditOutcome& a, const AuditOutcome& b, const std::
 AuditConfig SeqCfg() {
   AuditConfig cfg;
   cfg.threads = 1;
-  cfg.pipelined = false;
   return cfg;
 }
 

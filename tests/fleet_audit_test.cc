@@ -1,7 +1,7 @@
 // The sharded audit service and the checkpointed, resumable audit:
 // checkpoint-resumed verdicts must be bit-for-bit those of a
 // from-genesis audit across checkpoint cadences, sign modes and
-// pipelined/sequential paths; forged/stale checkpoints must be
+// thread counts; forged/stale checkpoints must be
 // rejected (falling back to genesis); tampering behind an accepted
 // checkpoint must still be caught; and the fleet scheduler must honor
 // priorities and per-auditee fairness.
@@ -131,26 +131,21 @@ struct KvFixture {
   std::vector<Authenticator> auths;
 };
 
-AuditConfig SeqCfg() {
+// threads=1 is the inline reference; more threads overlap replay with
+// the checks.
+AuditConfig ThreadsCfg(unsigned threads) {
   AuditConfig cfg;
-  cfg.threads = 1;
-  cfg.pipelined = false;
+  cfg.threads = threads;
   cfg.pipeline_chunk_entries = 512;
   return cfg;
 }
 
-AuditConfig PipeCfg() {
-  AuditConfig cfg;
-  cfg.threads = 4;
-  cfg.pipelined = true;
-  cfg.pipeline_chunk_entries = 512;
-  return cfg;
-}
+AuditConfig SeqCfg() { return ThreadsCfg(1); }
 
 // The acceptance sweep: for each sign mode, checkpoint-resumed verdicts
 // (first audit captures, second resumes) equal the from-genesis verdict
 // at several cadences — including cadences that land mid-batch-window —
-// on both the sequential and the pipelined path.
+// at threads=1 and with replay overlapped at threads=2 and 4.
 TEST(CheckpointedAudit, ResumedVerdictsBitForBitAcrossCadencesAndSignModes) {
   struct ModeCase {
     const char* name;
@@ -166,29 +161,31 @@ TEST(CheckpointedAudit, ResumedVerdictsBitForBitAcrossCadencesAndSignModes) {
     const uint64_t last = fx.store->LastSeq();
     ASSERT_GT(last, 1000u) << mode.name;
 
-    // From-genesis references, sequential and pipelined.
+    // From-genesis references: threads=1, and overlapped at 2 and 4.
     Auditor seq_ref("auditor", &fx.scenario->registry(), SeqCfg());
     AuditOutcome genesis_seq =
         seq_ref.AuditFull(fx.scenario->server(), *fx.store,
                           fx.scenario->reference_server_image(), fx.auths);
     ASSERT_TRUE(genesis_seq.ok) << mode.name << ": " << genesis_seq.Describe();
-    Auditor pipe_ref("auditor", &fx.scenario->registry(), PipeCfg());
-    AuditOutcome genesis_pipe =
-        pipe_ref.AuditFull(fx.scenario->server(), *fx.store,
-                           fx.scenario->reference_server_image(), fx.auths);
-    ExpectSameVerdict(genesis_seq, genesis_pipe, std::string(mode.name) + "/pipe-ref");
+    for (unsigned threads : {2u, 4u}) {
+      Auditor par_ref("auditor", &fx.scenario->registry(), ThreadsCfg(threads));
+      AuditOutcome genesis_par =
+          par_ref.AuditFull(fx.scenario->server(), *fx.store,
+                            fx.scenario->reference_server_image(), fx.auths);
+      ExpectSameVerdict(genesis_seq, genesis_par,
+                        std::string(mode.name) + "/ref threads=" + std::to_string(threads));
+    }
 
     // 777 is coprime to the batch window (8), so captures land
     // mid-window with pending batched entries in the scan state.
     for (uint64_t cadence : {uint64_t{300}, uint64_t{777}, last / 2}) {
-      for (bool pipelined : {false, true}) {
+      for (unsigned threads : {1u, 2u, 4u}) {
         std::string what = std::string(mode.name) + "/cadence=" + std::to_string(cadence) +
-                           (pipelined ? "/pipelined" : "/sequential");
+                           "/threads=" + std::to_string(threads);
         fs::remove(fs::path(fx.dir) / AuditCheckpointFileName("auditor"));
         CheckpointConfig ck;
         ck.every_entries = cadence;
-        CheckpointedAuditor auditor("auditor", &fx.scenario->registry(),
-                                    pipelined ? PipeCfg() : SeqCfg(), ck);
+        Auditor auditor("auditor", &fx.scenario->registry(), ThreadsCfg(threads), ck);
         ResumeInfo cold_info;
         AuditOutcome cold =
             auditor.AuditFull(fx.scenario->server(), *fx.store,
@@ -250,7 +247,7 @@ TEST(CheckpointedAudit, ResumedAuditReproducesCheatVerdict) {
 
   CheckpointConfig ck;
   ck.every_entries = 200;
-  CheckpointedAuditor auditor("auditor", &game.registry(), SeqCfg(), ck);
+  Auditor auditor("auditor", &game.registry(), SeqCfg(), ck);
   ResumeInfo cold_info;
   AuditOutcome cold = auditor.AuditFull(game.player(0), *store, game.reference_client_image(),
                                         auths, dir, &cold_info);
@@ -272,7 +269,7 @@ TEST(CheckpointedAudit, ResumedAuditReproducesCheatVerdict) {
   fs::remove_all(dir);
 }
 
-// Attested-input mode rides through checkpoints too: the scan cursor
+// Attested input rides through checkpoints too: the scan cursor
 // (device index replay protection) is part of the checkpointed state.
 TEST(CheckpointedAudit, AttestedInputStateSurvivesResume) {
   std::string dir = TempDir("attested");
@@ -293,15 +290,17 @@ TEST(CheckpointedAudit, AttestedInputStateSurvivesResume) {
   store->Flush();
   std::vector<Authenticator> auths = game.CollectAuths(game.player_id(0));
 
+  // The registry certifies the players' input devices, so every audit
+  // below checks attested inputs.
+  ASSERT_TRUE(InputAttestationRequired(game.player_id(0), game.registry()));
   AuditConfig acfg = SeqCfg();
-  acfg.attested_input = true;
   Auditor ref("auditor", &game.registry(), acfg);
   AuditOutcome genesis =
       ref.AuditFull(game.player(0), *store, game.reference_client_image(), auths);
 
   CheckpointConfig ck;
   ck.every_entries = 250;
-  CheckpointedAuditor auditor("auditor", &game.registry(), acfg, ck);
+  Auditor auditor("auditor", &game.registry(), acfg, ck);
   ResumeInfo info;
   AuditOutcome cold = auditor.AuditFull(game.player(0), *store, game.reference_client_image(),
                                         auths, dir, &info);
@@ -320,7 +319,7 @@ TEST(CheckpointedAudit, TamperAheadOfWatermarkSameVerdictAsGenesis) {
   KvFixture fx(RunConfig::AvmmRsa768(), "tamper_ahead", 2 * kMicrosPerSecond);
   CheckpointConfig ck;
   ck.every_entries = 400;
-  CheckpointedAuditor auditor("auditor", &fx.scenario->registry(), SeqCfg(), ck);
+  Auditor auditor("auditor", &fx.scenario->registry(), SeqCfg(), ck);
   ResumeInfo info;
   AuditOutcome clean = auditor.AuditFull(fx.scenario->server(), *fx.store,
                                          fx.scenario->reference_server_image(), fx.auths,
@@ -353,7 +352,7 @@ TEST(CheckpointedAudit, TamperBehindWatermarkRejectsCheckpointAndCatches) {
   KvFixture fx(RunConfig::AvmmRsa768(), "tamper_behind", 2 * kMicrosPerSecond);
   CheckpointConfig ck;
   ck.every_entries = 400;
-  CheckpointedAuditor auditor("auditor", &fx.scenario->registry(), SeqCfg(), ck);
+  Auditor auditor("auditor", &fx.scenario->registry(), SeqCfg(), ck);
   ResumeInfo info;
   AuditOutcome clean = auditor.AuditFull(fx.scenario->server(), *fx.store,
                                          fx.scenario->reference_server_image(), fx.auths,
@@ -397,7 +396,7 @@ TEST(CheckpointedAudit, ForgedAndCorruptCheckpointsRejected) {
   CheckpointConfig ck;
   ck.every_entries = 400;
   ck.signer = &auditor_signer;
-  CheckpointedAuditor auditor("auditor", &registry, SeqCfg(), ck);
+  Auditor auditor("auditor", &registry, SeqCfg(), ck);
   ResumeInfo info;
   AuditOutcome clean =
       auditor.AuditFull(fx.scenario->server(), *fx.store,
@@ -447,7 +446,7 @@ TEST(CheckpointedAudit, ForgedAndCorruptCheckpointsRejected) {
                     /*seed=*/99);
     KeyRegistry other_registry = other.scenario->registry();  // Its own node keys.
     other_registry.RegisterSigner(auditor_signer);
-    CheckpointedAuditor other_auditor("auditor", &other_registry, SeqCfg(), ck);
+    Auditor other_auditor("auditor", &other_registry, SeqCfg(), ck);
     ResumeInfo oinfo;
     other_auditor.AuditFull(other.scenario->server(), *other.store,
                             other.scenario->reference_server_image(), other.auths, other.dir,
@@ -473,7 +472,7 @@ TEST(CheckpointedAudit, CheckpointSurvivesStoreReopenAndTmpIsSwept) {
   KvFixture fx(RunConfig::AvmmNoSig(), "reopen", kMicrosPerSecond);
   CheckpointConfig ck;
   ck.every_entries = 300;
-  CheckpointedAuditor auditor("auditor", &fx.scenario->registry(), SeqCfg(), ck);
+  Auditor auditor("auditor", &fx.scenario->registry(), SeqCfg(), ck);
   ResumeInfo info;
   AuditOutcome first =
       auditor.AuditFull(fx.scenario->server(), *fx.store,
@@ -759,7 +758,7 @@ TEST(FleetAudit, VerdictsIndependentOfWorkerCountAndSpotChecksRun) {
   std::map<NodeId, AuditOutcome> verdicts[2];
   for (int round = 0; round < 2; round++) {
     FleetAuditConfig fcfg = FleetCfg(round == 0 ? 1 : 4);
-    fcfg.resume_from_checkpoints = false;  // Isolate: sharding only.
+    fcfg.checkpoint.every_entries = 0;  // Isolate: sharding only.
     FleetAuditService service(nullptr, fcfg);
     RegisterAll(service, fleet);
     std::map<NodeId, uint64_t> jobs;

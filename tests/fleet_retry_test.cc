@@ -23,7 +23,6 @@ namespace {
 AuditConfig SeqCfg() {
   AuditConfig cfg;
   cfg.threads = 1;
-  cfg.pipelined = false;
   return cfg;
 }
 

@@ -256,10 +256,9 @@ TEST(CheckpointRobustness, MutatedCheckpointFallsBackToGenesis) {
 
   AuditConfig acfg;
   acfg.threads = 1;
-  acfg.pipelined = false;
   CheckpointConfig ck;
   ck.every_entries = 200;
-  CheckpointedAuditor auditor("auditor", &scenario.registry(), acfg, ck);
+  Auditor auditor("auditor", &scenario.registry(), acfg, ck);
   ResumeInfo ri;
   AuditOutcome clean = auditor.AuditFull(scenario.server(), *store,
                                          scenario.reference_server_image(), auths, dir, &ri);

@@ -334,7 +334,8 @@ TEST(ObsEquivalence, VerdictsAndLogBytesIdenticalOnOrOff) {
     acfg.mem_size = cfg.run.mem_size;
     acfg.threads = 1;
     Auditor auditor("auditor", &game.registry(), acfg);
-    AuditOutcome out = auditor.AuditFull(game.server(), game.reference_server_image(),
+    AuditOutcome out = auditor.AuditFull(game.server(), InMemorySegmentSource(game.server().log()),
+                                         game.reference_server_image(),
                                          game.CollectAuths("server"));
     verdict[on] = out.Describe();
     EXPECT_TRUE(out.ok);

@@ -1,17 +1,25 @@
-// Pipelined-audit parity: AuditConfig::pipelined overlaps the syntactic
-// check with deterministic replay (and, store-backed, streams chunk i+1
-// through the checks while chunk i replays), and every verdict — audit,
-// spot check, evidence, failure reason and seq — must be bit-for-bit
-// the sequential path's at every thread count and chunk size.
+// Audit-engine parity: with more than one thread the engine overlaps
+// the syntactic check with deterministic replay (chunk i replays on a
+// worker while chunk i+1 goes through the checks), and every verdict —
+// audit, spot check, evidence, failure reason and seq — must be
+// bit-for-bit the threads=1 inline path's at every thread count and
+// chunk size, and that path's the whole-segment primitives'. The
+// AuditConfigTable tests set every AuditConfig field on every audit
+// entry point and assert that it takes effect.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <iterator>
 #include <mutex>
+#include <thread>
 
 #include "src/audit/checkpoint.h"
+#include "src/audit/fleet.h"
 #include "src/audit/pipeline.h"
 #include "src/obs/metrics.h"
 #include "src/sim/scenario.h"
@@ -50,21 +58,23 @@ void ExpectSameOutcome(const AuditOutcome& a, const AuditOutcome& b, const std::
 // the whole-segment primitives VerifyEvidence runs, composed over the
 // extracted segment (authenticators -> message stream -> attested
 // inputs -> replay).
+// `strict` is the message cross-reference of a full audit (a spot-check
+// window relaxes it).
 AuditOutcome PrimitiveReference(const LogSegment& seg, std::span<const Authenticator> auths,
-                                const KeyRegistry& registry, const AuditConfig& cfg,
+                                const KeyRegistry& registry, size_t mem_size, bool strict,
                                 ByteView image, const MaterializedState* start = nullptr) {
   AuditOutcome ref;
   ref.log_bytes = seg.SerializedSize();
   ref.syntactic = VerifyAgainstAuthenticators(seg, auths, registry);
   if (ref.syntactic.ok) {
-    ref.syntactic = SyntacticMessageCheck(seg, registry, cfg);
+    ref.syntactic = SyntacticMessageCheck(seg, registry, strict);
   }
-  if (ref.syntactic.ok && cfg.attested_input) {
+  if (ref.syntactic.ok && InputAttestationRequired(seg.node, registry)) {
     ref.syntactic = VerifyAttestedInputs(seg, registry);
   }
   if (ref.syntactic.ok) {
     ref.semantic = start != nullptr ? ReplaySegment(seg, *start)
-                                    : ReplaySegment(seg, image, cfg.mem_size);
+                                    : ReplaySegment(seg, image, mem_size);
   }
   ref.ok = ref.syntactic.ok && ref.semantic.ok;
   return ref;
@@ -83,12 +93,12 @@ void ExpectMatchesReference(const AuditOutcome& a, const AuditOutcome& ref,
   EXPECT_EQ(a.log_bytes, ref.log_bytes) << what;
 }
 
-AuditConfig MakeConfig(size_t mem_size, unsigned threads, bool pipelined,
-                       size_t chunk_entries = 2048) {
+// threads=1 runs replay inline (the reference); more threads overlap
+// replay with the checks and fan the checks across the rest.
+AuditConfig MakeConfig(size_t mem_size, unsigned threads, size_t chunk_entries = 2048) {
   AuditConfig cfg;
   cfg.mem_size = mem_size;
   cfg.threads = threads;
-  cfg.pipelined = pipelined;
   cfg.pipeline_chunk_entries = chunk_entries;
   return cfg;
 }
@@ -186,26 +196,23 @@ class PipelineAuditTest : public ::testing::Test {
     return Authenticator{"solo", seg.LastSeq(), seg.entries.back().hash, {}};
   }
 
-  // Audits `source` with the sequential phases and with the pipeline at
-  // several thread counts / chunk sizes; all outcomes must agree with
-  // the sequential threads=1 baseline, and the baseline with the
-  // whole-segment primitives. Returns the baseline.
+  // Audits `source` inline (threads=1) and overlapped (threads 2 and 4)
+  // at several chunk sizes; all outcomes must agree with the threads=1
+  // baseline, and the baseline with the whole-segment primitives.
+  // Returns the baseline.
   AuditOutcome ExpectParity(const SegmentSource& source, std::span<const Authenticator> auths,
                             const std::string& what) {
-    Auditor base("auditor", &registry_, MakeConfig(kMem, 1, false));
+    Auditor base("auditor", &registry_, MakeConfig(kMem, 1));
     AuditOutcome baseline = base.AuditFull(*node_, source, image_, auths);
     ExpectMatchesReference(baseline,
                            PrimitiveReference(source.Extract(1, source.LastSeq()), auths,
-                                              registry_, base.config(), image_),
+                                              registry_, kMem, /*strict=*/true, image_),
                            what + " vs primitives");
-    for (unsigned threads : {2u, 4u}) {
+    for (unsigned threads : {1u, 2u, 4u}) {
       for (size_t chunk : {size_t{7}, size_t{2048}}) {
-        Auditor seq("auditor", &registry_, MakeConfig(kMem, threads, false, chunk));
-        Auditor pipe("auditor", &registry_, MakeConfig(kMem, threads, true, chunk));
-        ExpectSameOutcome(baseline, seq.AuditFull(*node_, source, image_, auths),
-                          what + " sequential threads=" + std::to_string(threads));
-        ExpectSameOutcome(baseline, pipe.AuditFull(*node_, source, image_, auths),
-                          what + " pipelined threads=" + std::to_string(threads) +
+        Auditor a("auditor", &registry_, MakeConfig(kMem, threads, chunk));
+        ExpectSameOutcome(baseline, a.AuditFull(*node_, source, image_, auths),
+                          what + " threads=" + std::to_string(threads) +
                               " chunk=" + std::to_string(chunk));
       }
     }
@@ -290,8 +297,8 @@ TEST_F(PipelineAuditTest, JitReplayVerdictsMatchInterpreter) {
                                    {"tampered", std::move(tampered), false}}) {
     std::vector<Authenticator> auths = {AuthFor(c.seg)};
     VectorSegmentSource source(std::move(c.seg));
-    AuditConfig jit_cfg = MakeConfig(kMem, 1, false);
-    AuditConfig interp_cfg = MakeConfig(kMem, 1, false);
+    AuditConfig jit_cfg = MakeConfig(kMem, 1);
+    AuditConfig interp_cfg = MakeConfig(kMem, 1);
     interp_cfg.jit_replay = false;
     Auditor jit("auditor", &registry_, jit_cfg);
     Auditor interp("auditor", &registry_, interp_cfg);
@@ -318,7 +325,7 @@ TEST_F(PipelineAuditTest, BrokenChainFailsIdentically) {
 TEST_F(PipelineAuditTest, ChainBreakOutranksEarlierMessageFailure) {
   // A message-stream failure early in the log plus a chain break later:
   // the sequential composition runs the whole chain check first, so the
-  // chain break is the verdict — the pipelined checker must not report
+  // chain break is the verdict — the chunked checker must not report
   // the (earlier-seq) message failure instead.
   RecordSolo(30);
   LogSegment seg = WholeSegment();
@@ -336,7 +343,7 @@ TEST_F(PipelineAuditTest, ChainBreakOutranksEarlierMessageFailure) {
   // The syntactic triage walks the log as AuditFull does, so it reports
   // the same phase-priority verdict, not the earlier-seq message failure.
   CheckResult triage =
-      StreamingSyntacticCheck(source, auths, registry_, MakeConfig(kMem, 1, false));
+      StreamingSyntacticCheck(source, auths, registry_, MakeConfig(kMem, 1));
   EXPECT_EQ(triage.reason, base.syntactic.reason);
   EXPECT_EQ(triage.bad_seq, base.syntactic.bad_seq);
 
@@ -373,9 +380,9 @@ TEST_F(PipelineAuditTest, AuthenticatorFailuresReportedInSpanOrder) {
 
 TEST_F(PipelineAuditTest, InvalidAuthenticatorSignatureFailsIdentically) {
   // A garbage signature (under the kNone scheme, any nonempty one) must
-  // fail "authenticator signature invalid" in every mode — and in the
-  // pipelined streaming path it also gates replay off entirely, so a
-  // forged log cannot buy an attacker a full replay.
+  // fail "authenticator signature invalid" in every mode — and it also
+  // gates replay off entirely, so a forged log cannot buy an attacker a
+  // full replay.
   RecordSolo(15);
   LogSegment seg = WholeSegment();
   Authenticator forged = AuthFor(seg);
@@ -439,7 +446,7 @@ TEST_F(PipelineStoreTest, StoreBackedPipelinedAuditMatchesSequential) {
   EXPECT_TRUE(base.ok) << base.Describe();
 
   // And the store-backed verdict equals the in-memory one.
-  Auditor pipe("auditor", &registry_, MakeConfig(kMem, 2, true));
+  Auditor pipe("auditor", &registry_, MakeConfig(kMem, 2));
   InMemorySegmentSource mem_source(node_->log());
   ExpectSameOutcome(pipe.AuditFull(*node_, mem_source, image_, auths),
                     pipe.AuditFull(*node_, *store, image_, auths), "store-vs-memory");
@@ -475,8 +482,8 @@ TEST_F(PipelineStoreTest, CorruptSealedSegmentIsUnreadableIdentically) {
 
   LogSegment seg = WholeSegment();
   std::vector<Authenticator> auths = {AuthFor(seg)};
-  Auditor seq("auditor", &registry_, MakeConfig(kMem, 2, false));
-  Auditor pipe("auditor", &registry_, MakeConfig(kMem, 2, true, 64));
+  Auditor seq("auditor", &registry_, MakeConfig(kMem, 1));
+  Auditor pipe("auditor", &registry_, MakeConfig(kMem, 2, 64));
   AuditOutcome a = seq.AuditFull(*node_, *store, image_, auths);
   AuditOutcome b = pipe.AuditFull(*node_, *store, image_, auths);
   EXPECT_FALSE(a.ok);
@@ -487,11 +494,10 @@ TEST_F(PipelineStoreTest, CorruptSealedSegmentIsUnreadableIdentically) {
   EXPECT_FALSE(a.evidence.has_value());
   EXPECT_FALSE(b.evidence.has_value());
 
-  // The checkpointed driver fails the same way and counts only the
-  // entries it checked before the store stopped being readable.
-  CheckpointedAuditor ck("auditor", &registry_, MakeConfig(kMem, 2, true, 64));
+  // The audit counts only the entries it checked before the store
+  // stopped being readable.
   ResumeInfo info;
-  AuditOutcome c = ck.AuditFull(*node_, *store, image_, auths, "", &info);
+  AuditOutcome c = pipe.AuditFull(*node_, *store, image_, auths, "", &info);
   EXPECT_FALSE(c.ok);
   EXPECT_EQ(c.syntactic.reason, a.syntactic.reason);
   EXPECT_FALSE(c.evidence.has_value());
@@ -524,11 +530,10 @@ TEST(PipelineSpotCheck, WindowVerdictsMatchSequentialIncludingCheat) {
   }
   std::vector<Authenticator> auths = kv.CollectAuthsForServer();
 
-  auto run_with = [&](bool pipelined) {
+  auto run_with = [&](unsigned threads) {
     AuditConfig acfg;
     acfg.mem_size = cfg.run.mem_size;
-    acfg.threads = 2;
-    acfg.pipelined = pipelined;
+    acfg.threads = threads;
     Auditor auditor("client", &kv.registry(), acfg);
     std::vector<AuditOutcome> outs;
     for (const auto& w : windows) {
@@ -536,8 +541,8 @@ TEST(PipelineSpotCheck, WindowVerdictsMatchSequentialIncludingCheat) {
     }
     return outs;
   };
-  std::vector<AuditOutcome> seq = run_with(false);
-  std::vector<AuditOutcome> pipe = run_with(true);
+  std::vector<AuditOutcome> seq = run_with(1);
+  std::vector<AuditOutcome> pipe = run_with(2);
   ASSERT_EQ(seq.size(), pipe.size());
   int failures = 0;
   for (size_t i = 0; i < seq.size(); i++) {
@@ -548,9 +553,6 @@ TEST(PipelineSpotCheck, WindowVerdictsMatchSequentialIncludingCheat) {
 
   // Each window against the whole-segment primitives, started from the
   // same materialized snapshot with the same endpoint commitment.
-  AuditConfig ref_cfg;
-  ref_cfg.mem_size = cfg.run.mem_size;
-  ref_cfg.strict_message_crossref = false;
   for (size_t i = 0; i < windows.size(); i++) {
     const uint64_t from = snaps[i].seq;
     const uint64_t to = snaps[i + 1].seq;
@@ -560,7 +562,8 @@ TEST(PipelineSpotCheck, WindowVerdictsMatchSequentialIncludingCheat) {
         kv.server().snapshot_store().Materialize(windows[i].first, cfg.run.mem_size);
     ExpectMatchesReference(seq[i],
                            PrimitiveReference(kv.server().log().Extract(from, to), window_auths,
-                                              kv.registry(), ref_cfg, ByteView(), &start),
+                                              kv.registry(), cfg.run.mem_size, /*strict=*/false,
+                                              ByteView(), &start),
                            "window " + std::to_string(i) + " vs primitives");
   }
 }
@@ -645,8 +648,8 @@ class EngineKvTest : public ::testing::Test {
     fs::remove_all(dir_);
   }
 
-  AuditConfig Cfg(unsigned threads, bool pipelined, bool jit = true) const {
-    AuditConfig cfg = MakeConfig(mem_size_, threads, pipelined, 256);
+  AuditConfig Cfg(unsigned threads, bool jit = true) const {
+    AuditConfig cfg = MakeConfig(mem_size_, threads, 256);
     cfg.jit_replay = jit;
     return cfg;
   }
@@ -656,11 +659,35 @@ class EngineKvTest : public ::testing::Test {
     return ck;
   }
   std::string CheckpointDir() const { return (fs::path(dir_) / "ckpt").string(); }
+  // Every spot-check window between consecutive snapshots.
+  std::vector<std::pair<uint64_t, uint64_t>> Windows() const {
+    std::vector<std::pair<uint64_t, uint64_t>> windows;
+    for (size_t i = 0; i + 1 < snaps_.size(); i++) {
+      windows.emplace_back(snaps_[i].meta.snapshot_id, snaps_[i + 1].meta.snapshot_id);
+    }
+    return windows;
+  }
+  // The reference image with a reachable illegal opcode (the middle of
+  // its largest block, as avm-lint --seed-corruption illegal plants it).
+  Bytes CorruptImage() const {
+    Bytes bad_image = kv_->reference_server_image();
+    const analysis::Cfg cfg = analysis::BuildCfg(bad_image);
+    const analysis::BasicBlock* biggest = nullptr;
+    for (const analysis::BasicBlock& b : cfg.blocks) {
+      if (biggest == nullptr || b.insn_count() > biggest->insn_count()) {
+        biggest = &b;
+      }
+    }
+    EXPECT_NE(biggest, nullptr);
+    const uint32_t illegal = 0xee000000u;
+    std::memcpy(bad_image.data() + biggest->start + 4 * (biggest->insn_count() / 2), &illegal,
+                4);
+    return bad_image;
+  }
   AuditOutcome Full(Auditor& a, const SegmentSource& source) {
     return a.AuditFull(kv_->server(), source, kv_->reference_server_image(), auths_);
   }
-  AuditOutcome Checkpointed(CheckpointedAuditor& a, const SegmentSource& source,
-                            ResumeInfo* info) {
+  AuditOutcome Checkpointed(Auditor& a, const SegmentSource& source, ResumeInfo* info) {
     return a.AuditFull(kv_->server(), source, kv_->reference_server_image(), auths_,
                        CheckpointDir(), info);
   }
@@ -678,10 +705,7 @@ TEST_F(EngineKvTest, JitReplayConfigHonoredOnEveryAuditPath) {
   // every path; on builds with the JIT tier, true must use it.
   obs::Counter* native_enters = obs::Registry::Global().GetCounter("avm.jit.native_enters");
   InMemorySegmentSource memory(kv_->server().log());
-  std::vector<std::pair<uint64_t, uint64_t>> windows;
-  for (size_t i = 0; i + 1 < snaps_.size(); i++) {
-    windows.emplace_back(snaps_[i].meta.snapshot_id, snaps_[i + 1].meta.snapshot_id);
-  }
+  const std::vector<std::pair<uint64_t, uint64_t>> windows = Windows();
   for (bool jit : {false, true}) {
     auto expect_tier = [&](const std::string& what, const std::function<bool()>& audit) {
       const uint64_t before = native_enters->Value();
@@ -694,20 +718,17 @@ TEST_F(EngineKvTest, JitReplayConfigHonoredOnEveryAuditPath) {
       }
     };
     const std::string tier = jit ? "jit " : "interp ";
-    for (unsigned threads : {1u, 4u}) {
-      for (bool pipelined : {false, true}) {
-        Auditor a("client", &kv_->registry(), Cfg(threads, pipelined, jit));
-        const std::string mode = tier + "threads=" + std::to_string(threads) +
-                                 (pipelined ? " pipelined" : " sequential");
-        expect_tier(mode + " memory", [&] { return Full(a, memory).ok; });
-        expect_tier(mode + " store", [&] { return Full(a, *store_).ok; });
-      }
+    for (unsigned threads : {1u, 2u, 4u}) {
+      Auditor a("client", &kv_->registry(), Cfg(threads, jit));
+      const std::string mode = tier + "threads=" + std::to_string(threads);
+      expect_tier(mode + " memory", [&] { return Full(a, memory).ok; });
+      expect_tier(mode + " store", [&] { return Full(a, *store_).ok; });
     }
-    Auditor seq("client", &kv_->registry(), Cfg(1, false, jit));
+    Auditor seq("client", &kv_->registry(), Cfg(1, jit));
     expect_tier(tier + "spot check", [&] {
       return seq.SpotCheck(kv_->server(), windows[0].first, windows[0].second, auths_).ok;
     });
-    Auditor pooled("client", &kv_->registry(), Cfg(4, true, jit));
+    Auditor pooled("client", &kv_->registry(), Cfg(4, jit));
     expect_tier(tier + "spot check many", [&] {
       bool all_ok = true;
       for (const AuditOutcome& o : pooled.SpotCheckMany(kv_->server(), *store_, windows, auths_)) {
@@ -716,7 +737,7 @@ TEST_F(EngineKvTest, JitReplayConfigHonoredOnEveryAuditPath) {
       return all_ok;
     });
     fs::remove_all(CheckpointDir());
-    CheckpointedAuditor ck("client", &kv_->registry(), Cfg(4, true, jit), Cadence());
+    Auditor ck("client", &kv_->registry(), Cfg(4, jit), Cadence());
     ResumeInfo cold_info;
     ResumeInfo resumed_info;
     expect_tier(tier + "checkpointed cold",
@@ -730,24 +751,21 @@ TEST_F(EngineKvTest, JitReplayConfigHonoredOnEveryAuditPath) {
 TEST_F(EngineKvTest, EveryAuditReadsItsRangeInOneForwardScan) {
   // The engine reads the audited range in exactly one forward Scan and
   // never Extracts it (Extract is reserved for building evidence, and
-  // an honest audit has none) -- at every thread count, pipelined or
-  // not, and checkpointed with and without resume.
+  // an honest audit has none) -- at every thread count, and
+  // checkpointed with and without resume.
   const uint64_t last = store_->LastSeq();
-  for (unsigned threads : {1u, 4u}) {
-    for (bool pipelined : {false, true}) {
-      const std::string what =
-          "threads=" + std::to_string(threads) + (pipelined ? " pipelined" : " sequential");
-      CountingSource source(*store_);
-      Auditor a("client", &kv_->registry(), Cfg(threads, pipelined));
-      EXPECT_TRUE(Full(a, source).ok) << what;
-      EXPECT_EQ(source.scans(), (std::vector<Range>{{1, last}})) << what;
-      EXPECT_TRUE(source.extracts().empty()) << what;
-    }
+  for (unsigned threads : {1u, 2u, 4u}) {
+    const std::string what = "threads=" + std::to_string(threads);
+    CountingSource source(*store_);
+    Auditor a("client", &kv_->registry(), Cfg(threads));
+    EXPECT_TRUE(Full(a, source).ok) << what;
+    EXPECT_EQ(source.scans(), (std::vector<Range>{{1, last}})) << what;
+    EXPECT_TRUE(source.extracts().empty()) << what;
 
     // Checkpointed: cold, then resumed. The resume validates its anchor
     // with one HashAt probe of the watermark entry, then scans the rest.
     fs::remove_all(CheckpointDir());
-    CheckpointedAuditor ck("client", &kv_->registry(), Cfg(threads, true), Cadence());
+    Auditor ck("client", &kv_->registry(), Cfg(threads), Cadence());
     CountingSource cold_source(*store_);
     ResumeInfo cold_info;
     EXPECT_TRUE(Checkpointed(ck, cold_source, &cold_info).ok);
@@ -771,7 +789,7 @@ TEST_F(EngineKvTest, EveryAuditReadsItsRangeInOneForwardScan) {
   const uint64_t from = snaps_[1].seq;
   const uint64_t to = snaps_[2].seq;
   CountingSource source(*store_);
-  Auditor a("client", &kv_->registry(), Cfg(1, false));
+  Auditor a("client", &kv_->registry(), Cfg(1));
   EXPECT_TRUE(a.SpotCheck(kv_->server(), source, snaps_[1].meta.snapshot_id,
                           snaps_[2].meta.snapshot_id, auths_)
                   .ok);
@@ -780,26 +798,15 @@ TEST_F(EngineKvTest, EveryAuditReadsItsRangeInOneForwardScan) {
 }
 
 TEST_F(EngineKvTest, CheckpointedAuditHonoursVerifyImage) {
-  // A reference image with a reachable illegal opcode (the middle of
-  // its largest block, as avm-lint --seed-corruption illegal plants
-  // it) must fail the checkpointed audit up front, exactly as it fails
-  // Auditor::AuditFull: cold, and with a valid checkpoint to resume from.
-  Bytes bad_image = kv_->reference_server_image();
-  const analysis::Cfg cfg = analysis::BuildCfg(bad_image);
-  const analysis::BasicBlock* biggest = nullptr;
-  for (const analysis::BasicBlock& b : cfg.blocks) {
-    if (biggest == nullptr || b.insn_count() > biggest->insn_count()) {
-      biggest = &b;
-    }
-  }
-  ASSERT_NE(biggest, nullptr);
-  const uint32_t illegal = 0xee000000u;
-  std::memcpy(bad_image.data() + biggest->start + 4 * (biggest->insn_count() / 2), &illegal, 4);
+  // A reference image with a reachable illegal opcode must fail a
+  // checkpointed AuditFull up front, exactly as it fails one without a
+  // checkpoint dir: cold, and with a valid checkpoint to resume from.
+  const Bytes bad_image = CorruptImage();
 
-  AuditConfig acfg = Cfg(4, true);
+  AuditConfig acfg = Cfg(4);
   acfg.verify_image = true;
   fs::remove_all(CheckpointDir());
-  CheckpointedAuditor ck("client", &kv_->registry(), acfg, Cadence());
+  Auditor ck("client", &kv_->registry(), acfg, Cadence());
   auto audit = [&](const Bytes& image, ResumeInfo* info) {
     return ck.AuditFull(kv_->server(), *store_, image, auths_, CheckpointDir(), info);
   };
@@ -826,6 +833,291 @@ TEST_F(EngineKvTest, CheckpointedAuditHonoursVerifyImage) {
   // ...which the corrupt image must not resume from.
   ResumeInfo resumed;
   expect_rejected(audit(bad_image, &resumed), resumed, "resumed");
+}
+
+// --- every AuditConfig field on every entry point -----------------------
+
+enum class Entry {
+  kFullMemory,        // AuditFull over the in-memory log.
+  kFullStore,         // AuditFull over the store on disk.
+  kFullCheckpointed,  // AuditFull with a checkpoint dir (cold).
+  kSpotCheck,
+  kSpotCheckMany,
+  kTriage,  // StreamingSyntacticCheck.
+  kFleetFull,
+  kFleetSpot,
+};
+constexpr Entry kEntries[] = {
+    Entry::kFullMemory,    Entry::kFullStore, Entry::kFullCheckpointed, Entry::kSpotCheck,
+    Entry::kSpotCheckMany, Entry::kTriage,    Entry::kFleetFull,        Entry::kFleetSpot,
+};
+
+const char* EntryName(Entry e) {
+  switch (e) {
+    case Entry::kFullMemory:
+      return "AuditFull(memory)";
+    case Entry::kFullStore:
+      return "AuditFull(store)";
+    case Entry::kFullCheckpointed:
+      return "AuditFull(checkpoint dir)";
+    case Entry::kSpotCheck:
+      return "SpotCheck";
+    case Entry::kSpotCheckMany:
+      return "SpotCheckMany";
+    case Entry::kTriage:
+      return "StreamingSyntacticCheck";
+    case Entry::kFleetFull:
+      return "fleet full audit";
+    case Entry::kFleetSpot:
+      return "fleet spot check";
+  }
+  return "?";
+}
+
+// The exceptions to "every field takes effect on every entry point".
+const char* NotApplicable(const std::string& field, Entry e) {
+  const bool spot = e == Entry::kSpotCheck || e == Entry::kSpotCheckMany || e == Entry::kFleetSpot;
+  if (e == Entry::kTriage && (field == "mem_size" || field == "jit_replay")) {
+    return "the syntactic triage replays nothing";
+  }
+  if (field == "verify_image" && (spot || e == Entry::kTriage)) {
+    return "no reference image: spot checks start from a snapshot, triage does not replay";
+  }
+  return nullptr;
+}
+
+// Threads in this process, read from /proc (Linux).
+size_t ProcessThreads() {
+  return static_cast<size_t>(
+      std::distance(fs::directory_iterator("/proc/self/task"), fs::directory_iterator()));
+}
+
+// ProcessThreads() once no thread is still on its way out.
+size_t SettledProcessThreads() {
+  size_t n = ProcessThreads();
+  for (int i = 0; i < 100; i++) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    const size_t again = ProcessThreads();
+    if (again == n) {
+      break;
+    }
+    n = again;
+  }
+  return n;
+}
+
+// Records how many threads beyond a baseline the process had while an
+// audit read the wrapped source: the audit's worker pool.
+class ThreadWatchSource final : public SegmentSource {
+ public:
+  explicit ThreadWatchSource(const SegmentSource& inner) : inner_(inner) {}
+
+  // Call right before the audit: every thread alive now is not its pool.
+  void SetBaseline() { baseline_ = SettledProcessThreads(); }
+
+  const NodeId& node() const override { return inner_.node(); }
+  uint64_t LastSeq() const override { return inner_.LastSeq(); }
+  LogSegment Extract(uint64_t from_seq, uint64_t to_seq) const override {
+    return inner_.Extract(from_seq, to_seq);
+  }
+  void Scan(uint64_t from_seq, uint64_t to_seq, const EntryVisitor& visit) const override {
+    const size_t now = ProcessThreads();
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      extra_ = std::max(extra_, now > baseline_ ? now - baseline_ : 0);
+    }
+    inner_.Scan(from_seq, to_seq, visit);
+  }
+
+  size_t extra_threads() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return extra_;
+  }
+
+ private:
+  const SegmentSource& inner_;
+  size_t baseline_ = 0;
+  mutable std::mutex mu_;
+  mutable size_t extra_ = 0;
+};
+
+class AuditConfigTableTest : public EngineKvTest {
+ protected:
+  // What one call of an entry point shows of its config.
+  struct Observed {
+    bool ok = true;           // Every verdict of the call passed.
+    int image_errors = 0;     // AuditConfig::verify_image findings.
+    uint64_t replayed = 0;    // Guest instructions replayed.
+    size_t extra_threads = 0; // The worker pool, seen while the log is read.
+    uint64_t syntactic_spans = 0;  // The replay gate plus one per chunk.
+    uint64_t native_enters = 0;    // JIT entries.
+  };
+
+  // threads=1, one JIT-replayed audit in 256-entry chunks, no image pass.
+  AuditConfig Base() const { return Cfg(1); }
+
+  Observed Observe(Entry entry, const AuditConfig& cfg, const Bytes& image) {
+    InMemorySegmentSource memory(kv_->server().log());
+    ThreadWatchSource source(entry == Entry::kFullMemory
+                                 ? static_cast<const SegmentSource&>(memory)
+                                 : *store_);
+    const std::pair<uint64_t, uint64_t> window = Windows().front();
+    std::unique_ptr<FleetAuditService> fleet;
+    if (entry == Entry::kFleetFull || entry == Entry::kFleetSpot) {
+      FleetAuditConfig fcfg;
+      fcfg.workers = 1;
+      fcfg.audit = cfg;
+      fleet = std::make_unique<FleetAuditService>(&kv_->registry(), fcfg);
+      FleetAuditService::Registration reg;
+      reg.node = "kv/server";
+      reg.target = &kv_->server();
+      reg.source = &source;
+      reg.reference_image = image;
+      reg.auths = auths_;
+      fleet->RegisterAuditee(std::move(reg));
+    }
+
+    obs::Counter* native_enters = obs::Registry::Global().GetCounter("avm.jit.native_enters");
+    const bool telemetry_was_on = obs::Enabled();
+    obs::SetEnabled(true);
+    obs::ResetTrace();
+    const uint64_t enters_before = native_enters->Value();
+    source.SetBaseline();  // The fleet's own worker is already running.
+    std::vector<AuditOutcome> outs;
+    Auditor auditor("client", &kv_->registry(), cfg, Cadence());
+    switch (entry) {
+      case Entry::kFullMemory:
+      case Entry::kFullStore:
+        outs.push_back(auditor.AuditFull(kv_->server(), source, image, auths_));
+        break;
+      case Entry::kFullCheckpointed:
+        fs::remove_all(CheckpointDir());
+        outs.push_back(auditor.AuditFull(kv_->server(), source, image, auths_, CheckpointDir()));
+        break;
+      case Entry::kSpotCheck:
+        outs.push_back(
+            auditor.SpotCheck(kv_->server(), source, window.first, window.second, auths_));
+        break;
+      case Entry::kSpotCheckMany:
+        outs = auditor.SpotCheckMany(kv_->server(), source, Windows(), auths_);
+        break;
+      case Entry::kTriage: {
+        AuditOutcome out;
+        out.syntactic = StreamingSyntacticCheck(source, auths_, kv_->registry(), cfg);
+        out.ok = out.syntactic.ok;
+        outs.push_back(out);
+        break;
+      }
+      case Entry::kFleetFull:
+      case Entry::kFleetSpot: {
+        const uint64_t job =
+            entry == Entry::kFleetFull
+                ? fleet->SubmitFullAudit("kv/server")
+                : fleet->SubmitSpotCheck("kv/server", window.first, window.second);
+        fleet->Drain();
+        std::optional<FleetJobResult> r = fleet->Result(job);
+        EXPECT_TRUE(r.has_value() && !r->job_error) << EntryName(entry);
+        if (r.has_value()) {
+          outs.push_back(r->outcome);
+        }
+        break;
+      }
+    }
+    Observed o;
+    o.native_enters = native_enters->Value() - enters_before;
+    o.syntactic_spans = obs::PhaseCount(obs::kPhaseAuditSyntactic);
+    obs::ResetTrace();
+    obs::SetEnabled(telemetry_was_on);
+    o.extra_threads = source.extra_threads();
+    o.ok = !outs.empty();
+    for (const AuditOutcome& out : outs) {
+      o.ok = o.ok && out.ok;
+      o.image_errors = std::max(o.image_errors, out.image_errors);
+      o.replayed += out.semantic.instructions_replayed;
+    }
+    return o;
+  }
+};
+
+TEST_F(AuditConfigTableTest, MemSizeSizesTheReplayMachine) {
+  for (Entry e : kEntries) {
+    AuditConfig cfg = Base();
+    EXPECT_TRUE(Observe(e, cfg, kv_->reference_server_image()).ok) << EntryName(e);
+    cfg.mem_size = 2 * mem_size_;
+    const Observed wrong = Observe(e, cfg, kv_->reference_server_image());
+    if (const char* why = NotApplicable("mem_size", e)) {
+      EXPECT_TRUE(wrong.ok) << EntryName(e) << ": " << why;
+      continue;
+    }
+    // A machine of another size cannot reproduce the logged snapshot roots.
+    EXPECT_FALSE(wrong.ok) << EntryName(e) << ": mem_size ignored";
+  }
+}
+
+TEST_F(AuditConfigTableTest, ThreadsSizesTheWorkerPool) {
+  if (!fs::exists("/proc/self/task")) {
+    GTEST_SKIP() << "counts threads through /proc/self/task";
+  }
+  for (Entry e : kEntries) {
+    AuditConfig cfg = Base();
+    const Observed inline_run = Observe(e, cfg, kv_->reference_server_image());
+    cfg.threads = 3;
+    const Observed pooled = Observe(e, cfg, kv_->reference_server_image());
+    EXPECT_TRUE(inline_run.ok) << EntryName(e);
+    EXPECT_TRUE(pooled.ok) << EntryName(e);
+    EXPECT_EQ(inline_run.extra_threads, 0u) << EntryName(e) << ": threads=1 started a pool";
+    EXPECT_EQ(pooled.extra_threads, 2u) << EntryName(e) << ": threads=3 is not a 3-thread pool";
+  }
+}
+
+TEST_F(AuditConfigTableTest, PipelineChunkEntriesSetsTheChunking) {
+  for (Entry e : kEntries) {
+    AuditConfig cfg = Base();
+    cfg.pipeline_chunk_entries = size_t{1} << 20;
+    const Observed whole = Observe(e, cfg, kv_->reference_server_image());
+    cfg.pipeline_chunk_entries = 32;
+    const Observed chunked = Observe(e, cfg, kv_->reference_server_image());
+    EXPECT_TRUE(whole.ok) << EntryName(e);
+    EXPECT_TRUE(chunked.ok) << EntryName(e);
+    EXPECT_GT(chunked.syntactic_spans, whole.syntactic_spans)
+        << EntryName(e) << ": pipeline_chunk_entries ignored";
+  }
+}
+
+TEST_F(AuditConfigTableTest, JitReplaySelectsTheReplayTier) {
+  for (Entry e : kEntries) {
+    AuditConfig cfg = Base();
+    const Observed jit = Observe(e, cfg, kv_->reference_server_image());
+    cfg.jit_replay = false;
+    const Observed reference = Observe(e, cfg, kv_->reference_server_image());
+    EXPECT_TRUE(jit.ok) << EntryName(e);
+    EXPECT_TRUE(reference.ok) << EntryName(e);
+    EXPECT_EQ(reference.native_enters, 0u) << EntryName(e) << ": jit_replay=false used the JIT";
+    if (const char* why = NotApplicable("jit_replay", e)) {
+      EXPECT_EQ(jit.native_enters, 0u) << EntryName(e) << ": " << why;
+    } else if (jit::JitSupported()) {
+      EXPECT_GT(jit.native_enters, 0u) << EntryName(e) << ": jit_replay=true never used the JIT";
+    }
+  }
+}
+
+TEST_F(AuditConfigTableTest, VerifyImageRejectsACorruptImageUpFront) {
+  const Bytes bad_image = CorruptImage();
+  for (Entry e : kEntries) {
+    AuditConfig cfg = Base();
+    const Observed unchecked = Observe(e, cfg, bad_image);
+    cfg.verify_image = true;
+    const Observed checked = Observe(e, cfg, bad_image);
+    EXPECT_EQ(unchecked.image_errors, 0) << EntryName(e);
+    if (const char* why = NotApplicable("verify_image", e)) {
+      EXPECT_EQ(checked.image_errors, 0) << EntryName(e) << ": " << why;
+      EXPECT_EQ(checked.ok, unchecked.ok) << EntryName(e) << ": " << why;
+      continue;
+    }
+    EXPECT_GT(checked.image_errors, 0) << EntryName(e) << ": verify_image ignored";
+    EXPECT_FALSE(checked.ok) << EntryName(e);
+    EXPECT_EQ(checked.replayed, 0u) << EntryName(e) << ": replayed a corrupt image";
+  }
 }
 
 }  // namespace

@@ -70,7 +70,8 @@ TEST_P(HonestKvSweep, ServerAuditAndSpotChecksPass) {
 
   std::vector<Authenticator> auths = kv.CollectAuthsForServer();
   Auditor auditor("client", &kv.registry());
-  AuditOutcome full = auditor.AuditFull(kv.server(), kv.reference_server_image(), auths);
+  AuditOutcome full = auditor.AuditFull(kv.server(), InMemorySegmentSource(kv.server().log()),
+                                        kv.reference_server_image(), auths);
   EXPECT_TRUE(full.ok) << full.Describe();
 
   std::vector<SnapshotIndexEntry> snaps = IndexSnapshots(kv.server().log());

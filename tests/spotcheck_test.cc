@@ -48,7 +48,8 @@ TEST_F(KvFixture, FullAuditOfIrqDrivenServerPasses) {
   AuditConfig acfg;
   Auditor auditor("client", &scenario->registry(), acfg);
   AuditOutcome audit =
-      auditor.AuditFull(scenario->server(), scenario->reference_server_image(), auths);
+      auditor.AuditFull(scenario->server(), InMemorySegmentSource(scenario->server().log()),
+                        scenario->reference_server_image(), auths);
   EXPECT_TRUE(audit.ok) << audit.Describe();
 }
 

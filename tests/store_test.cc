@@ -473,7 +473,8 @@ TEST_F(StoreFixture, StoreBackedFullAuditMatchesInMemory) {
 
   std::vector<Authenticator> auths = kv.CollectAuthsForServer();
   Auditor auditor("client", &kv.registry());
-  AuditOutcome mem = auditor.AuditFull(kv.server(), kv.reference_server_image(), auths);
+  AuditOutcome mem = auditor.AuditFull(kv.server(), InMemorySegmentSource(kv.server().log()),
+                                       kv.reference_server_image(), auths);
   AuditOutcome disk =
       auditor.AuditFull(kv.server(), *store, kv.reference_server_image(), auths);
   EXPECT_TRUE(mem.ok) << mem.Describe();
@@ -545,7 +546,8 @@ TEST_F(StoreFixture, FreshProcessStyleAuditFromDiskOnly) {
   EXPECT_EQ(store->LastSeq(), kv.server().log().LastSeq());
   std::vector<Authenticator> auths = kv.CollectAuthsForServer();
   Auditor auditor("client", &kv.registry());
-  AuditOutcome mem = auditor.AuditFull(kv.server(), kv.reference_server_image(), auths);
+  AuditOutcome mem = auditor.AuditFull(kv.server(), InMemorySegmentSource(kv.server().log()),
+                                       kv.reference_server_image(), auths);
   AuditOutcome disk = auditor.AuditFull(kv.server(), *store, kv.reference_server_image(), auths);
   EXPECT_TRUE(disk.ok) << disk.Describe();
   EXPECT_EQ(mem.Describe(), disk.Describe());

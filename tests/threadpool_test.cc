@@ -143,8 +143,11 @@ void ExpectSameOutcome(const AuditOutcome& seq, const AuditOutcome& par) {
 }
 
 TEST_F(ParallelAuditParityTest, FullAuditVerdictsMatchSequential) {
-  AuditOutcome seq = MakeAuditor(1).AuditFull(kv_->server(), kv_->reference_server_image(), auths_);
-  AuditOutcome par = MakeAuditor(4).AuditFull(kv_->server(), kv_->reference_server_image(), auths_);
+  InMemorySegmentSource source(kv_->server().log());
+  AuditOutcome seq =
+      MakeAuditor(1).AuditFull(kv_->server(), source, kv_->reference_server_image(), auths_);
+  AuditOutcome par =
+      MakeAuditor(4).AuditFull(kv_->server(), source, kv_->reference_server_image(), auths_);
   EXPECT_TRUE(seq.ok) << seq.Describe();
   ExpectSameOutcome(seq, par);
 }
