@@ -125,7 +125,7 @@ void RunThroughputDegradation(BenchJson& json) {
   FleetAuditConfig chaos_cfg;
   chaos_cfg.workers = 2;
   chaos_cfg.audit = acfg;
-  chaos_cfg.chaos = &injector;
+  chaos_cfg.fault_hook = injector.AuditJobHook();
   chaos_cfg.retry.backoff_initial_us = 2000;
   FleetAuditService chaotic(nullptr, chaos_cfg);
   unsigned chaos_ok = 0, chaos_failed = 0;

@@ -64,6 +64,7 @@ void Run() {
   std::printf("  %-4s %10s %16s %12s %18s\n", "k", "chunks", "replay time %", "data %",
               "(averages, vs full audit)");
   size_t num_segments = snaps.size() - 1;
+  InMemorySegmentSource source(kv.server().log());
   for (size_t k : {1u, 3u, 5u, 9u, 12u}) {
     if (k > num_segments) {
       continue;
@@ -73,7 +74,7 @@ void Run() {
     // Exclude chunks that start at the beginning of the log, as the
     // paper does (they are atypical: no snapshot transfer, less load).
     for (size_t start = 1; start + k <= num_segments; start++) {
-      AuditOutcome audit = auditor.SpotCheck(kv.server(), snaps[start].meta.snapshot_id,
+      AuditOutcome audit = auditor.SpotCheck(kv.server(), source, snaps[start].meta.snapshot_id,
                                              snaps[start + k].meta.snapshot_id, auths);
       if (!audit.ok) {
         std::printf("  unexpected spot-check failure: %s\n", audit.Describe().c_str());

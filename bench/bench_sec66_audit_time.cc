@@ -174,7 +174,8 @@ void RunParallel() {
     double syn_s = full.syntactic_seconds;
 
     WallTimer win_t;
-    std::vector<AuditOutcome> outs = auditor.SpotCheckMany(kv.server(), windows, auths);
+    std::vector<AuditOutcome> outs = auditor.SpotCheckMany(
+        kv.server(), InMemorySegmentSource(kv.server().log()), windows, auths);
     double win_s = win_t.ElapsedSeconds();
 
     size_t passed = 0;

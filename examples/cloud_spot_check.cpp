@@ -38,12 +38,13 @@ int main() {
     std::vector<SnapshotIndexEntry> snaps = IndexSnapshots(kv.server().log());
     std::vector<Authenticator> auths = kv.CollectAuthsForServer();
     Auditor alice("alice", &kv.registry());
+    InMemorySegmentSource source(kv.server().log());
 
     std::printf("honest provider: %zu snapshots, server handled %llu requests\n", snaps.size(),
                 static_cast<unsigned long long>(kv.server().stats().guest_packets_delivered));
     // Alice samples a few chunks instead of replaying everything.
     for (size_t i : {1u, 3u, 4u}) {
-      AuditOutcome audit = alice.SpotCheck(kv.server(), snaps[i].meta.snapshot_id,
+      AuditOutcome audit = alice.SpotCheck(kv.server(), source, snaps[i].meta.snapshot_id,
                                            snaps[i + 1].meta.snapshot_id, auths);
       std::printf("  spot check segment %zu -> %s (%.0f KB log + %.0f KB snapshots, %.3fs)\n", i,
                   audit.Describe().c_str(), audit.log_bytes / 1024.0,
@@ -72,11 +73,12 @@ int main() {
     std::vector<SnapshotIndexEntry> snaps = IndexSnapshots(kv.server().log());
     std::vector<Authenticator> auths = kv.CollectAuthsForServer();
     Auditor alice("alice", &kv.registry());
+    InMemorySegmentSource source(kv.server().log());
 
     std::printf("\nmisbehaving provider: state corrupted at t=12s\n");
     std::optional<Evidence> evidence;
     for (size_t i = 0; i + 1 < snaps.size(); i++) {
-      AuditOutcome audit = alice.SpotCheck(kv.server(), snaps[i].meta.snapshot_id,
+      AuditOutcome audit = alice.SpotCheck(kv.server(), source, snaps[i].meta.snapshot_id,
                                            snaps[i + 1].meta.snapshot_id, auths);
       std::printf("  spot check segment %zu -> %s\n", i, audit.Describe().c_str());
       if (!audit.ok) {

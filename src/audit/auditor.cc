@@ -212,12 +212,6 @@ AuditOutcome Auditor::FullAuditAfterPrechecks(const Avmm& target, const SegmentS
   return RunAuditEngine(source, auths, *registry_, cfg_, EnsurePool(), run);
 }
 
-AuditOutcome Auditor::SpotCheck(const Avmm& target, uint64_t from_snapshot_id,
-                                uint64_t to_snapshot_id, std::span<const Authenticator> auths) {
-  return SpotCheck(target, InMemorySegmentSource(target.log()), from_snapshot_id, to_snapshot_id,
-                   auths);
-}
-
 AuditOutcome Auditor::SpotCheck(const Avmm& target, const SegmentSource& source,
                                 uint64_t from_snapshot_id, uint64_t to_snapshot_id,
                                 std::span<const Authenticator> auths) {
@@ -229,12 +223,6 @@ AuditOutcome Auditor::SpotCheck(const Avmm& target, const SegmentSource& source,
   }
   return SpotCheckImpl(target, source, snaps, from_snapshot_id, to_snapshot_id, auths,
                        EnsurePool());
-}
-
-std::vector<AuditOutcome> Auditor::SpotCheckMany(
-    const Avmm& target, std::span<const std::pair<uint64_t, uint64_t>> windows,
-    std::span<const Authenticator> auths) {
-  return SpotCheckMany(target, InMemorySegmentSource(target.log()), windows, auths);
 }
 
 std::vector<AuditOutcome> Auditor::SpotCheckMany(

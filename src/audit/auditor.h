@@ -177,11 +177,10 @@ class Auditor {
 
   // Spot check (§3.5/§6.12): audit only the chunk between two snapshots,
   // starting replay from the (verified) snapshot at `from_snapshot_id`.
-  // The target's in-memory log, or any `source`; `target` still
-  // supplies what only the machine can: snapshot increments and a fresh
-  // end-of-segment commitment.
-  AuditOutcome SpotCheck(const Avmm& target, uint64_t from_snapshot_id, uint64_t to_snapshot_id,
-                         std::span<const Authenticator> auths);
+  // The log is read from `source` (InMemorySegmentSource(target.log())
+  // for the target's in-memory log); `target` still supplies what only
+  // the machine can: snapshot increments and a fresh end-of-segment
+  // commitment.
   AuditOutcome SpotCheck(const Avmm& target, const SegmentSource& source,
                          uint64_t from_snapshot_id, uint64_t to_snapshot_id,
                          std::span<const Authenticator> auths);
@@ -190,9 +189,6 @@ class Auditor {
   // audits (verification + replay) across the worker pool. Outcomes are
   // positionally identical to calling SpotCheck on each window in order;
   // only the wall-clock time differs.
-  std::vector<AuditOutcome> SpotCheckMany(const Avmm& target,
-                                          std::span<const std::pair<uint64_t, uint64_t>> windows,
-                                          std::span<const Authenticator> auths);
   std::vector<AuditOutcome> SpotCheckMany(const Avmm& target, const SegmentSource& source,
                                           std::span<const std::pair<uint64_t, uint64_t>> windows,
                                           std::span<const Authenticator> auths);

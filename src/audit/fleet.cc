@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "src/avmm/recorder.h"
-#include "src/chaos/fault_plan.h"
 #include "src/obs/export.h"
 #include "src/obs/trace.h"
 #include "src/util/threadpool.h"
@@ -462,32 +461,15 @@ void FleetAuditService::WorkerLoop() {
         // The attempt timer spans the injected stall too: a slow-peer
         // stall is exactly what a per-job timeout exists to catch.
         WallTimer attempt_timer;
-        // Injected faults for this attempt (chaos plan and/or test hook).
-        bool kill = false;
-        uint64_t stall_us = 0;
-        std::string what;
+        FleetJobFault fault;
         if (cfg_.fault_hook) {
-          FleetJobFault f = cfg_.fault_hook(auditee->reg.node, job.type, job.attempt);
-          stall_us += f.stall_us;
-          if (f.fail) {
-            kill = true;
-            what = f.what;
-          }
+          fault = cfg_.fault_hook(auditee->reg.node, job.type, job.attempt);
         }
-        if (cfg_.chaos != nullptr) {
-          chaos::JobFault f =
-              cfg_.chaos->OnAuditJob(auditee->reg.node, FleetJobTypeName(job.type), job.attempt);
-          stall_us += f.stall_us;
-          if (f.fail && !kill) {
-            kill = true;
-            what = f.what;
-          }
+        if (fault.stall_us > 0) {
+          std::this_thread::sleep_for(std::chrono::microseconds(fault.stall_us));
         }
-        if (stall_us > 0) {
-          std::this_thread::sleep_for(std::chrono::microseconds(stall_us));
-        }
-        if (kill) {
-          throw std::runtime_error(what.empty() ? "injected worker death" : what);
+        if (fault.fail) {
+          throw std::runtime_error(fault.what.empty() ? "injected worker death" : fault.what);
         }
         result = RunJob(*auditee, job);
         const double attempt_us = attempt_timer.ElapsedSeconds() * 1e6;

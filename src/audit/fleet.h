@@ -49,18 +49,15 @@
 
 namespace avm {
 
-namespace chaos {
-class FaultInjector;  // src/chaos/fault_plan.h
-}
-
 enum class FleetJobType : uint8_t { kFullAudit = 0, kSpotCheck = 1, kOnlinePoll = 2 };
 enum class FleetPriority : uint8_t { kHigh = 0, kNormal = 1, kLow = 2 };
 
 const char* FleetJobTypeName(FleetJobType t);
 
 // Injected by a test or chaos harness through
-// FleetAuditConfig::fault_hook: what should happen to this job attempt
-// before the audit itself runs.
+// FleetAuditConfig::fault_hook (chaos::FaultInjector::AuditJobHook
+// adapts a fault plan): what should happen to this job attempt before
+// the audit itself runs.
 struct FleetJobFault {
   bool fail = false;      // Kill the attempt (worker survives, job retries).
   uint64_t stall_us = 0;  // Slow-peer stall before the attempt runs.
@@ -119,12 +116,9 @@ struct FleetAuditConfig {
   // Null = steady_clock. With a virtual clock the workers cannot sleep
   // until a deadline, so advance the clock and Kick() to re-probe.
   std::function<uint64_t()> clock;
-  // Chaos seam: every job attempt consults the injector's
-  // kAuditWorkerDeath / kAuditSlowPeer events. Null or an empty plan is
-  // behaviorally identical to no injector.
-  chaos::FaultInjector* chaos = nullptr;
-  // Test seam with the same contract as `chaos`, as a plain callback:
-  // (node, job type, attempt number starting at 1) -> fault.
+  // Fault seam, consulted before every job attempt: (node, job type,
+  // attempt number starting at 1) -> fault. Unset or a hook over an
+  // empty chaos plan is behaviorally identical to no seam.
   std::function<FleetJobFault(const NodeId&, FleetJobType, unsigned)> fault_hook;
 };
 

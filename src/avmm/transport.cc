@@ -52,6 +52,14 @@ void Transport::RegisterObsMetrics() {
   }));
 }
 
+template <typename F>
+auto Transport::Crypto(F&& f) {
+  WallTimer timer;
+  auto r = f();
+  crypto_seconds_ += timer.ElapsedSeconds();
+  return r;
+}
+
 void Transport::Violation(const std::string& what) {
   stats_.verify_failures++;
   violations_.push_back(what);
@@ -64,61 +72,35 @@ void Transport::SendPacket(SimTime now, const NodeId& dst, Bytes payload) {
   }
   stats_.packets_sent++;
 
+  MessageRecord rec{id_, dst, ++send_counter_, std::move(payload)};
   if (!cfg_->TamperEvident()) {
-    MessageRecord rec{id_, dst, ++send_counter_, std::move(payload)};
     net_->SendFrame(now, id_, dst, WrapFrame(FrameType::kPlainData, rec.Serialize()));
     return;
   }
 
-  MessageRecord rec{id_, dst, ++send_counter_, std::move(payload)};
-  if (cfg_->BatchedSigning()) {
-    SendPacketBatched(now, dst, std::move(rec));
-    return;
+  // kSync signs the message itself (§4.3); batched modes leave SEND(m)
+  // to the hash chain and the next windowed signature.
+  const bool batched = cfg_->BatchedSigning();
+  Bytes payload_sig;
+  if (!batched) {
+    Bytes rec_bytes = rec.Serialize();
+    payload_sig = Crypto([&] { return signer_->Sign(rec_bytes); });
   }
-  Bytes rec_bytes = rec.Serialize();
-
-  WallTimer crypto_timer;
-  Bytes payload_sig = signer_->Sign(rec_bytes);
-  crypto_seconds_ += crypto_timer.ElapsedSeconds();
-
   Bytes content = MessageEntryContent(rec, payload_sig);
-  WallTimer log_timer;
-  Hash256 prev = log_->LastHash();
-  log_->Append(EntryType::kSend, content);
-  logging_seconds_ += log_timer.ElapsedSeconds();
+  Hash256 prev = Log(EntryType::kSend, content);
+  Authenticator auth = CommitToTip(batched);
+  uint64_t release_seq = batched ? 0 : auth.seq;
 
-  crypto_timer.Reset();
-  Authenticator auth = log_->Authenticate(*signer_);
-  crypto_seconds_ += crypto_timer.ElapsedSeconds();
-
-  DataFrame frame{std::move(rec), std::move(payload_sig), prev, std::move(auth)};
-  uint64_t auth_seq = frame.auth.seq;
-  uint64_t msg_id = frame.msg.msg_id;
-  Bytes wire = WrapFrame(FrameType::kData, frame.Serialize());
-  if (!DurableFor(auth_seq)) {
-    // The authenticator commits to entries a crash could still lose;
-    // hold the frame until the group commit catches up (ReleaseDurable).
-    stats_.durable_deferred_frames++;
-    DeferredFrame d;
-    d.release_seq = auth_seq;
-    d.dst = dst;
-    d.wire = std::move(wire);
-    d.is_data = true;
-    d.msg_id = msg_id;
-    d.entry_content = std::move(content);
-    deferred_frames_.push_back(std::move(d));
-    return;
+  uint64_t msg_id = rec.msg_id;
+  Bytes wire;
+  if (batched) {
+    BatchDataFrame f{std::move(rec), BuildTailFor(dst, /*advance=*/true)};
+    wire = WrapFrame(FrameType::kBatchData, f.Serialize());
+  } else {
+    DataFrame f{std::move(rec), std::move(payload_sig), prev, std::move(auth)};
+    wire = WrapFrame(FrameType::kData, f.Serialize());
   }
-  NoteAuthRelease(auth_seq);
-  net_->SendFrame(now, id_, dst, wire);
-
-  PendingSend pending;
-  pending.frame = std::move(wire);
-  pending.entry_content = std::move(content);
-  pending.first_sent = now;
-  pending.last_sent = now;
-  pending.dst = dst;
-  unacked_[{dst, msg_id}] = std::move(pending);
+  Release(now, {dst, msg_id, std::move(wire), std::move(content), release_seq});
 }
 
 void Transport::Tick(SimTime now) {
@@ -148,6 +130,36 @@ void Transport::Tick(SimTime now) {
   }
 }
 
+namespace {
+
+// Names of the frames that carry a commitment, as violation messages
+// spell them; nullptr for frames that carry none.
+const char* CommitmentFrameName(FrameType type) {
+  switch (type) {
+    case FrameType::kData:
+      return "data";
+    case FrameType::kAck:
+      return "ack";
+    case FrameType::kBatchData:
+      return "batch data";
+    case FrameType::kBatchAck:
+      return "batch ack";
+    case FrameType::kCommit:
+      return "commit";
+    default:
+      return nullptr;
+  }
+}
+
+// "sender <by> does not commit to SEND(m)" / "ack <by> ... RECV(m)".
+std::string NotCommitted(EntryType type, const char* by, const NodeId& src) {
+  const bool send = type == EntryType::kSend;
+  return std::string(send ? "sender " : "ack ") + by + " does not commit to " +
+         (send ? "SEND(m)" : "RECV(m)") + " from " + src;
+}
+
+}  // namespace
+
 void Transport::OnFrame(SimTime now, const NodeId& src, ByteView frame) {
   FrameType type;
   Bytes body;
@@ -166,13 +178,26 @@ void Transport::OnFrame(SimTime now, const NodeId& src, ByteView frame) {
     stats_.dropped_suspended++;
     return;
   }
+  // Without a tamper-evident log there is nothing to log a commitment
+  // in and no signer to answer it with.
+  const char* commitment_frame = CommitmentFrameName(type);
+  if (commitment_frame != nullptr && !cfg_->TamperEvident()) {
+    Violation(std::string(commitment_frame) + " frame in a non-accountable configuration from " +
+              src);
+    return;
+  }
   try {
     switch (type) {
       case FrameType::kData:
-        HandleData(now, src, body);
+      case FrameType::kBatchData:
+        HandleData(now, src, type, body);
         break;
       case FrameType::kAck:
-        HandleAck(now, src, body);
+      case FrameType::kBatchAck:
+        HandleAck(src, type, body);
+        break;
+      case FrameType::kCommit:
+        HandleCommit(src, body);
         break;
       case FrameType::kPlainData:
         HandlePlain(now, src, body);
@@ -182,15 +207,6 @@ void Transport::OnFrame(SimTime now, const NodeId& src, ByteView frame) {
         break;
       case FrameType::kChallengeResponse:
         HandleChallengeResponse(now, src, body);
-        break;
-      case FrameType::kBatchData:
-        HandleBatchData(now, src, body);
-        break;
-      case FrameType::kBatchAck:
-        HandleBatchAck(now, src, body);
-        break;
-      case FrameType::kCommit:
-        HandleCommit(now, src, body);
         break;
     }
   } catch (const SerdeError& e) {
@@ -211,101 +227,95 @@ void Transport::HandlePlain(SimTime now, const NodeId& src, ByteView body) {
   }
 }
 
-void Transport::HandleData(SimTime now, const NodeId& src, ByteView body) {
-  DataFrame f = DataFrame::Deserialize(body);
-  if (f.msg.dst != id_ || f.msg.src != src || f.auth.node != src) {
-    Violation("data frame with inconsistent addressing from " + src);
+void Transport::HandleData(SimTime now, const NodeId& src, FrameType type, ByteView body) {
+  const bool batched = type == FrameType::kBatchData;
+  DataFrame f;        // kData
+  BatchDataFrame bf;  // kBatchData
+  if (batched) {
+    bf = BatchDataFrame::Deserialize(body);
+  } else {
+    f = DataFrame::Deserialize(body);
+  }
+  const MessageRecord& msg = batched ? bf.msg : f.msg;
+  if (msg.dst != id_ || msg.src != src || (!batched && f.auth.node != src)) {
+    Violation(std::string(CommitmentFrameName(type)) + " frame with inconsistent addressing from " +
+              src);
     return;
   }
 
-  // 1. The payload signature proves the message originated at src
-  //    (detects forged messages injected by an intermediary).
-  Bytes rec_bytes = f.msg.Serialize();
-  WallTimer crypto_timer;
-  bool sig_ok = registry_->Verify(src, rec_bytes, f.payload_sig);
-  crypto_seconds_ += crypto_timer.ElapsedSeconds();
-  if (!sig_ok) {
-    Violation("payload signature invalid from " + src);
-    return;
-  }
-
-  // 2. The authenticator must commit to exactly SEND(m): recompute
-  //    h_i = H(h_{i-1} || s_i || SEND || H(content)).
-  Bytes content = MessageEntryContent(f.msg, f.payload_sig);
-  Hash256 expect = ChainHash(f.prev_hash, f.auth.seq, EntryType::kSend, content);
-  if (expect != f.auth.hash) {
-    Violation("sender authenticator does not commit to SEND(m) from " + src);
-    return;
-  }
-  // Add verifies the signature and stores nothing if it fails, so it is
-  // the one signature check.
-  crypto_timer.Reset();
-  bool auth_ok = auth_store_->Add(f.auth, *registry_);
-  crypto_seconds_ += crypto_timer.ElapsedSeconds();
-  if (!auth_ok) {
-    Violation("sender authenticator signature invalid from " + src);
-    return;
+  // Does src's commitment cover SEND(m)? (f.payload_sig is empty for
+  // kBatchData: the chain, not a signature, vouches for the message.)
+  Bytes content = MessageEntryContent(msg, f.payload_sig);
+  if (batched) {
+    // The tail's last link must be SEND(m).
+    if (bf.tail.links.empty()) {
+      Violation("batch data frame without chain links from " + src);
+      return;
+    }
+    if (!ChainCovers(src, EntryType::kSend, Sha256::Digest(content), &bf.tail.links.back(),
+                     bf.tail, nullptr)) {
+      return;
+    }
+  } else {
+    // The payload signature proves the message originated at src
+    // (detects forged messages injected by an intermediary).
+    Bytes rec_bytes = msg.Serialize();
+    if (!Crypto([&] { return registry_->Verify(src, rec_bytes, f.payload_sig); })) {
+      Violation("payload signature invalid from " + src);
+      return;
+    }
+    if (!SignatureCovers(src, EntryType::kSend, content, f.prev_hash, f.auth)) {
+      return;
+    }
   }
 
   // Duplicate (retransmitted) data: re-send the identical ack, do not log
-  // a second RECV.
-  auto key = std::make_pair(src, f.msg.msg_id);
-  auto dup = acks_sent_.find(key);
-  if (dup != acks_sent_.end()) {
+  // a second RECV. A still-parked ack must not be pushed past the
+  // durability gate by a retransmitted data frame; Release sends it.
+  auto key = std::make_pair(src, msg.msg_id);
+  if (auto dup = acks_sent_.find(key); dup != acks_sent_.end()) {
     stats_.duplicates++;
-    // A still-deferred ack must not be pushed past the durability gate
-    // by a retransmitted data frame; it goes out via ReleaseDurable.
     if (dup->second.released) {
       net_->SendFrame(now, id_, src, dup->second.wire);
     }
     return;
   }
 
-  // 3. Log RECV(m) (signature included, §4.3) and acknowledge with our
-  //    own authenticator so the sender can verify we logged it.
-  WallTimer log_timer;
-  Hash256 prev = log_->LastHash();
-  log_->Append(EntryType::kRecv, content);
-  logging_seconds_ += log_timer.ElapsedSeconds();
-
-  crypto_timer.Reset();
-  Authenticator my_auth = log_->Authenticate(*signer_);
-  crypto_seconds_ += crypto_timer.ElapsedSeconds();
-
-  AckFrame ack{id_, src, f.msg.msg_id, Sha256::Digest(content), prev, std::move(my_auth)};
-  uint64_t auth_seq = ack.auth.seq;
-  Bytes wire = WrapFrame(FrameType::kAck, ack.Serialize());
-  stats_.packets_received++;
-  if (!DurableFor(auth_seq)) {
-    stats_.durable_deferred_frames++;
-    acks_sent_[key] = {wire, /*released=*/false};
-    DeferredFrame d;
-    d.release_seq = auth_seq;
-    d.dst = src;
-    d.wire = std::move(wire);
-    d.is_ack = true;
-    d.ack_key = key;
-    deferred_frames_.push_back(std::move(d));
-    if (packet_handler_) {
-      packet_handler_(now, src, f.msg.payload);
-    }
-    return;
+  // Log RECV(m) (in kSync with the payload signature, §4.3) and
+  // acknowledge with our own commitment so the sender can verify we
+  // logged it.
+  Hash256 prev = Log(EntryType::kRecv, content);
+  Authenticator auth = CommitToTip(batched);
+  uint64_t release_seq = batched ? 0 : auth.seq;
+  AckFrame ack{id_, src, msg.msg_id, Sha256::Digest(content), prev, std::move(auth)};
+  Bytes wire;
+  if (batched) {
+    BatchAckFrame baf{std::move(ack), BuildTailFor(src, /*advance=*/true)};
+    wire = WrapFrame(FrameType::kBatchAck, baf.Serialize());
+  } else {
+    wire = WrapFrame(FrameType::kAck, ack.Serialize());
   }
-  NoteAuthRelease(auth_seq);
-  acks_sent_[key] = {wire, /*released=*/true};
-  net_->SendFrame(now, id_, src, wire);
-  stats_.acks_sent++;
+  acks_sent_[key] = {wire, /*released=*/false};
+  stats_.packets_received++;
+  Release(now, {src, msg.msg_id, std::move(wire), Bytes(), release_seq});
 
   if (packet_handler_) {
-    packet_handler_(now, src, f.msg.payload);
+    packet_handler_(now, src, msg.payload);
   }
 }
 
-void Transport::HandleAck(SimTime now, const NodeId& src, ByteView body) {
-  (void)now;
-  AckFrame ack = AckFrame::Deserialize(body);
+void Transport::HandleAck(const NodeId& src, FrameType type, ByteView body) {
+  const bool batched = type == FrameType::kBatchAck;
+  BatchAckFrame f;  // A kAck frame fills only f.ack.
+  if (batched) {
+    f = BatchAckFrame::Deserialize(body);
+  } else {
+    f.ack = AckFrame::Deserialize(body);
+  }
+  const AckFrame& ack = f.ack;
   if (ack.acker != src || ack.orig_src != id_ || ack.auth.node != src) {
-    Violation("ack frame with inconsistent addressing from " + src);
+    Violation(std::string(CommitmentFrameName(type)) + " frame with inconsistent addressing from " +
+              src);
     return;
   }
   auto it = unacked_.find({src, ack.msg_id});
@@ -318,26 +328,113 @@ void Transport::HandleAck(SimTime now, const NodeId& src, ByteView body) {
     Violation("ack content hash mismatch from " + src);
     return;
   }
-  // The ack's authenticator must commit to RECV(m) with the same content.
-  Hash256 expect = ChainHash(ack.prev_hash, ack.auth.seq, EntryType::kRecv, content);
-  if (expect != ack.auth.hash) {
-    Violation("ack authenticator does not commit to RECV(m) from " + src);
-    return;
-  }
-  WallTimer crypto_timer;
-  bool auth_ok = auth_store_->Add(ack.auth, *registry_);
-  crypto_seconds_ += crypto_timer.ElapsedSeconds();
-  if (!auth_ok) {
-    Violation("ack authenticator signature invalid from " + src);
+
+  // Does the acker's commitment cover RECV(m)?
+  if (batched) {
+    // The tail sent at ack time always includes the acked seq.
+    const ChainLink* recv_link = nullptr;
+    for (const ChainLink& l : f.tail.links) {
+      if (l.seq == ack.auth.seq) {
+        recv_link = &l;
+        break;
+      }
+    }
+    if (!ChainCovers(src, EntryType::kRecv, ack.content_hash, recv_link, f.tail, &ack.auth)) {
+      return;  // On a gap, the data retransmit re-triggers the stored ack.
+    }
+  } else if (!SignatureCovers(src, EntryType::kRecv, content, ack.prev_hash, ack.auth)) {
     return;
   }
 
-  WallTimer log_timer;
-  log_->Append(EntryType::kAck, ack.Serialize());
-  logging_seconds_ += log_timer.ElapsedSeconds();
-
+  Log(EntryType::kAck, ack.Serialize());
+  if (batched) {
+    MaybeCloseWindow();
+    PumpAsync();
+  }
   stats_.acks_received++;
   unacked_.erase(it);
+}
+
+bool Transport::SignatureCovers(const NodeId& src, EntryType type, const Bytes& content,
+                                const Hash256& prev, const Authenticator& auth) {
+  // h_i = H(h_{i-1} || s_i || t_i || H(content)) must be what was signed.
+  if (ChainHash(prev, auth.seq, type, content) != auth.hash) {
+    Violation(NotCommitted(type, "authenticator", src));
+    return false;
+  }
+  // Add verifies the signature and stores nothing if it fails, so it is
+  // the one signature check.
+  if (!Crypto([&] { return auth_store_->Add(auth, *registry_); })) {
+    Violation(std::string(type == EntryType::kSend ? "sender" : "ack") +
+              " authenticator signature invalid from " + src);
+    return false;
+  }
+  return true;
+}
+
+bool Transport::ChainCovers(const NodeId& src, EntryType type, const Hash256& content_hash,
+                            const ChainLink* link, const ChainTail& tail,
+                            const Authenticator* ack_auth) {
+  if (link == nullptr || link->type != type || link->content_hash != content_hash) {
+    Violation(NotCommitted(type, "chain", src));
+    return false;
+  }
+  uint64_t want_seq = ack_auth != nullptr ? ack_auth->seq : 0;
+  Hash256 derived;
+  if (!ApplyChainTail(src, tail, want_seq, &derived)) {
+    return false;
+  }
+  if (ack_auth != nullptr && derived != ack_auth->hash) {
+    Violation("ack authenticator does not match the acker's chain from " + src);
+    return false;
+  }
+  return true;
+}
+
+void Transport::Release(SimTime now, PendingSend p) {
+  if (!DurableFor(p.release_seq)) {
+    // The commitment covers entries a crash could still lose; hold the
+    // frame until the group commit catches up (ReleaseDurable).
+    stats_.durable_deferred_frames++;
+    parked_.push_back(std::move(p));
+    return;
+  }
+  NoteAuthRelease(p.release_seq);
+  net_->SendFrame(now, id_, p.dst, p.frame);
+  auto key = std::make_pair(p.dst, p.msg_id);
+  FrameType type = PeekFrameType(p.frame);
+  if (type == FrameType::kAck || type == FrameType::kBatchAck) {
+    if (auto it = acks_sent_.find(key); it != acks_sent_.end()) {
+      it->second.released = true;
+    }
+    stats_.acks_sent++;
+    return;
+  }
+  p.first_sent = now;
+  p.last_sent = now;
+  unacked_[key] = std::move(p);
+}
+
+Hash256 Transport::Log(EntryType type, Bytes content) {
+  WallTimer log_timer;
+  Hash256 prev = log_->LastHash();
+  log_->Append(type, std::move(content));
+  logging_seconds_ += log_timer.ElapsedSeconds();
+  return prev;
+}
+
+Authenticator Transport::CommitToTip(bool batched) {
+  if (!batched) {
+    return Crypto([&] { return log_->Authenticate(*signer_); });
+  }
+  // The appended entry may have filled the signature window.
+  MaybeCloseWindow();
+  PumpAsync();
+  Authenticator a;
+  a.node = id_;
+  a.seq = log_->LastSeq();
+  a.hash = log_->LastHash();
+  return a;
 }
 
 // ----------------------------------------------------- batched signing ----
@@ -368,17 +465,17 @@ void Transport::NoteAuthRelease(uint64_t seq) {
 }
 
 void Transport::ReleaseDurable(SimTime now, bool force) {
-  if (!cfg_->durable_commit || (deferred_frames_.empty() && pending_commits_.empty())) {
+  if (!cfg_->durable_commit || (parked_.empty() && pending_commits_.empty())) {
     return;
   }
-  // Highest seq anything parked is waiting on. Deferred frames are in
-  // log order, so the back of the deque bounds the front.
+  // Highest seq anything parked is waiting on. Parked frames are in log
+  // order, so the back of the deque bounds the front.
   uint64_t need = 0;
   for (const Authenticator& a : pending_commits_) {
     need = std::max(need, a.seq);
   }
-  if (!deferred_frames_.empty()) {
-    need = std::max(need, deferred_frames_.back().release_seq);
+  if (!parked_.empty()) {
+    need = std::max(need, parked_.back().release_seq);
   }
   if (force && log_->DurableSeq() < need) {
     // One group commit covers everything parked.
@@ -396,27 +493,10 @@ void Transport::ReleaseDurable(SimTime now, bool force) {
       ++it;
     }
   }
-  while (!deferred_frames_.empty() && deferred_frames_.front().release_seq <= wm) {
-    DeferredFrame d = std::move(deferred_frames_.front());
-    deferred_frames_.pop_front();
-    NoteAuthRelease(d.release_seq);
-    net_->SendFrame(now, id_, d.dst, d.wire);
-    if (d.is_ack) {
-      auto it = acks_sent_.find(d.ack_key);
-      if (it != acks_sent_.end()) {
-        it->second.released = true;
-      }
-      stats_.acks_sent++;
-    }
-    if (d.is_data) {
-      PendingSend pending;
-      pending.frame = std::move(d.wire);
-      pending.entry_content = std::move(d.entry_content);
-      pending.first_sent = now;
-      pending.last_sent = now;
-      pending.dst = d.dst;
-      unacked_[{d.dst, d.msg_id}] = std::move(pending);
-    }
+  while (!parked_.empty() && parked_.front().release_seq <= wm) {
+    PendingSend p = std::move(parked_.front());
+    parked_.pop_front();
+    Release(now, std::move(p));
   }
 }
 
@@ -439,9 +519,7 @@ void Transport::RequestCommit(uint64_t seq) {
     sign_pipeline_->Enqueue(seq, log_->At(seq).hash);
     return;
   }
-  WallTimer crypto_timer;
-  Authenticator a = log_->AuthenticateAt(*signer_, seq);
-  crypto_seconds_ += crypto_timer.ElapsedSeconds();
+  Authenticator a = Crypto([&] { return log_->AuthenticateAt(*signer_, seq); });
   stats_.batch_commits_signed++;
   IntegrateCommit(std::move(a));
 }
@@ -594,10 +672,7 @@ bool Transport::ApplyChainTail(const NodeId& src, const ChainTail& tail, uint64_
                 std::to_string(tail.commit.seq));
       return false;
     }
-    WallTimer crypto_timer;
-    bool ok = auth_store_->Add(tail.commit, *registry_);
-    crypto_seconds_ += crypto_timer.ElapsedSeconds();
-    if (!ok) {
+    if (!Crypto([&] { return auth_store_->Add(tail.commit, *registry_); })) {
       Violation("batch commitment signature invalid from " + src);
       return false;
     }
@@ -614,9 +689,7 @@ bool Transport::ApplyChainTail(const NodeId& src, const ChainTail& tail, uint64_
       rec.batch.links.push_back(it->second);
     }
     rec.batch.commit = tail.commit;
-    WallTimer log_timer;
-    log_->Append(EntryType::kInfo, rec.Serialize());
-    logging_seconds_ += log_timer.ElapsedSeconds();
+    Log(EntryType::kInfo, rec.Serialize());
 
     v.verified_seq = tail.commit.seq;
     v.verified_hash = tail.commit.hash;
@@ -627,153 +700,7 @@ bool Transport::ApplyChainTail(const NodeId& src, const ChainTail& tail, uint64_
   return true;
 }
 
-void Transport::SendPacketBatched(SimTime now, const NodeId& dst, MessageRecord rec) {
-  // No per-message RSA: the SEND entry is committed by the hash chain
-  // and sealed by the next windowed signature.
-  Bytes content = MessageEntryContent(rec, Bytes());
-  WallTimer log_timer;
-  log_->Append(EntryType::kSend, content);
-  logging_seconds_ += log_timer.ElapsedSeconds();
-  MaybeCloseWindow();
-  PumpAsync();
-
-  uint64_t msg_id = rec.msg_id;
-  BatchDataFrame f{std::move(rec), BuildTailFor(dst, /*advance=*/true)};
-  Bytes wire = WrapFrame(FrameType::kBatchData, f.Serialize());
-  net_->SendFrame(now, id_, dst, wire);
-
-  PendingSend pending;
-  pending.frame = std::move(wire);
-  pending.entry_content = std::move(content);
-  pending.first_sent = now;
-  pending.last_sent = now;
-  pending.dst = dst;
-  unacked_[{dst, msg_id}] = std::move(pending);
-}
-
-void Transport::HandleBatchData(SimTime now, const NodeId& src, ByteView body) {
-  if (!cfg_->TamperEvident()) {
-    Violation("batch data frame in a non-accountable configuration from " + src);
-    return;
-  }
-  BatchDataFrame f = BatchDataFrame::Deserialize(body);
-  if (f.msg.dst != id_ || f.msg.src != src) {
-    Violation("batch data frame with inconsistent addressing from " + src);
-    return;
-  }
-  if (f.tail.links.empty()) {
-    Violation("batch data frame without chain links from " + src);
-    return;
-  }
-  // The tail's last link must be SEND(m): same commitment HandleData
-  // checks against a per-message authenticator, here against the chain.
-  Bytes content = MessageEntryContent(f.msg, Bytes());
-  const ChainLink& send_link = f.tail.links.back();
-  if (send_link.type != EntryType::kSend || send_link.content_hash != Sha256::Digest(content)) {
-    Violation("sender chain does not commit to SEND(m) from " + src);
-    return;
-  }
-  if (!ApplyChainTail(src, f.tail)) {
-    return;
-  }
-
-  // Duplicate (retransmitted) data: re-send the identical ack, do not
-  // log a second RECV.
-  auto key = std::make_pair(src, f.msg.msg_id);
-  auto dup = acks_sent_.find(key);
-  if (dup != acks_sent_.end()) {
-    stats_.duplicates++;
-    net_->SendFrame(now, id_, src, dup->second.wire);
-    return;
-  }
-
-  // Log RECV(m) and acknowledge. The ack's authenticator is our derived
-  // chain state, unsigned -- our next windowed commitment covers it.
-  WallTimer log_timer;
-  Hash256 prev = log_->LastHash();
-  log_->Append(EntryType::kRecv, content);
-  logging_seconds_ += log_timer.ElapsedSeconds();
-  MaybeCloseWindow();
-  PumpAsync();
-
-  Authenticator my_auth;
-  my_auth.node = id_;
-  my_auth.seq = log_->LastSeq();
-  my_auth.hash = log_->LastHash();
-  AckFrame ack{id_, src, f.msg.msg_id, Sha256::Digest(content), prev, std::move(my_auth)};
-  BatchAckFrame baf{std::move(ack), BuildTailFor(src, /*advance=*/true)};
-  Bytes wire = WrapFrame(FrameType::kBatchAck, baf.Serialize());
-  acks_sent_[key] = {wire, /*released=*/true};
-  net_->SendFrame(now, id_, src, wire);
-  stats_.acks_sent++;
-  stats_.packets_received++;
-
-  if (packet_handler_) {
-    packet_handler_(now, src, f.msg.payload);
-  }
-}
-
-void Transport::HandleBatchAck(SimTime now, const NodeId& src, ByteView body) {
-  (void)now;
-  if (!cfg_->TamperEvident()) {
-    Violation("batch ack frame in a non-accountable configuration from " + src);
-    return;
-  }
-  BatchAckFrame f = BatchAckFrame::Deserialize(body);
-  const AckFrame& ack = f.ack;
-  if (ack.acker != src || ack.orig_src != id_ || ack.auth.node != src) {
-    Violation("batch ack frame with inconsistent addressing from " + src);
-    return;
-  }
-  auto it = unacked_.find({src, ack.msg_id});
-  if (it == unacked_.end()) {
-    // Ack for something already acked (duplicate); harmless.
-    return;
-  }
-  const Bytes& content = it->second.entry_content;
-  if (ack.content_hash != Sha256::Digest(content)) {
-    Violation("ack content hash mismatch from " + src);
-    return;
-  }
-  // The acker's chain must contain RECV(m) at the acked seq; the tail it
-  // sent at ack time always includes that link.
-  const ChainLink* recv_link = nullptr;
-  for (const ChainLink& l : f.tail.links) {
-    if (l.seq == ack.auth.seq) {
-      recv_link = &l;
-      break;
-    }
-  }
-  if (recv_link == nullptr || recv_link->type != EntryType::kRecv ||
-      recv_link->content_hash != ack.content_hash) {
-    Violation("ack chain does not commit to RECV(m) from " + src);
-    return;
-  }
-  Hash256 derived;
-  if (!ApplyChainTail(src, f.tail, ack.auth.seq, &derived)) {
-    return;  // Gap: the data retransmit will re-trigger the stored ack.
-  }
-  if (derived != ack.auth.hash) {
-    Violation("ack authenticator does not match the acker's chain from " + src);
-    return;
-  }
-
-  WallTimer log_timer;
-  log_->Append(EntryType::kAck, ack.Serialize());
-  logging_seconds_ += log_timer.ElapsedSeconds();
-  MaybeCloseWindow();
-  PumpAsync();
-
-  stats_.acks_received++;
-  unacked_.erase(it);
-}
-
-void Transport::HandleCommit(SimTime now, const NodeId& src, ByteView body) {
-  (void)now;
-  if (!cfg_->TamperEvident()) {
-    Violation("commit frame in a non-accountable configuration from " + src);
-    return;
-  }
+void Transport::HandleCommit(const NodeId& src, ByteView body) {
   CommitFrame f = CommitFrame::Deserialize(body);
   ApplyChainTail(src, f.tail);
 }
@@ -787,7 +714,7 @@ void Transport::Flush(SimTime now) {
     PumpAsync();
   }
   // Everything signed is now in hand; make it durable and release it
-  // (deferred kSync frames and parked window commitments alike).
+  // (parked kSync frames and parked window commitments alike).
   ReleaseDurable(now, /*force=*/true);
   if (!cfg_->BatchedSigning()) {
     return;

@@ -1,28 +1,36 @@
 // The accountable transport: commitment protocol of §4.3 plus the
 // multi-party challenge mechanism of §4.6.
 //
-// Outgoing guest packets are logged as SEND entries and wrapped in
-// DataFrames carrying an authenticator; incoming frames are verified,
-// logged as RECV entries, acknowledged with the receiver's own
-// authenticator, and retransmitted by the sender until acknowledged.
-// In the non-accountable configurations (bare-hw / vm-norec / vm-rec) the
-// same class ships plain frames with no logging, signatures or acks.
+// Every message runs one pipeline, whatever the sign mode. The sender
+// logs SEND(m) and sends m with its commitment to that entry; the
+// receiver checks that the commitment covers SEND(m), logs RECV(m),
+// hands m to the guest and acks with its own commitment to RECV(m);
+// the sender checks that one, logs ACK and stops retransmitting. Every
+// frame that carries one of our commitments (data or ack) leaves
+// through one release point, which holds it back while durable commit
+// says the entries it commits to could still be lost. In the
+// non-accountable configurations (bare-hw / vm-norec / vm-rec) the
+// same class ships plain frames with no logging, signatures or acks,
+// and rejects any frame that carries a commitment.
 //
-// Sign modes (RunConfig::sign_mode): kSync is the per-message protocol
-// above, bit-for-bit. kBatched/kAsync amortize the RSA cost: frames
-// carry the sender's chain links plus its most recent *windowed*
-// commitment (one signature per k log entries, produced inline or on a
-// background signer thread); receivers track each peer's chain
-// incrementally, hold the derived per-entry hashes pending, and verify
-// one signature per window. Once a window commitment verifies, the
-// receiver logs a PeerCommitRecord so audits can re-establish that
-// every signature-less RECV/ACK entry was covered. The cost of the
-// deferral is bounded detection lag, not lost evidence: misbehavior
-// inside an open window is exposed at the next commitment (or by the
-// retransmit/suspect machinery if the peer never closes one), and a
-// crash loses at most the unsigned tail of one window -- the same
-// exposure as the paper's unacknowledged suffix. All nodes of a
-// scenario must run the same sign mode.
+// The sign mode (RunConfig::sign_mode) decides only how a commitment is
+// produced and how a peer's commitment is checked. kSync is the paper's
+// protocol bit for bit: a signed payload and a signed authenticator per
+// message (DataFrame / AckFrame), checked by signature and ChainHash.
+// kBatched/kAsync amortize the RSA cost: frames (BatchDataFrame /
+// BatchAckFrame) carry the sender's chain links plus its most recent
+// *windowed* commitment (one signature per k log entries, produced
+// inline or on a background signer thread); receivers track each
+// peer's chain incrementally, hold the derived per-entry hashes
+// pending, and verify one signature per window. Once a window
+// commitment verifies, the receiver logs a PeerCommitRecord so audits
+// can re-establish that every signature-less RECV/ACK entry was
+// covered. The cost of the deferral is bounded detection lag, not lost
+// evidence: misbehavior inside an open window is exposed at the next
+// commitment (or by the retransmit/suspect machinery if the peer never
+// closes one), and a crash loses at most the unsigned tail of one
+// window -- the same exposure as the paper's unacknowledged suffix.
+// All nodes of a scenario must run the same sign mode.
 #ifndef SRC_AVMM_TRANSPORT_H_
 #define SRC_AVMM_TRANSPORT_H_
 
@@ -129,17 +137,52 @@ class Transport : public NetworkDelegate {
   const NodeId& id() const { return id_; }
 
  private:
+  // One of our frames that carries a commitment: a data frame (kData /
+  // kBatchData) or an ack (kAck / kBatchAck). Release puts it on the
+  // wire or, while its commitment is not yet durable, parks it; a
+  // released data frame then waits in unacked_ until its ack arrives.
   struct PendingSend {
-    Bytes frame;  // Wire bytes, resent verbatim.
-    Bytes entry_content;
+    NodeId dst;
+    uint64_t msg_id = 0;  // Ours for data, the acked peer's for acks.
+    Bytes frame;          // Wire bytes, resent verbatim.
+    Bytes entry_content;  // Data: the SEND content the ack must commit to.
+    // Highest seq of ours the frame's commitment covers; it leaves once
+    // DurableFor(release_seq). 0 for batched frames: their one
+    // signature (latest_commit_) is gated in IntegrateCommit instead.
+    uint64_t release_seq = 0;
     SimTime first_sent = 0;
     SimTime last_sent = 0;
     int retransmits = 0;
-    NodeId dst;
   };
 
-  void HandleData(SimTime now, const NodeId& src, ByteView body);
-  void HandleAck(SimTime now, const NodeId& src, ByteView body);
+  // ----- the per-message pipeline (every sign mode) -----
+  // kData/kBatchData: addressing, does src's commitment cover SEND(m),
+  // duplicate re-ack, RECV, our ack, delivery to the packet handler.
+  void HandleData(SimTime now, const NodeId& src, FrameType type, ByteView body);
+  // kAck/kBatchAck: addressing, does the acker's commitment cover
+  // RECV(m), ACK, retransmission stops.
+  void HandleAck(const NodeId& src, FrameType type, ByteView body);
+  // The one release point for frames that carry our commitment.
+  void Release(SimTime now, PendingSend p);
+  // Appends one entry (timed as logging); returns h_{i-1}.
+  Hash256 Log(EntryType type, Bytes content);
+  // Our commitment to the entry just appended: signed in kSync; in
+  // batched modes the unsigned chain state, sealed by a later window.
+  Authenticator CommitToTip(bool batched);
+  // kSync: prev + the signed authenticator must commit to `type` with
+  // `content` (one ChainHash, one signature check).
+  bool SignatureCovers(const NodeId& src, EntryType type, const Bytes& content,
+                       const Hash256& prev, const Authenticator& auth);
+  // Batched: `link`, src's announced entry for the message, must be
+  // `type` over `content_hash` and the tail must extend our view of
+  // src's chain. For an ack, `ack_auth` (unsigned) must match the
+  // derived chain.
+  bool ChainCovers(const NodeId& src, EntryType type, const Hash256& content_hash,
+                   const ChainLink* link, const ChainTail& tail, const Authenticator* ack_auth);
+  // Runs f, charging its wall time to crypto_seconds_.
+  template <typename F>
+  auto Crypto(F&& f);
+
   void HandlePlain(SimTime now, const NodeId& src, ByteView body);
   void HandleChallenge(SimTime now, const NodeId& src, ByteView body);
   void HandleChallengeResponse(SimTime now, const NodeId& src, ByteView body);
@@ -160,10 +203,7 @@ class Transport : public NetworkDelegate {
     std::map<uint64_t, ChainLink> links;
   };
 
-  void SendPacketBatched(SimTime now, const NodeId& dst, MessageRecord rec);
-  void HandleBatchData(SimTime now, const NodeId& src, ByteView body);
-  void HandleBatchAck(SimTime now, const NodeId& src, ByteView body);
-  void HandleCommit(SimTime now, const NodeId& src, ByteView body);
+  void HandleCommit(const NodeId& src, ByteView body);
   // Extends (and cross-checks) the stored view of src's chain with the
   // tail, then processes its commitment (one RSA verify per new window,
   // logging a PeerCommitRecord). Returns false when the frame cannot be
@@ -183,27 +223,15 @@ class Transport : public NetworkDelegate {
   void PumpAsync();
 
   // ----- durable commit (RunConfig::durable_commit) -----
-  // A frame whose authenticator commits to entries not yet behind the
-  // log sink's durability watermark. It is held here and put on the
-  // wire by ReleaseDurable once DurableSeq() reaches release_seq.
-  struct DeferredFrame {
-    uint64_t release_seq = 0;
-    NodeId dst;
-    Bytes wire;
-    bool is_data = false;  // Register the PendingSend at release time.
-    uint64_t msg_id = 0;
-    Bytes entry_content;
-    bool is_ack = false;  // Flip acks_sent_[ack_key].released at release.
-    std::pair<NodeId, uint64_t> ack_key;
-  };
   bool DurableFor(uint64_t seq) const;
   // Accounting at the moment an authenticator actually goes on the wire;
   // durable_gate_violations counts releases above the watermark.
   void NoteAuthRelease(uint64_t seq);
-  // Sends every deferred frame and integrates every parked commitment
-  // the watermark now covers. With `force`, first flushes the sink so
-  // everything parked is released -- Tick and Flush use this, making one
-  // group commit per quantum the worst-case release latency.
+  // Hands every parked frame the watermark now covers back to Release
+  // and integrates every parked commitment it covers. With `force`,
+  // first flushes the sink so everything parked is released -- Tick and
+  // Flush use this, making one group commit per quantum the worst-case
+  // release latency.
   void ReleaseDurable(SimTime now, bool force);
 
   NodeId id_;
@@ -219,16 +247,17 @@ class Transport : public NetworkDelegate {
   ChallengeResponseHandler challenge_response_handler_;
 
   uint64_t send_counter_ = 0;
+  // Released data frames awaiting their ack, by (dst, msg_id).
   std::map<std::pair<NodeId, uint64_t>, PendingSend> unacked_;
   // (src, msg_id) -> serialized ack frame, resent on duplicate data.
-  // `released` is false while the ack sits in deferred_frames_: a
-  // retransmitted data frame must not push the ack past the gate early.
+  // `released` is false while the ack is parked: a retransmitted data
+  // frame must not push the ack past the gate early.
   struct SentAck {
     Bytes wire;
     bool released = true;
   };
   std::map<std::pair<NodeId, uint64_t>, SentAck> acks_sent_;
-  std::deque<DeferredFrame> deferred_frames_;
+  std::deque<PendingSend> parked_;  // In log order, awaiting the watermark.
   std::vector<Authenticator> pending_commits_;  // Signed, not yet durable.
   std::set<NodeId> suspended_;
   std::set<NodeId> suspected_;

@@ -225,8 +225,9 @@ std::function<StoreFaultAction(const StoreFaultSite&)> FaultInjector::StoreHook(
   };
 }
 
-JobFault FaultInjector::OnAuditJob(const NodeId& node, const char* job_type, uint64_t attempt) {
-  JobFault f;
+FleetJobFault FaultInjector::OnAuditJob(const NodeId& node, const char* job_type,
+                                        uint64_t attempt) {
+  FleetJobFault f;
   if (plan_.events.empty()) return f;
   std::lock_guard<std::mutex> lk(mu_);
   for (size_t i = 0; i < plan_.events.size(); i++) {
@@ -236,7 +237,7 @@ JobFault FaultInjector::OnAuditJob(const NodeId& node, const char* job_type, uin
     // from_seq/to_seq express "fail the first N attempts".
     if (!TriggerFires(i, /*now=*/0, job_type, node, node, attempt)) continue;
     if (e.type == FaultType::kAuditSlowPeer) {
-      f.stall_us += e.delay_us;
+      f.stall_us += static_cast<uint64_t>(e.delay_us);
     } else {
       f.fail = true;
       f.what = "chaos: injected worker death (" + std::string(job_type) + " attempt " +

@@ -23,8 +23,9 @@
 //   avmm   adversary actions — equivocate / rewind / omit — applied to
 //          the log an auditee *serves* (chaos::AdversarialSource
 //          consumes them via TakeDue).
-//   audit  worker death and slow-peer stalls before each fleet job
-//          attempt (FleetAuditConfig::chaos → OnAuditJob); checkpoint
+//   audit  FleetAuditConfig::fault_hook (src/audit/fleet.h) — worker
+//          death and slow-peer stalls before each fleet job attempt
+//          (FaultInjector::AuditJobHook adapts a plan); checkpoint
 //          corruption/staleness events are consumed by the harness via
 //          TakeDue and applied to the checkpoint files.
 //
@@ -44,6 +45,7 @@
 #include <string_view>
 #include <vector>
 
+#include "src/audit/fleet.h"
 #include "src/crypto/keys.h"
 #include "src/obs/metrics.h"
 #include "src/store/fault.h"
@@ -138,13 +140,6 @@ struct NetFaultDecision {
   SimTime extra_delay_us = 0; // Added to the link latency (delay/reorder).
 };
 
-// What the audit seam applies to one job attempt.
-struct JobFault {
-  bool fail = false;        // Throw before the audit runs.
-  SimTime stall_us = 0;     // Sleep this long first (slow peer).
-  std::string what;         // Error string for the failed attempt.
-};
-
 // Evaluates a FaultPlan at the injection seams. Thread-safe: the store
 // hook runs on writer/flusher threads and the audit seam on fleet
 // workers, concurrently with the (single-threaded) net seam.
@@ -169,7 +164,14 @@ class FaultInjector {
   StoreFaultAction OnStoreSite(const NodeId& node, const StoreFaultSite& site);
 
   // --- audit seam (FleetAuditService, before each attempt) ------------
-  JobFault OnAuditJob(const NodeId& node, const char* job_type, uint64_t attempt);
+  // Adapter installable as FleetAuditConfig::fault_hook. Inline, so that
+  // only binaries that run a fleet link the fleet service.
+  std::function<FleetJobFault(const NodeId&, FleetJobType, unsigned)> AuditJobHook() {
+    return [this](const NodeId& node, FleetJobType type, unsigned attempt) {
+      return OnAuditJob(node, FleetJobTypeName(type), attempt);
+    };
+  }
+  FleetJobFault OnAuditJob(const NodeId& node, const char* job_type, uint64_t attempt);
 
   // --- avmm / harness-applied events ----------------------------------
   // Consumes (at most once each) the events of `type` targeting `node`

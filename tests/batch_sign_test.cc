@@ -581,7 +581,8 @@ TEST_P(KvRsaSweep, FullAuditAndSpotCheckPass) {
   EXPECT_TRUE(full.ok) << SignModeName(GetParam()) << ": " << full.Describe();
 
   // Spot check the window between the initial and final snapshots.
-  AuditOutcome spot = auditor.SpotCheck(kv.server(), 0, 1, auths);
+  AuditOutcome spot =
+      auditor.SpotCheck(kv.server(), InMemorySegmentSource(kv.server().log()), 0, 1, auths);
   EXPECT_TRUE(spot.ok) << SignModeName(GetParam()) << ": " << spot.Describe();
 }
 

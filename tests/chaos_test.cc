@@ -521,7 +521,7 @@ TEST_P(ChaosTest, WorkerDeathUnderNetDrop) {
   fcfg.workers = 2;
   fcfg.audit = SeqCfg();
   fcfg.checkpoint.every_entries = 300;
-  fcfg.chaos = &injector;
+  fcfg.fault_hook = injector.AuditJobHook();
   fcfg.retry.backoff_initial_us = 1000;
   FleetAuditService service(nullptr, fcfg);
   std::map<NodeId, uint64_t> jobs;

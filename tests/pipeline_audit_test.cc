@@ -535,9 +535,10 @@ TEST(PipelineSpotCheck, WindowVerdictsMatchSequentialIncludingCheat) {
     acfg.mem_size = cfg.run.mem_size;
     acfg.threads = threads;
     Auditor auditor("client", &kv.registry(), acfg);
+    InMemorySegmentSource source(kv.server().log());
     std::vector<AuditOutcome> outs;
     for (const auto& w : windows) {
-      outs.push_back(auditor.SpotCheck(kv.server(), w.first, w.second, auths));
+      outs.push_back(auditor.SpotCheck(kv.server(), source, w.first, w.second, auths));
     }
     return outs;
   };
@@ -726,7 +727,7 @@ TEST_F(EngineKvTest, JitReplayConfigHonoredOnEveryAuditPath) {
     }
     Auditor seq("client", &kv_->registry(), Cfg(1, jit));
     expect_tier(tier + "spot check", [&] {
-      return seq.SpotCheck(kv_->server(), windows[0].first, windows[0].second, auths_).ok;
+      return seq.SpotCheck(kv_->server(), memory, windows[0].first, windows[0].second, auths_).ok;
     });
     Auditor pooled("client", &kv_->registry(), Cfg(4, jit));
     expect_tier(tier + "spot check many", [&] {

@@ -76,8 +76,9 @@ TEST_P(HonestKvSweep, ServerAuditAndSpotChecksPass) {
 
   std::vector<SnapshotIndexEntry> snaps = IndexSnapshots(kv.server().log());
   ASSERT_GE(snaps.size(), 3u);
-  AuditOutcome spot = auditor.SpotCheck(kv.server(), snaps[1].meta.snapshot_id,
-                                        snaps[2].meta.snapshot_id, auths);
+  AuditOutcome spot =
+      auditor.SpotCheck(kv.server(), InMemorySegmentSource(kv.server().log()),
+                        snaps[1].meta.snapshot_id, snaps[2].meta.snapshot_id, auths);
   EXPECT_TRUE(spot.ok) << spot.Describe();
 }
 

@@ -59,8 +59,9 @@ TEST_F(KvFixture, SpotCheckEveryAdjacentChunkPasses) {
   ASSERT_GE(snaps.size(), 5u);
   std::vector<Authenticator> auths = scenario->CollectAuthsForServer();
   Auditor auditor("client", &scenario->registry());
+  InMemorySegmentSource source(scenario->server().log());
   for (size_t i = 0; i + 1 < snaps.size(); i++) {
-    AuditOutcome audit = auditor.SpotCheck(scenario->server(), snaps[i].meta.snapshot_id,
+    AuditOutcome audit = auditor.SpotCheck(scenario->server(), source, snaps[i].meta.snapshot_id,
                                            snaps[i + 1].meta.snapshot_id, auths);
     EXPECT_TRUE(audit.ok) << "chunk " << i << ": " << audit.Describe();
   }
@@ -72,10 +73,11 @@ TEST_F(KvFixture, SpotCheckCostScalesWithChunkSize) {
   ASSERT_GE(snaps.size(), 8u);
   std::vector<Authenticator> auths = scenario->CollectAuthsForServer();
   Auditor auditor("client", &scenario->registry());
+  InMemorySegmentSource source(scenario->server().log());
 
-  AuditOutcome small = auditor.SpotCheck(scenario->server(), snaps[1].meta.snapshot_id,
+  AuditOutcome small = auditor.SpotCheck(scenario->server(), source, snaps[1].meta.snapshot_id,
                                          snaps[2].meta.snapshot_id, auths);
-  AuditOutcome large = auditor.SpotCheck(scenario->server(), snaps[1].meta.snapshot_id,
+  AuditOutcome large = auditor.SpotCheck(scenario->server(), source, snaps[1].meta.snapshot_id,
                                          snaps[6].meta.snapshot_id, auths);
   ASSERT_TRUE(small.ok);
   ASSERT_TRUE(large.ok);
@@ -104,11 +106,12 @@ TEST_F(KvFixture, SpotCheckCatchesMidRunPoke) {
   ASSERT_GE(snaps.size(), 6u);
   std::vector<Authenticator> auths = scenario->CollectAuthsForServer();
   Auditor auditor("client", &scenario->registry());
+  InMemorySegmentSource source(scenario->server().log());
 
   int failures = 0;
   int failed_chunk = -1;
   for (size_t i = 0; i + 1 < snaps.size(); i++) {
-    AuditOutcome audit = auditor.SpotCheck(scenario->server(), snaps[i].meta.snapshot_id,
+    AuditOutcome audit = auditor.SpotCheck(scenario->server(), source, snaps[i].meta.snapshot_id,
                                            snaps[i + 1].meta.snapshot_id, auths);
     if (!audit.ok) {
       failures++;
@@ -137,10 +140,11 @@ TEST_F(KvFixture, SpotCheckEvidenceVerifiesForThirdParty) {
   std::vector<SnapshotIndexEntry> snaps = IndexSnapshots(scenario->server().log());
   std::vector<Authenticator> auths = scenario->CollectAuthsForServer();
   Auditor auditor("client", &scenario->registry());
+  InMemorySegmentSource source(scenario->server().log());
 
   std::optional<Evidence> evidence;
   for (size_t i = 0; i + 1 < snaps.size(); i++) {
-    AuditOutcome audit = auditor.SpotCheck(scenario->server(), snaps[i].meta.snapshot_id,
+    AuditOutcome audit = auditor.SpotCheck(scenario->server(), source, snaps[i].meta.snapshot_id,
                                            snaps[i + 1].meta.snapshot_id, auths);
     if (!audit.ok) {
       evidence = audit.evidence;

@@ -517,7 +517,8 @@ TEST_F(StoreFixture, StoreBackedSpotChecksMatchInMemoryIncludingCheatVerdicts) {
     windows.emplace_back(snaps[i].meta.snapshot_id, snaps[i + 1].meta.snapshot_id);
   }
   Auditor auditor("client", &kv.registry());
-  std::vector<AuditOutcome> mem = auditor.SpotCheckMany(kv.server(), windows, auths);
+  std::vector<AuditOutcome> mem =
+      auditor.SpotCheckMany(kv.server(), InMemorySegmentSource(kv.server().log()), windows, auths);
   std::vector<AuditOutcome> disk = auditor.SpotCheckMany(kv.server(), *store, windows, auths);
   ASSERT_EQ(mem.size(), disk.size());
   int failures = 0;

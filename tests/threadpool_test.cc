@@ -161,8 +161,9 @@ TEST_F(ParallelAuditParityTest, SpotCheckManyVerdictsMatchSequential) {
   }
   Auditor sequential = MakeAuditor(1);
   Auditor parallel = MakeAuditor(4);
-  std::vector<AuditOutcome> seq = sequential.SpotCheckMany(kv_->server(), windows, auths_);
-  std::vector<AuditOutcome> par = parallel.SpotCheckMany(kv_->server(), windows, auths_);
+  InMemorySegmentSource source(kv_->server().log());
+  std::vector<AuditOutcome> seq = sequential.SpotCheckMany(kv_->server(), source, windows, auths_);
+  std::vector<AuditOutcome> par = parallel.SpotCheckMany(kv_->server(), source, windows, auths_);
   ASSERT_EQ(seq.size(), windows.size());
   ASSERT_EQ(par.size(), windows.size());
   for (size_t i = 0; i < windows.size(); i++) {

@@ -224,6 +224,26 @@ TEST_F(TransportFixture, PlainModeHasNoAccountability) {
   EXPECT_EQ(dave.stats().acks_sent, 0u);
 }
 
+// A frame that carries a commitment means nothing to a non-accountable
+// transport: it has no signer to acknowledge it with, so the frame is
+// rejected as a violation before anything is logged, acked or signed.
+TEST_F(TransportFixture, AccountableFrameAtPlainTransportRejected) {
+  RunConfig plain_cfg = RunConfig::BareHw();
+  TamperEvidentLog clog("carol");
+  AuthenticatorStore ca;
+  Transport carol("carol", &plain_cfg, &clog, nullptr, &net, &registry, &ca);
+  net.AttachHost("carol", &carol);
+  bool delivered = false;
+  carol.SetPacketHandler([&](SimTime, const NodeId&, const Bytes&) { delivered = true; });
+  alice->SendPacket(0, "carol", ToBytes("accountable"));
+  Settle(kMicrosPerSecond);
+  EXPECT_EQ(clog.size(), 0u);
+  EXPECT_EQ(carol.stats().verify_failures, 1u);
+  EXPECT_EQ(carol.violations().size(), 1u);
+  EXPECT_EQ(carol.stats().acks_sent, 0u);
+  EXPECT_FALSE(delivered);
+}
+
 // The same protocol with real RSA-768 signatures end to end.
 struct TransportRsaFixture : public TransportFixture {
   TransportRsaFixture() : TransportFixture(SignatureScheme::kRsa768) {}
