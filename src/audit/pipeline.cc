@@ -64,10 +64,11 @@ void ChunkedSyntacticChecker::Feed(std::span<const LogEntry> entries, ThreadPool
   // the chain hashing is attributed there as VerifyChain's was (e2ebench
   // reports it as audit.chain_auth_s). Link i (i >= 1) is checked
   // against entry i-1 of this run, which is exactly what the scan below
-  // would check once entry i-1 passed, so the links are independent;
-  // links_[i] == 1 lets the scan skip the rehash, and the first entry
-  // and any failing link are checked inline. Without a pool the links
-  // go in order and stop at the first failing one. With a pool they fan
+  // would check once entry i-1 passed, so the links are independent
+  // and are hashed four at a time (CheckChainLinks); links_[i] == 1 lets
+  // the scan skip the rehash, and the first entry and any failing link
+  // are checked inline. Without a pool the groups go in order and stop
+  // after the first one holding a failing link. With a pool they fan
   // out in one ParallelFor together with the message RSA checks --
   // unless a failure is already recorded: the message scan is then over
   // and the rest only needs hashing, for chain precedence.
@@ -75,13 +76,8 @@ void ChunkedSyntacticChecker::Feed(std::span<const LogEntry> entries, ThreadPool
   links_.assign(n, 0);
   sig_verdicts_.assign(n, -1);
   obs::Span ahead_span(obs::kPhaseAuditRsaVerify, "audit");
-  auto check_link = [&](size_t i) {
-    links_[i] = CheckChainLink(entries[i - 1].hash, entries[i - 1].seq + 1, entries[i]).ok ? 1 : 0;
-    return links_[i] == 1;
-  };
   if (pool == nullptr) {
-    for (size_t i = 1; i < n && check_link(i); i++) {
-    }
+    CheckChainLinks(entries, 1, n, links_.data(), /*stop_at_failure=*/true);
   } else {
     std::vector<MessageSigJob> jobs;
     if (!AnyFailure()) {
@@ -96,9 +92,8 @@ void ChunkedSyntacticChecker::Feed(std::span<const LogEntry> entries, ThreadPool
         return;
       }
       const size_t begin = 1 + (k - jobs.size()) * kLinksPerTask;
-      for (size_t i = begin; i < std::min(n, begin + kLinksPerTask); i++) {
-        check_link(i);
-      }
+      CheckChainLinks(entries, begin, std::min(n, begin + kLinksPerTask), links_.data(),
+                      /*stop_at_failure=*/false);
     });
   }
   ahead_span.End();
@@ -322,12 +317,17 @@ AuditOutcome RunAuditEngine(const SegmentSource& source, std::span<const Authent
   ThreadPool* check_pool =
       pool != nullptr && pool->thread_count() > (overlap ? 2u : 1u) ? pool : nullptr;
   const size_t chunk_entries = cfg.pipeline_chunk_entries > 0 ? cfg.pipeline_chunk_entries : 2048;
-  std::vector<LogEntry> chunk;     // Being filled by the scan.
+  // Entry slots are kept from chunk to chunk: each scanned entry is
+  // copy-assigned into the next slot, reusing its content buffer, and
+  // the first `fill` slots are the chunk.
+  std::vector<LogEntry> chunk;  // Being filled by the scan.
+  size_t fill = 0;
   std::vector<LogEntry> inflight;  // Being replayed by the worker task.
+  size_t inflight_fill = 0;
   bool task_in_flight = false;
   std::exception_ptr replay_err;
   double sem_seconds = 0;
-  auto replay = [&](const std::vector<LogEntry>& entries) {
+  auto replay = [&](std::span<const LogEntry> entries) {
     WallTimer sem_timer;
     obs::Span replay_span(obs::kPhaseAuditReplay, "audit");
     try {
@@ -353,7 +353,7 @@ AuditOutcome RunAuditEngine(const SegmentSource& source, std::span<const Authent
     {
       WallTimer syn_timer;
       obs::Span syn_span(obs::kPhaseAuditSyntactic, "audit");
-      checker.Feed(chunk, check_pool);
+      checker.Feed(std::span<const LogEntry>(chunk.data(), fill), check_pool);
       syn_seconds += syn_timer.ElapsedSeconds();
     }
     join_replay();
@@ -363,10 +363,11 @@ AuditOutcome RunAuditEngine(const SegmentSource& source, std::span<const Authent
     if (replay_wanted()) {
       if (overlap) {
         std::swap(chunk, inflight);
+        std::swap(fill, inflight_fill);
         task_in_flight = true;
-        pool->Submit([&] { replay(inflight); });
+        pool->Submit([&] { replay(std::span<const LogEntry>(inflight.data(), inflight_fill)); });
       } else {
-        replay(chunk);
+        replay(std::span<const LogEntry>(chunk.data(), fill));
       }
     }
     if (run.on_boundary && run.boundary_every > 0 && end_seq % run.boundary_every == 0) {
@@ -375,7 +376,7 @@ AuditOutcome RunAuditEngine(const SegmentSource& source, std::span<const Authent
         run.on_boundary(end_seq, checker, *replayer);
       }
     }
-    chunk.clear();
+    fill = 0;
   };
 
   // The one forward scan. The whole range is read even after a failure:
@@ -390,8 +391,13 @@ AuditOutcome RunAuditEngine(const SegmentSource& source, std::span<const Authent
       source.Scan(scan_from, last, [&](const LogEntry& e) {
         try {
           entry_wire_bytes += e.WireSize();
-          chunk.push_back(e);
-          if (chunk.size() >= chunk_entries || next == last ||
+          if (fill == chunk.size()) {
+            chunk.push_back(e);
+          } else {
+            chunk[fill] = e;
+          }
+          fill++;
+          if (fill >= chunk_entries || next == last ||
               (run.boundary_every > 0 && next % run.boundary_every == 0)) {
             process_chunk(next);
           }
@@ -416,7 +422,7 @@ AuditOutcome RunAuditEngine(const SegmentSource& source, std::span<const Authent
   }
   if (run.entries_checked != nullptr) {
     // Entries still in `chunk` were read but never reached the checks.
-    *run.entries_checked = next - scan_from - chunk.size();
+    *run.entries_checked = next - scan_from - fill;
   }
   if (!unreadable.has_value() && next <= last) {
     unreadable = "log ends before seq " + std::to_string(next);

@@ -1,6 +1,7 @@
 #include "src/compress/lzss.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <stdexcept>
 
@@ -20,6 +21,27 @@ inline uint32_t HashAt(const uint8_t* p) {
   return (v * 2654435761u) >> (32 - 15);
 }
 
+// Length of the common prefix of `a` and `b`, up to `max_len`, compared
+// eight bytes at a time.
+inline size_t MatchLength(const uint8_t* a, const uint8_t* b, size_t max_len) {
+  size_t len = 0;
+  for (; len + 8 <= max_len; len += 8) {
+    uint64_t x;
+    uint64_t y;
+    std::memcpy(&x, a + len, 8);
+    std::memcpy(&y, b + len, 8);
+    if (const uint64_t diff = x ^ y; diff != 0) {
+      const int bit = std::endian::native == std::endian::little ? std::countr_zero(diff)
+                                                                 : std::countl_zero(diff);
+      return len + static_cast<size_t>(bit / 8);
+    }
+  }
+  while (len < max_len && a[len] == b[len]) {
+    len++;
+  }
+  return len;
+}
+
 }  // namespace
 
 // Format: u64 LE uncompressed size, then groups of [flags byte + 8 items].
@@ -27,6 +49,8 @@ inline uint32_t HashAt(const uint8_t* p) {
 // high 3 bits of nothing) -- encoded as u16 LE offset-1 then u8 length-4.
 Bytes LzssCompress(ByteView data) {
   Bytes out;
+  // Worst case: every byte a literal, plus one flags byte per eight.
+  out.reserve(8 + data.size() + (data.size() + 7) / 8);
   PutU64(out, data.size());
   if (data.empty()) {
     return out;
@@ -34,8 +58,20 @@ Bytes LzssCompress(ByteView data) {
 
   // Head of the most recent position for each hash bucket.
   std::vector<int64_t> head(kHashSize, -1);
-  // Previous position with the same hash (chained matches).
-  std::vector<int64_t> prev(data.size(), -1);
+  // Hash chains over the window: slot p % kWindowSize holds how far back
+  // the previous position with p's hash lies (0: none within the
+  // window). A chain is only followed to positions inside the window,
+  // whose slots no later position has reused yet.
+  std::vector<uint32_t> prev_dist(kWindowSize, 0);
+  auto insert = [&](size_t p) {
+    const uint32_t h = HashAt(data.data() + p);
+    const int64_t last = head[h];
+    prev_dist[p & (kWindowSize - 1)] =
+        last >= 0 && p - static_cast<size_t>(last) <= kWindowSize
+            ? static_cast<uint32_t>(p - static_cast<size_t>(last))
+            : 0;
+    head[h] = static_cast<int64_t>(p);
+  };
 
   size_t pos = 0;
   uint8_t flags = 0;
@@ -68,25 +104,24 @@ Bytes LzssCompress(ByteView data) {
     size_t best_len = 0;
     size_t best_off = 0;
     if (pos + kMinMatch <= data.size()) {
-      uint32_t h = HashAt(data.data() + pos);
-      int64_t cand = head[h];
-      int chain = 0;
-      while (cand >= 0 && pos - static_cast<size_t>(cand) <= kWindowSize && chain < 32) {
-        size_t c = static_cast<size_t>(cand);
-        size_t len = 0;
-        size_t max_len = std::min(kMaxMatch, data.size() - pos);
-        while (len < max_len && data[c + len] == data[pos + len]) {
-          len++;
+      const size_t max_len = std::min(kMaxMatch, data.size() - pos);
+      int64_t cand = head[HashAt(data.data() + pos)];
+      for (int chain = 0; cand >= 0 && pos - static_cast<size_t>(cand) <= kWindowSize &&
+                          chain < 32 && best_len < max_len;
+           chain++) {
+        const size_t c = static_cast<size_t>(cand);
+        // Only a candidate that also matches at best_len can beat it.
+        if (data[c + best_len] == data[pos + best_len]) {
+          const size_t len = MatchLength(data.data() + c, data.data() + pos, max_len);
+          if (len > best_len) {
+            best_len = len;
+            best_off = pos - c;
+          }
         }
-        if (len > best_len) {
-          best_len = len;
-          best_off = pos - c;
-        }
-        cand = prev[c];
-        chain++;
+        const uint32_t back = prev_dist[c & (kWindowSize - 1)];
+        cand = back == 0 ? -1 : static_cast<int64_t>(c - back);
       }
-      prev[pos] = head[h];
-      head[h] = static_cast<int64_t>(pos);
+      insert(pos);
     }
 
     if (best_len >= kMinMatch) {
@@ -96,9 +131,7 @@ Bytes LzssCompress(ByteView data) {
       // Insert hash entries for the skipped positions so later matches
       // can reference them.
       for (size_t i = 1; i < best_len && pos + i + kMinMatch <= data.size(); i++) {
-        uint32_t h = HashAt(data.data() + pos + i);
-        prev[pos + i] = head[h];
-        head[h] = static_cast<int64_t>(pos + i);
+        insert(pos + i);
       }
       pos += best_len;
     } else {
@@ -117,51 +150,61 @@ Bytes LzssDecompress(ByteView data) {
   if (data.size() < 8) {
     throw std::invalid_argument("LzssDecompress: truncated header");
   }
-  uint64_t orig_size = GetU64(data, 0);
-  Bytes out;
+  const uint64_t orig_size = GetU64(data, 0);
   // orig_size is untrusted: compressed input expands at most ~130x here
   // (a match token is 3 bytes for up to 259 output bytes), so anything
   // beyond that bound is corrupt and must not trigger a huge allocation.
   if (orig_size > data.size() * 130 + 64) {
     throw std::invalid_argument("LzssDecompress: implausible uncompressed size");
   }
-  out.reserve(orig_size);
-  size_t pos = 8;
-  uint8_t flags = 0;
-  int flag_count = 8;
-  while (out.size() < orig_size) {
-    if (flag_count == 8) {
-      if (pos >= data.size()) {
-        throw std::invalid_argument("LzssDecompress: missing flags byte");
-      }
-      flags = data[pos++];
-      flag_count = 0;
+  Bytes out(orig_size);
+  uint8_t* const dst = out.data();
+  const uint8_t* const src = data.data();
+  const size_t n = data.size();
+  size_t o = 0;    // Output bytes written.
+  size_t pos = 8;  // Input position.
+  while (o < orig_size) {
+    if (pos >= n) {
+      throw std::invalid_argument("LzssDecompress: missing flags byte");
     }
-    bool is_match = (flags >> flag_count) & 1;
-    flag_count++;
-    if (is_match) {
-      if (pos + 3 > data.size()) {
-        throw std::invalid_argument("LzssDecompress: truncated match");
-      }
-      size_t off = static_cast<size_t>(GetU16(data, pos)) + 1;
-      size_t len = static_cast<size_t>(data[pos + 2]) + kMinMatch;
-      pos += 3;
-      if (off > out.size()) {
-        throw std::invalid_argument("LzssDecompress: match before start");
-      }
-      size_t src = out.size() - off;
-      for (size_t i = 0; i < len; i++) {
-        out.push_back(out[src + i]);  // Overlapping copies are valid.
-      }
-    } else {
-      if (pos >= data.size()) {
-        throw std::invalid_argument("LzssDecompress: truncated literal");
-      }
-      out.push_back(data[pos++]);
+    const uint8_t flags = src[pos++];
+    if (flags == 0 && n - pos >= 8 && orig_size - o >= 8) {
+      std::memcpy(dst + o, src + pos, 8);  // Eight literals.
+      o += 8;
+      pos += 8;
+      continue;
     }
-  }
-  if (out.size() != orig_size) {
-    throw std::invalid_argument("LzssDecompress: size mismatch");
+    for (int bit = 0; bit < 8 && o < orig_size; bit++) {
+      if ((flags >> bit) & 1) {
+        if (n - pos < 3) {
+          throw std::invalid_argument("LzssDecompress: truncated match");
+        }
+        const size_t off = static_cast<size_t>(GetU16(data, pos)) + 1;
+        const size_t len = static_cast<size_t>(src[pos + 2]) + kMinMatch;
+        pos += 3;
+        if (off > o) {
+          throw std::invalid_argument("LzssDecompress: match before start");
+        }
+        if (len > orig_size - o) {
+          throw std::invalid_argument("LzssDecompress: size mismatch");
+        }
+        uint8_t* const to = dst + o;
+        const uint8_t* const from = to - off;
+        if (off >= len) {
+          std::memcpy(to, from, len);
+        } else {
+          for (size_t i = 0; i < len; i++) {
+            to[i] = from[i];  // Overlapping: each byte may be one just written.
+          }
+        }
+        o += len;
+      } else {
+        if (pos >= n) {
+          throw std::invalid_argument("LzssDecompress: truncated literal");
+        }
+        dst[o++] = src[pos++];
+      }
+    }
   }
   return out;
 }

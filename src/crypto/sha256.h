@@ -5,6 +5,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <string>
 
 #include "src/util/bytes.h"
@@ -64,6 +65,12 @@ class Sha256 {
   // One-shot helpers.
   static Hash256 Digest(ByteView data);
   static Hash256 Digest(std::string_view s);
+  // outputs[i] = Digest(inputs[i]) for independent messages; throws
+  // std::invalid_argument unless there is one output per input. On x86
+  // SHA-NI, inputs go in neighbouring pairs, and a pair whose padded
+  // block counts agree is compressed two lanes interleaved; every other
+  // input (and every input on other targets) goes through Digest.
+  static void DigestMany(std::span<const ByteView> inputs, std::span<Hash256> outputs);
 
   // True when the hardware compression unit is compiled in and present.
   static bool HardwareAvailable();

@@ -229,6 +229,7 @@ void LogStore::RegisterObsMetrics() {
   obs_.group_commits = reg.GetCounter("store_group_commits_total", labels);
   obs_.seals = reg.GetCounter("store_seals_total", labels);
   obs_.archives = reg.GetCounter("store_archives_total", labels);
+  obs_.segment_loads = reg.GetCounter("store_segment_loads_total", labels);
   // §6.11's lag, at the storage layer: how far acknowledged appends run
   // ahead of the durability watermark. Lock-free reads, so the
   // callbacks are safe from the snapshot/sampler thread at any time.
@@ -1004,6 +1005,7 @@ LogStore::SegSnapshot LogStore::SnapshotSegment(uint64_t first_seq) const {
 }
 
 LogStore::LoadedRecords LogStore::LoadSegment(const SegSnapshot& snap) const {
+  obs_.segment_loads->Inc();
   Bytes file = ReadFileBytes(snap.path);
   LoadedRecords out;
   switch (snap.tier) {
@@ -1048,35 +1050,6 @@ LogStore::LoadedRecords LogStore::LoadSegmentBySeq(uint64_t first_seq) const {
   }
 }
 
-LogEntry LogStore::ReadEntry(uint64_t seq) const {
-  uint64_t first_seq = 0;
-  {
-    std::lock_guard<std::mutex> lk(state_mu_);
-    const SegmentState* seg = SegmentContainingLocked(seq);
-    if (seg == nullptr) {
-      throw StoreError("LogStore::ReadEntry: seq " + std::to_string(seq) + " not in store");
-    }
-    first_seq = seg->first_seq;
-  }
-  LoadedRecords loaded = LoadSegmentBySeq(first_seq);
-  size_t offset = 0;
-  for (const SparseIndexEntry& ie : loaded.index) {
-    if (ie.seq <= seq && ie.offset < loaded.records.size()) {
-      offset = ie.offset;
-    }
-  }
-  while (offset < loaded.records.size()) {
-    LogEntry e = DecodeRecordAt(loaded.records, &offset);
-    if (e.seq == seq) {
-      return e;
-    }
-    if (e.seq > seq) {
-      break;
-    }
-  }
-  throw StoreError("LogStore::ReadEntry: seq " + std::to_string(seq) + " missing from segment");
-}
-
 SegmentCursor LogStore::Cursor(uint64_t from_seq, uint64_t to_seq) const {
   if (from_seq == 0 || from_seq > to_seq || to_seq > LastSeq()) {
     throw std::out_of_range("LogStore::Cursor: bad range");
@@ -1103,10 +1076,16 @@ SegmentCursor LogStore::Cursor(uint64_t from_seq, uint64_t to_seq) const {
       }
     }
   }
+  SegmentCursor cur(this, std::move(seg_seqs), from_seq, to_seq, prior);
   if (prior_from_entry) {
-    prior = ReadEntry(from_seq - 1).hash;
+    // The entry before the range lies in the range's first segment:
+    // step the cursor onto it (from the last waypoint at or before it),
+    // so the one load of that segment serves the prior hash and the
+    // range alike.
+    cur.next_seq_ = from_seq - 1;
+    cur.prior_hash_ = cur.Next()->hash;
   }
-  return SegmentCursor(this, std::move(seg_seqs), from_seq, to_seq, prior);
+  return cur;
 }
 
 LogSegment LogStore::Extract(uint64_t from_seq, uint64_t to_seq) const {
@@ -1177,14 +1156,13 @@ const LogEntry* SegmentCursor::Next() {
       }
       continue;
     }
-    LogEntry e = DecodeRecordAt(records_, &offset_);
-    if (e.seq < next_seq_) {
+    DecodeRecordInto(records_, &offset_, current_);
+    if (current_.seq < next_seq_) {
       continue;  // Skipping entries before the range (or index waypoint).
     }
-    if (e.seq != next_seq_) {
-      throw StoreError("log store cursor: sequence gap at seq " + std::to_string(e.seq));
+    if (current_.seq != next_seq_) {
+      throw StoreError("log store cursor: sequence gap at seq " + std::to_string(current_.seq));
     }
-    current_ = std::move(e);
     next_seq_++;
     return &current_;
   }

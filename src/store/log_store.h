@@ -35,7 +35,7 @@
 //    writer: the recording thread. Two threads must not interleave
 //    Append calls, but the writer MAY now overlap reads and the
 //    store's own background threads.
-//  - Reads (Extract/Scan/Cursor/ReadEntry) are safe from any thread,
+//  - Reads (Extract/Scan/Cursor) are safe from any thread,
 //    concurrently with the writer, with each other, and with segment
 //    promotion: readers snapshot per-segment state under the store
 //    mutex and re-resolve if a file is promoted out from under them
@@ -258,8 +258,6 @@ class LogStore final : public LogSink, public SegmentSource {
   LoadedRecords LoadSegment(const SegSnapshot& snap) const;
   // Snapshot + load with re-resolution when promotion moves the file.
   LoadedRecords LoadSegmentBySeq(uint64_t first_seq) const;
-  // Reads one entry back from the store (used for prior hashes).
-  LogEntry ReadEntry(uint64_t seq) const;
 
   std::string dir_;
   NodeId node_;
@@ -312,6 +310,7 @@ class LogStore final : public LogSink, public SegmentSource {
     obs::Counter* group_commits = nullptr;
     obs::Counter* seals = nullptr;
     obs::Counter* archives = nullptr;
+    obs::Counter* segment_loads = nullptr;  // Segment files read back.
   };
   ObsMetrics obs_;
   std::vector<obs::Registry::CallbackHandle> obs_handles_;

@@ -67,7 +67,7 @@ void EncodeRecord(const LogEntry& e, Bytes& out) {
   StoreLe(out.data() + frame_at + 4, Crc32c(ByteView(out).subspan(frame_at + 8)));
 }
 
-LogEntry DecodeRecordAt(ByteView stream, size_t* offset) {
+void DecodeRecordInto(ByteView stream, size_t* offset, LogEntry& e) {
   if (stream.size() - *offset < 8) {
     throw StoreError("record frame truncated");
   }
@@ -80,7 +80,6 @@ LogEntry DecodeRecordAt(ByteView stream, size_t* offset) {
   if (Crc32c(payload) != crc) {
     throw StoreError("record CRC mismatch");
   }
-  LogEntry e;
   try {
     Reader r(payload);
     e.seq = r.U64();
@@ -89,8 +88,9 @@ LogEntry DecodeRecordAt(ByteView stream, size_t* offset) {
       throw StoreError("record: bad entry type");
     }
     e.type = static_cast<EntryType>(t);
-    e.content = r.Blob();
-    e.hash = Hash256::FromBytes(r.Raw(32));
+    ByteView content = r.BlobView();
+    e.content.assign(content.begin(), content.end());
+    std::memcpy(e.hash.v.data(), r.RawView(32).data(), 32);
     r.ExpectEnd();
   } catch (const SerdeError& err) {
     // A payload that passed its CRC but does not parse is corruption the
@@ -101,6 +101,11 @@ LogEntry DecodeRecordAt(ByteView stream, size_t* offset) {
     throw StoreError("record: sequence numbers are 1-based");
   }
   *offset += 8 + len;
+}
+
+LogEntry DecodeRecordAt(ByteView stream, size_t* offset) {
+  LogEntry e;
+  DecodeRecordInto(stream, offset, e);
   return e;
 }
 
@@ -114,11 +119,11 @@ ActiveScan ScanActiveSegment(ByteView file, size_t index_every) {
   }
   ByteView stream = file.subspan(kSegmentHeaderSize);
   size_t offset = 0;
+  LogEntry e;
   while (offset < stream.size()) {
     size_t record_at = offset;
-    LogEntry e;
     try {
-      e = DecodeRecordAt(stream, &offset);
+      DecodeRecordInto(stream, &offset, e);
     } catch (const StoreError&) {
       scan.torn = true;
       break;

@@ -65,9 +65,14 @@ struct SparseIndexEntry {
 // Appends the CRC-framed record for `e` to `out`.
 void EncodeRecord(const LogEntry& e, Bytes& out);
 
-// Parses the record starting at `*offset` and advances `*offset` past
-// it. Throws StoreError on truncation, CRC mismatch or a malformed
-// payload.
+// Parses the record starting at `*offset` into `e` and advances
+// `*offset` past it. `e`'s content buffer is reused, so a reader that
+// decodes into one entry allocates only when an entry outgrows every
+// earlier one. Throws StoreError on truncation, CRC mismatch or a
+// malformed payload; `e` is then left partly overwritten and `*offset`
+// unchanged.
+void DecodeRecordInto(ByteView stream, size_t* offset, LogEntry& e);
+// The same, into a fresh entry.
 LogEntry DecodeRecordAt(ByteView stream, size_t* offset);
 
 // Result of scanning an active segment file for recovery: everything up

@@ -30,15 +30,19 @@ const char* EntryTypeName(EntryType t) {
   return "?";
 }
 
+void EncodeChainLink(const Hash256& prev, uint64_t seq, EntryType type,
+                     const Hash256& content_hash, uint8_t out[kChainLinkSize]) {
+  std::memcpy(out, prev.v.data(), 32);
+  StoreLe(out + 32, seq);
+  out[40] = static_cast<uint8_t>(type);
+  std::memcpy(out + 41, content_hash.v.data(), 32);
+}
+
 Hash256 ChainHashWithContentHash(const Hash256& prev, uint64_t seq, EntryType type,
                                  const Hash256& content_hash) {
-  // The whole link h_{i-1} || s_i (u64 LE) || t_i || H(c_i), built on
-  // the stack and hashed in one call.
-  uint8_t link[32 + 8 + 1 + 32];
-  std::memcpy(link, prev.v.data(), 32);
-  StoreLe(link + 32, seq);
-  link[40] = static_cast<uint8_t>(type);
-  std::memcpy(link + 41, content_hash.v.data(), 32);
+  // The whole link, built on the stack and hashed in one call.
+  uint8_t link[kChainLinkSize];
+  EncodeChainLink(prev, seq, type, content_hash, link);
   return Sha256::Digest(ByteView(link, sizeof(link)));
 }
 

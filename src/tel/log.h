@@ -45,6 +45,12 @@ struct LogEntry {
   size_t WireSize() const { return 8 + 1 + 4 + content.size() + 32; }
 };
 
+// The message the hash rule digests for one link:
+// h_{i-1} || s_i (u64 LE) || t_i || H(c_i).
+constexpr size_t kChainLinkSize = 32 + 8 + 1 + 32;
+void EncodeChainLink(const Hash256& prev, uint64_t seq, EntryType type,
+                     const Hash256& content_hash, uint8_t out[kChainLinkSize]);
+
 // Computes h_i from h_{i-1} and the entry fields (the paper's hash rule).
 Hash256 ChainHash(const Hash256& prev, uint64_t seq, EntryType type, ByteView content);
 // Same rule with H(c_i) already computed: what batch-authenticator

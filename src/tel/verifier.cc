@@ -1,5 +1,7 @@
 #include "src/tel/verifier.h"
 
+#include <algorithm>
+
 #include "src/tel/batch.h"
 
 namespace avm {
@@ -12,6 +14,39 @@ CheckResult CheckChainLink(const Hash256& prev, uint64_t expect_seq, const LogEn
     return CheckResult::Fail("hash chain broken", e.seq);
   }
   return CheckResult::Ok();
+}
+
+void CheckChainLinks(std::span<const LogEntry> entries, size_t begin, size_t end, int8_t* links,
+                     bool stop_at_failure) {
+  constexpr size_t kGroup = 4;
+  for (size_t i = begin; i < end; i += kGroup) {
+    const size_t m = std::min(kGroup, end - i);
+    ByteView contents[kGroup];
+    Hash256 content_hashes[kGroup];
+    for (size_t k = 0; k < m; k++) {
+      contents[k] = entries[i + k].content;
+    }
+    Sha256::DigestMany(std::span(contents, m), std::span(content_hashes, m));
+    uint8_t messages[kGroup][kChainLinkSize];
+    ByteView message_views[kGroup];
+    Hash256 hashes[kGroup];
+    for (size_t k = 0; k < m; k++) {
+      const LogEntry& e = entries[i + k];
+      EncodeChainLink(entries[i + k - 1].hash, e.seq, e.type, content_hashes[k], messages[k]);
+      message_views[k] = ByteView(messages[k], kChainLinkSize);
+    }
+    Sha256::DigestMany(std::span(message_views, m), std::span(hashes, m));
+    bool group_ok = true;
+    for (size_t k = 0; k < m; k++) {
+      const LogEntry& e = entries[i + k];
+      const bool ok = e.seq == entries[i + k - 1].seq + 1 && hashes[k] == e.hash;
+      links[i + k] = ok ? 1 : 0;
+      group_ok = group_ok && ok;
+    }
+    if (!group_ok && stop_at_failure) {
+      return;
+    }
+  }
 }
 
 CheckResult VerifyChain(const LogSegment& segment) {

@@ -32,6 +32,16 @@ struct CheckResult {
 // syntactic check and the audit engine's chunked checker.
 CheckResult CheckChainLink(const Hash256& prev, uint64_t expect_seq, const LogEntry& e);
 
+// CheckChainLink's verdict for links [begin, end) of `entries` (begin >=
+// 1), each against the *stored* hash and seq of the entry before it, so
+// the links are independent: links[i] = 1 if link i holds, else 0. The
+// hashing goes four links at a time through Sha256::DigestMany (the four
+// content digests, then the four link messages). With
+// `stop_at_failure`, stops after the first group of four that
+// holds a failing link, leaving the later links unwritten.
+void CheckChainLinks(std::span<const LogEntry> entries, size_t begin, size_t end, int8_t* links,
+                     bool stop_at_failure);
+
 // Recomputes the hash chain across the segment: sequence numbers must be
 // consecutive and every h_i must match the hash rule. Detects in-segment
 // tampering, reordering, insertion and deletion.

@@ -73,21 +73,23 @@ class Reader {
     return v;
   }
   Bytes Blob() {
-    uint32_t n = U32();
-    Need(n);
-    Bytes out(data_.begin() + static_cast<ptrdiff_t>(pos_),
-              data_.begin() + static_cast<ptrdiff_t>(pos_ + n));
-    pos_ += n;
-    return out;
+    ByteView v = BlobView();
+    return Bytes(v.begin(), v.end());
   }
   std::string Str() {
     Bytes b = Blob();
     return ToString(b);
   }
   Bytes Raw(size_t n) {
+    ByteView v = RawView(n);
+    return Bytes(v.begin(), v.end());
+  }
+  // Non-copying forms of Blob and Raw: views into the reader's buffer,
+  // valid for as long as that buffer is.
+  ByteView BlobView() { return RawView(U32()); }
+  ByteView RawView(size_t n) {
     Need(n);
-    Bytes out(data_.begin() + static_cast<ptrdiff_t>(pos_),
-              data_.begin() + static_cast<ptrdiff_t>(pos_ + n));
+    ByteView out = data_.subspan(pos_, n);
     pos_ += n;
     return out;
   }

@@ -322,6 +322,53 @@ TEST_F(PipelineAuditTest, BrokenChainFailsIdentically) {
   EXPECT_EQ(base.syntactic.bad_seq, victim);
 }
 
+// The chunked checker hashes chain links four at a time. A tampered
+// content byte or stored hash byte at every position within a group of
+// four (seq mod 4), at a chunk's first and last entry and in a chunk's
+// final partial group must still fail with the reason and seq that
+// VerifyChain gives on the materialized segment.
+TEST_F(PipelineAuditTest, ChainTamperAtEveryLinkLaneMatchesVerifyChain) {
+  RecordSolo(30);
+  const LogSegment honest = WholeSegment();
+  const uint64_t last = honest.LastSeq();
+  ASSERT_GE(last, 60u);
+  // Chunks of 7 start at seqs 1, 8, 15, ...; one chunk of 2048 holds
+  // the whole log, so its last entry (and final group) is the log's.
+  std::vector<uint64_t> victims = {1, 2, 3, 4, 5, 22, 28, 29, last - 2, last - 1, last};
+  for (uint64_t s = 40; s < 44; s++) {
+    victims.push_back(s);
+  }
+  for (uint64_t victim : victims) {
+    for (bool hash_byte : {false, true}) {
+      LogSegment seg = honest;
+      LogEntry& e = seg.entries[victim - 1];
+      if (hash_byte) {
+        e.hash.v[victim % 32] ^= 0x01;
+      } else if (e.content.empty()) {
+        e.content.push_back(0x5a);
+      } else {
+        e.content[victim % e.content.size()] ^= 0x01;
+      }
+      const CheckResult reference = VerifyChain(seg);
+      ASSERT_FALSE(reference.ok);
+      std::vector<Authenticator> auths = {AuthFor(seg)};
+      VectorSegmentSource source(std::move(seg));
+      for (unsigned threads : {1u, 2u, 4u}) {
+        for (size_t chunk : {size_t{7}, size_t{2048}}) {
+          const std::string what = std::string(hash_byte ? "hash" : "content") + " byte of seq " +
+                                   std::to_string(victim) + " threads=" + std::to_string(threads) +
+                                   " chunk=" + std::to_string(chunk);
+          Auditor a("auditor", &registry_, MakeConfig(kMem, threads, chunk));
+          AuditOutcome out = a.AuditFull(*node_, source, image_, auths);
+          EXPECT_FALSE(out.ok) << what;
+          EXPECT_EQ(out.syntactic.reason, reference.reason) << what;
+          EXPECT_EQ(out.syntactic.bad_seq, reference.bad_seq) << what;
+        }
+      }
+    }
+  }
+}
+
 TEST_F(PipelineAuditTest, ChainBreakOutranksEarlierMessageFailure) {
   // A message-stream failure early in the log plus a chain break later:
   // the sequential composition runs the whole chain check first, so the

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "src/crypto/sha256.h"
 #include "src/util/prng.h"
 
@@ -179,6 +182,64 @@ TEST(Sha256Hardware, AgreesWithPortableOnChunkedUpdates) {
   if (Sha256::HardwareAvailable()) {
     SUCCEED() << "hardware compression exercised";
   }
+}
+
+// DigestMany: two-lane pairs (and the per-input fallback) must give
+// exactly Digest's and the portable code's answer.
+Hash256 PortableDigest(ByteView data) {
+  Sha256 h = Sha256::PortableForTesting();
+  h.Update(data);
+  return h.Finish();
+}
+
+void ExpectDigestManyAgrees(const std::vector<Bytes>& messages, const std::string& what) {
+  std::vector<ByteView> views(messages.begin(), messages.end());
+  std::vector<Hash256> out(messages.size());
+  Sha256::DigestMany(views, out);
+  for (size_t i = 0; i < messages.size(); i++) {
+    EXPECT_EQ(out[i], Sha256::Digest(messages[i])) << what << ", input " << i;
+    EXPECT_EQ(out[i], PortableDigest(messages[i])) << what << ", input " << i;
+  }
+}
+
+TEST(Sha256Many, UniformGroupsAgreeAtEveryLength) {
+  Prng rng(44);
+  for (size_t len = 0; len <= 300; len++) {
+    std::vector<Bytes> group;
+    for (int k = 0; k < 4; k++) {
+      group.push_back(rng.RandomBytes(len));
+    }
+    ExpectDigestManyAgrees(group, "length " + std::to_string(len));
+  }
+}
+
+TEST(Sha256Many, MixedGroupsAgreeAtEveryLength) {
+  // Each length sits in a group with neighbours of other padded block
+  // counts (55/56 and 119/120 are the padding boundaries) and with
+  // lengths that share its block count but not its whole-block count.
+  Prng rng(45);
+  for (size_t len = 0; len <= 300; len++) {
+    const size_t partners[3] = {(len * 7 + 13) % 301, len ^ 8, 300 - len};
+    std::vector<Bytes> group{rng.RandomBytes(len)};
+    for (size_t p : partners) {
+      group.push_back(rng.RandomBytes(std::min<size_t>(p, 300)));
+    }
+    ExpectDigestManyAgrees(group, "length " + std::to_string(len));
+  }
+}
+
+TEST(Sha256Many, CountsThatAreNotAMultipleOfFour) {
+  Prng rng(46);
+  for (size_t count : {0, 1, 2, 3, 5, 6, 7, 9, 13}) {
+    std::vector<Bytes> messages;
+    for (size_t i = 0; i < count; i++) {
+      messages.push_back(rng.RandomBytes(i % 2 == 0 ? 73 : rng.Below(301)));
+    }
+    ExpectDigestManyAgrees(messages, "count " + std::to_string(count));
+  }
+  std::vector<ByteView> in(3);
+  std::vector<Hash256> out(2);
+  EXPECT_THROW(Sha256::DigestMany(in, out), std::invalid_argument);
 }
 
 }  // namespace

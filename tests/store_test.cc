@@ -8,6 +8,7 @@
 #include <fstream>
 
 #include "src/sim/scenario.h"
+#include "src/obs/metrics.h"
 #include "src/store/log_store.h"
 #include "src/util/crc32.h"
 #include "src/util/prng.h"
@@ -218,6 +219,51 @@ TEST_F(StoreFixture, CursorStreamsEntriesWithPriorHash) {
     expect++;
   }
   EXPECT_EQ(expect, 101u);
+}
+
+// A window that starts mid-segment takes h_{from-1} from the entry it
+// decodes on the way to `from`, so each single-segment window, and each
+// one-entry HashAt, reads its sealed segment exactly once.
+TEST_F(StoreFixture, CursorLoadsASealedSegmentOncePerWindow) {
+  const NodeId node = "cursor-loads";
+  TamperEvidentLog log(node);
+  LogStoreOptions opts = SmallSegments();
+  opts.seal_threshold_bytes = 64 * 1024;  // ~500 entries in the first segment.
+  opts.index_every = 16;                  // Waypoints to skip up from.
+  auto store = LogStore::Open(dir_, node, opts);
+  log.SetSink(store.get());
+  Fill(log, 1200);
+  store->Seal();
+  ASSERT_EQ(store->SealedCount(), store->SegmentCount());
+  // The first segment must hold every window below.
+  uint64_t second_segment = UINT64_MAX;
+  for (const fs::directory_entry& de : fs::directory_iterator(dir_)) {
+    const std::string name = de.path().filename().string();
+    if (name.starts_with("seg-") && de.path().extension() == ".seal") {
+      const uint64_t first = std::stoull(name.substr(4, 20));
+      if (first > 1) {
+        second_segment = std::min(second_segment, first);
+      }
+    }
+  }
+  constexpr uint64_t kWindow = 64;
+  ASSERT_GT(second_segment, 130 + kWindow);
+
+  const obs::Counter* loads =
+      obs::Registry::Global().GetCounter("store_segment_loads_total", {{"node", node}});
+  for (uint64_t from = 1; from <= 130; from++) {
+    const uint64_t to = from + kWindow - 1;
+    uint64_t before = loads->Value();
+    LogSegment disk = store->Extract(from, to);
+    EXPECT_EQ(loads->Value() - before, 1u) << "Extract from " << from;
+    LogSegment mem = log.Extract(from, to);
+    EXPECT_EQ(disk.prior_hash, mem.prior_hash) << "from " << from;
+    ASSERT_EQ(disk.Serialize(), mem.Serialize()) << "from " << from;
+
+    before = loads->Value();
+    EXPECT_EQ(store->HashAt(from), log.At(from).hash) << "HashAt " << from;
+    EXPECT_EQ(loads->Value() - before, 1u) << "HashAt " << from;
+  }
 }
 
 TEST_F(StoreFixture, ReopenRecoversStateAndNodeIdentity) {
