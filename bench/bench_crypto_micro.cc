@@ -6,6 +6,8 @@
 // snapshot cost of the Merkle tree.
 #include <benchmark/benchmark.h>
 
+#include <cstdio>
+
 #include "bench/bench_common.h"
 #include "src/compress/lzss.h"
 #include "src/crypto/keys.h"
@@ -104,6 +106,44 @@ void BM_RsaVerify(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RsaVerify)->Arg(768)->Arg(2048)->Unit(benchmark::kMicrosecond);
+
+// A random odd `bits`-bit modulus, a base below it and a full-length
+// exponent.
+struct PowModInput {
+  Bignum m, base, exp;
+};
+
+PowModInput RandomPowModInput(Prng& rng, size_t bits) {
+  Bignum m = Bignum::RandomWithBits(rng, bits);
+  if (!m.IsOdd()) {
+    m = Bignum::Add(m, Bignum(1));
+  }
+  Bignum base = Bignum::Mod(Bignum::RandomWithBits(rng, bits), m);
+  return {m, base, Bignum::RandomWithBits(rng, bits)};
+}
+
+// One full-length exponentiation on a cached context: the kernel at
+// each width (384 bits is an RSA-768 CRT half, 768 its modulus).
+void BM_MontgomeryPowMod(benchmark::State& state) {
+  Prng rng(35);
+  const PowModInput in = RandomPowModInput(rng, static_cast<size_t>(state.range(0)));
+  const Montgomery ctx(in.m);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ctx.PowMod(in.base, in.exp));
+  }
+}
+BENCHMARK(BM_MontgomeryPowMod)->Arg(384)->Arg(768)->Arg(1024)->Arg(2048)->Unit(benchmark::kMicrosecond);
+
+// Key generation (Miller-Rabin exponentiations on the CRT-half width),
+// the set-up cost of every signing node. The same seed each iteration,
+// so every iteration does the same work.
+void BM_RsaKeygen(benchmark::State& state) {
+  for (auto _ : state) {
+    Prng rng(36);
+    benchmark::DoNotOptimize(RsaKeypair::Generate(rng, static_cast<size_t>(state.range(0))));
+  }
+}
+BENCHMARK(BM_RsaKeygen)->Arg(768)->Unit(benchmark::kMillisecond);
 
 void BM_MerkleTreeBuild(benchmark::State& state) {
   // Pages of a 256 KiB AVM: 64 leaves + CPU leaf.
@@ -250,6 +290,46 @@ void EmitJson() {
     }
     json.Add("sign_batch_k" + std::to_string(k) + "_per_entry",
              t.ElapsedSeconds() * 1e6 / (kWindows * static_cast<double>(k)), "us");
+  }
+  {
+    // RSA-768 key generation, averaged over eight seeds: the number of
+    // prime candidates, and so the cost, varies from key to key.
+    constexpr int kKeys = 8;
+    WallTimer t;
+    for (int i = 0; i < kKeys; i++) {
+      Prng r2(100 + i);
+      benchmark::DoNotOptimize(RsaKeypair::Generate(r2, 768));
+    }
+    json.Add("rsa768_keygen", t.ElapsedSeconds() * 1e3 / kKeys, "ms");
+  }
+  {
+    // RSA-768 verify (e = 65537 on the 12-limb modulus).
+    Bytes msg = rng.RandomBytes(64);
+    const Bytes sig = signer.Sign(msg);
+    constexpr int kIters = 500;
+    bool ok = true;
+    WallTimer t;
+    for (int i = 0; i < kIters; i++) {
+      ok &= RsaVerify(*signer.public_key(), msg, sig);
+    }
+    json.Add("rsa768_verify", t.ElapsedSeconds() * 1e6 / kIters, "us");
+    if (!ok) {
+      std::fprintf(stderr, "rsa768_verify: signature rejected\n");
+    }
+  }
+  for (size_t bits : {384u, 768u, 1024u, 2048u}) {
+    // One full-length exponentiation per width, cached context.
+    Prng r2(43);
+    const PowModInput in = RandomPowModInput(r2, bits);
+    const Montgomery ctx(in.m);
+    const int iters = bits <= 768 ? 200 : 20;
+    uint64_t sink = 0;
+    WallTimer t;
+    for (int i = 0; i < iters; i++) {
+      sink ^= ctx.PowMod(in.base, in.exp).LowU64();
+    }
+    benchmark::DoNotOptimize(sink);
+    json.Add("montgomery_powmod_" + std::to_string(bits), t.ElapsedSeconds() * 1e6 / iters, "us");
   }
   {
     // The cost the per-key cache removes from every ModExp.

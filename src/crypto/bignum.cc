@@ -1,6 +1,7 @@
 #include "src/crypto/bignum.h"
 
 #include <algorithm>
+#include <array>
 #include <stdexcept>
 
 namespace avm {
@@ -411,14 +412,17 @@ Montgomery::Montgomery(const Bignum& m) : modulus_(m), n_((m.limbs().size() + 1)
   Widen(Bignum::Mod(Bignum::Shl(Bignum(1), 128 * n_), m), r2_.data(), n_);
 }
 
-template <bool kSquare>
+template <bool kSquare, size_t kN>
 void Montgomery::Product(const Limb* a, const Limb* b, Limb* out, Limb* u) const {
-  const size_t n = n_;
+  const size_t n = kN != 0 ? kN : n_;
   const Limb* m = m_.data();
   // Column k of a*b + u*m, for k = 0 .. 2n-2. In the low n columns each
   // quotient digit u[k] is chosen to clear the column's low limb (the
-  // division by R); the high n columns are the result.
+  // division by R); the high n columns are the result. The unroll hints
+  // unroll every loop fully at a fixed width, and partly at the runtime
+  // width, where that also measured faster.
   Column acc;
+#pragma GCC unroll 24
   for (size_t k = 0; k + 1 < 2 * n; k++) {
     const size_t lo = k < n ? 0 : k - n + 1;
     const size_t ab_end = std::min(k + 1, n);  // a[j] b[k-j] for j in [lo, ab_end).
@@ -426,6 +430,7 @@ void Montgomery::Product(const Limb* a, const Limb* b, Limb* out, Limb* u) const
     if constexpr (kSquare) {
       // Each cross product a[j] a[k-j], j < k-j, once, then doubled.
       Column cross;
+#pragma GCC unroll 12
       for (size_t j = lo; 2 * j < k; j++) {
         cross.Add(a[j], a[k - j]);
       }
@@ -436,10 +441,12 @@ void Montgomery::Product(const Limb* a, const Limb* b, Limb* out, Limb* u) const
         acc.Add(a[k / 2], a[k / 2]);
       }
     } else {
+#pragma GCC unroll 12
       for (size_t j = lo; j < ab_end; j++) {
         acc.Add(a[j], b[k - j]);
       }
     }
+#pragma GCC unroll 12
     for (size_t j = lo; j < um_end; j++) {
       acc.Add(u[j], m[k - j]);
     }
@@ -460,6 +467,7 @@ void Montgomery::Product(const Limb* a, const Limb* b, Limb* out, Limb* u) const
   // [0, m): take the difference (built in u, free now) unless it borrows
   // past `top`, which means the result was already below m.
   Limb borrow = 0;
+#pragma GCC unroll 12
   for (size_t i = 0; i < n; i++) {
     u128 d = static_cast<u128>(out[i]) - m[i] - borrow;
     u[i] = static_cast<Limb>(d);
@@ -470,62 +478,102 @@ void Montgomery::Product(const Limb* a, const Limb* b, Limb* out, Limb* u) const
   }
 }
 
-Bignum Montgomery::PowMod(const Bignum& base, const Bignum& exp) const {
+namespace {
+
+// The sliding window whose top bit is exponent bit top - 1, which must
+// be set: bits [lo, top), at most kWindowBits wide, with lo the lowest
+// set bit in that span, so the window's value is odd.
+struct Window {
+  size_t lo;
+  uint32_t value;
+};
+
+Window WindowBelow(const Bignum& exp, size_t top) {
+  size_t lo = top > Montgomery::kWindowBits ? top - Montgomery::kWindowBits : 0;
+  while (!exp.Bit(lo)) {
+    lo++;
+  }
+  uint32_t value = 0;
+  for (size_t bit = top; bit-- > lo;) {
+    value = (value << 1) | static_cast<uint32_t>(exp.Bit(bit));
+  }
+  return {lo, value};
+}
+
+}  // namespace
+
+template <size_t kN>
+Bignum Montgomery::PowModN(const Bignum& base, const Bignum& exp) const {
   const size_t bits = exp.BitLength();
   if (bits == 0) {
     return Bignum(1);  // m >= 2^32, so 1 is already reduced.
   }
-  const size_t n = n_;
+  const size_t n = kN != 0 ? kN : n_;
   const bool windowed = bits >= kWindowMinBits;
-  // One allocation: Product's quotient digits, the accumulator, and the
-  // powers b^1..b^15 in Montgomery form (just b^1 without the window).
-  const size_t powers = windowed ? 15 : 1;
-  std::vector<Limb> scratch(n + n + powers * n);
-  Limb* u = scratch.data();
+  // Product's quotient digits, the accumulator, and the odd powers
+  // b^1, b^3, .., b^31 in Montgomery form (just b^1 without the
+  // window). Fixed widths keep them on the stack.
+  constexpr size_t kPowers = size_t{1} << (kWindowBits - 1);
+  std::array<Limb, (2 + kPowers) * kN> fixed{};
+  std::vector<Limb> heap(kN != 0 ? 0 : (2 + (windowed ? kPowers : 1)) * n);
+  Limb* u = kN != 0 ? fixed.data() : heap.data();
   Limb* acc = u + n;
-  Limb* pow = acc + n;  // b^k at pow + (k - 1) * n.
+  Limb* pow = acc + n;  // b^(2i+1) at pow + i * n.
 
   Widen(base < modulus_ ? base : Bignum::Mod(base, modulus_), acc, n);
-  Product<false>(acc, r2_.data(), pow, u);  // b -> bR mod m.
+  Product<false, kN>(acc, r2_.data(), pow, u);  // b -> bR mod m.
 
   if (!windowed) {
     std::copy(pow, pow + n, acc);
     for (size_t i = bits - 1; i-- > 0;) {
-      Product<true>(acc, acc, acc, u);
+      Product<true, kN>(acc, acc, acc, u);
       if (exp.Bit(i)) {
-        Product<false>(acc, pow, acc, u);
+        Product<false, kN>(acc, pow, acc, u);
       }
     }
   } else {
-    for (size_t k = 2; k <= 15; k++) {
-      Product<false>(pow + (k - 2) * n, pow, pow + (k - 1) * n, u);
+    // Left-to-right sliding window: zero bits between windows cost one
+    // squaring each, a window of w bits w squarings and one multiply.
+    Product<true, kN>(pow, pow, acc, u);  // b^2.
+    for (size_t i = 1; i < kPowers; i++) {
+      Product<false, kN>(pow + (i - 1) * n, acc, pow + i * n, u);
     }
-    auto window = [&exp](size_t w) {
-      uint32_t win = 0;
-      for (size_t bit = 0; bit < 4; bit++) {
-        win |= static_cast<uint32_t>(exp.Bit(4 * w + bit)) << bit;
-      }
-      return win;
-    };
-    // The top window holds the exponent's leading 1 bit.
-    size_t w = (bits + 3) / 4 - 1;
-    const Limb* top = pow + (window(w) - 1) * n;
+    const Window first = WindowBelow(exp, bits);
+    const Limb* top = pow + (first.value / 2) * n;
     std::copy(top, top + n, acc);
-    while (w-- > 0) {
-      for (int sq = 0; sq < 4; sq++) {
-        Product<true>(acc, acc, acc, u);
+    for (size_t i = first.lo; i > 0;) {
+      if (!exp.Bit(i - 1)) {
+        Product<true, kN>(acc, acc, acc, u);
+        i--;
+        continue;
       }
-      if (uint32_t win = window(w); win != 0) {
-        Product<false>(acc, pow + (win - 1) * n, acc, u);
+      const Window w = WindowBelow(exp, i);
+      for (; i > w.lo; i--) {
+        Product<true, kN>(acc, acc, acc, u);
       }
+      Product<false, kN>(acc, pow + (w.value / 2) * n, acc, u);
     }
   }
 
   // Leave Montgomery form: one REDC against the plain value 1.
   std::fill(pow, pow + n, 0);
   pow[0] = 1;
-  Product<false>(acc, pow, acc, u);
+  Product<false, kN>(acc, pow, acc, u);
   return Narrow(acc, n);
+}
+
+Bignum Montgomery::PowMod(const Bignum& base, const Bignum& exp) const {
+  // RSA-768's CRT halves (6 limbs) and its modulus (12 limbs) run on
+  // kernels unrolled at that width; every other width on the runtime
+  // one.
+  switch (n_) {
+    case 6:
+      return PowModN<6>(base, exp);
+    case 12:
+      return PowModN<12>(base, exp);
+    default:
+      return PowModN<0>(base, exp);
+  }
 }
 
 Bignum Bignum::PowMod(const Bignum& base, const Bignum& exp, const Bignum& m) {

@@ -31,6 +31,33 @@ constexpr uint32_t kInitState[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff5
 // Blocks in the padded message: the data, 0x80, then the 8-byte length.
 constexpr size_t PaddedBlocks(size_t len) { return (len + 8) / 64 + 1; }
 
+// Builds the padded message's blocks from block `in_place` on (the
+// bytes of `in` past the first in_place * 64, then 0x80, zeros and the
+// bit length) in `tail`, and returns how many blocks it wrote. The
+// caller keeps that at two or fewer: in_place is len / 64, or 0 for a
+// message of at most two padded blocks.
+size_t PadTail(ByteView in, size_t in_place, uint8_t (&tail)[128]) {
+  const size_t len = in.size();
+  const size_t start = in_place * 64;
+  const size_t rest = len - start;
+  const size_t tail_len = PaddedBlocks(len) * 64 - start;
+  if (rest > 0) {
+    std::memcpy(tail, in.data() + start, rest);
+  }
+  tail[rest] = 0x80;
+  std::memset(tail + rest + 1, 0, tail_len - rest - 1 - 8);
+  StoreBe(tail + tail_len - 8, static_cast<uint64_t>(len) * 8);
+  return tail_len / 64;
+}
+
+Hash256 StateDigest(const uint32_t state[8]) {
+  Hash256 out;
+  for (int j = 0; j < 8; j++) {
+    StoreBe(out.v.data() + 4 * j, state[j]);
+  }
+  return out;
+}
+
 inline uint32_t Rotr(uint32_t x, int n) { return (x >> n) | (x << (32 - n)); }
 
 // Portable FIPS 180-4 compression over `blocks` consecutive 64-byte
@@ -370,18 +397,25 @@ Hash256 Sha256::Finish() {
   std::memset(buf_ + buf_len_, 0, 56 - buf_len_);
   StoreBe(buf_ + 56, total_len_ * 8);
   compress_(state_, buf_, 1);
-
-  Hash256 out;
-  for (int j = 0; j < 8; j++) {
-    StoreBe(out.v.data() + 4 * j, state_[j]);
-  }
-  return out;
+  return StateDigest(state_);
 }
 
 Hash256 Sha256::Digest(ByteView data) {
-  Sha256 h;
-  h.Update(data);
-  return h.Finish();
+  // One pass with no streaming state: whole blocks are read in place and
+  // the tail with its padding is built on the stack. A message of at
+  // most two padded blocks (up to 119 bytes, as both of ChainHash's
+  // are) goes onto the stack whole, so it costs one compression call.
+  const size_t in_place = PaddedBlocks(data.size()) <= 2 ? 0 : data.size() / 64;
+  uint8_t tail[128];
+  const size_t tail_blocks = PadTail(data, in_place, tail);
+  uint32_t state[8];
+  std::memcpy(state, kInitState, sizeof(state));
+  const CompressFn compress = ActiveCompressFn();
+  if (in_place > 0) {
+    compress(state, data.data(), in_place);
+  }
+  compress(state, tail, tail_blocks);
+  return StateDigest(state);
 }
 
 namespace {
@@ -395,25 +429,15 @@ void DigestTwo(const ByteView* in, Hash256* out, size_t blocks) {
   size_t full[2];
   uint32_t state[2][8];
   for (int l = 0; l < 2; l++) {
-    const size_t len = in[l].size();
-    full[l] = len / 64;
-    const size_t rest = len % 64;
-    const size_t tail_len = (blocks - full[l]) * 64;
-    if (rest > 0) {
-      std::memcpy(tails[l], in[l].data() + full[l] * 64, rest);
-    }
-    tails[l][rest] = 0x80;
-    std::memset(tails[l] + rest + 1, 0, tail_len - rest - 1 - 8);
-    StoreBe(tails[l] + tail_len - 8, static_cast<uint64_t>(len) * 8);
+    full[l] = in[l].size() / 64;
+    PadTail(in[l], full[l], tails[l]);
     std::memcpy(state[l], kInitState, sizeof(kInitState));
   }
   CompressShaNi2(state, blocks, [&](int l, size_t b) {
     return b < full[l] ? in[l].data() + b * 64 : tails[l] + (b - full[l]) * 64;
   });
   for (int l = 0; l < 2; l++) {
-    for (int j = 0; j < 8; j++) {
-      StoreBe(out[l].v.data() + 4 * j, state[l][j]);
-    }
+    out[l] = StateDigest(state[l]);
   }
 }
 #endif
@@ -444,9 +468,7 @@ void Sha256::DigestMany(std::span<const ByteView> inputs, std::span<Hash256> out
 }
 
 Hash256 Sha256::Digest(std::string_view s) {
-  Sha256 h;
-  h.Update(s);
-  return h.Finish();
+  return Digest(ByteView(reinterpret_cast<const uint8_t*>(s.data()), s.size()));
 }
 
 Hash256 HmacSha256(ByteView key, ByteView message) {

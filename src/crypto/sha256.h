@@ -62,7 +62,9 @@ class Sha256 {
   // Finalizes and returns the digest. The object must not be reused after.
   Hash256 Finish();
 
-  // One-shot helpers.
+  // One-shot helpers. They keep no streaming state: whole blocks are
+  // read in place and the tail is padded on the stack, so a message of
+  // up to 119 bytes costs one compression call.
   static Hash256 Digest(ByteView data);
   static Hash256 Digest(std::string_view s);
   // outputs[i] = Digest(inputs[i]) for independent messages; throws

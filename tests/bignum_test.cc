@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <utility>
+#include <vector>
+
 #include "src/crypto/bignum.h"
 
 namespace avm {
@@ -205,6 +209,108 @@ TEST(Bignum, MontgomeryContextReusableAcrossCalls) {
     Bignum base = Bignum::RandomWithBits(rng, 1 + rng.Below(400));
     Bignum exp = Bignum::RandomWithBits(rng, 1 + rng.Below(400));
     EXPECT_EQ(ctx.PowMod(base, exp), ReferencePowMod(base, exp, m)) << i;
+  }
+}
+
+// Exponents whose bit patterns sit on the exponentiation method's edges:
+// the switch from square-and-multiply to the window, lengths around
+// multiples of the window width, and zero runs as long as a window
+// placed at every offset, so some straddle a window boundary.
+std::vector<Bignum> WindowEdgeExponents(const Bignum& m) {
+  std::vector<size_t> lengths;
+  for (size_t len = Montgomery::kWindowMinBits - 1; len <= Montgomery::kWindowMinBits + 1; len++) {
+    lengths.push_back(len);
+  }
+  for (size_t k : {1u, 2u, 3u, 11u, 77u}) {
+    lengths.insert(lengths.end(), {5 * k - 1, 5 * k, 5 * k + 1});
+  }
+  std::vector<Bignum> exps;
+  for (size_t len : lengths) {
+    const Bignum high_bit = Bignum::Shl(Bignum(1), len - 1);
+    exps.push_back(Bignum::Sub(Bignum::Shl(high_bit, 1), Bignum(1)));  // All ones.
+    exps.push_back(high_bit);
+  }
+  const size_t len = 2 * Montgomery::kWindowMinBits;
+  const Bignum ones = Bignum::Sub(Bignum::Shl(Bignum(1), len), Bignum(1));
+  for (size_t run : {4u, 5u, 6u}) {
+    const Bignum zeros = Bignum::Sub(Bignum::Shl(Bignum(1), run), Bignum(1));
+    for (size_t start = 0; start < 10; start++) {
+      // ones - (zeros << start): clears bits [start, start + run).
+      exps.push_back(Bignum::Sub(ones, Bignum::Shl(zeros, start)));
+    }
+  }
+  exps.push_back(Bignum::Sub(m, Bignum(1)));
+  return exps;
+}
+
+TEST(Bignum, PowModWindowEdges) {
+  Prng rng(18);
+  std::vector<size_t> widths;  // In 64-bit limbs.
+  for (size_t n = 1; n <= 13; n++) {
+    widths.push_back(n);
+  }
+  widths.insert(widths.end(), {16, 32});
+  for (size_t n : widths) {
+    const Bignum m = RandomOddModulus(rng, 2 * n);
+    const Bignum m1 = Bignum::Sub(m, Bignum(1));
+    const std::vector<Bignum> bases = {
+        Bignum(0),
+        Bignum(1),
+        m1,
+        Bignum::Add(m, Bignum::RandomWithBits(rng, 1 + rng.Below(m.BitLength()))),
+    };
+    const std::vector<Bignum> exps = WindowEdgeExponents(m);
+    for (size_t ei = 0; ei < exps.size(); ei++) {
+      for (size_t bi = 0; bi < bases.size(); bi++) {
+        EXPECT_EQ(Bignum::PowMod(bases[bi], exps[ei], m), ReferencePowMod(bases[bi], exps[ei], m))
+            << "n=" << n << " base#" << bi << " exp#" << ei;
+      }
+    }
+  }
+}
+
+TEST(Bignum, MontgomeryContextSharedAcrossThreads) {
+  // RSA-768's CRT halves (6 limbs) and its modulus (12 limbs): the async
+  // signer shares one context per modulus between threads, so PowMod on
+  // a shared context must match the sequential results.
+  Prng rng(19);
+  const Montgomery half(RandomOddModulus(rng, 12));
+  const Montgomery full(RandomOddModulus(rng, 24));
+  std::vector<std::pair<Bignum, Bignum>> inputs;  // (base, exp).
+  for (int i = 0; i < 16; i++) {
+    inputs.emplace_back(Bignum::RandomWithBits(rng, 1 + rng.Below(800)),
+                        Bignum::RandomWithBits(rng, 1 + rng.Below(768)));
+  }
+  std::vector<Bignum> want;
+  for (const auto& [base, exp] : inputs) {
+    want.push_back(half.PowMod(base, exp));
+    want.push_back(full.PowMod(base, exp));
+  }
+  constexpr int kThreads = 4;
+  std::vector<std::vector<Bignum>> got(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; t++) {
+    threads.emplace_back([&, t] {
+      for (int rep = 0; rep < 8; rep++) {
+        for (size_t i = 0; i < inputs.size(); i++) {
+          // Each thread starts at a different input, so the threads run
+          // different exponents on one context at the same time.
+          const auto& [base, exp] = inputs[(i + 4 * t) % inputs.size()];
+          got[t].push_back(half.PowMod(base, exp));
+          got[t].push_back(full.PowMod(base, exp));
+        }
+      }
+    });
+  }
+  for (auto& th : threads) {
+    th.join();
+  }
+  for (int t = 0; t < kThreads; t++) {
+    ASSERT_EQ(got[t].size(), 8 * want.size());
+    for (size_t k = 0; k < got[t].size(); k++) {
+      const size_t i = (k / 2 % inputs.size() + 4 * t) % inputs.size();
+      EXPECT_EQ(got[t][k], want[2 * i + k % 2]) << "thread " << t << " result " << k;
+    }
   }
 }
 

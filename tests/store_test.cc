@@ -92,7 +92,9 @@ TEST_F(StoreFixture, WatermarkAdvancesByGroupCommitPolicy) {
 
   uint64_t prev = 0;
   for (size_t i = 0; i < 25; i++) {
-    log.Append(EntryType::kInfo, ToBytes("e" + std::to_string(i)));
+    std::string content = "e";
+    content += std::to_string(i);
+    log.Append(EntryType::kInfo, ToBytes(content));
     // Monotone, never ahead of what exists.
     uint64_t wm = store->DurableSeq();
     EXPECT_GE(wm, prev);
