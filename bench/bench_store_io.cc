@@ -5,8 +5,9 @@
 // near-regular TimeTracker entries. This bench records a real game log,
 // pushes it through the durable store, and reports (a) sustained append
 // and seal throughput, (b) on-disk bytes per entry -- sealed+LZSS vs.
-// raw -- against the in-memory WireSize baseline, and (c) range
-// extraction cost from disk vs. from memory.
+// raw -- against the in-memory WireSize baseline, (c) range
+// extraction cost from disk vs. from memory, and (d) the cost of one
+// durable group commit in kv-durable's shape.
 #include <algorithm>
 #include <atomic>
 #include <filesystem>
@@ -66,6 +67,35 @@ double SustainedAppend(const TamperEvidentLog& log, const std::string& dir,
   store->Seal();
   fs::remove_all(dir);
   return (log.TotalWireSize() / (1024.0 * 1024.0)) / secs;
+}
+
+// kv-durable's commit shape: two syncing stores (a server's and a
+// client's) each take one ~1.2 KB entry and a forced group commit per
+// simulator turn, alternating. Returns microseconds per commit. The
+// turns stay inside one segment, so every commit is a data sync of the
+// active file and none is a roll.
+double DurableCommitRun(const std::string& base, const TamperEvidentLog& a,
+                        const TamperEvidentLog& b) {
+  LogStoreOptions opts;
+  opts.sync = true;
+  opts.group_commit.max_delay_ms = 0;  // Only the explicit commits below.
+  fs::remove_all(base + "-a");
+  fs::remove_all(base + "-b");
+  auto sa = LogStore::Open(base + "-a", a.owner(), opts);
+  auto sb = LogStore::Open(base + "-b", b.owner(), opts);
+  WallTimer timer;
+  for (uint64_t seq = 1; seq <= a.LastSeq(); seq++) {
+    sa->Append(a.At(seq));
+    sa->Flush();
+    sb->Append(b.At(seq));
+    sb->Flush();
+  }
+  const double us = 1e6 * timer.ElapsedSeconds() / static_cast<double>(2 * a.LastSeq());
+  sa.reset();
+  sb.reset();
+  fs::remove_all(base + "-a");
+  fs::remove_all(base + "-b");
+  return us;
 }
 
 void Run() {
@@ -132,6 +162,30 @@ void Run() {
     json.Add(c.compress ? "disk_bytes_per_entry_lzss" : "disk_bytes_per_entry_raw",
              bytes_per_entry, "bytes");
   }
+
+  // Durable group commit: kDurableRuns runs of kDurableTurns turns; the
+  // median run and the best one, in microseconds per commit.
+  constexpr int kDurableRuns = 7;
+  constexpr uint64_t kDurableTurns = 400;
+  TamperEvidentLog durable_a("server");
+  TamperEvidentLog durable_b("client");
+  Prng durable_rng(41);
+  for (uint64_t t = 0; t < kDurableTurns; t++) {
+    // 1147 content bytes frame to a 1200-byte record.
+    durable_a.Append(EntryType::kInfo, durable_rng.RandomBytes(1147));
+    durable_b.Append(EntryType::kInfo, durable_rng.RandomBytes(1147));
+  }
+  std::vector<double> commit_us;
+  for (int run = 0; run < kDurableRuns; run++) {
+    commit_us.push_back(DurableCommitRun(base + "-durable", durable_a, durable_b));
+  }
+  std::sort(commit_us.begin(), commit_us.end());
+  std::printf("\n  durable group commit, two syncing stores alternating one 1.2 KB commit\n"
+              "  each per turn (%d runs of %llu turns): median %.1f us/commit, best %.1f\n",
+              kDurableRuns, static_cast<unsigned long long>(kDurableTurns),
+              commit_us[commit_us.size() / 2], commit_us.front());
+  json.Add("durable_commit_us", commit_us[commit_us.size() / 2], "us");
+  json.Add("durable_commit_us_best", commit_us.front(), "us");
 
   // The v2 headline: sustained append with a concurrent audit reader.
   // Baseline = synchronous seal (inline LZSS on the recording thread)

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "src/obs/trace.h"
 #include "src/util/serde.h"
 
 namespace avm {
@@ -479,6 +480,7 @@ void Transport::ReleaseDurable(SimTime now, bool force) {
   }
   if (force && log_->DurableSeq() < need) {
     // One group commit covers everything parked.
+    obs::Span span(obs::kPhaseTransportDurableWait, "transport");
     log_->FlushSink();
     stats_.durable_forced_flushes++;
   }

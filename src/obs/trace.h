@@ -42,6 +42,9 @@ inline constexpr char kPhaseStoreFlushWait[] = "store.flush_wait";
 inline constexpr char kPhaseStoreSeal[] = "store.seal";
 inline constexpr char kPhaseStoreArchive[] = "store.archive";
 inline constexpr char kPhaseSignerSign[] = "signer.sign";
+// A flush Transport forces so that durable_commit can release what it
+// holds back; the store's own store.flush_wait span nests inside it.
+inline constexpr char kPhaseTransportDurableWait[] = "transport.durable_wait";
 inline constexpr char kPhaseFleetService[] = "fleet.service";
 
 // RAII span: times the enclosing scope and attributes it to a phase.

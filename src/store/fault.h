@@ -25,7 +25,7 @@ namespace avm {
 //  "group-commit"  GroupCommitLocked()/Flush(), before the durability
 //                  barrier; `seq` is the last seq the barrier covers.
 //  "roll"          RollActiveLocked(), before the rolled segment's
-//                  final flush+fsync; `seq` is the segment's last seq.
+//                  final write+fsync; `seq` is the segment's last seq.
 //  "aux-write"     WriteAuxFileBatched(), before the atomic rename
 //                  (checkpoint writes ride this path); `seq` is 0.
 //  "aux-sync"      DrainAuxLocked(), before batched aux fsyncs; 0.
@@ -36,14 +36,14 @@ struct StoreFaultSite {
 
 enum class StoreFaultAction : uint8_t {
   kNone = 0,
-  // The write reports failure without touching the file; the append
-  // rolls back to the previous record boundary and throws StoreError.
-  // Transient: a retried append succeeds.
+  // The write reports failure; the append drops the record's frame
+  // from the store's buffer (nothing of it reaches the file) and throws
+  // StoreError. Transient: a retried append succeeds.
   kIoError,
-  // Half the record reaches the file before the failure; the append
-  // truncates back to the record boundary and throws. Also transient.
+  // The write fails partway; handled like kIoError, so no partial
+  // frame is left in front of a retried append. Also transient.
   kShortWrite,
-  // The durability barrier (fflush/fsync) fails. Matches the kernel's
+  // The durability barrier (write/fdatasync) fails. Matches the kernel's
   // contract after a failed fsync: the store is poisoned (write_failed_)
   // and refuses further writes until reopened, when recovery re-scans
   // from disk.

@@ -1,19 +1,25 @@
-// Group-commit (batched fsync) policy for the hot tier of the log
+// Group-commit (batched sync) policy for the hot tier of the log
 // store.
 //
 // The paper's protocol makes an authenticator a_i evidence the moment
 // it leaves the machine; storage engine v2 makes the matching promise
-// about persistence: an entry is *committed* only once an fsync has
-// covered it, and the store publishes that boundary as a monotone
-// durability watermark (LogStore::DurableSeq). fsyncing every append
-// would put a disk round-trip on the recording hot path, so the hot
-// tier batches: a flush is forced when any of {bytes, entries,
-// max_delay} is exceeded, and everything appended since the previous
-// flush becomes durable together — classic group commit, with the
-// watermark advancing to the last sequence number the batch covered.
+// about persistence: an entry is *committed* only once an fdatasync of
+// the active segment has covered it, and the store publishes that
+// boundary as a monotone durability watermark (LogStore::DurableSeq).
+// The first commit into a syncing store's active segment preallocates
+// it past the seal threshold, so later commits change no file size and
+// the data sync is a data-only barrier; rolling trims the file and
+// takes a full fsync.
+// Syncing every append would put a disk round-trip on the recording hot
+// path, so the hot tier batches: a flush is forced when any of {bytes,
+// entries, max_delay} is exceeded, and everything appended since the
+// previous flush becomes durable together — classic group commit, with
+// the watermark advancing to the last sequence number the batch
+// covered.
 //
 // GroupCommitBatch is the bookkeeping only (what is unflushed, and is a
-// flush due); LogStore owns the actual fflush/fsync and the watermark.
+// flush due); LogStore owns the actual write/fdatasync and the
+// watermark.
 // It is not thread-safe by itself: LogStore mutates it under its state
 // mutex.
 #ifndef SRC_STORE_GROUP_COMMIT_H_

@@ -4,6 +4,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
@@ -28,6 +29,16 @@ namespace {
 constexpr char kMetaName[] = "store.meta";
 constexpr char kMetaMagic[8] = {'A', 'V', 'M', 'M', 'E', 'T', 'A', '\n'};
 constexpr size_t kNoSegment = std::numeric_limits<size_t>::max();
+// Pending records are written to the active file at least this often,
+// so the writer's buffer stays small between group commits. The buffer
+// (at most about twice this) stays well below glibc's 128 KiB mmap
+// threshold: freeing an mmapped buffer raises that threshold for the
+// whole process, and with a 64 KiB chunk the kv-replay audit that
+// follows recording ran ~5% slower.
+constexpr size_t kWriteChunkBytes = 16 * 1024;
+// Preallocated past the seal threshold: the record that crosses it
+// still lands in allocated space.
+constexpr size_t kPreallocSlackBytes = 64 * 1024;
 
 std::string SegName(uint64_t first_seq, const char* ext) {
   char buf[48];
@@ -35,16 +46,19 @@ std::string SegName(uint64_t first_seq, const char* ext) {
   return buf;
 }
 
-Bytes ReadFileBytes(const std::string& path) {
+// Reads the whole file, or its first `max_bytes` when it is longer.
+Bytes ReadFileBytes(const std::string& path,
+                    size_t max_bytes = std::numeric_limits<size_t>::max()) {
   std::ifstream in(path, std::ios::binary);
   if (!in) {
     throw StoreError("cannot open " + path);
   }
   in.seekg(0, std::ios::end);
-  std::streamoff size = in.tellg();
+  const size_t size = std::min(static_cast<size_t>(in.tellg()), max_bytes);
   in.seekg(0);
-  Bytes out(static_cast<size_t>(size));
-  if (size > 0 && !in.read(reinterpret_cast<char*>(out.data()), size)) {
+  Bytes out(size);
+  if (size > 0 &&
+      !in.read(reinterpret_cast<char*>(out.data()), static_cast<std::streamoff>(size))) {
     throw StoreError("short read on " + path);
   }
   return out;
@@ -349,9 +363,12 @@ void LogStore::Recover() {
     }
     if (name.ends_with(".log")) {
       Bytes f = ReadFileBytes(de.path().string());
-      if (f.size() < kSegmentHeaderSize) {
-        // Torn during segment creation: no records could have been
-        // written yet, so dropping the file loses nothing.
+      if (f.size() < kSegmentHeaderSize ||
+          std::all_of(f.begin(), f.begin() + kSegmentHeaderSize,
+                      [](uint8_t b) { return b == 0; })) {
+        // Torn during segment creation (a preallocated file can reach
+        // disk before its header): no group commit covered it yet, so
+        // dropping the file loses nothing.
         fs::remove(de.path());
         recovered_torn_tail_ = true;
         continue;
@@ -425,13 +442,16 @@ void LogStore::Recover() {
     }
     if (seg.tier == Tier::kActive) {
       bool is_last = i + 1 == segments_.size();
-      ActiveScan scan = ScanActiveSegment(raw_bytes[seg.first_seq], opts_.index_every);
-      if (scan.torn) {
-        if (!is_last) {
-          throw StoreError("rolled segment " + seg.path + " is torn mid-store");
-        }
+      const Bytes& file = raw_bytes[seg.first_seq];
+      ActiveScan scan = ScanActiveSegment(file, opts_.index_every);
+      if (scan.torn && !is_last) {
+        throw StoreError("rolled segment " + seg.path + " is torn mid-store");
+      }
+      recovered_torn_tail_ |= scan.torn;
+      if (kSegmentHeaderSize + scan.valid_bytes != file.size()) {
+        // Cut a torn tail or a preallocated zero tail back to the last
+        // whole record.
         fs::resize_file(seg.path, kSegmentHeaderSize + scan.valid_bytes);
-        recovered_torn_tail_ = true;
       }
       seg.last_seq = scan.last_seq;
       seg.prior_hash = scan.header.prior_hash;
@@ -443,10 +463,7 @@ void LogStore::Recover() {
         active_stream_bytes_ = scan.valid_bytes;
         active_entry_count_ = scan.entry_count;
         active_index_ = seg.index;
-        active_file_ = std::fopen(seg.path.c_str(), "ab");
-        if (active_file_ == nullptr) {
-          throw StoreError("cannot reopen active segment " + seg.path);
-        }
+        OpenActiveFileLocked(seg.path, {});
       } else {
         seg.tier = Tier::kRolled;
       }
@@ -489,18 +506,61 @@ void LogStore::StartSegmentLocked() {
   seg.prior_hash = last_hash_;
   seg.chain_hash = last_hash_;
   seg.path = (fs::path(dir_) / SegName(seg.first_seq, "log")).string();
-  Bytes header = EncodeSegmentHeader({seg.first_seq, seg.prior_hash});
-  active_file_ = std::fopen(seg.path.c_str(), "wb");
-  if (active_file_ == nullptr) {
-    throw StoreError("cannot create segment " + seg.path);
-  }
-  if (std::fwrite(header.data(), 1, header.size(), active_file_) != header.size()) {
-    throw StoreError("short write on " + seg.path);
-  }
+  OpenActiveFileLocked(seg.path, EncodeSegmentHeader({seg.first_seq, seg.prior_hash}));
   active_stream_bytes_ = 0;
   active_entry_count_ = 0;
   active_index_.clear();
   segments_.push_back(std::move(seg));
+}
+
+void LogStore::OpenActiveFileLocked(const std::string& path, ByteView header) {
+  const bool create = !header.empty();
+  active_fd_ = ::open(path.c_str(), O_RDWR | O_CLOEXEC | (create ? O_CREAT | O_TRUNC : 0), 0644);
+  if (active_fd_ < 0) {
+    throw StoreError((create ? "cannot create segment " : "cannot reopen active segment ") + path);
+  }
+  if (create && ::pwrite(active_fd_, header.data(), header.size(), 0) !=
+                    static_cast<ssize_t>(header.size())) {
+    ::close(active_fd_);
+    active_fd_ = -1;
+    throw StoreError("short write on " + path);
+  }
+  active_needs_prepare_ = opts_.sync;
+}
+
+void LogStore::PrepareActiveForCommitLocked() {
+  if (!active_needs_prepare_) {
+    return;
+  }
+  active_needs_prepare_ = false;
+  // Best effort: without the preallocation, appends still extend the
+  // file correctly, only each data sync then carries a size update.
+  const off_t extent =
+      static_cast<off_t>(kSegmentHeaderSize + opts_.seal_threshold_bytes + kPreallocSlackBytes);
+  (void)::fallocate(active_fd_, 0, 0, extent);
+  // POSIX makes a new file's name durable only with an fsync of its
+  // directory.
+  SyncDirectory(dir_);
+  Kill("post-dir-sync");
+}
+
+bool LogStore::WritePendingLocked() const {
+  const off_t at =
+      static_cast<off_t>(kSegmentHeaderSize + active_stream_bytes_ - pending_.size());
+  size_t done = 0;
+  while (done < pending_.size()) {
+    ssize_t n = ::pwrite(active_fd_, pending_.data() + done, pending_.size() - done,
+                         at + static_cast<off_t>(done));
+    if (n < 0) {
+      if (errno == EINTR) {
+        continue;
+      }
+      return false;
+    }
+    done += static_cast<size_t>(n);
+  }
+  pending_.clear();
+  return true;
 }
 
 void LogStore::Append(const LogEntry& e) {
@@ -513,58 +573,48 @@ void LogStore::Append(const LogEntry& e) {
                        std::to_string(last_seq_.load(std::memory_order_relaxed) + 1) + ", got " +
                        std::to_string(e.seq));
     }
-    if (active_file_ == nullptr) {
+    if (active_fd_ < 0) {
       StartSegmentLocked();
     }
-    Bytes& record = record_scratch_;
-    record.clear();
-    EncodeRecord(e, record);
-    size_t to_write = record.size();
+    const size_t record_at = pending_.size();
+    EncodeRecord(e, pending_);
+    const size_t record_size = pending_.size() - record_at;
     switch (FaultAt("append-write", e.seq)) {
       case StoreFaultAction::kNone:
       case StoreFaultAction::kFsyncFail:  // No durability barrier here.
         break;
       case StoreFaultAction::kIoError:
-        to_write = 0;  // The write fails before any byte lands.
-        break;
       case StoreFaultAction::kShortWrite:
-        to_write = record.size() / 2;
-        break;
+        // Drop the frame so no part of it can sit in front of a retried
+        // append (recovery would then truncate everything after it,
+        // including acknowledged entries).
+        pending_.resize(record_at);
+        throw StoreError("short write on " + segments_.back().path);
       case StoreFaultAction::kCrash:
+        pending_.resize(record_at);
         write_failed_ = true;
         throw StoreError("injected crash during append in " + dir_ + "; reopen to recover");
     }
-    if ((to_write == 0 ? 0 : std::fwrite(record.data(), 1, to_write, active_file_)) !=
-        record.size()) {
-      // Roll the file back to the last record boundary so the partial
-      // frame cannot sit in front of a retried append (recovery would
-      // then truncate everything after it, including acknowledged
-      // entries). If even the rollback fails, poison the store.
-      std::fflush(active_file_);
-      std::error_code ec;
-      fs::resize_file(segments_.back().path, kSegmentHeaderSize + active_stream_bytes_, ec);
-      if (ec) {
-        write_failed_ = true;
-      }
-      throw StoreError("short write on " + segments_.back().path);
-    }
     // State (including the sparse-index waypoint) advances only once the
-    // record is fully written, so a failed append leaves no residue.
+    // record is accepted, so a failed append leaves no residue.
     if (active_entry_count_ % opts_.index_every == 0) {
       active_index_.push_back({e.seq, active_stream_bytes_});
     }
-    active_stream_bytes_ += record.size();
+    active_stream_bytes_ += record_size;
     active_entry_count_++;
     obs_.appends->Inc();
     last_hash_ = e.hash;
     last_seq_.store(e.seq, std::memory_order_release);
     segments_.back().last_seq = e.seq;
     segments_.back().chain_hash = e.hash;
-    batch_.Add(record.size(), e.seq);
+    batch_.Add(record_size, e.seq);
     if (active_stream_bytes_ >= opts_.seal_threshold_bytes) {
       promote = RollActiveLocked();
     } else if (batch_.ThresholdDue(opts_.group_commit)) {
       GroupCommitLocked(lk);
+    } else if (pending_.size() >= kWriteChunkBytes && !WritePendingLocked()) {
+      write_failed_ = true;
+      throw StoreError("write failed on " + segments_.back().path + "; reopen to recover");
     }
   }
   if (promote != kNoSegment) {
@@ -573,19 +623,21 @@ void LogStore::Append(const LogEntry& e) {
   }
 }
 
-bool LogStore::FsyncActiveOffLock(std::unique_lock<std::mutex>& lk) {
-  if (!opts_.sync || active_file_ == nullptr) {
+bool LogStore::DatasyncActiveOffLock(std::unique_lock<std::mutex>& lk) {
+  if (!opts_.sync || active_fd_ < 0) {
     return true;
   }
-  int fd = ::fileno(active_file_);
+  int fd = active_fd_;
   uint64_t gen = active_gen_;
   lk.unlock();
   bool ok = true;
   {
     std::lock_guard<std::mutex> fl(flush_mu_);
-    // If the file was closed meanwhile, the close path fsynced it.
+    // If the file was closed meanwhile, the close path fsynced it. The
+    // file's size already covers the records (preallocated, or set by
+    // the write), so a data sync is a complete barrier for them.
     if (gen == active_gen_) {
-      ok = ::fsync(fd) == 0;
+      ok = ::fdatasync(fd) == 0;
     }
   }
   lk.lock();
@@ -593,7 +645,7 @@ bool LogStore::FsyncActiveOffLock(std::unique_lock<std::mutex>& lk) {
 }
 
 void LogStore::GroupCommitLocked(std::unique_lock<std::mutex>& lk) {
-  if (active_file_ != nullptr && !batch_.Empty()) {
+  if (active_fd_ >= 0 && !batch_.Empty()) {
     obs::Span span(obs::kPhaseStoreFlushWait, "store");
     obs_.group_commits->Inc();
     Kill("pre-flush");
@@ -604,15 +656,16 @@ void LogStore::GroupCommitLocked(std::unique_lock<std::mutex>& lk) {
       write_failed_ = true;
       throw StoreError("injected group-commit failure in " + dir_ + "; reopen to recover");
     }
-    if (std::fflush(active_file_) != 0) {
+    PrepareActiveForCommitLocked();
+    if (!WritePendingLocked()) {
       write_failed_ = true;
-      throw StoreError("group-commit flush failed on " + segments_.back().path);
+      throw StoreError("group-commit write failed on " + segments_.back().path);
     }
     uint64_t target = batch_.last_seq();
     batch_.Clear();
-    if (!FsyncActiveOffLock(lk)) {
+    if (!DatasyncActiveOffLock(lk)) {
       write_failed_ = true;
-      throw StoreError("group-commit fsync failed in " + dir_);
+      throw StoreError("group-commit fdatasync failed in " + dir_);
     }
     AdvanceDurable(target);
     Kill("post-flush");
@@ -624,7 +677,7 @@ void LogStore::Flush() {
   obs::Span span(obs::kPhaseStoreFlushWait, "store");
   std::unique_lock<std::mutex> lk(state_mu_);
   CheckWritableLocked();
-  if (active_file_ != nullptr) {
+  if (active_fd_ >= 0) {
     obs_.group_commits->Inc();
     if (FaultAt("group-commit", last_seq_.load(std::memory_order_relaxed)) !=
         StoreFaultAction::kNone) {
@@ -633,12 +686,13 @@ void LogStore::Flush() {
     }
     // A flush that fails has NOT made the acknowledged entries durable;
     // callers must hear about it.
-    if (std::fflush(active_file_) != 0) {
+    PrepareActiveForCommitLocked();
+    if (!WritePendingLocked()) {
       write_failed_ = true;
       throw StoreError("flush failed on " + segments_.back().path);
     }
     batch_.Clear();
-    if (!FsyncActiveOffLock(lk)) {
+    if (!DatasyncActiveOffLock(lk)) {
       write_failed_ = true;
       throw StoreError("flush failed on " + segments_.back().path);
     }
@@ -681,7 +735,7 @@ void LogStore::DrainAuxLocked(std::unique_lock<std::mutex>& lk) {
 }
 
 size_t LogStore::RollActiveLocked() {
-  if (active_file_ == nullptr) {
+  if (active_fd_ < 0) {
     return kNoSegment;
   }
   SegmentState& seg = segments_.back();
@@ -692,35 +746,40 @@ size_t LogStore::RollActiveLocked() {
     write_failed_ = true;
     throw StoreError("injected roll failure on " + seg.path + "; reopen to recover");
   }
-  if (std::fflush(active_file_) != 0 ||
-      (opts_.sync && ::fsync(::fileno(active_file_)) != 0)) {
+  seg.entry_count = active_entry_count_;
+  seg.stream_bytes = active_stream_bytes_;
+  seg.index = std::move(active_index_);
+  PrepareActiveForCommitLocked();
+  if (!CloseActiveFileLocked()) {
     write_failed_ = true;
     throw StoreError("flush failed while rolling " + seg.path);
   }
   seg.tier = Tier::kRolled;
-  seg.entry_count = active_entry_count_;
-  seg.stream_bytes = active_stream_bytes_;
-  seg.index = std::move(active_index_);
-  CloseActiveFileLocked();
   AdvanceDurable(seg.last_seq);
   batch_.Clear();
   return segments_.size() - 1;
 }
 
-void LogStore::CloseActiveFileLocked() {
+bool LogStore::CloseActiveFileLocked() {
   std::lock_guard<std::mutex> fl(flush_mu_);
-  if (active_file_ != nullptr) {
-    std::fflush(active_file_);
-    if (opts_.sync) {
-      ::fsync(::fileno(active_file_));
-    }
-    std::fclose(active_file_);
-    active_file_ = nullptr;
+  bool ok = true;
+  if (active_fd_ >= 0) {
+    // Only a syncing store preallocates; a full fsync, because the
+    // truncate can change the file's size.
+    ok = WritePendingLocked() &&
+         (!opts_.sync ||
+          (::ftruncate(active_fd_, static_cast<off_t>(kSegmentHeaderSize + active_stream_bytes_)) ==
+               0 &&
+           ::fsync(active_fd_) == 0));
+    ::close(active_fd_);
+    active_fd_ = -1;
     active_gen_++;
   }
+  pending_.clear();
   active_stream_bytes_ = 0;
   active_entry_count_ = 0;
   active_index_.clear();
+  return ok;
 }
 
 void LogStore::EnqueuePromotion(size_t seg_index) {
@@ -861,7 +920,7 @@ void LogStore::Seal() {
   {
     std::unique_lock<std::mutex> lk(state_mu_);
     CheckWritableLocked();
-    if (active_file_ != nullptr) {
+    if (active_fd_ >= 0) {
       if (active_entry_count_ == 0) {
         // Nothing recorded; drop the empty file instead of sealing it.
         std::string path = segments_.back().path;
@@ -990,13 +1049,14 @@ LogStore::SegSnapshot LogStore::SnapshotSegment(uint64_t first_seq) const {
       snap.first_seq = s.first_seq;
       snap.valid_bytes = s.stream_bytes;
       if (s.tier == Tier::kActive) {
-        // Push buffered records to the OS so the read below sees them;
-        // a reader must only parse bytes the writer has handed off
-        // (anything later could be a half-buffered record).
-        if (active_file_ != nullptr) {
-          std::fflush(active_file_);
+        // Write pending records so the read below sees them; a reader
+        // parses only bytes that reached the file (past them lie
+        // preallocated zeros or nothing). If the write fails, the read
+        // sees just the records written before it.
+        if (active_fd_ >= 0) {
+          WritePendingLocked();
         }
-        snap.valid_bytes = active_stream_bytes_;
+        snap.valid_bytes = active_stream_bytes_ - pending_.size();
       }
       return snap;
     }
@@ -1006,7 +1066,11 @@ LogStore::SegSnapshot LogStore::SnapshotSegment(uint64_t first_seq) const {
 
 LogStore::LoadedRecords LogStore::LoadSegment(const SegSnapshot& snap) const {
   obs_.segment_loads->Inc();
-  Bytes file = ReadFileBytes(snap.path);
+  // A raw segment's records end at valid_bytes; an active file may run
+  // on into preallocated zeros, which are not read.
+  Bytes file = snap.tier == Tier::kActive || snap.tier == Tier::kRolled
+                   ? ReadFileBytes(snap.path, kSegmentHeaderSize + snap.valid_bytes)
+                   : ReadFileBytes(snap.path);
   LoadedRecords out;
   switch (snap.tier) {
     case Tier::kActive:

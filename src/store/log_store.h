@@ -6,7 +6,7 @@
 // three tiers with background promotion between them:
 //
 //   hot (seg-*.log)      append-only, CRC-framed records, group commit:
-//                        fsyncs are batched under a {bytes, entries,
+//                        syncs are batched under a {bytes, entries,
 //                        max_delay} policy instead of per append.
 //   sealed (seg-*.seal)  rolled segments, LZSS-compressed (§6.4) with a
 //                        sparse index and a chain-state footer; built
@@ -55,7 +55,6 @@
 
 #include <atomic>
 #include <condition_variable>
-#include <cstdio>
 #include <functional>
 #include <limits>
 #include <memory>
@@ -84,25 +83,31 @@ struct LogStoreOptions {
   size_t index_every = 64;
   // LZSS-compress sealed segments (§6.4). Off stores records verbatim.
   bool compress_sealed = true;
-  // fsync segment files at group commits and after sealing. Off is fine
-  // for tests and benches that do not measure durability (the watermark
-  // then advances on fflush, the usual test surrogate).
+  // Make group commits durable (fdatasync into a preallocated active
+  // segment) and fsync rolled and sealed files. Off is fine for tests
+  // and benches that do not measure durability (the watermark then
+  // advances once the records are written to the file, the usual test
+  // surrogate); such stores do not preallocate.
   bool sync = true;
   // Background sealer/compressor/archiver workers. 0 promotes inline on
   // the thread that rolled the segment — bit-for-bit the synchronous v1
   // write path, and what deterministic crash tests use.
   unsigned sealer_threads = 1;
-  // Batched-fsync policy for the hot tier (see group_commit.h).
+  // Batched-sync policy for the hot tier (see group_commit.h).
   GroupCommitPolicy group_commit;
   // Keep at most this many segments in the sealed tier; older ones are
   // promoted to the archival tier. SIZE_MAX disables archival.
   size_t archive_keep_sealed = std::numeric_limits<size_t>::max();
   // Test-only crash hook, invoked at named points of the write path
-  // ("pre-flush", "post-flush", "post-roll", "pre-seal-rename",
-  // "pre-seal-unlink", "pre-archive-rename", "pre-archive-unlink",
-  // "aux-pre-sync"). Kill-point tests copy the directory here to get a
-  // byte-exact crash image. May be called with internal locks held and
-  // from background threads; it must not call back into the store.
+  // ("pre-flush", "post-dir-sync", "post-flush", "post-roll",
+  // "pre-seal-rename", "pre-seal-unlink", "pre-archive-rename",
+  // "pre-archive-unlink", "aux-pre-sync"). "post-dir-sync" (sync stores
+  // only) fires once per active file, new or reopened, when the file is
+  // preallocated and the directory synced, ahead of the first barrier
+  // that advances the watermark into that file. Kill-point tests copy
+  // the directory here to get a byte-exact crash image. May be called
+  // with internal locks held and from background threads; it must not
+  // call back into the store.
   std::function<void(const char*)> test_hook;
   // Plan-driven fault injection (src/store/fault.h): consulted at the
   // named write-path sites; a non-kNone action makes the site fail the
@@ -133,7 +138,7 @@ class LogStore final : public LogSink, public SegmentSource {
 
   // LogSink: appends one entry (seq must be LastSeq() + 1) to the hot
   // tier, rolling (and scheduling promotion) at the byte threshold and
-  // group-committing under the batched-fsync policy.
+  // group-committing under the batched-sync policy.
   void Append(const LogEntry& e) override;
   // Forces a group commit now: everything appended so far becomes
   // durable and the watermark advances to LastSeq(). Also drains
@@ -234,18 +239,35 @@ class LogStore final : public LogSink, public SegmentSource {
   void CheckWritableLocked() const;
   void AdvanceDurable(uint64_t seq);
   void StartSegmentLocked();
-  // Group commit: fflush under the lock, fsync off it, then advance the
-  // watermark to the last appended seq the flush covered.
+  // Opens `path` as the active file for positional writes, creating it
+  // with `header` when non-empty.
+  void OpenActiveFileLocked(const std::string& path, ByteView header);
+  // Called by every barrier that advances the watermark into the active
+  // file, before it writes. On the first one of a syncing store's file,
+  // preallocates the file past the seal threshold (best effort) and
+  // syncs the directory, so the file's name is durable before the
+  // watermark enters it. Deferred to the first commit so that opening a
+  // segment costs no more than creating the file.
+  void PrepareActiveForCommitLocked();
+  // Writes pending_ at its stream offset; returns false on a write
+  // error (pending_ then keeps the bytes, so a retry rewrites them in
+  // place). Const because readers hand records off through it too.
+  bool WritePendingLocked() const;
+  // Group commit: write pending records under the lock, fdatasync off
+  // it, then advance the watermark to the last appended seq covered.
   void GroupCommitLocked(std::unique_lock<std::mutex>& lk);
-  // fsync of the active file without blocking appends; returns false on
-  // fsync failure. Drops and reacquires `lk`.
-  bool FsyncActiveOffLock(std::unique_lock<std::mutex>& lk);
+  // fdatasync of the active file without blocking appends; returns
+  // false on failure. Drops and reacquires `lk`.
+  bool DatasyncActiveOffLock(std::unique_lock<std::mutex>& lk);
   void DrainAuxLocked(std::unique_lock<std::mutex>& lk);
   // Rolls the active segment: flushes it durably (watermark now covers
   // the whole segment), closes it and marks it kRolled. Returns the
   // segment index to promote, or SIZE_MAX if nothing was rolled.
   size_t RollActiveLocked();
-  void CloseActiveFileLocked();
+  // Writes pending records, trims a preallocated tail back to header +
+  // stream bytes, fsyncs (sync stores) and closes the active file.
+  // Returns false if any step failed; the file is closed either way.
+  bool CloseActiveFileLocked();
   void EnqueuePromotion(size_t seg_index);
   void RunPromotion(size_t seg_index);
   void PromoteToSealed(size_t seg_index);
@@ -273,14 +295,21 @@ class LogStore final : public LogSink, public SegmentSource {
   // Set when a failed write could not be rolled back to a record
   // boundary; the store refuses further appends (reopen to recover).
   bool write_failed_ = false;
-  // Active (unsealed) segment writer state.
-  std::FILE* active_file_ = nullptr;
-  size_t active_stream_bytes_ = 0;
+  // Active (unsealed) segment writer state. The file is written only
+  // with pwrite at kSegmentHeaderSize + stream offset, never appended
+  // to: a sync store's file extends past the stream into preallocated
+  // zeros.
+  int active_fd_ = -1;
+  bool active_needs_prepare_ = false;  // See PrepareActiveForCommitLocked.
+  size_t active_stream_bytes_ = 0;  // Appended, whether written or pending.
   uint64_t active_entry_count_ = 0;
   std::vector<SparseIndexEntry> active_index_;
-  // Append's record frame, reused so the per-entry path allocates only
-  // when an entry outgrows every earlier one.
-  Bytes record_scratch_;
+  // Framed records not yet written to the file: the last
+  // pending_.size() bytes of the stream. Written in one pwrite per
+  // group commit, roll or kWriteChunkBytes, and when a reader snapshots
+  // the active segment (hence mutable). Cleared, not freed, so the
+  // per-entry path allocates only when the buffer outgrows its peak.
+  mutable Bytes pending_;
   bool stopping_ = false;
 
   // --- Lock-free ---
@@ -288,7 +317,7 @@ class LogStore final : public LogSink, public SegmentSource {
   std::atomic<uint64_t> durable_seq_{0};
   bool recovered_torn_tail_ = false;  // Written only during Recover().
 
-  // Serializes the off-lock fsync of a group commit against closing the
+  // Serializes the off-lock sync of a group commit against closing the
   // active file (lock order: state_mu_ before flush_mu_). active_gen_
   // changes only with both held, so holding either is enough to read it.
   mutable std::mutex flush_mu_;

@@ -122,6 +122,13 @@ ActiveScan ScanActiveSegment(ByteView file, size_t index_every) {
   LogEntry e;
   while (offset < stream.size()) {
     size_t record_at = offset;
+    if (std::all_of(stream.begin() + static_cast<ptrdiff_t>(offset), stream.end(),
+                    [](uint8_t b) { return b == 0; })) {
+      // A zero payload_len and nothing but zeros after it: the
+      // preallocated tail of a sync store's active segment, the clean
+      // end of the stream. (A record's length is never 0.)
+      break;
+    }
     try {
       DecodeRecordInto(stream, &offset, e);
     } catch (const StoreError&) {

@@ -7,6 +7,13 @@
 //   record  := u32 payload_len | u32 crc32c(payload) | payload
 //   payload := u64 seq | u8 type | blob content | hash (32)
 //
+// From its first group commit on, the active segment of a store that
+// syncs is preallocated past the seal threshold, so until it rolls its
+// stream may be followed by a tail of zero bytes. A record's payload_len is never 0, so at a record
+// boundary a zero length followed only by zeros is the clean end of the
+// stream, not a torn record. Rolled and sealed files never carry the
+// tail: rolling truncates the file to header + stream bytes.
+//
 // Sealing compresses the record stream with the §6.4 LZSS stage and
 // appends a sparse seq->offset index plus a fixed-size footer, so a
 // reader can find the chain state at the segment boundary (and locate
@@ -79,7 +86,8 @@ LogEntry DecodeRecordAt(ByteView stream, size_t* offset);
 // to `valid_bytes` of the record stream parsed cleanly; if `torn`, the
 // bytes after that point are a torn or corrupt tail and must be
 // truncated (standard write-ahead-log recovery: nothing after the first
-// bad record can be trusted to be record-aligned).
+// bad record can be trusted to be record-aligned). A preallocated zero
+// tail also ends the scan, without `torn`.
 struct ActiveScan {
   SegmentHeader header;
   uint64_t entry_count = 0;

@@ -17,6 +17,7 @@
 #include "src/obs/sampler.h"
 #include "src/obs/trace.h"
 #include "src/sim/scenario.h"
+#include "src/store/log_store.h"
 #include "src/vm/assembler.h"
 
 namespace fs = std::filesystem;
@@ -346,6 +347,52 @@ TEST(ObsEquivalence, VerdictsAndLogBytesIdenticalOnOrOff) {
   // And with it on, the audit's phases actually showed up.
   EXPECT_GT(obs::PhaseCount(obs::kPhaseAuditSyntactic), 0u);
   EXPECT_GT(obs::PhaseCount(obs::kPhaseAuditReplay), 0u);
+}
+
+// A flush that durable_commit forces is its own phase: it runs outside
+// the guest's execution and snapshot time, so without the span it would
+// be unattributed record time. Without durable_commit nothing is forced
+// and the phase stays empty.
+TEST(ObsTrace, ForcedDurableFlushesRecordTheirWait) {
+  ObsGateGuard guard;
+  obs::SetEnabled(true);
+  const std::string base = (fs::path(::testing::TempDir()) / "avm_obs_durable_wait").string();
+  for (bool durable : {true, false}) {
+    SCOPED_TRACE(durable ? "durable_commit" : "no durable_commit");
+    obs::ResetTrace();
+    fs::remove_all(base);
+    KvScenarioConfig cfg;
+    cfg.run = RunConfig::AvmmNoSig();
+    cfg.run.durable_commit = durable;
+    cfg.seed = 5;
+    KvScenario kv(cfg);
+    kv.Start();
+    LogStoreOptions opts;
+    opts.sync = false;
+    opts.sealer_threads = 0;
+    opts.group_commit.max_entries = 32;
+    opts.group_commit.max_delay_ms = 0;
+    std::vector<std::unique_ptr<LogStore>> stores;
+    for (Avmm* node : {&kv.server(), &kv.client()}) {
+      stores.push_back(LogStore::Open((fs::path(base) / node->id()).string(), node->id(), opts));
+      node->SpillTo(stores.back().get());
+    }
+    kv.RunFor(kMicrosPerSecond);
+    kv.Finish();
+    const uint64_t forced = kv.server().transport().stats().durable_forced_flushes +
+                            kv.client().transport().stats().durable_forced_flushes;
+    EXPECT_EQ(obs::PhaseCount(obs::kPhaseTransportDurableWait), forced);
+    if (durable) {
+      EXPECT_GT(forced, 0u);
+      EXPECT_GT(obs::PhaseSeconds(obs::kPhaseTransportDurableWait), 0.0);
+    } else {
+      EXPECT_EQ(forced, 0u);
+      EXPECT_EQ(obs::PhaseSeconds(obs::kPhaseTransportDurableWait), 0.0);
+    }
+    kv.server().log().SetSink(nullptr);
+    kv.client().log().SetSink(nullptr);
+  }
+  fs::remove_all(base);
 }
 
 // The JIT tier publishes its translation-layer counters into the global

@@ -6,6 +6,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <set>
 
 #include "src/sim/scenario.h"
 #include "src/obs/metrics.h"
@@ -54,6 +55,50 @@ class StoreFixture : public ::testing::Test {
       }
     }
     return {};
+  }
+
+  // The newest raw segment: names are zero-padded first seqs, so the
+  // largest name is the active file.
+  static std::string NewestLogFile(const std::string& dir) {
+    std::string newest;
+    for (const fs::directory_entry& de : fs::directory_iterator(dir)) {
+      if (de.path().extension() == ".log") {
+        newest = std::max(newest, de.path().string());
+      }
+    }
+    return newest;
+  }
+
+  // A byte-for-byte copy of a store directory: the crash image a power
+  // cut would leave of a file system whose page cache reached disk.
+  static void CopyDir(const std::string& from, const std::string& to) {
+    fs::create_directories(to);
+    for (const fs::directory_entry& de : fs::directory_iterator(from)) {
+      fs::copy_file(de.path(), fs::path(to) / de.path().filename());
+    }
+  }
+
+  // Record-stream bytes of the log's entries [1, n].
+  static size_t StreamBytes(const TamperEvidentLog& log, uint64_t n) {
+    Bytes frames;
+    for (uint64_t s = 1; s <= n; s++) {
+      EncodeRecord(log.At(s), frames);
+    }
+    return frames.size();
+  }
+
+  // A syncing store whose one segment holds the whole test, with
+  // commits only on explicit Flush() calls.
+  static LogStoreOptions OneSyncSegment() {
+    LogStoreOptions opts;
+    opts.seal_threshold_bytes = 64 * 1024;
+    opts.index_every = 4;
+    opts.sync = true;
+    opts.sealer_threads = 0;
+    opts.group_commit.max_entries = 1u << 20;
+    opts.group_commit.max_bytes = 1u << 30;
+    opts.group_commit.max_delay_ms = 0;
+    return opts;
   }
 
   std::string dir_;
@@ -425,79 +470,253 @@ TEST_F(StoreFixture, AuxFileBatchedIsAtomicAndRecoverable) {
 // every kill point on the appending thread, and the test_hook copies
 // the directory byte-for-byte at the first hit of the chosen point --
 // exactly what a power cut at that instruction would leave behind.
+// Both sync legs: a syncing store preallocates its active segment, so
+// its crash images end in a zero tail that recovery must read as the
+// clean end of the stream.
 TEST_F(StoreFixture, KillPointSweepRecoversToWatermarkEverywhere) {
   const char* kKillPoints[] = {
-      "pre-flush",         "post-flush",         "post-roll",
-      "pre-seal-rename",   "pre-seal-unlink",    "pre-archive-rename",
-      "pre-archive-unlink"};
-  for (const char* point : kKillPoints) {
-    SCOPED_TRACE(point);
-    std::string live_dir = dir_ + "_live";
-    std::string crash_dir = dir_ + "_crash";
-    fs::remove_all(live_dir);
-    fs::remove_all(crash_dir);
-
-    LogStoreOptions opts;
-    opts.seal_threshold_bytes = 2048;
-    opts.index_every = 4;
-    opts.sync = false;
-    opts.sealer_threads = 0;  // Promotions inline: kill points are exact.
-    opts.group_commit.max_entries = 8;
-    opts.group_commit.max_bytes = 1u << 30;
-    opts.group_commit.max_delay_ms = 0;
-    opts.archive_keep_sealed = 1;  // Exercise the archival points too.
-    bool captured = false;
-    opts.test_hook = [&](const char* at) {
-      if (captured || std::string(at) != point) {
-        return;
+      "pre-flush",       "post-dir-sync",   "post-flush",         "post-roll",
+      "pre-seal-rename", "pre-seal-unlink", "pre-archive-rename", "pre-archive-unlink"};
+  for (bool sync : {false, true}) {
+    for (const char* point : kKillPoints) {
+      if (!sync && std::string(point) == "post-dir-sync") {
+        continue;  // Only a syncing store syncs its directory.
       }
-      captured = true;
-      fs::create_directories(crash_dir);
-      for (const fs::directory_entry& de : fs::directory_iterator(live_dir)) {
-        fs::copy_file(de.path(), fs::path(crash_dir) / de.path().filename());
-      }
-    };
+      SCOPED_TRACE(std::string(point) + (sync ? " (sync)" : " (no sync)"));
+      std::string live_dir = dir_ + "_live";
+      std::string crash_dir = dir_ + "_crash";
+      fs::remove_all(live_dir);
+      fs::remove_all(crash_dir);
 
-    TamperEvidentLog log("bob");
-    auto store = LogStore::Open(live_dir, "bob", opts);
-    log.SetSink(store.get());
-    uint64_t watermark_before_crash = 0;
-    for (size_t i = 0; i < 400 && !captured; i++) {
-      if (!captured) {
-        watermark_before_crash = store->DurableSeq();
-      }
-      log.Append(EntryType::kInfo,
-                 ToBytes("entry-" + std::to_string(i) + "-" + std::string(40, 'k')));
-    }
-    ASSERT_TRUE(captured) << "kill point never hit: " << point;
-    log.SetSink(nullptr);
-    store.reset();
+      LogStoreOptions opts;
+      opts.seal_threshold_bytes = 2048;
+      opts.index_every = 4;
+      opts.sync = sync;
+      opts.sealer_threads = 0;  // Promotions inline: kill points are exact.
+      opts.group_commit.max_entries = 8;
+      opts.group_commit.max_bytes = 1u << 30;
+      opts.group_commit.max_delay_ms = 0;
+      opts.archive_keep_sealed = 1;  // Exercise the archival points too.
+      bool captured = false;
+      opts.test_hook = [&](const char* at) {
+        if (captured || std::string(at) != point) {
+          return;
+        }
+        captured = true;
+        CopyDir(live_dir, crash_dir);
+      };
 
-    // Recovery of the crash image: everything at or below the watermark
-    // observed before the crash survives, the chain is contiguous, and
-    // the surviving prefix is bit-for-bit the in-memory log's prefix
-    // (what a from-genesis audit of the survivor checks).
-    auto recovered = LogStore::Open(crash_dir, opts);
-    EXPECT_EQ(recovered->node(), "bob");
-    uint64_t last = recovered->LastSeq();
-    EXPECT_GE(last, watermark_before_crash);
-    EXPECT_GE(recovered->DurableSeq(), watermark_before_crash);
-    if (last > 0) {
-      EXPECT_EQ(recovered->Extract(1, last).Serialize(), log.Extract(1, last).Serialize());
-      EXPECT_EQ(recovered->LastHash(), log.At(last).hash);
+      TamperEvidentLog log("bob");
+      auto store = LogStore::Open(live_dir, "bob", opts);
+      log.SetSink(store.get());
+      uint64_t watermark_before_crash = 0;
+      for (size_t i = 0; i < 400 && !captured; i++) {
+        if (!captured) {
+          watermark_before_crash = store->DurableSeq();
+        }
+        log.Append(EntryType::kInfo,
+                   ToBytes("entry-" + std::to_string(i) + "-" + std::string(40, 'k')));
+      }
+      ASSERT_TRUE(captured) << "kill point never hit: " << point;
+      log.SetSink(nullptr);
+      store.reset();
+
+      // Recovery of the crash image: everything at or below the watermark
+      // observed before the crash survives, the chain is contiguous, and
+      // the surviving prefix is bit-for-bit the in-memory log's prefix
+      // (what a from-genesis audit of the survivor checks).
+      auto recovered = LogStore::Open(crash_dir, opts);
+      EXPECT_EQ(recovered->node(), "bob");
+      if (std::string(point) == "post-flush") {
+        // Group commits write whole records only; past the committed
+        // records lies nothing, or a preallocated zero tail.
+        EXPECT_FALSE(recovered->RecoveredTornTail());
+      }
+      uint64_t last = recovered->LastSeq();
+      EXPECT_GE(last, watermark_before_crash);
+      EXPECT_GE(recovered->DurableSeq(), watermark_before_crash);
+      if (last > 0) {
+        EXPECT_EQ(recovered->Extract(1, last).Serialize(), log.Extract(1, last).Serialize());
+        EXPECT_EQ(recovered->LastHash(), log.At(last).hash);
+      }
+      // And the recovered store accepts new appends from where it stands:
+      // continue the chain with the next entries the in-memory log holds.
+      for (uint64_t s = last + 1; s <= std::min<uint64_t>(last + 5, log.LastSeq()); s++) {
+        const LogEntry& e = log.At(s);
+        recovered->Append(e);
+        EXPECT_EQ(recovered->LastSeq(), s);
+        EXPECT_EQ(recovered->LastHash(), e.hash);
+      }
+      recovered.reset();
+      fs::remove_all(live_dir);
+      fs::remove_all(crash_dir);
     }
-    // And the recovered store accepts new appends from where it stands:
-    // continue the chain with the next entries the in-memory log holds.
-    for (uint64_t s = last + 1; s <= std::min<uint64_t>(last + 5, log.LastSeq()); s++) {
-      const LogEntry& e = log.At(s);
-      recovered->Append(e);
-      EXPECT_EQ(recovered->LastSeq(), s);
-      EXPECT_EQ(recovered->LastHash(), e.hash);
-    }
-    recovered.reset();
-    fs::remove_all(live_dir);
-    fs::remove_all(crash_dir);
   }
+}
+
+// A new segment's directory entry is made durable (the directory is
+// synced) before any group commit advances the watermark into it.
+TEST_F(StoreFixture, NewSegmentReachesTheDirectoryBeforeItsFirstCommit) {
+  LogStoreOptions opts;
+  opts.seal_threshold_bytes = 2048;
+  opts.index_every = 4;
+  opts.sync = true;
+  opts.sealer_threads = 0;
+  opts.group_commit.max_entries = 4;
+  opts.group_commit.max_bytes = 1u << 30;
+  opts.group_commit.max_delay_ms = 0;
+  std::set<std::string> dir_synced;
+  std::vector<std::string> committed_unsynced;
+  size_t commits = 0;
+  opts.test_hook = [&](const char* at) {
+    const std::string point = at;
+    if (point == "post-dir-sync") {
+      dir_synced.insert(NewestLogFile(dir_));
+    } else if (point == "post-flush") {
+      commits++;
+      const std::string active = NewestLogFile(dir_);
+      if (dir_synced.count(active) == 0) {
+        committed_unsynced.push_back(active);
+      }
+    }
+  };
+  TamperEvidentLog log("bob");
+  auto store = LogStore::Open(dir_, "bob", opts);
+  log.SetSink(store.get());
+  Fill(log, 200);
+  EXPECT_GE(dir_synced.size(), 3u);
+  EXPECT_GT(commits, dir_synced.size());
+  EXPECT_TRUE(committed_unsynced.empty()) << committed_unsynced.front();
+  log.SetSink(nullptr);
+}
+
+// The zero tail of a preallocated segment is the clean end of the
+// stream, but a torn record in front of it is still a torn tail.
+TEST_F(StoreFixture, TornRecordBeforePreallocatedZerosIsTruncated) {
+  TamperEvidentLog log("bob");
+  Fill(log, 31);
+  const std::string live = dir_ + "_live";
+  fs::remove_all(live);
+  {
+    auto store = LogStore::Open(live, "bob", OneSyncSegment());
+    for (uint64_t s = 1; s <= 30; s++) {
+      store->Append(log.At(s));
+    }
+    store->Flush();
+    CopyDir(live, dir_);
+  }
+  fs::remove_all(live);
+  const std::string active = FindActiveFile(dir_);
+  ASSERT_FALSE(active.empty());
+  const size_t stream_end = kSegmentHeaderSize + StreamBytes(log, 30);
+  if (fs::file_size(active) == stream_end) {
+    GTEST_SKIP() << "file system did not preallocate the active segment";
+  }
+  // Power loss mid-write of entry 31: half its frame, then zeros.
+  Bytes frame;
+  EncodeRecord(log.At(31), frame);
+  {
+    std::fstream f(active, std::ios::binary | std::ios::in | std::ios::out);
+    f.seekp(static_cast<std::streamoff>(stream_end));
+    f.write(reinterpret_cast<const char*>(frame.data()),
+            static_cast<std::streamsize>(frame.size() / 2));
+  }
+  auto store = LogStore::Open(dir_, OneSyncSegment());
+  EXPECT_TRUE(store->RecoveredTornTail());
+  EXPECT_EQ(store->LastSeq(), 30u);
+  EXPECT_EQ(store->LastHash(), log.At(30).hash);
+  EXPECT_EQ(store->Extract(1, 30).Serialize(), log.Extract(1, 30).Serialize());
+  store->Append(log.At(31));
+  EXPECT_EQ(store->Extract(25, 31).Serialize(), log.Extract(25, 31).Serialize());
+}
+
+// Appends to a reopened syncing store land at the end of the record
+// stream, not at the end of the file: the preallocated tail lies
+// between the two (an O_APPEND write path fails here). Closing trims
+// the file to header + stream bytes.
+TEST_F(StoreFixture, ReopenedSyncStoreAppendsAtStreamEndNotAtEof) {
+  TamperEvidentLog log("bob");
+  const std::string live = dir_ + "_live";
+  fs::remove_all(live);
+  {
+    auto store = LogStore::Open(live, "bob", OneSyncSegment());
+    log.SetSink(store.get());
+    Fill(log, 40);
+    store->Flush();
+    CopyDir(live, dir_);  // Crash image: the preallocated tail is still there.
+    log.SetSink(nullptr);
+  }
+  fs::remove_all(live);
+  const std::string active = FindActiveFile(dir_);
+  ASSERT_FALSE(active.empty());
+  if (fs::file_size(active) == kSegmentHeaderSize + StreamBytes(log, 40)) {
+    GTEST_SKIP() << "file system did not preallocate the active segment";
+  }
+  {
+    auto store = LogStore::Open(dir_, OneSyncSegment());
+    EXPECT_FALSE(store->RecoveredTornTail());
+    EXPECT_EQ(store->LastSeq(), 40u);
+    log.SetSink(store.get());
+    Fill(log, 20);
+    store->Flush();
+    EXPECT_EQ(store->Extract(1, 60).Serialize(), log.Extract(1, 60).Serialize());
+    log.SetSink(nullptr);
+  }
+  EXPECT_EQ(fs::file_size(active), kSegmentHeaderSize + StreamBytes(log, 60));
+  auto reopened = LogStore::Open(dir_, OneSyncSegment());
+  EXPECT_FALSE(reopened->RecoveredTornTail());
+  EXPECT_EQ(reopened->LastSeq(), 60u);
+  EXPECT_EQ(reopened->Extract(1, 60).Serialize(), log.Extract(1, 60).Serialize());
+}
+
+// Sealing trims the preallocation away: a store reopened from a crash
+// image mid-segment seals to the same bytes as one never interrupted.
+TEST_F(StoreFixture, SealAfterReopenMatchesAnUninterruptedStore) {
+  TamperEvidentLog log("bob");
+  Fill(log, 80);
+  auto sealed_bytes = [](const std::string& dir) {
+    Bytes out;
+    for (const fs::directory_entry& de : fs::directory_iterator(dir)) {
+      if (de.path().extension() == ".seal") {
+        EXPECT_TRUE(out.empty()) << "more than one sealed segment";
+        std::ifstream in(de.path(), std::ios::binary);
+        out.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+      }
+    }
+    return out;
+  };
+  const std::string whole = dir_ + "_whole";
+  const std::string live = dir_ + "_live";
+  fs::remove_all(whole);
+  fs::remove_all(live);
+  {
+    auto store = LogStore::Open(whole, "bob", OneSyncSegment());
+    for (uint64_t s = 1; s <= 80; s++) {
+      store->Append(log.At(s));
+    }
+    store->Seal();
+  }
+  {
+    auto store = LogStore::Open(live, "bob", OneSyncSegment());
+    for (uint64_t s = 1; s <= 40; s++) {
+      store->Append(log.At(s));
+    }
+    store->Flush();
+    CopyDir(live, dir_);
+  }
+  {
+    auto store = LogStore::Open(dir_, OneSyncSegment());
+    ASSERT_EQ(store->LastSeq(), 40u);
+    for (uint64_t s = 41; s <= 80; s++) {
+      store->Append(log.At(s));
+    }
+    store->Seal();
+  }
+  const Bytes expect = sealed_bytes(whole);
+  ASSERT_FALSE(expect.empty());
+  EXPECT_EQ(sealed_bytes(dir_), expect);
+  fs::remove_all(whole);
+  fs::remove_all(live);
 }
 
 KvScenarioConfig FastKv(uint64_t seed) {
