@@ -17,9 +17,12 @@
 //   net    SimNetwork::SetFaultInjector — drop / duplicate / reorder /
 //          delay / corrupt-frame per frame, plus time-windowed
 //          partitions (OnNetFrame).
-//   store  LogStoreOptions::fault_hook (src/store/fault.h) — IO error /
-//          short write / fsync failure / simulated crash at the named
-//          write-path sites (FaultInjector::StoreHook adapts a plan).
+//   store  LogStoreOptions::fault_hook (src/store/fault.h), the store's
+//          one fault seam — IO error / short write / fsync failure /
+//          simulated crash at the named write-path sites, which are
+//          also the kill points (FaultInjector::StoreHook adapts a
+//          plan). The hook runs on sealer and flusher threads too, so a
+//          store event that names no site counts occurrences there.
 //   avmm   adversary actions — equivocate / rewind / omit — applied to
 //          the log an auditee *serves* (chaos::AdversarialSource
 //          consumes them via TakeDue).

@@ -91,11 +91,8 @@ Gauge* Registry::GetGauge(const std::string& name, Labels labels) {
 
 Histogram* Registry::GetHistogram(const std::string& name, Labels labels) {
   std::lock_guard<std::mutex> lock(mu_);
-  return GetHistogramLocked(name, NormalizeLabels(std::move(labels)));
-}
-
-Histogram* Registry::GetHistogramLocked(const std::string& name, const Labels& labels) {
-  return GetSlotLocked(name, labels, MetricKind::kHistogram)->histogram.get();
+  return GetSlotLocked(name, NormalizeLabels(std::move(labels)), MetricKind::kHistogram)
+      ->histogram.get();
 }
 
 Registry::CallbackHandle& Registry::CallbackHandle::operator=(CallbackHandle&& o) noexcept {
@@ -185,26 +182,6 @@ MetricsSnapshot Registry::Snapshot() const {
     return a.labels < b.labels;
   });
   return snap;
-}
-
-void Registry::SampleGauges(const std::string& suffix) {
-  std::lock_guard<std::mutex> lock(mu_);
-  // Gather first: recording creates histogram slots in metrics_, which
-  // would invalidate iteration over it.
-  std::map<Key, int64_t> values;
-  for (const auto& [key, slot] : metrics_) {
-    if (slot.kind == MetricKind::kGauge) {
-      values[key] += slot.gauge->Value();
-    }
-  }
-  for (const auto& [id, cb] : callbacks_) {
-    (void)id;
-    values[cb.key] += cb.fn();
-  }
-  for (const auto& [key, value] : values) {
-    Histogram* h = GetHistogramLocked(key.name + suffix, key.labels);
-    h->Record(value > 0 ? static_cast<uint64_t>(value) : 0);
-  }
 }
 
 }  // namespace obs

@@ -198,12 +198,6 @@ class Registry {
   // summed into their gauge row).
   MetricsSnapshot Snapshot() const;
 
-  // For the periodic sampler: records every gauge's current value
-  // (including callback gauges) into a sibling histogram named
-  // "<name><suffix>" with the same labels, so gauges become lag/depth
-  // *distributions* over time. Negative values clamp to 0.
-  void SampleGauges(const std::string& suffix = ":sampled");
-
  private:
   struct Key {
     std::string name;
@@ -227,7 +221,6 @@ class Registry {
   };
 
   Slot* GetSlotLocked(const std::string& name, const Labels& labels, MetricKind kind);
-  Histogram* GetHistogramLocked(const std::string& name, const Labels& labels);
   void UnregisterCallback(uint64_t id);
 
   mutable std::mutex mu_;

@@ -40,7 +40,6 @@ inline constexpr char kPhaseAuditRsaVerify[] = "audit.rsa_verify";
 inline constexpr char kPhaseAuditCheckpointIo[] = "audit.checkpoint_io";
 inline constexpr char kPhaseStoreFlushWait[] = "store.flush_wait";
 inline constexpr char kPhaseStoreSeal[] = "store.seal";
-inline constexpr char kPhaseStoreArchive[] = "store.archive";
 inline constexpr char kPhaseSignerSign[] = "signer.sign";
 // A flush Transport forces so that durable_commit can release what it
 // holds back; the store's own store.flush_wait span nests inside it.

@@ -1,14 +1,15 @@
-// Typed fault-injection seam for the storage write path.
+// The storage write path's one fault seam.
 //
-// PR 6's `test_hook` kill points give crash *images* (a callback copies
-// the directory and the test reopens the copy); this header is the
-// complementary in-process seam: a `fault_hook` on LogStoreOptions is
-// consulted at the named write-path sites and can make the site fail
-// the way real storage fails — a transient IO error, a short write, a
+// A `fault_hook` on LogStoreOptions is consulted at every named site
+// below. At a site with a write to fail it can make that write fail the
+// way real storage fails — a transient IO error, a short write, a
 // failed durability barrier, or a simulated process death that poisons
-// the store until it is reopened. src/chaos drives the hook from a
-// declarative FaultPlan; the store only defines the vocabulary so it
-// stays decoupled from the chaos engine.
+// the store until it is reopened. The other sites are crash points:
+// they write nothing, so they ignore the action, and a kill-point test
+// copies the store directory there (the byte-exact image a power cut
+// at that instruction leaves) and returns kNone. src/chaos drives the
+// hook from a declarative FaultPlan; the store only defines the
+// vocabulary so it stays decoupled from the chaos engine.
 //
 // Kept in its own header so src/chaos can name these types without
 // pulling in the whole LogStore interface.
@@ -19,16 +20,44 @@
 
 namespace avm {
 
-// Where on the write path the hook is being consulted.
-//  "append-write"  Append(), before the record reaches the file; `seq`
-//                  is the entry being appended.
-//  "group-commit"  GroupCommitLocked()/Flush(), before the durability
-//                  barrier; `seq` is the last seq the barrier covers.
-//  "roll"          RollActiveLocked(), before the rolled segment's
-//                  final write+fsync; `seq` is the segment's last seq.
-//  "aux-write"     WriteAuxFileBatched(), before the atomic rename
-//                  (checkpoint writes ride this path); `seq` is 0.
-//  "aux-sync"      DrainAuxLocked(), before batched aux fsyncs; 0.
+// Where on the write path the hook is being consulted. "writer" is the
+// one recording thread (Append/Flush/Seal), "flusher" the group-commit
+// delay thread (group_commit.max_delay_ms > 0), and "sealer" a sealer
+// pool worker (the rolling thread itself when sealer_threads = 0).
+//
+//  site               thread             `seq`              acts on
+//  "append-write"     writer             entry appended     kIoError, kShortWrite, kCrash
+//  "group-commit"     writer, flusher    last seq covered   every action (poisons)
+//  "post-dir-sync"    writer, flusher    last seq appended  none
+//  "post-flush"       writer, flusher    watermark reached  none
+//  "roll"             writer             segment last seq   every action (poisons)
+//  "post-roll"        writer             segment last seq   none
+//  "pre-seal-rename"  sealer             segment last seq   none
+//  "pre-seal-unlink"  sealer             segment last seq   none
+//  "aux-write"        aux-file writer    0                  every action
+//  "aux-sync"         writer, flusher    0                  every action (poisons)
+//
+//  "append-write"     Append(), before the record is accepted; there is
+//                     no barrier here, so kFsyncFail is ignored.
+//  "group-commit"     the commit routine (a threshold or delay group
+//                     commit, or Flush()), before the durability barrier.
+//  "post-dir-sync"    sync stores only: once per active file, new or
+//                     reopened, after it is preallocated and the
+//                     directory synced, ahead of the first barrier that
+//                     advances the watermark into it.
+//  "post-flush"       after a commit advanced the watermark.
+//  "roll"             RollActiveLocked(), before the rolled segment's
+//                     final write + fsync.
+//  "post-roll"        Append(), after a roll, before the rolled segment
+//                     is queued for sealing.
+//  "pre-seal-rename"  before the sealed file is renamed into place.
+//  "pre-seal-unlink"  after the rename, before the raw file is removed.
+//  "aux-write"        WriteAuxFileBatched() (checkpoint writes), before
+//                     the atomic rename, on the caller's thread.
+//                     kIoError and kShortWrite are transient; kFsyncFail
+//                     and kCrash poison.
+//  "aux-sync"         before batched aux fsyncs; also from Seal() and
+//                     the store's destructor.
 struct StoreFaultSite {
   const char* point = "";
   uint64_t seq = 0;

@@ -11,13 +11,12 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <set>
 #include <utility>
 
-#include "src/crypto/sha256.h"
 #include "src/obs/trace.h"
-#include "src/store/archive.h"
 #include "src/util/serde.h"
 
 namespace fs = std::filesystem;
@@ -93,11 +92,6 @@ Bytes ReadFileTail(const std::string& path, const char (&magic)[8], size_t foote
 SealedFooter ReadSealedFooterFromFile(const std::string& path) {
   constexpr char kSealMagic[8] = {'A', 'V', 'M', 'S', 'E', 'A', 'L', '\n'};
   return ParseSealedFooter(ReadFileTail(path, kSealMagic, kSegmentFooterSize));
-}
-
-ArchiveFooter ReadArchiveFooterFromFile(const std::string& path) {
-  constexpr char kArchMagic[8] = {'A', 'V', 'M', 'A', 'R', 'C', 'H', '\n'};
-  return ParseArchiveFooter(ReadFileTail(path, kArchMagic, kArchiveFooterSize));
 }
 
 // Makes directory-level operations (create/rename/unlink) durable.
@@ -210,9 +204,9 @@ std::unique_ptr<LogStore> LogStore::Open(const std::string& dir, LogStoreOptions
 }
 
 LogStore::~LogStore() {
-  // Shutdown order: stop the delay flusher, drain the sealer/archiver
-  // pool (so no background thread touches the active file), then close
-  // the active file and settle batched aux syncs.
+  // Shutdown order: stop the delay flusher, drain the sealer pool (so
+  // no background thread touches the active file), then close the
+  // active file and settle batched aux syncs.
   {
     std::lock_guard<std::mutex> lk(state_mu_);
     stopping_ = true;
@@ -242,11 +236,10 @@ void LogStore::RegisterObsMetrics() {
   obs_.appends = reg.GetCounter("store_appends_total", labels);
   obs_.group_commits = reg.GetCounter("store_group_commits_total", labels);
   obs_.seals = reg.GetCounter("store_seals_total", labels);
-  obs_.archives = reg.GetCounter("store_archives_total", labels);
   obs_.segment_loads = reg.GetCounter("store_segment_loads_total", labels);
   // §6.11's lag, at the storage layer: how far acknowledged appends run
   // ahead of the durability watermark. Lock-free reads, so the
-  // callbacks are safe from the snapshot/sampler thread at any time.
+  // callbacks are safe from a snapshot on any thread at any time.
   obs_handles_.push_back(reg.RegisterCallbackGauge(
       "store_last_seq", labels,
       [this] { return static_cast<int64_t>(last_seq_.load(std::memory_order_acquire)); }));
@@ -258,12 +251,6 @@ void LogStore::RegisterObsMetrics() {
     const uint64_t durable = durable_seq_.load(std::memory_order_acquire);
     return static_cast<int64_t>(last - std::min(durable, last));
   }));
-}
-
-void LogStore::Kill(const char* point) const {
-  if (opts_.test_hook) {
-    opts_.test_hook(point);
-  }
 }
 
 StoreFaultAction LogStore::FaultAt(const char* point, uint64_t seq) const {
@@ -338,18 +325,15 @@ void LogStore::Recover() {
 
   // Enumerate segment files, reading each one once: whole-file bytes
   // for raw .log segments (bounded by the seal threshold each), footer
-  // only for sealed and archived ones. A leftover .tmp is an
-  // interrupted promotion; a .log shadowed by a .seal (or a .seal by an
-  // .arch) of the same first seq is the other half of that crash
-  // window — the promoted copy is complete (it was renamed into place
-  // atomically), so the older-tier file is dropped.
+  // only for sealed ones. A leftover .tmp is an interrupted promotion;
+  // a .log shadowed by a .seal of the same first seq is the other half
+  // of that crash window — the sealed copy is complete (it was renamed
+  // into place atomically), so the raw file is dropped.
   struct FoundSegment {
     std::string log_path;
     Bytes log_bytes;
     std::string seal_path;
     SealedFooter footer;
-    std::string arch_path;
-    ArchiveFooter arch_footer;
   };
   std::map<uint64_t, FoundSegment> by_seq;
   for (const fs::directory_entry& de : fs::directory_iterator(dir_)) {
@@ -381,40 +365,19 @@ void LogStore::Recover() {
       FoundSegment& found = by_seq[footer.first_seq];
       found.seal_path = de.path().string();
       found.footer = footer;
-    } else if (name.ends_with(".arch")) {
-      ArchiveFooter footer = ReadArchiveFooterFromFile(de.path().string());
-      if (footer.node_hash != Sha256::Digest(std::string_view(node_))) {
-        throw StoreError("archived segment " + de.path().string() + " belongs to another node");
-      }
-      FoundSegment& found = by_seq[footer.first_seq];
-      found.arch_path = de.path().string();
-      found.arch_footer = footer;
     }
   }
 
   std::map<uint64_t, Bytes> raw_bytes;
   for (auto& [first_seq, found] : by_seq) {
-    // Highest tier wins; lower-tier copies of the same segment are the
-    // un-unlinked half of an interrupted promotion.
-    if (!found.arch_path.empty() || !found.seal_path.empty()) {
-      if (!found.log_path.empty()) {
-        fs::remove(found.log_path);
-        found.log_path.clear();
-      }
-    }
-    if (!found.arch_path.empty() && !found.seal_path.empty()) {
-      fs::remove(found.seal_path);
-      found.seal_path.clear();
-    }
     SegmentState seg;
     seg.first_seq = first_seq;
-    if (!found.arch_path.empty()) {
-      seg.path = found.arch_path;
-      seg.tier = Tier::kArchived;
-      seg.last_seq = found.arch_footer.last_seq;
-      seg.prior_hash = found.arch_footer.prior_hash;
-      seg.chain_hash = found.arch_footer.chain_hash;
-    } else if (!found.seal_path.empty()) {
+    if (!found.seal_path.empty()) {
+      // The sealed copy wins; a raw copy of the same segment is the
+      // un-unlinked half of an interrupted promotion.
+      if (!found.log_path.empty()) {
+        fs::remove(found.log_path);
+      }
       seg.path = found.seal_path;
       seg.tier = Tier::kSealed;
       seg.last_seq = found.footer.last_seq;
@@ -541,7 +504,7 @@ void LogStore::PrepareActiveForCommitLocked() {
   // POSIX makes a new file's name durable only with an fsync of its
   // directory.
   SyncDirectory(dir_);
-  Kill("post-dir-sync");
+  FaultAt("post-dir-sync", last_seq_.load(std::memory_order_relaxed));
 }
 
 bool LogStore::WritePendingLocked() const {
@@ -611,14 +574,14 @@ void LogStore::Append(const LogEntry& e) {
     if (active_stream_bytes_ >= opts_.seal_threshold_bytes) {
       promote = RollActiveLocked();
     } else if (batch_.ThresholdDue(opts_.group_commit)) {
-      GroupCommitLocked(lk);
+      CommitLocked(lk, /*forced=*/false);
     } else if (pending_.size() >= kWriteChunkBytes && !WritePendingLocked()) {
       write_failed_ = true;
       throw StoreError("write failed on " + segments_.back().path + "; reopen to recover");
     }
   }
   if (promote != kNoSegment) {
-    Kill("post-roll");
+    FaultAt("post-roll", e.seq);
     EnqueuePromotion(promote);
   }
 }
@@ -644,63 +607,46 @@ bool LogStore::DatasyncActiveOffLock(std::unique_lock<std::mutex>& lk) {
   return ok;
 }
 
-void LogStore::GroupCommitLocked(std::unique_lock<std::mutex>& lk) {
-  if (active_fd_ >= 0 && !batch_.Empty()) {
+void LogStore::CommitLocked(std::unique_lock<std::mutex>& lk, bool forced) {
+  if (active_fd_ >= 0 && (forced || !batch_.Empty())) {
     obs::Span span(obs::kPhaseStoreFlushWait, "store");
     obs_.group_commits->Inc();
-    Kill("pre-flush");
-    if (FaultAt("group-commit", batch_.last_seq()) != StoreFaultAction::kNone) {
+    const uint64_t target = forced ? last_seq_.load(std::memory_order_relaxed) : batch_.last_seq();
+    if (FaultAt("group-commit", target) != StoreFaultAction::kNone) {
       // Any injected fault at the durability barrier has fsync-failure
       // semantics: the watermark must not advance, and the store cannot
       // trust the file's state — poison until reopened.
       write_failed_ = true;
       throw StoreError("injected group-commit failure in " + dir_ + "; reopen to recover");
     }
+    // A commit that fails has NOT made the acknowledged entries durable;
+    // callers must hear about it.
     PrepareActiveForCommitLocked();
     if (!WritePendingLocked()) {
       write_failed_ = true;
       throw StoreError("group-commit write failed on " + segments_.back().path);
     }
-    uint64_t target = batch_.last_seq();
     batch_.Clear();
     if (!DatasyncActiveOffLock(lk)) {
       write_failed_ = true;
       throw StoreError("group-commit fdatasync failed in " + dir_);
     }
     AdvanceDurable(target);
-    Kill("post-flush");
+    FaultAt("post-flush", target);
+  }
+  if (forced) {
+    // Everything below last_seq_ is now either in the just-flushed
+    // active file or in a segment that was flushed durably when it
+    // rolled.
+    AdvanceDurable(last_seq_.load(std::memory_order_relaxed));
   }
   DrainAuxLocked(lk);
 }
 
 void LogStore::Flush() {
-  obs::Span span(obs::kPhaseStoreFlushWait, "store");
   std::unique_lock<std::mutex> lk(state_mu_);
   CheckWritableLocked();
-  if (active_fd_ >= 0) {
-    obs_.group_commits->Inc();
-    if (FaultAt("group-commit", last_seq_.load(std::memory_order_relaxed)) !=
-        StoreFaultAction::kNone) {
-      write_failed_ = true;
-      throw StoreError("injected group-commit failure in " + dir_ + "; reopen to recover");
-    }
-    // A flush that fails has NOT made the acknowledged entries durable;
-    // callers must hear about it.
-    PrepareActiveForCommitLocked();
-    if (!WritePendingLocked()) {
-      write_failed_ = true;
-      throw StoreError("flush failed on " + segments_.back().path);
-    }
-    batch_.Clear();
-    if (!DatasyncActiveOffLock(lk)) {
-      write_failed_ = true;
-      throw StoreError("flush failed on " + segments_.back().path);
-    }
-  }
-  // Everything below last_seq_ is now either in the just-flushed active
-  // file or in a segment that was flushed durably when it rolled.
-  AdvanceDurable(last_seq_.load(std::memory_order_relaxed));
-  DrainAuxLocked(lk);
+  CommitLocked(lk, /*forced=*/true);
 }
 
 void LogStore::DrainAuxLocked(std::unique_lock<std::mutex>& lk) {
@@ -718,7 +664,6 @@ void LogStore::DrainAuxLocked(std::unique_lock<std::mutex>& lk) {
   std::vector<std::string> paths;
   paths.swap(pending_aux_);
   lk.unlock();
-  Kill("aux-pre-sync");
   std::set<std::string> dirs;
   for (const std::string& p : paths) {
     int fd = ::open(p.c_str(), O_RDONLY);
@@ -783,21 +728,13 @@ bool LogStore::CloseActiveFileLocked() {
 }
 
 void LogStore::EnqueuePromotion(size_t seg_index) {
-  pool_->Submit([this, seg_index] { RunPromotion(seg_index); });
-}
-
-void LogStore::RunPromotion(size_t seg_index) {
-  try {
-    PromoteToSealed(seg_index);
-  } catch (...) {
-    RecordBackgroundError("sealer");
-    return;
-  }
-  try {
-    MaybeArchive();
-  } catch (...) {
-    RecordBackgroundError("archiver");
-  }
+  pool_->Submit([this, seg_index] {
+    try {
+      PromoteToSealed(seg_index);
+    } catch (...) {
+      RecordBackgroundError("sealer");
+    }
+  });
 }
 
 void LogStore::PromoteToSealed(size_t seg_index) {
@@ -834,7 +771,7 @@ void LogStore::PromoteToSealed(size_t seg_index) {
   Bytes sealed = EncodeSealedSegment(header, records, index, entry_count, last_seq, chain_hash,
                                      opts_.compress_sealed);
   std::string sealed_path = (fs::path(dir_) / SegName(header.first_seq, "seal")).string();
-  Kill("pre-seal-rename");
+  FaultAt("pre-seal-rename", last_seq);
   WriteFileAtomically(sealed_path, sealed, opts_.sync);
   {
     std::lock_guard<std::mutex> lk(state_mu_);
@@ -844,74 +781,10 @@ void LogStore::PromoteToSealed(size_t seg_index) {
     seg.index.clear();
     seg.index.shrink_to_fit();
   }
-  Kill("pre-seal-unlink");
+  FaultAt("pre-seal-unlink", last_seq);
   fs::remove(log_path);
   if (opts_.sync) {
     SyncDirectory(dir_);
-  }
-}
-
-void LogStore::MaybeArchive() {
-  if (opts_.archive_keep_sealed == std::numeric_limits<size_t>::max()) {
-    return;
-  }
-  // One archival scan at a time; concurrent promotion workers would
-  // otherwise race to re-frame the same oldest segment.
-  std::lock_guard<std::mutex> al(archive_mu_);
-  for (;;) {
-    size_t idx = kNoSegment;
-    std::string seal_path;
-    uint64_t first_seq = 0;
-    uint64_t seg_last_seq = 0;
-    {
-      std::lock_guard<std::mutex> lk(state_mu_);
-      size_t sealed_count = 0;
-      size_t oldest = kNoSegment;
-      for (size_t i = 0; i < segments_.size(); i++) {
-        if (segments_[i].tier == Tier::kSealed) {
-          sealed_count++;
-          if (oldest == kNoSegment) {
-            oldest = i;
-          }
-        }
-      }
-      if (oldest == kNoSegment || sealed_count <= opts_.archive_keep_sealed) {
-        return;
-      }
-      // The tiers stay a prefix of the store (archival < sealed < raw):
-      // archive only when everything older is already archived. If an
-      // older segment is still being sealed, its promotion worker will
-      // pick this scan up afterwards.
-      for (size_t i = 0; i < oldest; i++) {
-        if (segments_[i].tier != Tier::kArchived) {
-          return;
-        }
-      }
-      idx = oldest;
-      seal_path = segments_[idx].path;
-      first_seq = segments_[idx].first_seq;
-      seg_last_seq = segments_[idx].last_seq;
-    }
-    obs::Span span(obs::kPhaseStoreArchive, "store");
-    obs_.archives->Inc();
-    Bytes sealed = ReadFileBytes(seal_path);
-    // Sequence numbers are dense from 1, so the cumulative entry count
-    // through this segment is its last seq.
-    Bytes arch = EncodeArchivedSegment(sealed, durable_seq_.load(std::memory_order_acquire),
-                                       seg_last_seq, Sha256::Digest(std::string_view(node_)));
-    std::string arch_path = (fs::path(dir_) / SegName(first_seq, "arch")).string();
-    Kill("pre-archive-rename");
-    WriteFileAtomically(arch_path, arch, opts_.sync);
-    {
-      std::lock_guard<std::mutex> lk(state_mu_);
-      segments_[idx].path = arch_path;
-      segments_[idx].tier = Tier::kArchived;
-    }
-    Kill("pre-archive-unlink");
-    fs::remove(seal_path);
-    if (opts_.sync) {
-      SyncDirectory(dir_);
-    }
   }
 }
 
@@ -963,7 +836,7 @@ void LogStore::FlusherLoop() {
     }
     if (batch_.DelayDue(opts_.group_commit) || !pending_aux_.empty()) {
       try {
-        GroupCommitLocked(lk);
+        CommitLocked(lk, /*forced=*/false);
       } catch (const std::exception& e) {
         if (background_error_.empty()) {
           background_error_ = std::string("flusher: ") + e.what();
@@ -993,16 +866,7 @@ size_t LogStore::SealedCount() const {
   std::lock_guard<std::mutex> lk(state_mu_);
   size_t n = 0;
   for (const SegmentState& s : segments_) {
-    n += (s.tier == Tier::kSealed || s.tier == Tier::kArchived) ? 1 : 0;
-  }
-  return n;
-}
-
-size_t LogStore::ArchivedCount() const {
-  std::lock_guard<std::mutex> lk(state_mu_);
-  size_t n = 0;
-  for (const SegmentState& s : segments_) {
-    n += s.tier == Tier::kArchived ? 1 : 0;
+    n += s.tier == Tier::kSealed ? 1 : 0;
   }
   return n;
 }
@@ -1012,8 +876,7 @@ uint64_t LogStore::DiskBytes() const {
   uint64_t total = 0;
   for (const SegmentState& s : segments_) {
     switch (s.tier) {
-      case Tier::kSealed:
-      case Tier::kArchived: {
+      case Tier::kSealed: {
         std::error_code ec;
         uint64_t sz = fs::file_size(s.path, ec);
         total += ec ? 0 : sz;
@@ -1086,12 +949,6 @@ LogStore::LoadedRecords LogStore::LoadSegment(const SegSnapshot& snap) const {
       SealedInfo info = ReadSealedInfo(file);
       out.records = ReadSealedRecords(file, info);
       out.index = std::move(info.index);
-      break;
-    }
-    case Tier::kArchived: {
-      ArchiveInfo info = ReadArchiveInfo(file);
-      out.records = ReadArchivedRecords(file, info);
-      out.index = std::move(info.info.index);
       break;
     }
   }

@@ -3,7 +3,7 @@
 // and must survive until an auditor fetches it; keeping it in the
 // serving process's heap caps both uptime and auditability. LogStore
 // isolates that per-tenant state behind a storage layer, organized as
-// three tiers with background promotion between them:
+// two tiers with background promotion between them:
 //
 //   hot (seg-*.log)      append-only, CRC-framed records, group commit:
 //                        syncs are batched under a {bytes, entries,
@@ -12,9 +12,6 @@
 //                        sparse index and a chain-state footer; built
 //                        by a background sealer pool so compression
 //                        never stalls the recording thread.
-//   archival (seg-*.arch) cold segments past `archive_keep_sealed`,
-//                        re-framed (never recompressed) under the wider
-//                        whole-store footer of src/store/archive.h.
 //
 // The store publishes a monotone *durability watermark*
 // (DurableSeq()): the highest sequence number whose group-commit
@@ -43,20 +40,20 @@
 //    bit-for-bit.
 //  - Watermark accessors (DurableSeq/LastSeq/SinkLastSeq) are lock-free
 //    atomics, callable from any thread (the async signer polls them).
-//  - Background threads: a sealer/archiver pool of
-//    `sealer_threads` workers (0 = promote inline on the rolling
-//    thread, the deterministic v1 behavior) and, when
-//    group_commit.max_delay_ms > 0, a flusher that enforces the delay
-//    bound. Background failures poison the store and surface as
-//    StoreError from the next write. Seal() is the shutdown barrier:
-//    it rolls the active segment and drains every pending promotion.
+//  - Background threads: a sealer pool of `sealer_threads` workers
+//    (0 = promote inline on the rolling thread, the deterministic v1
+//    behavior) and, when group_commit.max_delay_ms > 0, a flusher that
+//    enforces the delay bound. Both run the store's fault_hook at their
+//    sites (src/store/fault.h). Background failures poison the store
+//    and surface as StoreError from the next write. Seal() is the
+//    shutdown barrier: it rolls the active segment and drains every
+//    pending promotion.
 #ifndef SRC_STORE_LOG_STORE_H_
 #define SRC_STORE_LOG_STORE_H_
 
 #include <atomic>
 #include <condition_variable>
 #include <functional>
-#include <limits>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -89,31 +86,20 @@ struct LogStoreOptions {
   // advances once the records are written to the file, the usual test
   // surrogate); such stores do not preallocate.
   bool sync = true;
-  // Background sealer/compressor/archiver workers. 0 promotes inline on
+  // Background sealer/compressor workers. 0 promotes inline on
   // the thread that rolled the segment — bit-for-bit the synchronous v1
   // write path, and what deterministic crash tests use.
   unsigned sealer_threads = 1;
   // Batched-sync policy for the hot tier (see group_commit.h).
   GroupCommitPolicy group_commit;
-  // Keep at most this many segments in the sealed tier; older ones are
-  // promoted to the archival tier. SIZE_MAX disables archival.
-  size_t archive_keep_sealed = std::numeric_limits<size_t>::max();
-  // Test-only crash hook, invoked at named points of the write path
-  // ("pre-flush", "post-dir-sync", "post-flush", "post-roll",
-  // "pre-seal-rename", "pre-seal-unlink", "pre-archive-rename",
-  // "pre-archive-unlink", "aux-pre-sync"). "post-dir-sync" (sync stores
-  // only) fires once per active file, new or reopened, when the file is
-  // preallocated and the directory synced, ahead of the first barrier
-  // that advances the watermark into that file. Kill-point tests copy
-  // the directory here to get a byte-exact crash image. May be called
-  // with internal locks held and from background threads; it must not
-  // call back into the store.
-  std::function<void(const char*)> test_hook;
-  // Plan-driven fault injection (src/store/fault.h): consulted at the
-  // named write-path sites; a non-kNone action makes the site fail the
-  // way real storage fails (IO error / short write / fsync failure /
-  // simulated crash). Same calling constraints as test_hook. Unset —
-  // or a hook that always returns kNone — changes nothing.
+  // The store's one fault seam (src/store/fault.h lists its sites, the
+  // threads each fires on and the actions each acts on). At a site with
+  // a write to fail, a non-kNone action makes it fail the way real
+  // storage fails (IO error / short write / fsync failure / simulated
+  // crash); kill-point tests copy the directory from the hook to get a
+  // byte-exact crash image. May be called with internal locks held and
+  // from background threads; it must not call back into the store.
+  // Unset, or a hook that always returns kNone, changes nothing.
   std::function<StoreFaultAction(const StoreFaultSite&)> fault_hook;
 };
 
@@ -152,8 +138,8 @@ class LogStore final : public LogSink, public SegmentSource {
   uint64_t DurableSeq() const { return durable_seq_.load(std::memory_order_acquire); }
 
   // Shutdown barrier: rolls the active segment regardless of size and
-  // drains the sealer pool, so every segment is sealed (or archived)
-  // when it returns. The right order at shutdown is signer first, then
+  // drains the sealer pool, so every segment is sealed when it
+  // returns. The right order at shutdown is signer first, then
   // Seal() — see Avmm::Finish.
   void Seal();
 
@@ -169,10 +155,8 @@ class LogStore final : public LogSink, public SegmentSource {
 
   Hash256 LastHash() const;
   size_t SegmentCount() const;
-  // Segments no longer in the raw format (sealed or archival tier).
+  // Segments in the sealed tier.
   size_t SealedCount() const;
-  // Archival-tier segments only.
-  size_t ArchivedCount() const;
   // Total bytes currently on disk (Figure 3's metric, but durable).
   uint64_t DiskBytes() const;
   // True if Open() found and truncated a torn tail record.
@@ -200,7 +184,7 @@ class LogStore final : public LogSink, public SegmentSource {
  private:
   friend class SegmentCursor;
 
-  enum class Tier { kActive, kRolled, kSealed, kArchived };
+  enum class Tier { kActive, kRolled, kSealed };
 
   struct SegmentState {
     std::string path;
@@ -233,7 +217,6 @@ class LogStore final : public LogSink, public SegmentSource {
   void StartBackground();
   void RegisterObsMetrics();
 
-  void Kill(const char* point) const;
   // Consults opts_.fault_hook (kNone when unset).
   StoreFaultAction FaultAt(const char* point, uint64_t seq) const;
   void CheckWritableLocked() const;
@@ -253,9 +236,13 @@ class LogStore final : public LogSink, public SegmentSource {
   // error (pending_ then keeps the bytes, so a retry rewrites them in
   // place). Const because readers hand records off through it too.
   bool WritePendingLocked() const;
-  // Group commit: write pending records under the lock, fdatasync off
-  // it, then advance the watermark to the last appended seq covered.
-  void GroupCommitLocked(std::unique_lock<std::mutex>& lk);
+  // The one commit routine: write pending records under the lock,
+  // fdatasync off it, then advance the watermark. A group commit
+  // (`forced` false) commits the batch when it holds records and
+  // advances to the batch's last seq; a forced one (Flush) syncs the
+  // active file whenever one is open and advances to LastSeq(). A
+  // failure poisons the store. Both end by draining batched aux syncs.
+  void CommitLocked(std::unique_lock<std::mutex>& lk, bool forced);
   // fdatasync of the active file without blocking appends; returns
   // false on failure. Drops and reacquires `lk`.
   bool DatasyncActiveOffLock(std::unique_lock<std::mutex>& lk);
@@ -268,10 +255,9 @@ class LogStore final : public LogSink, public SegmentSource {
   // stream bytes, fsyncs (sync stores) and closes the active file.
   // Returns false if any step failed; the file is closed either way.
   bool CloseActiveFileLocked();
+  // Seals the segment on the sealer pool; a failure poisons the store.
   void EnqueuePromotion(size_t seg_index);
-  void RunPromotion(size_t seg_index);
   void PromoteToSealed(size_t seg_index);
-  void MaybeArchive();
   void RecordBackgroundError(const char* stage);
   void FlusherLoop();
 
@@ -291,7 +277,7 @@ class LogStore final : public LogSink, public SegmentSource {
   Hash256 last_hash_;
   GroupCommitBatch batch_;
   std::vector<std::string> pending_aux_;  // Renamed, awaiting fsync.
-  std::string background_error_;  // First sealer/archiver/flusher failure.
+  std::string background_error_;  // First sealer/flusher failure.
   // Set when a failed write could not be rolled back to a record
   // boundary; the store refuses further appends (reopen to recover).
   bool write_failed_ = false;
@@ -323,9 +309,7 @@ class LogStore final : public LogSink, public SegmentSource {
   mutable std::mutex flush_mu_;
   uint64_t active_gen_ = 0;
 
-  std::mutex archive_mu_;  // One archival scan at a time.
-
-  std::unique_ptr<ThreadPool> pool_;  // Sealer/archiver workers.
+  std::unique_ptr<ThreadPool> pool_;  // Sealer workers.
   std::thread flusher_;
   std::condition_variable flusher_cv_;
 
@@ -338,7 +322,6 @@ class LogStore final : public LogSink, public SegmentSource {
     obs::Counter* appends = nullptr;
     obs::Counter* group_commits = nullptr;
     obs::Counter* seals = nullptr;
-    obs::Counter* archives = nullptr;
     obs::Counter* segment_loads = nullptr;  // Segment files read back.
   };
   ObsMetrics obs_;

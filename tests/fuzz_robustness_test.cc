@@ -16,7 +16,6 @@
 #include "src/avmm/partial_snapshot.h"
 #include "src/avmm/snapshot.h"
 #include "src/sim/scenario.h"
-#include "src/store/archive.h"
 #include "src/store/log_store.h"
 #include "src/store/segment_file.h"
 #include "src/tel/log.h"
@@ -62,14 +61,9 @@ void ParseEverything(ByteView data) {
     SealedInfo info = ReadSealedInfo(data);
     (void)ReadSealedRecords(data, info);
   });
-  // Resumable-audit and archival-tier formats: both are read back from
-  // an auditee-controlled directory, so both are untrusted input.
+  // The resumable-audit format is read back from an auditee-controlled
+  // directory, so it is untrusted input too.
   swallow([&] { (void)AuditCheckpoint::Deserialize(data); });
-  swallow([&] { (void)ParseArchiveFooter(data); });
-  swallow([&] {
-    ArchiveInfo info = ReadArchiveInfo(data);
-    (void)ReadArchivedRecords(data, info);
-  });
 }
 
 class RandomInputFuzz : public ::testing::TestWithParam<uint64_t> {};
@@ -138,8 +132,6 @@ TEST_P(MutatedInputFuzz, NoCrashOnMutatedValidStructures) {
     valid.push_back(EncodeSealedSegment({1, Hash256::Zero()},
                                         ByteView(active).subspan(kSegmentHeaderSize), index, 6, 6,
                                         store_log.LastHash(), /*compress=*/true));
-    // The archival re-framing of that sealed image (AVMAFT1 footer).
-    valid.push_back(EncodeArchivedSegment(valid.back(), 6, 6, Sha256::Digest("bob")));
 
     AuditCheckpoint cp;
     cp.node = "bob";
@@ -304,106 +296,6 @@ TEST(CheckpointRobustness, MutatedCheckpointFallsBackToGenesis) {
 
   scenario.server().SpillTo(nullptr);
   store.reset();
-  fs::remove_all(dir);
-}
-
-// Archive images (the AVMAFT1 cold tier) under byte flips and
-// truncation: reject with StoreError or decode bit-identically — a
-// mutated archive must never decode to different records.
-TEST(ArchiveRobustness, MutatedArchiveImageRejectedOrIdentical) {
-  Prng rng(31);
-  TamperEvidentLog log("bob");
-  Bytes body;
-  std::vector<SparseIndexEntry> index;
-  for (int i = 0; i < 12; i++) {
-    const LogEntry& e = log.Append(EntryType::kInfo, rng.RandomBytes(rng.Below(60)));
-    if (i % 4 == 0) {
-      index.push_back({e.seq, body.size()});
-    }
-    EncodeRecord(e, body);
-  }
-  Bytes sealed = EncodeSealedSegment({1, Hash256::Zero()}, body, index, 12, 12, log.LastHash(),
-                                     /*compress=*/true);
-  Bytes arch = EncodeArchivedSegment(sealed, 12, 12, Sha256::Digest("bob"));
-  ArchiveInfo clean_info = ReadArchiveInfo(arch);
-  Bytes clean_records = ReadArchivedRecords(arch, clean_info);
-  EXPECT_EQ(clean_records, body);
-  EXPECT_EQ(clean_info.footer.archived_watermark, 12u);
-
-  for (int trial = 0; trial < 200; trial++) {
-    Bytes mutated = arch;
-    mutated[rng.Below(mutated.size())] ^= static_cast<uint8_t>(rng.Next() | 1);
-    try {
-      ArchiveInfo info = ReadArchiveInfo(mutated);
-      Bytes records = ReadArchivedRecords(mutated, info);
-      EXPECT_EQ(records, clean_records) << "trial " << trial;
-    } catch (const StoreError&) {
-      // Clean rejection is the expected outcome.
-    }
-  }
-  for (size_t n = 0; n < arch.size(); n++) {
-    EXPECT_THROW((void)ReadArchiveInfo(ByteView(arch.data(), n)), StoreError) << n;
-  }
-}
-
-// A store directory whose .arch file was corrupted on disk: reopening
-// must either recover cleanly or fail with StoreError — never crash,
-// and never serve different entries than were logged.
-TEST(ArchiveRobustness, MutatedArchFileInStoreDirFailsCleanly) {
-  namespace fs = std::filesystem;
-  std::string dir = (fs::temp_directory_path() / "avm_fuzz_arch_store").string();
-  fs::remove_all(dir);
-  Prng rng(57);
-
-  LogStoreOptions opts;
-  opts.sync = false;
-  opts.seal_threshold_bytes = 2048;
-  opts.sealer_threads = 0;
-  opts.archive_keep_sealed = 1;  // Aggressive promotion to the cold tier.
-  Bytes reference;
-  uint64_t last = 0;
-  {
-    TamperEvidentLog log("bob");
-    auto store = LogStore::Open(dir, "bob", opts);
-    log.SetSink(store.get(), /*backfill=*/false);
-    for (int i = 0; i < 400; i++) {
-      log.Append(EntryType::kInfo, rng.RandomBytes(40));
-    }
-    store->Flush();
-    store->Seal();
-    last = store->LastSeq();
-    reference = store->Extract(1, last).Serialize();
-    log.SetSink(nullptr, false);
-  }
-  std::vector<std::string> arch_files;
-  for (const auto& entry : fs::directory_iterator(dir)) {
-    if (entry.path().extension() == ".arch") {
-      arch_files.push_back(entry.path().string());
-    }
-  }
-  ASSERT_FALSE(arch_files.empty()) << "the store must have promoted archives";
-
-  Bytes original;
-  {
-    std::ifstream in(arch_files[0], std::ios::binary);
-    original.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
-  }
-  for (int trial = 0; trial < 30; trial++) {
-    Bytes mutated = original;
-    mutated[rng.Below(mutated.size())] ^= static_cast<uint8_t>(rng.Next() | 1);
-    {
-      std::ofstream out(arch_files[0], std::ios::binary | std::ios::trunc);
-      out.write(reinterpret_cast<const char*>(mutated.data()),
-                static_cast<std::streamsize>(mutated.size()));
-    }
-    try {
-      auto store = LogStore::Open(dir, opts);
-      LogSegment seg = store->Extract(1, store->LastSeq());
-      EXPECT_EQ(seg.Serialize(), reference) << "trial " << trial;
-    } catch (const StoreError&) {
-      // Clean rejection of the corrupt cold tier.
-    }
-  }
   fs::remove_all(dir);
 }
 

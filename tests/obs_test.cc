@@ -1,9 +1,8 @@
 // The telemetry layer: registry counters/gauges/histograms under
 // concurrency (TSan covers the sharded fast paths), golden exporter
-// output, trace spans + Chrome-trace JSON, atomic file writes, the
-// gauge sampler, and the acceptance bar — a recorded scenario plus its
-// full audit produce bit-identical logs and verdicts with telemetry
-// off vs. on.
+// output, trace spans + Chrome-trace JSON, atomic file writes, and the
+// acceptance bar — a recorded scenario plus its full audit produce
+// bit-identical logs and verdicts with telemetry off vs. on.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -14,7 +13,6 @@
 #include "src/audit/auditor.h"
 #include "src/obs/export.h"
 #include "src/obs/metrics.h"
-#include "src/obs/sampler.h"
 #include "src/obs/trace.h"
 #include "src/sim/scenario.h"
 #include "src/store/log_store.h"
@@ -162,19 +160,6 @@ TEST(ObsRegistry, CallbackGaugesSumAndUnregister) {
   EXPECT_EQ(find_gauge("depth"), nullptr);
 }
 
-TEST(ObsRegistry, SampleGaugesRecordsSiblingHistograms) {
-  obs::Registry reg;
-  reg.GetGauge("lag")->Set(100);
-  reg.GetGauge("below_zero")->Set(-5);
-  reg.SampleGauges();
-  obs::Histogram* h = reg.GetHistogram("lag:sampled");
-  EXPECT_EQ(h->Count(), 1u);
-  EXPECT_EQ(h->Sum(), 100u);
-  obs::Histogram* clamped = reg.GetHistogram("below_zero:sampled");
-  EXPECT_EQ(clamped->Count(), 1u);
-  EXPECT_EQ(clamped->Sum(), 0u);  // Negatives clamp.
-}
-
 TEST(ObsExport, MetricsJsonGolden) {
   obs::Registry reg;
   reg.GetCounter("audit_jobs", {{"node", "a"}})->Inc(3);
@@ -288,23 +273,6 @@ TEST(ObsExport, WriteFileAtomicWritesAndReportsErrors) {
   EXPECT_NE(error.find("fopen"), std::string::npos);
   EXPECT_FALSE(fs::exists(dir + "/no"));
   fs::remove_all(dir);
-}
-
-TEST(ObsSampler, PeriodicallySamplesGauges) {
-  ObsGateGuard guard;
-  obs::SetEnabled(true);
-  obs::Registry reg;
-  reg.GetGauge("queue_depth")->Set(17);
-  obs::GaugeSampler sampler(&reg, /*period_ms=*/1);
-  // The sampler thread races this wait by design: TSan runs this test too.
-  while (sampler.ticks() < 3) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  sampler.Stop();
-  obs::Histogram* h = reg.GetHistogram("queue_depth:sampled");
-  EXPECT_GE(h->Count(), 3u);
-  EXPECT_EQ(h->ApproxQuantile(0.5), obs::Histogram::BucketUpperBound(
-                                        obs::Histogram::BucketIndex(17)));
 }
 
 // The acceptance bar: telemetry observes, it never perturbs. The same

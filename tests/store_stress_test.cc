@@ -1,5 +1,5 @@
 // Concurrency stress for the v2 store: one recording thread appending
-// under group commit while background sealers/archivers promote
+// under group commit while background sealers promote
 // segments between tiers, reader threads stream ranges mid-promotion,
 // and a checkpoint thread exercises the batched aux-file path. This is
 // the suite CI runs under TSan (-DAVM_SANITIZE=thread): its job is to
@@ -9,6 +9,9 @@
 
 #include <atomic>
 #include <filesystem>
+#include <map>
+#include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -28,10 +31,20 @@ Bytes ContentFor(uint64_t seq) {
   return ToBytes("entry-" + std::to_string(seq) + "-" + std::string(40, 'k'));
 }
 
+constexpr uint64_t kEntries = 4000;
+
+// What a run leaves behind: the sealed store's size and its log head.
+struct StressResult {
+  uint64_t disk_bytes = 0;
+  Hash256 last_hash;
+};
+
 // With `sync`, group commits fdatasync off the lock while readers write
 // the active segment's pending records out under it, and every segment
-// is preallocated and trimmed when it rolls.
-void RunStress(const std::string& name, bool sync) {
+// is preallocated and trimmed when it rolls. `fault_hook` is installed
+// on the store when set.
+StressResult RunStress(const std::string& name, bool sync,
+                       std::function<StoreFaultAction(const StoreFaultSite&)> fault_hook = {}) {
   std::string dir = (fs::path(::testing::TempDir()) / name).string();
   fs::remove_all(dir);
 
@@ -43,9 +56,8 @@ void RunStress(const std::string& name, bool sync) {
   opts.group_commit.max_entries = 16;
   opts.group_commit.max_bytes = 1u << 30;
   opts.group_commit.max_delay_ms = 1;  // Flusher thread in play too.
-  opts.archive_keep_sealed = 1;        // Both promotions exercised.
+  opts.fault_hook = std::move(fault_hook);
 
-  constexpr uint64_t kEntries = 4000;
   constexpr int kReaders = 3;
 
   // The writer tees through a TamperEvidentLog exactly like a recorder
@@ -129,18 +141,50 @@ void RunStress(const std::string& name, bool sync) {
   EXPECT_EQ(store->LastSeq(), kEntries);
   EXPECT_EQ(store->DurableSeq(), kEntries);
   EXPECT_EQ(store->SealedCount(), store->SegmentCount());
-  EXPECT_GE(store->ArchivedCount(), 1u);
   EXPECT_EQ(store->LastHash(), log.LastHash());
   EXPECT_EQ(store->Extract(1, kEntries).Serialize(), log.Extract(1, kEntries).Serialize());
+  StressResult result{store->DiskBytes(), store->LastHash()};
 
   store.reset();
   fs::remove_all(dir);
+  return result;
 }
 
 TEST(StoreStressTest, ConcurrentAppendPromoteReadAux) { RunStress("avm_store_stress", false); }
 
 TEST(StoreStressTest, ConcurrentAppendPromoteReadAuxSyncing) {
   RunStress("avm_store_stress_sync", true);
+}
+
+// The store's one fault seam under concurrency: a hook that counts
+// every site and always answers kNone runs on the writer, the sealers
+// and the flusher at once, and changes nothing -- the sealed store's
+// bytes and log head match a run without the hook.
+TEST(StoreStressTest, CountingFaultHookOnEveryThreadChangesNothing) {
+  std::mutex mu;
+  std::map<std::string, uint64_t> calls;
+  std::map<std::string, std::set<std::thread::id>> threads;
+  auto counting_hook = [&](const StoreFaultSite& site) {
+    std::lock_guard<std::mutex> lk(mu);
+    calls[site.point]++;
+    threads[site.point].insert(std::this_thread::get_id());
+    return StoreFaultAction::kNone;
+  };
+  const StressResult plain = RunStress("avm_store_stress_plain", true);
+  const StressResult hooked = RunStress("avm_store_stress_hooked", true, counting_hook);
+  EXPECT_EQ(hooked.disk_bytes, plain.disk_bytes);
+  EXPECT_EQ(hooked.last_hash, plain.last_hash);
+
+  std::lock_guard<std::mutex> lk(mu);
+  EXPECT_EQ(calls["append-write"], kEntries);
+  EXPECT_GT(calls["group-commit"], 0u);
+  EXPECT_GT(calls["post-dir-sync"], 0u);
+  // Every rolled segment was sealed on a pool worker, never on the
+  // writer (the only thread that appends).
+  EXPECT_GT(calls["pre-seal-rename"], 0u);
+  EXPECT_EQ(calls["pre-seal-unlink"], calls["pre-seal-rename"]);
+  ASSERT_EQ(threads["append-write"].size(), 1u);
+  EXPECT_EQ(threads["pre-seal-rename"].count(*threads["append-write"].begin()), 0u);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <set>
 
 #include "src/sim/scenario.h"
@@ -38,14 +39,47 @@ class StoreFixture : public ::testing::Test {
     return opts;
   }
 
-  // Appends n entries with varied types and compressible content.
-  static void Fill(TamperEvidentLog& log, size_t n) {
+  // Appends n entries with varied types and compressible content. Logs
+  // filled with prefixes of one length roll at the same seqs.
+  static void Fill(TamperEvidentLog& log, size_t n, const std::string& prefix = "entry-") {
     for (size_t i = 0; i < n; i++) {
       EntryType t = (i % 3 == 0)   ? EntryType::kInfo
                     : (i % 3 == 1) ? EntryType::kTraceTime
                                    : EntryType::kTraceOther;
-      log.Append(t, ToBytes("entry-" + std::to_string(i) + "-" + std::string(48, 'x')));
+      log.Append(t, ToBytes(prefix + std::to_string(i) + "-" + std::string(48, 'x')));
     }
+  }
+
+  // The sealed segment files in `dir`, keyed by first seq.
+  static std::map<uint64_t, std::string> SealedFiles(const std::string& dir) {
+    std::map<uint64_t, std::string> files;
+    for (const fs::directory_entry& de : fs::directory_iterator(dir)) {
+      const std::string name = de.path().filename().string();
+      if (name.starts_with("seg-") && de.path().extension() == ".seal") {
+        files[std::stoull(name.substr(4, 20))] = de.path().string();
+      }
+    }
+    return files;
+  }
+
+  // Seals n Fill() entries with `prefix` into a fresh store in `dir`.
+  void FillSealedStore(const std::string& dir, size_t n, const std::string& prefix = "entry-") {
+    TamperEvidentLog log("bob");
+    auto store = LogStore::Open(dir, "bob", SmallSegments());
+    log.SetSink(store.get());
+    Fill(log, n, prefix);
+    store->Seal();
+    log.SetSink(nullptr);
+  }
+
+  // The StoreError message LogStore::Open(dir) fails with ("" if none).
+  std::string OpenError(const std::string& dir) {
+    try {
+      LogStore::Open(dir, SmallSegments());
+    } catch (const StoreError& e) {
+      return e.what();
+    }
+    return "";
   }
 
   static std::string FindActiveFile(const std::string& dir) {
@@ -177,61 +211,6 @@ TEST_F(StoreFixture, RollingFlushesTheWholeSegmentBehindTheWatermark) {
   EXPECT_EQ(store->DurableSeq(), store->LastSeq());
 }
 
-TEST_F(StoreFixture, ArchivalTierReadsBackBitForBit) {
-  LogStoreOptions opts = SmallSegments();
-  opts.archive_keep_sealed = 1;  // Everything but the newest sealed goes cold.
-  TamperEvidentLog log("bob");
-  auto store = LogStore::Open(dir_, "bob", opts);
-  log.SetSink(store.get());
-  Fill(log, 300);
-  store->Seal();
-  ASSERT_GE(store->ArchivedCount(), 1u);
-  ASSERT_LE(store->SealedCount() - store->ArchivedCount(), 1u);
-
-  // Reads spanning hot/sealed/archival produce the same bytes as the
-  // in-memory log.
-  EXPECT_EQ(store->Extract(1, 300).Serialize(), log.Extract(1, 300).Serialize());
-
-  // And a fresh process recovers the archival tier (wider footer, node
-  // binding) transparently.
-  log.SetSink(nullptr);
-  store.reset();
-  auto reopened = LogStore::Open(dir_, opts);
-  EXPECT_EQ(reopened->node(), "bob");
-  EXPECT_EQ(reopened->LastSeq(), 300u);
-  EXPECT_GE(reopened->ArchivedCount(), 1u);
-  EXPECT_EQ(reopened->Extract(1, 300).Serialize(), log.Extract(1, 300).Serialize());
-  EXPECT_EQ(reopened->LastHash(), log.LastHash());
-}
-
-TEST_F(StoreFixture, ArchivedFooterBindsNodeIdentity) {
-  LogStoreOptions opts = SmallSegments();
-  opts.archive_keep_sealed = 0;
-  TamperEvidentLog log("bob");
-  {
-    auto store = LogStore::Open(dir_, "bob", opts);
-    log.SetSink(store.get());
-    Fill(log, 200);
-    store->Seal();
-    ASSERT_GE(store->ArchivedCount(), 1u);
-    log.SetSink(nullptr);
-  }
-  // The archival footer binds the whole-store node hash: an archived
-  // segment transplanted into another node's store is refused on
-  // recovery instead of silently adopted.
-  std::string dir2 = dir_ + "_other";
-  fs::remove_all(dir2);
-  { auto other = LogStore::Open(dir2, "mallory", opts); }
-  for (const fs::directory_entry& de : fs::directory_iterator(dir_)) {
-    if (de.path().extension() == ".arch") {
-      fs::copy_file(de.path(), fs::path(dir2) / de.path().filename());
-      break;
-    }
-  }
-  EXPECT_THROW(LogStore::Open(dir2, opts), StoreError);
-  fs::remove_all(dir2);
-}
-
 TEST_F(StoreFixture, ExtractMatchesInMemoryAcrossSegmentBoundaries) {
   TamperEvidentLog log("bob");
   auto store = LogStore::Open(dir_, "bob", SmallSegments());
@@ -283,18 +262,10 @@ TEST_F(StoreFixture, CursorLoadsASealedSegmentOncePerWindow) {
   store->Seal();
   ASSERT_EQ(store->SealedCount(), store->SegmentCount());
   // The first segment must hold every window below.
-  uint64_t second_segment = UINT64_MAX;
-  for (const fs::directory_entry& de : fs::directory_iterator(dir_)) {
-    const std::string name = de.path().filename().string();
-    if (name.starts_with("seg-") && de.path().extension() == ".seal") {
-      const uint64_t first = std::stoull(name.substr(4, 20));
-      if (first > 1) {
-        second_segment = std::min(second_segment, first);
-      }
-    }
-  }
+  const std::map<uint64_t, std::string> sealed = SealedFiles(dir_);
+  ASSERT_GE(sealed.size(), 2u);
   constexpr uint64_t kWindow = 64;
-  ASSERT_GT(second_segment, 130 + kWindow);
+  ASSERT_GT(std::next(sealed.begin())->first, 130 + kWindow);
 
   const obs::Counter* loads =
       obs::Registry::Global().GetCounter("store_segment_loads_total", {{"node", node}});
@@ -414,6 +385,39 @@ TEST_F(StoreFixture, CorruptTailRecordIsDroppedOnRecovery) {
   EXPECT_EQ(store->LastSeq(), 19u);
 }
 
+// The segments must cover the log from seq 1. Here the first sealed
+// segment is gone, as from a store whose oldest segments were moved to
+// a "seg-*.arch" cold tier: recovery reads no such files.
+TEST_F(StoreFixture, MissingLeadingSegmentFailsOpen) {
+  FillSealedStore(dir_, 300);
+  const std::map<uint64_t, std::string> sealed = SealedFiles(dir_);
+  ASSERT_GE(sealed.size(), 2u);
+  const auto first = sealed.begin();
+  ASSERT_EQ(first->first, 1u);
+  fs::rename(first->second, fs::path(first->second).replace_extension(".arch"));
+  EXPECT_EQ(OpenError(dir_), "store is missing a segment before seq " +
+                                 std::to_string(std::next(first)->first));
+}
+
+// A sealed segment from another log of the same shape starts at the
+// right seq but does not chain onto the segment before it.
+TEST_F(StoreFixture, UnchainedSealedSegmentFailsOpen) {
+  const std::string other = dir_ + "_other";
+  fs::remove_all(other);
+  FillSealedStore(dir_, 300);
+  FillSealedStore(other, 300, "ENTRY-");
+  const std::map<uint64_t, std::string> sealed = SealedFiles(dir_);
+  const std::map<uint64_t, std::string> other_sealed = SealedFiles(other);
+  ASSERT_GE(sealed.size(), 2u);
+  const auto second = std::next(sealed.begin());
+  ASSERT_EQ(other_sealed.count(second->first), 1u);
+  fs::copy_file(other_sealed.at(second->first), second->second,
+                fs::copy_options::overwrite_existing);
+  fs::remove_all(other);
+  EXPECT_EQ(OpenError(dir_),
+            "segment boundary hash mismatch at seq " + std::to_string(second->first));
+}
+
 TEST_F(StoreFixture, AppendRejectsSequenceGaps) {
   auto store = LogStore::Open(dir_, "bob", SmallSegments());
   TamperEvidentLog log("bob");
@@ -467,16 +471,16 @@ TEST_F(StoreFixture, AuxFileBatchedIsAtomicAndRecoverable) {
 // --- kill-point sweep: crash anywhere, recover to the watermark ---------
 
 // Deterministic crash images: sealer_threads = 0 and no flush timer put
-// every kill point on the appending thread, and the test_hook copies
-// the directory byte-for-byte at the first hit of the chosen point --
-// exactly what a power cut at that instruction would leave behind.
+// every kill point on the appending thread, and the fault_hook copies
+// the directory byte-for-byte at the first hit of the chosen site and
+// lets the store carry on (kNone) -- exactly what a power cut at that
+// instruction would leave behind.
 // Both sync legs: a syncing store preallocates its active segment, so
 // its crash images end in a zero tail that recovery must read as the
 // clean end of the stream.
 TEST_F(StoreFixture, KillPointSweepRecoversToWatermarkEverywhere) {
-  const char* kKillPoints[] = {
-      "pre-flush",       "post-dir-sync",   "post-flush",         "post-roll",
-      "pre-seal-rename", "pre-seal-unlink", "pre-archive-rename", "pre-archive-unlink"};
+  const char* kKillPoints[] = {"group-commit", "post-dir-sync", "post-flush",     "roll",
+                               "post-roll",    "pre-seal-rename", "pre-seal-unlink"};
   for (bool sync : {false, true}) {
     for (const char* point : kKillPoints) {
       if (!sync && std::string(point) == "post-dir-sync") {
@@ -496,14 +500,13 @@ TEST_F(StoreFixture, KillPointSweepRecoversToWatermarkEverywhere) {
       opts.group_commit.max_entries = 8;
       opts.group_commit.max_bytes = 1u << 30;
       opts.group_commit.max_delay_ms = 0;
-      opts.archive_keep_sealed = 1;  // Exercise the archival points too.
       bool captured = false;
-      opts.test_hook = [&](const char* at) {
-        if (captured || std::string(at) != point) {
-          return;
+      opts.fault_hook = [&](const StoreFaultSite& at) {
+        if (!captured && std::string(at.point) == point) {
+          captured = true;
+          CopyDir(live_dir, crash_dir);
         }
-        captured = true;
-        CopyDir(live_dir, crash_dir);
+        return StoreFaultAction::kNone;
       };
 
       TamperEvidentLog log("bob");
@@ -568,8 +571,8 @@ TEST_F(StoreFixture, NewSegmentReachesTheDirectoryBeforeItsFirstCommit) {
   std::set<std::string> dir_synced;
   std::vector<std::string> committed_unsynced;
   size_t commits = 0;
-  opts.test_hook = [&](const char* at) {
-    const std::string point = at;
+  opts.fault_hook = [&](const StoreFaultSite& at) {
+    const std::string point = at.point;
     if (point == "post-dir-sync") {
       dir_synced.insert(NewestLogFile(dir_));
     } else if (point == "post-flush") {
@@ -579,6 +582,7 @@ TEST_F(StoreFixture, NewSegmentReachesTheDirectoryBeforeItsFirstCommit) {
         committed_unsynced.push_back(active);
       }
     }
+    return StoreFaultAction::kNone;
   };
   TamperEvidentLog log("bob");
   auto store = LogStore::Open(dir_, "bob", opts);
