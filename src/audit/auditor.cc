@@ -189,7 +189,7 @@ AuditOutcome Auditor::FullAuditAfterPrechecks(const Avmm& target, const SegmentS
   // fully verified, replay-quiescent state.
   run.boundary_every = cadence;
   run.on_boundary = [&](uint64_t seq, const ChunkedSyntacticChecker& checker,
-                        const StreamingReplayer& replayer) {
+                        StreamingReplayer& replayer) {
     AuditCheckpoint cp = CaptureAuditCheckpoint(source.node(), self_, seq, checker, replayer,
                                                  ckpt_.signer);
     // Plain-file capture is a pure optimization: a full disk or an

@@ -200,18 +200,19 @@ std::string ValidateAuditCheckpoint(const AuditCheckpoint& cp, const NodeId& aud
 
 AuditCheckpoint CaptureAuditCheckpoint(const NodeId& node, const NodeId& auditor, uint64_t seq,
                                        const ChunkedSyntacticChecker& checker,
-                                       const StreamingReplayer& replayer, const Signer* signer) {
+                                       StreamingReplayer& replayer, const Signer* signer) {
   AuditCheckpoint cp;
   cp.node = node;
   cp.auditor = auditor;
   cp.seq = seq;
   cp.chain_hash = checker.chain_cursor();
+  replayer.StateRoot();
   const Machine& m = replayer.machine();
   cp.mem_size = m.mem_size();
   MaterializedState ms;
   ms.cpu = m.cpu();
   ms.memory = m.ReadMemRange(0, m.mem_size());
-  ms.root = ComputeStateRoot(m);
+  ms.tree = replayer.state_tree();
   cp.machine_state = ms.Serialize();
   Writer w;
   checker.SerializeResumableState(w);

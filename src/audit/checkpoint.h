@@ -104,9 +104,10 @@ std::string ValidateAuditCheckpoint(const AuditCheckpoint& cp, const NodeId& aud
 
 // The checkpoint of an audit engine state at `seq` (a capture boundary:
 // fully verified and replay-quiescent), signed by `signer` when given.
+// The machine state carries the replayer's own state root.
 AuditCheckpoint CaptureAuditCheckpoint(const NodeId& node, const NodeId& auditor, uint64_t seq,
                                        const ChunkedSyntacticChecker& checker,
-                                       const StreamingReplayer& replayer, const Signer* signer);
+                                       StreamingReplayer& replayer, const Signer* signer);
 
 }  // namespace avm
 

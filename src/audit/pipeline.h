@@ -186,7 +186,7 @@ struct AuditRun {
   // on_boundary(seq, checker, replayer) runs (checkpoint capture).
   // Exceptions it throws propagate out of the engine.
   uint64_t boundary_every = 0;
-  std::function<void(uint64_t, const ChunkedSyntacticChecker&, const StreamingReplayer&)>
+  std::function<void(uint64_t, const ChunkedSyntacticChecker&, StreamingReplayer&)>
       on_boundary;
   // Evidence names this machine; null = no evidence is assembled.
   const Avmm* accused = nullptr;

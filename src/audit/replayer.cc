@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "src/obs/metrics.h"
+#include "src/obs/trace.h"
 #include "src/util/serde.h"
 
 namespace avm {
@@ -34,10 +35,20 @@ StreamingReplayer::StreamingReplayer(ByteView reference_image, size_t mem_size)
 }
 
 StreamingReplayer::StreamingReplayer(const MaterializedState& start)
-    : machine_(start.memory.size(), this) {
+    : machine_(start.memory.size(), this), tree_(start.tree) {
   machine_.WriteMemRange(0, start.memory);
   machine_.SetCpuState(start.cpu);
   start_icount_ = start.cpu.icount;
+  // The tree already covers the memory just written (a state without one
+  // gets its full build at the first root).
+  machine_.ClearDirtyPages();
+}
+
+Hash256 StreamingReplayer::StateRoot() {
+  obs::Span span(obs::kPhaseReplayStateRoot, "audit");
+  tree_.Refresh(machine_.cpu(), machine_.memory(), machine_.CollectDirtyPages());
+  machine_.ClearDirtyPages();
+  return tree_.Root();
 }
 
 void StreamingReplayer::Diverge(std::string why, uint64_t seq) {
@@ -244,7 +255,7 @@ void StreamingReplayer::Pump() {
       if (!RunTo(item.snapshot.icount, item.seq)) {
         return;
       }
-      Hash256 root = ComputeStateRoot(machine_);
+      Hash256 root = StateRoot();
       if (root != item.snapshot.root) {
         Diverge("snapshot root mismatch: logged " + item.snapshot.root.ShortHex() + ", replayed " +
                     root.ShortHex(),

@@ -50,7 +50,8 @@ class StreamingReplayer : public DeviceBackend {
  public:
   // Replay from the reference image (a full audit from the beginning).
   StreamingReplayer(ByteView reference_image, size_t mem_size);
-  // Replay from a previously verified snapshot state (spot check).
+  // Replay from a previously verified snapshot state (spot check),
+  // keeping its state tree.
   explicit StreamingReplayer(const MaterializedState& start);
 
   // Feeds more log entries (they must continue the previously fed run)
@@ -69,6 +70,12 @@ class StreamingReplayer : public DeviceBackend {
   bool Checkpointable() const { return result_.ok && pending_.empty() && !finished_; }
   uint64_t replayed_icount() const { return machine_.cpu().icount; }
   const Machine& machine() const { return machine_; }
+  // The Merkle root of the replayed state. The replayer owns the
+  // machine's dirty-page marks: the first root (from an image) is a full
+  // build, and each later one rehashes only the pages written since the
+  // previous root. Snapshot checks and checkpoint captures both use it.
+  Hash256 StateRoot();
+  const StateTree& state_tree() const { return tree_; }
   // For replay-time analysis (§7.5): attach an InstructionObserver.
   Machine& mutable_machine() { return machine_; }
 
@@ -99,6 +106,7 @@ class StreamingReplayer : public DeviceBackend {
   const char* MissedGuestIo(const PendingItem& item) const;
 
   Machine machine_;
+  StateTree tree_;  // Matches machine_ as of the last StateRoot().
   std::deque<PendingItem> pending_;
   ReplayResult result_;
   bool finished_ = false;

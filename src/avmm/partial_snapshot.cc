@@ -46,25 +46,18 @@ size_t PartialSnapshot::TransferSize() const {
 
 PartialSnapshot MakePartialSnapshot(const MaterializedState& state,
                                     const std::vector<uint32_t>& pages) {
-  if (state.memory.size() % kPageSize != 0) {
-    throw std::invalid_argument("MakePartialSnapshot: memory not page aligned");
+  // The proofs come from the state's own tree: the one the AVMM
+  // committed to.
+  const StateTree& tree = state.tree;
+  if (tree.page_count() * kPageSize != state.memory.size()) {
+    throw std::invalid_argument("MakePartialSnapshot: state tree does not cover the memory");
   }
-  size_t page_count = state.memory.size() / kPageSize;
-
-  // Rebuild the same tree the AVMM committed to: page leaves + CPU leaf.
-  std::vector<Hash256> leaves;
-  leaves.reserve(page_count + 1);
-  for (size_t i = 0; i < page_count; i++) {
-    leaves.push_back(MerkleLeafHash(ByteView(state.memory).subspan(i * kPageSize, kPageSize)));
-  }
-  Bytes cpu_bytes = state.cpu.Serialize();
-  leaves.push_back(MerkleLeafHash(cpu_bytes));
-  MerkleTree tree(std::move(leaves));
+  const uint32_t page_count = static_cast<uint32_t>(tree.page_count());
 
   PartialSnapshot out;
   out.root = tree.Root();
-  out.total_pages = static_cast<uint32_t>(page_count);
-  out.cpu_state = cpu_bytes;
+  out.total_pages = page_count;
+  out.cpu_state = state.cpu.Serialize();
   out.cpu_proof = tree.ProveLeaf(page_count);
   for (uint32_t idx : pages) {
     if (idx >= page_count) {
@@ -72,7 +65,7 @@ PartialSnapshot MakePartialSnapshot(const MaterializedState& state,
     }
     PartialSnapshot::Page p;
     p.index = idx;
-    ByteView page = ByteView(state.memory).subspan(idx * kPageSize, kPageSize);
+    ByteView page = ByteView(state.memory).subspan(size_t{idx} * kPageSize, kPageSize);
     p.data.assign(page.begin(), page.end());
     p.proof = tree.ProveLeaf(idx);
     out.pages.push_back(std::move(p));

@@ -40,7 +40,7 @@ struct PartialSnapshot {
 };
 
 // Builds a partial snapshot containing only `pages` (plus the CPU leaf)
-// from a fully materialized state.
+// from a fully materialized state, with proofs from its state tree.
 PartialSnapshot MakePartialSnapshot(const MaterializedState& state,
                                     const std::vector<uint32_t>& pages);
 

@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "src/compress/lzss.h"
+#include "src/obs/trace.h"
 #include "src/util/serde.h"
 
 namespace avm {
@@ -46,6 +47,16 @@ Bytes SnapshotDelta::Serialize() const {
   return w.Take();
 }
 
+uint64_t SnapshotDelta::SerializedSize() const {
+  // Blob(meta), Blob(cpu_state), the page count, then per page its index
+  // and Blob(contents); each Blob carries a u32 length.
+  uint64_t size = 4 + SnapshotMeta::kSerializedSize + 4 + cpu_state.size() + 4;
+  for (const auto& page : pages) {
+    size += 4 + 4 + page.second.size();
+  }
+  return size;
+}
+
 SnapshotDelta SnapshotDelta::Deserialize(ByteView data) {
   Reader r(data);
   SnapshotDelta d;
@@ -64,7 +75,7 @@ Bytes MaterializedState::Serialize() const {
   Writer w;
   w.Blob(cpu.Serialize());
   w.Blob(LzssCompress(memory));
-  w.Raw(root.view());
+  w.Raw(root().view());
   return w.Take();
 }
 
@@ -78,19 +89,19 @@ MaterializedState MaterializedState::Deserialize(ByteView data) {
   st.cpu = CpuState::Deserialize(cpu_bytes);
   try {
     st.memory = LzssDecompress(memory_lzss);
-    st.root = ComputeStateRoot(st.cpu, st.memory);
+    st.tree = StateTree(st.cpu, st.memory);
   } catch (const std::exception& e) {
     throw SerdeError(std::string("materialized state undecodable: ") + e.what());
   }
-  if (st.root != claimed) {
+  if (st.root() != claimed) {
     throw SerdeError("materialized state does not hash to its claimed root");
   }
   return st;
 }
 
-Hash256 ComputeStateRoot(const CpuState& cpu, ByteView memory) {
+StateTree::StateTree(const CpuState& cpu, ByteView memory) {
   if (memory.size() % kPageSize != 0) {
-    throw std::invalid_argument("ComputeStateRoot: memory not page aligned");
+    throw std::invalid_argument("StateTree: memory not page aligned");
   }
   size_t pages = memory.size() / kPageSize;
   std::vector<Hash256> leaves;
@@ -99,17 +110,30 @@ Hash256 ComputeStateRoot(const CpuState& cpu, ByteView memory) {
     leaves.push_back(MerkleLeafHash(memory.subspan(i * kPageSize, kPageSize)));
   }
   leaves.push_back(MerkleLeafHash(cpu.Serialize()));
-  return MerkleTree(std::move(leaves)).Root();
+  tree_ = MerkleTree(std::move(leaves));
+}
+
+void StateTree::Refresh(const CpuState& cpu, ByteView memory, std::span<const uint32_t> dirty) {
+  if (empty()) {
+    *this = StateTree(cpu, memory);
+    return;
+  }
+  const uint64_t pages = page_count();
+  if (memory.size() != pages * kPageSize) {
+    throw std::invalid_argument("StateTree::Refresh: memory size changed");
+  }
+  for (uint32_t idx : dirty) {
+    tree_.UpdateLeaf(idx, MerkleLeafHash(memory.subspan(size_t{idx} * kPageSize, kPageSize)));
+  }
+  tree_.UpdateLeaf(pages, MerkleLeafHash(cpu.Serialize()));
+}
+
+Hash256 ComputeStateRoot(const CpuState& cpu, ByteView memory) {
+  return StateTree(cpu, memory).Root();
 }
 
 Hash256 ComputeStateRoot(const Machine& m) {
-  std::vector<Hash256> leaves;
-  leaves.reserve(m.PageCount() + 1);
-  for (size_t i = 0; i < m.PageCount(); i++) {
-    leaves.push_back(MerkleLeafHash(m.PageData(i)));
-  }
-  leaves.push_back(MerkleLeafHash(m.cpu().Serialize()));
-  return MerkleTree(std::move(leaves)).Root();
+  return ComputeStateRoot(m.cpu(), m.memory());
 }
 
 void SnapshotStore::Add(SnapshotDelta delta) {
@@ -150,7 +174,7 @@ MaterializedState SnapshotStore::Materialize(uint64_t snapshot_id, size_t mem_si
       st.cpu = CpuState::Deserialize(d.cpu_state);
     }
   }
-  st.root = ComputeStateRoot(st.cpu, st.memory);
+  st.tree = StateTree(st.cpu, st.memory);
   return st;
 }
 
@@ -164,6 +188,7 @@ uint64_t SnapshotStore::TransferBytesUpTo(uint64_t snapshot_id) const {
 
 SnapshotMeta SnapshotManager::Take(Machine& m, SimTime sim_time) {
   WallTimer timer;
+  obs::Span span(obs::kPhaseSnapshotTake, "record");
   SnapshotDelta delta;
   delta.meta.snapshot_id = next_id_++;
   delta.meta.icount = m.cpu().icount;
@@ -177,10 +202,11 @@ SnapshotMeta SnapshotManager::Take(Machine& m, SimTime sim_time) {
     delta.pages.emplace_back(idx, Bytes(page.begin(), page.end()));
   }
   m.ClearDirtyPages();
+  tree_.Refresh(m.cpu(), m.memory(), dirty);
 
   delta.meta.incremental_pages = static_cast<uint32_t>(delta.pages.size());
-  delta.meta.root = ComputeStateRoot(m);
-  delta.meta.stored_bytes = delta.Serialize().size();
+  delta.meta.root = tree_.Root();
+  delta.meta.stored_bytes = delta.SerializedSize();
 
   SnapshotMeta meta = delta.meta;
   store_->Add(std::move(delta));

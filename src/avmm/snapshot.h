@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "src/crypto/merkle.h"
@@ -31,6 +32,7 @@ struct SnapshotMeta {
   uint32_t incremental_pages = 0;  // Pages stored in this increment.
   uint64_t stored_bytes = 0;       // Increment size (Figure 9's transfer metric).
 
+  static constexpr size_t kSerializedSize = 72;  // Every field is fixed-width.
   Bytes Serialize() const;
   static SnapshotMeta Deserialize(ByteView data);
 };
@@ -42,14 +44,47 @@ struct SnapshotDelta {
   std::vector<std::pair<uint32_t, Bytes>> pages;  // (page index, contents).
 
   Bytes Serialize() const;
+  // Serialize().size(), from the field sizes alone.
+  uint64_t SerializedSize() const;
   static SnapshotDelta Deserialize(ByteView data);
+};
+
+// The Merkle tree the AVMM commits to: one leaf per memory page, then one
+// leaf holding the serialized CPU state. Every state root is built here.
+// The constructor is the full build; Refresh keeps a machine's tree
+// current at the cost of the pages written since the previous root, which
+// is how the recorder (SnapshotManager) and the replayer
+// (StreamingReplayer) compute every root after a machine's first.
+class StateTree {
+ public:
+  StateTree() = default;  // No leaves; Root() is zero.
+  StateTree(const CpuState& cpu, ByteView memory);
+
+  // Brings the tree to (cpu, memory), given that `dirty` lists every page
+  // written since the tree last matched: rehashes those pages and the CPU
+  // leaf. An empty tree is built in full instead.
+  void Refresh(const CpuState& cpu, ByteView memory, std::span<const uint32_t> dirty);
+
+  Hash256 Root() const { return tree_.Root(); }
+  bool empty() const { return tree_.LeafCount() == 0; }
+  uint64_t page_count() const { return empty() ? 0 : tree_.LeafCount() - 1; }
+  // Inclusion proofs: page `index`, or the CPU leaf (index page_count()).
+  MerkleProof ProveLeaf(uint64_t index) const { return tree_.ProveLeaf(index); }
+
+ private:
+  MerkleTree tree_{std::vector<Hash256>{}};
 };
 
 // A fully materialized machine state.
 struct MaterializedState {
   CpuState cpu;
   Bytes memory;
-  Hash256 root;
+  // The state tree over (cpu, memory), built by whoever produced the
+  // state; a replayer started from the state keeps it. Whoever edits
+  // `memory` must rebuild it.
+  StateTree tree;
+
+  Hash256 root() const { return tree.Root(); }
 
   // Wire form (audit checkpoints, src/audit/checkpoint): CPU state plus
   // LZSS-compressed memory, carrying the Merkle root the state must
@@ -60,8 +95,8 @@ struct MaterializedState {
   static MaterializedState Deserialize(ByteView data);
 };
 
-// Computes the Merkle root the AVMM commits to: leaves are the memory
-// pages followed by one leaf holding the serialized CPU state.
+// The root of a full StateTree build: the reference every incremental
+// root is tested against.
 Hash256 ComputeStateRoot(const Machine& m);
 Hash256 ComputeStateRoot(const CpuState& cpu, ByteView memory);
 
@@ -90,15 +125,17 @@ class SnapshotStore {
   std::map<uint64_t, SnapshotDelta> deltas_;
 };
 
-// Recording-side helper: takes snapshots of a machine, storing increments
-// and returning the metadata to log.
+// Recording-side helper: takes snapshots of one machine, storing
+// increments and returning the metadata to log. It owns the machine's
+// dirty-page marks and keeps the machine's StateTree between snapshots.
 class SnapshotManager {
  public:
   explicit SnapshotManager(SnapshotStore* store) : store_(store) {}
 
-  // Takes a snapshot. The first call stores every page (the base); later
-  // calls store only pages dirtied since the previous call. Clears the
-  // machine's dirty-page tracking.
+  // Takes a snapshot. The first call stores every page (the base) and
+  // builds the state tree; later calls store and rehash only the pages
+  // dirtied since the previous call. Clears the machine's dirty-page
+  // tracking.
   SnapshotMeta Take(Machine& m, SimTime sim_time);
 
   uint64_t next_id() const { return next_id_; }
@@ -107,6 +144,7 @@ class SnapshotManager {
 
  private:
   SnapshotStore* store_;
+  StateTree tree_;
   uint64_t next_id_ = 0;
   double snapshot_seconds_ = 0;
 };

@@ -38,6 +38,11 @@ inline constexpr char kPhaseAuditSyntactic[] = "audit.syntactic";
 inline constexpr char kPhaseAuditReplay[] = "audit.replay";
 inline constexpr char kPhaseAuditRsaVerify[] = "audit.rsa_verify";
 inline constexpr char kPhaseAuditCheckpointIo[] = "audit.checkpoint_io";
+// One snapshot on the record path (increment + state root), and one
+// state root of the replayed machine on the audit path (a snapshot
+// check, nested in audit.replay, or a checkpoint capture).
+inline constexpr char kPhaseSnapshotTake[] = "snapshot.take";
+inline constexpr char kPhaseReplayStateRoot[] = "replay.state_root";
 inline constexpr char kPhaseStoreFlushWait[] = "store.flush_wait";
 inline constexpr char kPhaseStoreSeal[] = "store.seal";
 inline constexpr char kPhaseSignerSign[] = "signer.sign";

@@ -116,6 +116,7 @@ class Machine {
   size_t mem_size() const { return mem_.size(); }
   size_t PageCount() const { return mem_.size() / kPageSize; }
   ByteView PageData(size_t page_index) const;
+  ByteView memory() const { return mem_; }
 
   // Dirty-page tracking for incremental snapshots (one byte per page so
   // JIT-generated code can set flags without vector<bool> bit math).

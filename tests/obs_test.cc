@@ -363,6 +363,37 @@ TEST(ObsTrace, ForcedDurableFlushesRecordTheirWait) {
   fs::remove_all(base);
 }
 
+// Snapshot roots have a span on each path: snapshot.take once per
+// snapshot a node takes, and replay.state_root once per snapshot check
+// the audit's replayer runs.
+TEST(ObsTrace, SnapshotAndStateRootSpansCountEverySnapshot) {
+  ObsGateGuard guard;
+  obs::SetEnabled(true);
+  obs::ResetTrace();
+  KvScenarioConfig cfg;
+  cfg.run = RunConfig::AvmmNoSig();
+  cfg.seed = 5;
+  cfg.snapshot_interval = 200 * kMicrosPerMilli;
+  KvScenario kv(cfg);
+  kv.Start();
+  kv.RunFor(kMicrosPerSecond);
+  kv.Finish();
+  const size_t server_snaps = IndexSnapshots(kv.server().log()).size();
+  const size_t client_snaps = IndexSnapshots(kv.client().log()).size();
+  EXPECT_GE(server_snaps, 5u);
+  EXPECT_EQ(obs::PhaseCount(obs::kPhaseSnapshotTake), server_snaps + client_snaps);
+  EXPECT_EQ(obs::PhaseCount(obs::kPhaseReplayStateRoot), 0u);
+
+  AuditConfig acfg;
+  acfg.mem_size = cfg.run.mem_size;
+  acfg.threads = 1;
+  Auditor auditor("kvclient", &kv.registry(), acfg);
+  AuditOutcome out = auditor.AuditFull(kv.server(), InMemorySegmentSource(kv.server().log()),
+                                       kv.reference_server_image(), kv.CollectAuthsForServer());
+  EXPECT_TRUE(out.ok) << out.Describe();
+  EXPECT_EQ(obs::PhaseCount(obs::kPhaseReplayStateRoot), server_snaps);
+}
+
 // The JIT tier publishes its translation-layer counters into the global
 // registry, and telemetry must not perturb JIT execution: the same
 // guest run with obs off vs. on retires bit-identical CPU state and

@@ -58,7 +58,7 @@ TEST_F(SnapshotFixture, MaterializeReconstructsExactState) {
 
   MaterializedState st = store.Materialize(2, kMem);
   EXPECT_TRUE(st.cpu == machine.cpu());
-  EXPECT_EQ(st.root, meta.root);
+  EXPECT_EQ(st.root(), meta.root);
   EXPECT_TRUE(BytesEqual(st.memory, machine.ReadMemRange(0, kMem)));
 }
 
@@ -72,7 +72,7 @@ TEST_F(SnapshotFixture, MaterializeIntermediateSnapshot) {
 
   MaterializedState st = store.Materialize(1, kMem);
   EXPECT_TRUE(st.cpu == cpu_at_mid);
-  EXPECT_EQ(st.root, mid.root);
+  EXPECT_EQ(st.root(), mid.root);
 }
 
 TEST_F(SnapshotFixture, RootChangesWithMemory) {
@@ -110,6 +110,24 @@ TEST_F(SnapshotFixture, DeltaSerializationRoundTrip) {
   EXPECT_EQ(restored.cpu_state, d.cpu_state);
 }
 
+// stored_bytes is computed from the field sizes, not by serializing the
+// delta; it is logged, so it must stay exactly the serialized size.
+TEST_F(SnapshotFixture, StoredBytesIsTheSerializedDeltaSize) {
+  SnapshotMeta base = mgr.Take(machine, 0);
+  machine.Run(5000);  // 1250 words from 0x5000: pages 5 and 6.
+  SnapshotMeta incr = mgr.Take(machine, 1);
+  SnapshotMeta empty = mgr.Take(machine, 2);  // Nothing ran: CPU state only.
+  ASSERT_EQ(base.incremental_pages, kMem / kPageSize);
+  ASSERT_EQ(incr.incremental_pages, 2u);
+  ASSERT_EQ(empty.incremental_pages, 0u);
+  for (uint64_t id = 0; id < 3; id++) {
+    const SnapshotDelta& d = store.Get(id);
+    EXPECT_EQ(d.meta.stored_bytes, d.Serialize().size()) << "snapshot " << id;
+    EXPECT_EQ(d.SerializedSize(), d.Serialize().size()) << "snapshot " << id;
+  }
+  EXPECT_EQ(SnapshotMeta{}.Serialize().size(), SnapshotMeta::kSerializedSize);
+}
+
 TEST_F(SnapshotFixture, MetaSerializationRoundTrip) {
   SnapshotMeta meta = mgr.Take(machine, 123456);
   SnapshotMeta restored = SnapshotMeta::Deserialize(meta.Serialize());
@@ -145,7 +163,7 @@ TEST_F(SnapshotFixture, TamperedPageChangesMaterializedRoot) {
   MaterializedState st = tampered.Materialize(1, kMem);
   // The auditor recomputes the root and sees it differs from the logged
   // commitment: the downloaded snapshot cannot be authenticated.
-  EXPECT_NE(st.root, meta.root);
+  EXPECT_NE(st.root(), meta.root);
 }
 
 TEST(ComputeStateRoot, RequiresPageAlignedMemory) {
