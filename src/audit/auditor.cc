@@ -8,8 +8,6 @@
 #include "src/audit/message_check.h"
 #include "src/audit/pipeline.h"
 #include "src/obs/trace.h"
-#include "src/vm/analysis/cfg.h"
-#include "src/vm/analysis/verifier.h"
 
 namespace avm {
 
@@ -76,55 +74,6 @@ std::string AuditOutcome::Describe() const {
   }
   return os.str();
 }
-
-namespace {
-
-// AuditConfig::verify_image: run the static image verifier (CFG
-// recovery + src/vm/analysis checks) over the reference image and
-// render the findings to strings, so AuditOutcome stays decoupled from
-// the analysis types.
-void VerifyReferenceImage(ByteView image, size_t mem_size, AuditOutcome* out) {
-  const analysis::Cfg cfg = analysis::BuildCfg(image);
-  const analysis::VerifyReport rep = analysis::VerifyImage(image, mem_size, cfg);
-  out->image_errors = rep.errors;
-  out->image_warnings = rep.warnings;
-  out->image_findings.reserve(rep.findings.size());
-  for (const analysis::Finding& f : rep.findings) {
-    std::ostringstream os;
-    os << (f.severity == analysis::Severity::kError ? "error" : "warning") << ": "
-       << analysis::FindingKindName(f.kind) << " at 0x" << std::hex << f.addr;
-    if (!f.detail.empty()) {
-      os << std::dec << ": " << f.detail;
-    }
-    out->image_findings.push_back(os.str());
-  }
-}
-
-std::optional<AuditOutcome> DetectLogRewind(const Avmm& target, const SegmentSource& source,
-                                            std::span<const Authenticator> auths,
-                                            const KeyRegistry& registry, size_t mem_size) {
-  const uint64_t served_last = source.LastSeq();
-  for (const Authenticator& a : auths) {
-    if (a.node == source.node() && a.seq > served_last && a.VerifySignature(registry)) {
-      AuditOutcome out;
-      out.syntactic =
-          CheckResult::Fail("log rewound: authenticator commits seq " + std::to_string(a.seq) +
-                                " but the served log ends at " + std::to_string(served_last),
-                            a.seq);
-      Evidence ev;
-      ev.kind = EvidenceKind::kProtocolViolation;
-      ev.accused = target.id();
-      ev.claim = out.syntactic.reason;
-      ev.auths.push_back(a.Serialize());
-      ev.mem_size = mem_size;
-      out.evidence = std::move(ev);
-      return out;
-    }
-  }
-  return std::nullopt;
-}
-
-}  // namespace
 
 AuditOutcome Auditor::AuditFull(const Avmm& target, const SegmentSource& source,
                                 ByteView reference_image, std::span<const Authenticator> auths,

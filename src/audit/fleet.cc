@@ -100,7 +100,7 @@ void FleetAuditService::RegisterAuditee(Registration reg) {
   }
   Auditee& a = auditees_[reg.node];
   a.reg = std::move(reg);
-  a.online.reset();  // A re-registration invalidates the replay session.
+  a.online.reset();  // A re-registration invalidates the online session.
 }
 
 void FleetAuditService::UpdateAuths(const NodeId& node, std::vector<Authenticator> auths) {
@@ -393,11 +393,10 @@ FleetJobResult FleetAuditService::RunJob(Auditee& auditee, const Job& job) {
       break;
     case FleetJobType::kOnlinePoll: {
       if (auditee.online == nullptr) {
-        auditee.online =
-            std::make_unique<OnlineAuditor>(reg.source, ByteView(reg.reference_image),
-                                            acfg.mem_size);
+        auditee.online = std::make_unique<OnlineAuditor>(
+            *reg.target, reg.source, ByteView(reg.reference_image), registry, acfg);
       }
-      r.online = auditee.online->Poll();
+      r.outcome = auditee.online->Poll(reg.auths);
       r.online_status = auditee.online->status();
       r.online_lag_entries = auditee.online->LagEntries();
       // §6.11: the fleet's view of how far behind each auditee's replay
@@ -491,6 +490,11 @@ void FleetAuditService::WorkerLoop() {
       }
     }
 
+    if (failed && job.type == FleetJobType::kOnlinePoll) {
+      // The poll may have stopped mid-chunk: the next one audits from
+      // genesis. Only this worker touches a running auditee's session.
+      auditee->online.reset();
+    }
     const unsigned max_attempts = std::max(1u, cfg_.retry.max_attempts);
     if (failed && !degraded && job.attempt < max_attempts) {
       // Give the owner a chance to repair the auditee before the retry;
@@ -516,7 +520,7 @@ void FleetAuditService::WorkerLoop() {
           if (new_store != nullptr) {
             auditee->reg.checkpoint_store = new_store;
           }
-          auditee->online.reset();  // The replay session pinned the old source.
+          auditee->online.reset();  // The online session pinned the old source.
           obs_.store_recoveries->Inc();
         }
         auditee->running = false;

@@ -7,7 +7,7 @@
 // with per-auditee fairness and priorities:
 //
 //  * at most one job per auditee runs at a time (jobs share the
-//    auditee's checkpoint file and online-replay session);
+//    auditee's checkpoint file and online session);
 //  * among runnable auditees, the highest-priority queued job wins;
 //    ties go to the least-recently-served auditee (round robin), so a
 //    chatty auditee cannot starve the rest;
@@ -15,9 +15,12 @@
 //    directory: each one resumes from the persisted checkpoint
 //    (src/audit/checkpoint) and refreshes it, so re-auditing a
 //    long-lived machine costs O(new entries), not O(total log);
-//  * online polls keep a persistent OnlineAuditor per auditee (the
-//    §6.11 lag metric), surfacing a target-log rewind as its own
-//    status instead of stale progress.
+//  * online polls keep a persistent OnlineAuditor per auditee: one
+//    audit engine run under the fleet's AuditConfig, advanced over the
+//    new entries with the registration's authenticators at every poll
+//    (the §6.11 lag metric), surfacing a target-log rewind as its own
+//    status instead of stale progress. A failed attempt drops the
+//    session, so its retry audits from genesis.
 //
 // Verdicts are those of the single-auditee entry points, bit for bit:
 // sharding, priorities and checkpoints change only wall-clock time.
@@ -128,12 +131,12 @@ struct FleetJobResult {
   FleetJobType type = FleetJobType::kFullAudit;
   FleetPriority priority = FleetPriority::kNormal;
 
-  // Full audits and spot checks.
+  // Every job's verdict: an online poll's is that of the prefix
+  // audited so far (see OnlineAuditor::Poll).
   AuditOutcome outcome;
-  ResumeInfo resume;
+  ResumeInfo resume;  // Full audits.
 
-  // Online polls (replay-only, like OnlineAuditor).
-  ReplayResult online;
+  // Online polls.
   OnlinePollStatus online_status = OnlinePollStatus::kIdle;
   uint64_t online_lag_entries = 0;
 
@@ -164,7 +167,7 @@ struct FleetStats {
   uint64_t checkpoints_rejected = 0; // Invalid/forged/stale checkpoint files.
   uint64_t entries_scanned = 0;      // Entries actually read + verified.
   uint64_t entries_skipped = 0;      // Entries behind accepted checkpoints.
-  uint64_t faults_detected = 0;      // Failed audits + online divergences.
+  uint64_t faults_detected = 0;      // Failed audits and failed online polls.
   uint64_t targets_rewound = 0;      // Online polls that saw the log shrink.
   uint64_t jobs_failed = 0;          // Jobs that exhausted every attempt.
   uint64_t job_retries = 0;          // Attempts re-queued after a job error.
@@ -264,7 +267,7 @@ class FleetAuditService {
     std::deque<Job> queue;  // Submission order; scheduler picks by priority.
     bool running = false;
     uint64_t last_served = 0;  // Serve counter for round robin.
-    // Persistent online-replay session (lazily created, survives polls).
+    // Persistent online session (lazily created, survives polls).
     std::unique_ptr<OnlineAuditor> online;
     // Quarantine state (see FleetRetryPolicy).
     unsigned consecutive_errors = 0;

@@ -1,13 +1,25 @@
-// Online auditing (§6.11): incrementally replay another machine's log
-// while its execution is still in progress, so cheating is detected as
-// soon as the externally visible behavior diverges.
+// Online auditing (§6.11): audit another machine's log while its
+// execution is still in progress, so cheating is detected as soon as
+// the log shows it.
+//
+// An online session is one run of the audit engine (src/audit/
+// pipeline.h) that every poll advances to the log's current end: each
+// poll checks the hash chain, the authenticators collected so far, the
+// message stream and attested inputs, and replays, over the new
+// entries, with every AuditConfig field in effect. A poll up to seq n
+// reports the ok, reason, seq and evidence kind the engine reports over
+// [1, n], except for the three checks that need the end of the log --
+// some authenticator covers it, the message stream's Finalize (say, an
+// unacked trailing SEND) and the replayer's Finish -- which wait for
+// Finish().
 #ifndef SRC_AUDIT_ONLINE_H_
 #define SRC_AUDIT_ONLINE_H_
 
+#include <memory>
 #include <optional>
+#include <span>
 
-#include "src/audit/replayer.h"
-#include "src/tel/log.h"
+#include "src/audit/pipeline.h"
 #include "src/tel/segment_source.h"
 
 namespace avm {
@@ -15,8 +27,8 @@ namespace avm {
 // What the most recent Poll() observed about the followed log.
 enum class OnlinePollStatus {
   kIdle,           // Nothing new since the last poll.
-  kAdvanced,       // New entries were replayed (result still cumulative).
-  kDiverged,       // Replay diverged; final (§6.11: a divergence is final).
+  kAdvanced,       // New entries were audited (the verdict is still the prefix's).
+  kDiverged,       // The audit failed; final (§6.11: a divergence is final).
   kTargetRewound,  // The target log *shrank* below the consumed prefix.
 };
 
@@ -36,66 +48,39 @@ inline const char* OnlinePollStatusName(OnlinePollStatus s) {
 
 class OnlineAuditor {
  public:
-  // Follows `target_log` (the auditee's live log), replaying from the
-  // reference image. The log object outlives the auditor and grows
-  // between Poll() calls; in-process this models streaming log transfer.
-  OnlineAuditor(const TamperEvidentLog* target_log, ByteView reference_image, size_t mem_size)
-      : log_(target_log),
-        mem_source_(InMemorySegmentSource(*target_log)),
-        source_(&*mem_source_),
-        replayer_(reference_image, mem_size) {}
-
-  // Follows any segment source — in particular a store::LogStore, so an
-  // online audit can trail a log that is being spilled to disk (and a
-  // fleet service can poll many auditees without touching their heaps).
-  OnlineAuditor(const SegmentSource* source, ByteView reference_image, size_t mem_size)
-      : source_(source), replayer_(reference_image, mem_size) {}
-
-  // source_ points into this object's own mem_source_ on the in-memory
-  // path, so a memberwise copy/move would dangle.
+  // Follows the log `source` serves for `target` (its live in-memory log
+  // through an InMemorySegmentSource, or a store::LogStore it spills
+  // to), replaying from `reference_image` under `cfg`. The auditor
+  // trusts only `registry`, the image and the authenticators handed to
+  // each poll. `target` names the accused in evidence. The source, the
+  // registry, the image and the target outlive the auditor; the source
+  // grows between polls. With cfg.verify_image the image is checked
+  // here, and an image with errors fails every poll without a replay.
+  OnlineAuditor(const Avmm& target, const SegmentSource* source, ByteView reference_image,
+                const KeyRegistry* registry, const AuditConfig& cfg);
   OnlineAuditor(const OnlineAuditor&) = delete;
   OnlineAuditor& operator=(const OnlineAuditor&) = delete;
 
-  // Replays all entries appended since the last poll. Returns the
-  // cumulative replay status; a divergence is final.
+  // Audits the entries appended since the last poll, under `auths`, the
+  // authenticators collected so far for the target; returns the verdict
+  // over the prefix consumed so far. A failure is final: every later
+  // poll returns it again.
   //
   // If the target log has *shrunk* below the already-consumed prefix
   // (legitimately reachable: the auditee crashed and LogStore::Open
   // truncated a torn tail, or restarted with a fresh log), continuing
-  // would silently replay a history that no longer matches what the
-  // auditor consumed. The rewind is surfaced as kTargetRewound — sticky,
-  // like a divergence, but distinct: it is not proof of cheating, it
-  // means this online session cannot make progress and the caller must
+  // would silently audit a history that no longer matches what the
+  // auditor consumed. The rewind is surfaced as kTargetRewound -- sticky,
+  // like a failure, but distinct: it is not proof of cheating, it means
+  // this online session cannot make progress and the caller must
   // restart the audit (from genesis or a checkpoint).
-  ReplayResult Poll() {
-    if (status_ == OnlinePollStatus::kTargetRewound) {
-      return replayer_.result();
-    }
-    uint64_t last = source_->LastSeq();
-    if (last + 1 < next_seq_) {
-      status_ = OnlinePollStatus::kTargetRewound;
-      return replayer_.result();
-    }
-    if (next_seq_ > last) {
-      if (status_ != OnlinePollStatus::kDiverged) {
-        status_ = OnlinePollStatus::kIdle;
-      }
-      return replayer_.result();
-    }
-    ReplayResult r;
-    if (log_ != nullptr) {
-      // In-memory fast path: feed the live entries directly (zero-copy;
-      // this poll sits on the frame-rate-sensitive game loop in §6.11).
-      std::span<const LogEntry> all(log_->entries());
-      r = replayer_.Feed(all.subspan(next_seq_ - 1, last - next_seq_ + 1));
-    } else {
-      LogSegment seg = source_->Extract(next_seq_, last);
-      r = replayer_.Feed(seg.entries);
-    }
-    next_seq_ = last + 1;
-    status_ = r.ok ? OnlinePollStatus::kAdvanced : OnlinePollStatus::kDiverged;
-    return r;
-  }
+  AuditOutcome Poll(std::span<const Authenticator> auths);
+
+  // Declares the log complete: polls to its end, then runs the end-of-log
+  // checks and the log-rewind check, so the outcome is Auditor::AuditFull's
+  // over the whole log. The session is over; later calls return the
+  // same outcome.
+  AuditOutcome Finish(std::span<const Authenticator> auths);
 
   OnlinePollStatus status() const { return status_; }
   bool target_rewound() const { return status_ == OnlinePollStatus::kTargetRewound; }
@@ -108,16 +93,25 @@ class OnlineAuditor {
     return last + 1 >= next_seq_ ? last + 1 - next_seq_ : 0;
   }
   uint64_t consumed_seq() const { return next_seq_ - 1; }
-  const StreamingReplayer& replayer() const { return replayer_; }
 
  private:
-  // Set (with mem_source_) only on the in-memory path; enables the
-  // zero-copy Feed in Poll().
-  const TamperEvidentLog* log_ = nullptr;
-  // Owns the wrapper when constructed from a bare TamperEvidentLog.
-  std::optional<InMemorySegmentSource> mem_source_;
+  // No poll can change the outcome any more.
+  bool Final() const {
+    return finished_ || status_ == OnlinePollStatus::kDiverged ||
+           status_ == OnlinePollStatus::kTargetRewound;
+  }
+
+  const Avmm& target_;
   const SegmentSource* source_;
-  StreamingReplayer replayer_;
+  const KeyRegistry& registry_;
+  const AuditConfig cfg_;
+  AuditOutcome image_check_;  // cfg.verify_image's findings.
+  std::unique_ptr<ThreadPool> pool_;  // Null at threads=1.
+  // Declared after pool_, so destroyed before it. Null (and status_
+  // kDiverged) when the image failed verify_image.
+  std::unique_ptr<AuditEngine> engine_;
+  AuditOutcome outcome_;  // The latest verdict.
+  bool finished_ = false;
   uint64_t next_seq_ = 1;
   OnlinePollStatus status_ = OnlinePollStatus::kIdle;
 };

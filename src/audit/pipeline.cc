@@ -4,56 +4,99 @@
 #include <exception>
 #include <limits>
 #include <memory>
+#include <sstream>
+#include <stdexcept>
+#include <string>
+#include <tuple>
 #include <utility>
 
 #include "src/audit/replayer.h"
 #include "src/avmm/recorder.h"
 #include "src/obs/trace.h"
 #include "src/util/threadpool.h"
+#include "src/vm/analysis/cfg.h"
+#include "src/vm/analysis/verifier.h"
 
 namespace avm {
 
 ChunkedSyntacticChecker::ChunkedSyntacticChecker(const NodeId& node, uint64_t first_seq,
-                                                 uint64_t last_seq, const Hash256& prior_hash,
-                                                 std::span<const Authenticator> auths,
+                                                 const Hash256& prior_hash,
                                                  const KeyRegistry& registry,
-                                                 bool strict_crossref, ThreadPool* pool)
+                                                 bool strict_crossref, bool open_ended)
     : node_(node),
       registry_(registry),
-      auths_(auths),
+      first_seq_(first_seq),
+      open_ended_(open_ended),
       prior_hash_(prior_hash),
       auth_fail_idx_(std::numeric_limits<size_t>::max()),
       smc_(node, registry, strict_crossref) {
-  for (size_t i = 0; i < auths.size(); i++) {
-    if (auths[i].node == node && auths[i].seq >= first_seq && auths[i].seq <= last_seq) {
-      covering_.push_back({auths[i].seq, i, false});
-    }
-  }
-  std::sort(covering_.begin(), covering_.end());
-  obs::Span rsa_span(obs::kPhaseAuditRsaVerify, "audit");
-  auto verify = [&](size_t k) {
-    covering_[k].sig_ok = auths[covering_[k].index].VerifySignature(registry);
-  };
-  if (pool != nullptr) {
-    pool->ParallelFor(covering_.size(), verify);
-  } else {
-    for (size_t k = 0; k < covering_.size(); k++) {
-      verify(k);
-    }
-  }
   if (InputAttestationRequired(node, registry)) {
     attested_.emplace(node, registry);
   }
 }
 
+void ChunkedSyntacticChecker::Cover(std::span<const Authenticator> auths, uint64_t last_seq,
+                                    ThreadPool* pool) {
+  covering_.clear();
+  for (size_t i = 0; i < auths.size(); i++) {
+    if (auths[i].node == node_ && auths[i].seq >= first_seq_ && auths[i].seq <= last_seq) {
+      covering_.push_back({auths[i].seq, i, auths[i].hash, false});
+    }
+  }
+  std::sort(covering_.begin(), covering_.end());
+  obs::Span rsa_span(obs::kPhaseAuditRsaVerify, "audit");
+  auto key = [&](size_t k) {
+    const Authenticator& a = auths[covering_[k].index];
+    return std::make_tuple(a.seq, a.hash, a.signature);
+  };
+  std::vector<size_t> unverified;
+  for (size_t k = 0; k < covering_.size(); k++) {
+    covering_[k].sig_ok = open_ended_ && valid_sigs_.count(key(k)) != 0;
+    if (!covering_[k].sig_ok) {
+      unverified.push_back(k);
+    }
+  }
+  auto verify = [&](size_t i) {
+    const size_t k = unverified[i];
+    covering_[k].sig_ok = auths[covering_[k].index].VerifySignature(registry_);
+  };
+  if (pool != nullptr) {
+    pool->ParallelFor(unverified.size(), verify);
+  } else {
+    for (size_t i = 0; i < unverified.size(); i++) {
+      verify(i);
+    }
+  }
+  for (size_t k : unverified) {
+    if (open_ended_ && covering_[k].sig_ok) {
+      valid_sigs_.insert(key(k));
+    }
+  }
+  rsa_span.End();
+  // Authenticators whose seq was fed already never stream by; resolve
+  // them against the chain hashes verified when it was.
+  const uint64_t fed_through = first_seq_ - 1 + fed_;
+  for (next_auth_ = 0; next_auth_ < covering_.size() && covering_[next_auth_].seq <= fed_through;
+       next_auth_++) {
+    const CoveringAuth& c = covering_[next_auth_];
+    auto it = std::lower_bound(
+        auth_hashes_.begin(), auth_hashes_.end(), c.seq,
+        [](const std::pair<uint64_t, Hash256>& h, uint64_t seq) { return h.first < seq; });
+    if (it == auth_hashes_.end() || it->first != c.seq) {
+      throw std::out_of_range("no verified chain hash at authenticator seq " +
+                              std::to_string(c.seq));
+    }
+    CheckAuthAt(c, it->second);
+  }
+}
+
 bool ChunkedSyntacticChecker::SignaturesValid() const {
-  return !covering_.empty() && std::all_of(covering_.begin(), covering_.end(),
-                                           [](const CoveringAuth& c) { return c.sig_ok; });
+  return std::all_of(covering_.begin(), covering_.end(),
+                     [](const CoveringAuth& c) { return c.sig_ok; });
 }
 
 bool ChunkedSyntacticChecker::AnyFailure() const {
-  return !chain_fail_.ok || covering_.empty() || !auth_fail_.ok || !smc_fail_.ok ||
-         !attested_fail_.ok;
+  return !chain_fail_.ok || !auth_fail_.ok || !smc_fail_.ok || !attested_fail_.ok;
 }
 
 void ChunkedSyntacticChecker::Feed(std::span<const LogEntry> entries, ThreadPool* pool) {
@@ -133,7 +176,7 @@ void ChunkedSyntacticChecker::Feed(std::span<const LogEntry> entries, ThreadPool
     while (next_auth_ < covering_.size() && covering_[next_auth_].seq < e.seq) {
       next_auth_++;
     }
-    if (next_auth_ < covering_.size() && covering_[next_auth_].seq == e.seq) {
+    if (open_ended_ || (next_auth_ < covering_.size() && covering_[next_auth_].seq == e.seq)) {
       auth_hashes_.emplace_back(e.seq, e.hash);
     }
     for (; next_auth_ < covering_.size() && covering_[next_auth_].seq == e.seq; next_auth_++) {
@@ -164,14 +207,13 @@ void ChunkedSyntacticChecker::CheckAuthAt(const CoveringAuth& c, const Hash256& 
   if (c.index >= auth_fail_idx_) {
     return;  // A smaller span index already failed.
   }
-  const Authenticator& a = auths_[c.index];
   if (!c.sig_ok) {
     auth_fail_idx_ = c.index;
-    auth_fail_ = CheckResult::Fail("authenticator signature invalid", a.seq);
-  } else if (log_hash != a.hash) {
+    auth_fail_ = CheckResult::Fail("authenticator signature invalid", c.seq);
+  } else if (log_hash != c.hash) {
     auth_fail_idx_ = c.index;
     auth_fail_ =
-        CheckResult::Fail("log does not match issued authenticator (tamper or fork)", a.seq);
+        CheckResult::Fail("log does not match issued authenticator (tamper or fork)", c.seq);
   }
 }
 
@@ -227,18 +269,12 @@ void ChunkedSyntacticChecker::RestoreResumableState(
   started_ = true;
   expect_seq_ = watermark_seq + 1;
   fed_ = watermark_seq;
-  // Authenticators at or behind the watermark never stream by; resolve
-  // them against the chain hashes verified when the checkpoint was
-  // written.
+  // Cover() resolves the authenticators at or behind the watermark
+  // against the chain hashes verified when the checkpoint was written.
   auth_hashes_.assign(auth_hashes.begin(), auth_hashes.end());
-  for (; next_auth_ < covering_.size() && covering_[next_auth_].seq <= watermark_seq;
-       next_auth_++) {
-    const CoveringAuth& c = covering_[next_auth_];
-    CheckAuthAt(c, auth_hashes.at(c.seq));
-  }
 }
 
-CheckResult ChunkedSyntacticChecker::Finalize() const {
+CheckResult ChunkedSyntacticChecker::Finalize(bool end_of_log) const {
   // Phase priority, exactly the whole-segment composition: VerifyChain
   // (prechecks + links), then authenticator coverage + checks, then the
   // message-stream scan and its Finalize, then attested inputs.
@@ -248,7 +284,7 @@ CheckResult ChunkedSyntacticChecker::Finalize() const {
   if (!chain_fail_.ok) {
     return chain_fail_;
   }
-  if (covering_.empty()) {
+  if (end_of_log && covering_.empty()) {
     return CheckResult::Fail("no authenticator covers the segment; cannot establish authenticity");
   }
   if (!auth_fail_.ok) {
@@ -257,9 +293,11 @@ CheckResult ChunkedSyntacticChecker::Finalize() const {
   if (!smc_fail_.ok) {
     return smc_fail_;
   }
-  CheckResult fin = smc_.Finalize();
-  if (!fin.ok) {
-    return fin;
+  if (end_of_log) {
+    CheckResult fin = smc_.Finalize();
+    if (!fin.ok) {
+      return fin;
+    }
   }
   if (!attested_fail_.ok) {
     return attested_fail_;
@@ -273,213 +311,270 @@ AuditOutcome UnreadableSourceOutcome(const std::string& what) {
   return out;
 }
 
-AuditOutcome RunAuditEngine(const SegmentSource& source, std::span<const Authenticator> auths,
-                            const KeyRegistry& registry, const AuditConfig& cfg, ThreadPool* pool,
-                            const AuditRun& run) {
-  AuditOutcome out;
-  const NodeId& node = source.node();
-  const uint64_t last = run.last_seq;
-  if (last < run.first_seq) {
-    out.syntactic = CheckResult::Fail("empty segment");
-    return out;
+// The static image verifier (CFG recovery + src/vm/analysis checks),
+// its findings rendered to strings so AuditOutcome stays decoupled from
+// the analysis types.
+void VerifyReferenceImage(ByteView image, size_t mem_size, AuditOutcome* out) {
+  const analysis::Cfg cfg = analysis::BuildCfg(image);
+  const analysis::VerifyReport rep = analysis::VerifyImage(image, mem_size, cfg);
+  out->image_errors = rep.errors;
+  out->image_warnings = rep.warnings;
+  out->image_findings.reserve(rep.findings.size());
+  for (const analysis::Finding& f : rep.findings) {
+    std::ostringstream os;
+    os << (f.severity == analysis::Severity::kError ? "error" : "warning") << ": "
+       << analysis::FindingKindName(f.kind) << " at 0x" << std::hex << f.addr;
+    if (!f.detail.empty()) {
+      os << std::dec << ": " << f.detail;
+    }
+    out->image_findings.push_back(os.str());
   }
+}
 
-  // The checker verifies every covering authenticator's signature up
-  // front: the replay gate. The verdict itself still comes from the
-  // checker, in phase order.
+std::optional<AuditOutcome> DetectLogRewind(const Avmm& target, const SegmentSource& source,
+                                            std::span<const Authenticator> auths,
+                                            const KeyRegistry& registry, size_t mem_size) {
+  const uint64_t served_last = source.LastSeq();
+  for (const Authenticator& a : auths) {
+    if (a.node == source.node() && a.seq > served_last && a.VerifySignature(registry)) {
+      AuditOutcome out;
+      out.syntactic =
+          CheckResult::Fail("log rewound: authenticator commits seq " + std::to_string(a.seq) +
+                                " but the served log ends at " + std::to_string(served_last),
+                            a.seq);
+      Evidence ev;
+      ev.kind = EvidenceKind::kProtocolViolation;
+      ev.accused = target.id();
+      ev.claim = out.syntactic.reason;
+      ev.auths.push_back(a.Serialize());
+      ev.mem_size = mem_size;
+      out.evidence = std::move(ev);
+      return out;
+    }
+  }
+  return std::nullopt;
+}
+
+AuditEngine::AuditEngine(const SegmentSource& source, const KeyRegistry& registry,
+                         const AuditConfig& cfg, ThreadPool* pool, const AuditRun& run)
+    : source_(source),
+      cfg_(cfg),
+      pool_(pool),
+      run_(run),
+      checker_(source.node(), run.first_seq,
+               run.resume != nullptr ? run.resume->chain_hash : run.prior_hash, registry,
+               run.strict_crossref, /*open_ended=*/run.last_seq == kOpenEndedRun) {
   const AuditResume* resume = run.resume;
-  WallTimer gate_timer;
-  obs::Span gate_span(obs::kPhaseAuditSyntactic, "audit");
-  ChunkedSyntacticChecker checker(node, run.first_seq, last,
-                                  resume != nullptr ? resume->chain_hash : run.prior_hash, auths,
-                                  registry, run.strict_crossref, pool);
-  const bool replay_gate = run.replay && checker.SignaturesValid();
-  gate_span.End();
-  double syn_seconds = gate_timer.ElapsedSeconds();
-  // Heap-allocated: the replayer registers itself as the machine's
-  // device backend, so it must never move.
-  std::unique_ptr<StreamingReplayer> replayer;
   if (run.replay) {
     const MaterializedState* start = resume != nullptr ? &resume->machine : run.start_state;
-    replayer = start != nullptr
-                   ? std::make_unique<StreamingReplayer>(*start)
-                   : std::make_unique<StreamingReplayer>(run.reference_image, cfg.mem_size);
-    replayer->mutable_machine().set_jit_enabled(cfg.jit_replay);
+    replayer_ = start != nullptr
+                    ? std::make_unique<StreamingReplayer>(*start)
+                    : std::make_unique<StreamingReplayer>(run.reference_image, cfg.mem_size);
+    replayer_->mutable_machine().set_jit_enabled(cfg.jit_replay);
   }
   if (resume != nullptr) {
-    checker.RestoreResumableState(resume->scan_state, resume->watermark, resume->auth_hashes);
+    checker_.RestoreResumableState(resume->scan_state, resume->watermark, resume->auth_hashes);
+  }
+  overlap_ = pool != nullptr && pool->thread_count() > 1 && run.replay;
+  check_pool_ = pool != nullptr && pool->thread_count() > (overlap_ ? 2u : 1u) ? pool : nullptr;
+  chunk_entries_ = cfg.pipeline_chunk_entries > 0 ? cfg.pipeline_chunk_entries : 2048;
+  scan_from_ = resume != nullptr ? resume->watermark + 1 : run.first_seq;
+  next_ = scan_from_;
+}
+
+AuditEngine::~AuditEngine() { JoinReplay(); }
+
+void AuditEngine::Replay(std::span<const LogEntry> entries) {
+  WallTimer sem_timer;
+  obs::Span replay_span(obs::kPhaseAuditReplay, "audit");
+  try {
+    replayer_->Feed(entries);
+  } catch (...) {
+    // A hostile log can make the replayer throw (e.g. an oversized DMA
+    // write). Hold the exception until the syntactic verdict is known:
+    // a syntactic failure outranks it.
+    replay_err_ = std::current_exception();
+  }
+  sem_seconds_ += sem_timer.ElapsedSeconds();
+}
+
+void AuditEngine::JoinReplay() {
+  if (task_in_flight_) {
+    pool_->Wait();
+    task_in_flight_ = false;
+  }
+}
+
+bool AuditEngine::ReplayWanted() const {
+  return replay_gate_ && replay_err_ == nullptr && !checker_.AnyFailure();
+}
+
+void AuditEngine::ProcessChunk(uint64_t end_seq) {
+  {
+    WallTimer syn_timer;
+    obs::Span syn_span(obs::kPhaseAuditSyntactic, "audit");
+    checker_.Feed(std::span<const LogEntry>(chunk_.data(), fill_), check_pool_);
+    syn_seconds_ += syn_timer.ElapsedSeconds();
+  }
+  JoinReplay();
+  // Replay's result is discarded on any syntactic failure, so stop
+  // replaying once one is recorded (the checker still scans the rest:
+  // a later chain break or unreadable entry outranks it).
+  if (ReplayWanted()) {
+    if (overlap_) {
+      std::swap(chunk_, inflight_);
+      std::swap(fill_, inflight_fill_);
+      task_in_flight_ = true;
+      pool_->Submit([this] { Replay(std::span<const LogEntry>(inflight_.data(), inflight_fill_)); });
+    } else {
+      Replay(std::span<const LogEntry>(chunk_.data(), fill_));
+    }
+  }
+  if (run_.on_boundary && run_.boundary_every > 0 && end_seq % run_.boundary_every == 0) {
+    JoinReplay();
+    if (ReplayWanted() && replayer_->Checkpointable()) {
+      run_.on_boundary(end_seq, checker_, *replayer_);
+    }
+  }
+  fill_ = 0;
+}
+
+void AuditEngine::Advance(uint64_t last_seq, std::span<const Authenticator> auths) {
+  auths_ = auths;
+  last_ = last_seq;
+  if (unreadable_.has_value()) {
+    return;  // The scan cannot go on past an entry it could not read.
+  }
+  // The checker verifies every covering authenticator's signature up
+  // front: the replay gate. An open-ended run cannot replay what it
+  // skipped once its coverage grows, so coverage gates only a run whose
+  // end is known; the verdict itself still comes from the checker, in
+  // phase order.
+  {
+    WallTimer gate_timer;
+    obs::Span gate_span(obs::kPhaseAuditSyntactic, "audit");
+    checker_.Cover(auths, last_seq, pool_);
+    replay_gate_ = run_.replay && checker_.SignaturesValid() &&
+                   (run_.last_seq == kOpenEndedRun || checker_.Covered());
+    syn_seconds_ += gate_timer.ElapsedSeconds();
   }
 
-  // With a pool, chunk i replays on a worker while this thread checks
-  // chunk i+1; without one, replay runs inline. Workers beyond the
-  // replay task fan each chunk's checks.
-  const bool overlap = pool != nullptr && pool->thread_count() > 1 && run.replay;
-  ThreadPool* check_pool =
-      pool != nullptr && pool->thread_count() > (overlap ? 2u : 1u) ? pool : nullptr;
-  const size_t chunk_entries = cfg.pipeline_chunk_entries > 0 ? cfg.pipeline_chunk_entries : 2048;
-  // Entry slots are kept from chunk to chunk: each scanned entry is
-  // copy-assigned into the next slot, reusing its content buffer, and
-  // the first `fill` slots are the chunk.
-  std::vector<LogEntry> chunk;  // Being filled by the scan.
-  size_t fill = 0;
-  std::vector<LogEntry> inflight;  // Being replayed by the worker task.
-  size_t inflight_fill = 0;
-  bool task_in_flight = false;
-  std::exception_ptr replay_err;
-  double sem_seconds = 0;
-  auto replay = [&](std::span<const LogEntry> entries) {
-    WallTimer sem_timer;
-    obs::Span replay_span(obs::kPhaseAuditReplay, "audit");
-    try {
-      replayer->Feed(entries);
-    } catch (...) {
-      // A hostile log can make the replayer throw (e.g. an oversized
-      // DMA write). Hold the exception until the syntactic verdict is
-      // known: a syntactic failure outranks it.
-      replay_err = std::current_exception();
-    }
-    sem_seconds += sem_timer.ElapsedSeconds();
-  };
-  auto join_replay = [&] {
-    if (task_in_flight) {
-      pool->Wait();
-      task_in_flight = false;
-    }
-  };
-  auto replay_wanted = [&] {
-    return replay_gate && replay_err == nullptr && !checker.AnyFailure();
-  };
-  auto process_chunk = [&](uint64_t end_seq) {
-    {
-      WallTimer syn_timer;
-      obs::Span syn_span(obs::kPhaseAuditSyntactic, "audit");
-      checker.Feed(std::span<const LogEntry>(chunk.data(), fill), check_pool);
-      syn_seconds += syn_timer.ElapsedSeconds();
-    }
-    join_replay();
-    // Replay's result is discarded on any syntactic failure, so stop
-    // replaying once one is recorded (the checker still scans the rest:
-    // a later chain break or unreadable entry outranks it).
-    if (replay_wanted()) {
-      if (overlap) {
-        std::swap(chunk, inflight);
-        std::swap(fill, inflight_fill);
-        task_in_flight = true;
-        pool->Submit([&] { replay(std::span<const LogEntry>(inflight.data(), inflight_fill)); });
-      } else {
-        replay(std::span<const LogEntry>(chunk.data(), fill));
-      }
-    }
-    if (run.on_boundary && run.boundary_every > 0 && end_seq % run.boundary_every == 0) {
-      join_replay();
-      if (replay_wanted() && replayer->Checkpointable()) {
-        run.on_boundary(end_seq, checker, *replayer);
-      }
-    }
-    fill = 0;
-  };
-
-  // The one forward scan. The whole range is read even after a failure:
-  // an unreadable entry anywhere outranks every check verdict.
-  const uint64_t scan_from = resume != nullptr ? resume->watermark + 1 : run.first_seq;
-  uint64_t next = scan_from;  // Seq position of the next entry scanned.
-  uint64_t entry_wire_bytes = 0;
+  // The one forward scan of the new entries.
+  const uint64_t from = next_;
   std::exception_ptr visit_err;  // Thrown by the checks, not by the source.
-  std::optional<std::string> unreadable;
   try {
-    if (scan_from <= last) {
-      source.Scan(scan_from, last, [&](const LogEntry& e) {
+    if (from <= last_seq) {
+      source_.Scan(from, last_seq, [&](const LogEntry& e) {
         try {
-          entry_wire_bytes += e.WireSize();
-          if (fill == chunk.size()) {
-            chunk.push_back(e);
+          entry_wire_bytes_ += e.WireSize();
+          if (fill_ == chunk_.size()) {
+            chunk_.push_back(e);
           } else {
-            chunk[fill] = e;
+            chunk_[fill_] = e;
           }
-          fill++;
-          if (fill >= chunk_entries || next == last ||
-              (run.boundary_every > 0 && next % run.boundary_every == 0)) {
-            process_chunk(next);
+          fill_++;
+          if (fill_ >= chunk_entries_ || next_ == last_seq ||
+              (run_.boundary_every > 0 && next_ % run_.boundary_every == 0)) {
+            ProcessChunk(next_);
           }
         } catch (...) {
           visit_err = std::current_exception();
           return false;
         }
-        next++;
+        next_++;
         return true;
       });
     }
   } catch (const std::runtime_error& e) {
     // Store-layer corruption (CRC mismatch, truncated segment, ...).
-    unreadable = e.what();
+    unreadable_ = e.what();
   } catch (...) {
-    join_replay();  // The task captures this frame's locals.
+    JoinReplay();  // The task reads this engine's chunk slots.
     throw;
   }
-  join_replay();
+  JoinReplay();
   if (visit_err != nullptr) {
     std::rethrow_exception(visit_err);
   }
-  if (run.entries_checked != nullptr) {
-    // Entries still in `chunk` were read but never reached the checks.
-    *run.entries_checked = next - scan_from - fill;
+  if (run_.entries_checked != nullptr) {
+    // Entries still in the chunk were read but never reached the checks.
+    *run_.entries_checked = next_ - scan_from_ - fill_;
   }
-  if (!unreadable.has_value() && next <= last) {
-    unreadable = "log ends before seq " + std::to_string(next);
+  if (!unreadable_.has_value() && next_ <= last_seq) {
+    unreadable_ = "log ends before seq " + std::to_string(next_);
   }
-  if (unreadable.has_value()) {
-    return UnreadableSourceOutcome(*unreadable);
-  }
+}
 
-  out.syntactic_seconds = syn_seconds;
-  out.log_bytes = LogSegment::SerializedSize(node, entry_wire_bytes);
+void AuditEngine::AttachEvidence(AuditOutcome& out, EvidenceKind kind,
+                                 const std::string& claim) const {
+  if (run_.accused == nullptr) {
+    return;
+  }
   // Evidence ships the whole audited segment; this second read can hit
   // a store that broke after the scan, which must still surface as an
   // unreadable outcome, not an exception.
-  auto attach_evidence = [&](EvidenceKind kind, const std::string& claim) {
-    if (run.accused == nullptr) {
-      return;
-    }
-    Evidence ev;
-    ev.kind = kind;
-    ev.accused = run.accused->id();
-    ev.claim = claim;
-    try {
-      ev.segment = source.Extract(run.first_seq, last).Serialize();
-    } catch (const std::runtime_error& e) {
-      out = UnreadableSourceOutcome(e.what());
-      return;
-    }
-    for (const Authenticator& a : auths) {
-      ev.auths.push_back(a.Serialize());
-    }
-    ev.mem_size = cfg.mem_size;
-    out.evidence = std::move(ev);
-  };
+  Evidence ev;
+  ev.kind = kind;
+  ev.accused = run_.accused->id();
+  ev.claim = claim;
+  try {
+    ev.segment = source_.Extract(run_.first_seq, last_).Serialize();
+  } catch (const std::runtime_error& e) {
+    out = UnreadableSourceOutcome(e.what());
+    return;
+  }
+  for (const Authenticator& a : auths_) {
+    ev.auths.push_back(a.Serialize());
+  }
+  ev.mem_size = cfg_.mem_size;
+  out.evidence = std::move(ev);
+}
 
-  out.syntactic = checker.Finalize();
-  if (!out.syntactic.ok) {
-    attach_evidence(EvidenceKind::kProtocolViolation, out.syntactic.reason);
+AuditOutcome AuditEngine::Outcome(bool end_of_log) {
+  AuditOutcome out;
+  if (last_ < run_.first_seq) {
+    out.syntactic = CheckResult::Fail("empty segment");
     return out;
   }
-  if (!run.replay) {
+  if (unreadable_.has_value()) {
+    return UnreadableSourceOutcome(*unreadable_);
+  }
+  out.syntactic_seconds = syn_seconds_;
+  out.log_bytes = LogSegment::SerializedSize(source_.node(), entry_wire_bytes_);
+  out.syntactic = checker_.Finalize(end_of_log);
+  if (!out.syntactic.ok) {
+    AttachEvidence(out, EvidenceKind::kProtocolViolation, out.syntactic.reason);
+    return out;
+  }
+  if (!run_.replay) {
     out.ok = true;
     return out;
   }
-  if (replay_err != nullptr) {
-    std::rethrow_exception(replay_err);
+  if (replay_err_ != nullptr) {
+    std::rethrow_exception(replay_err_);
   }
-  {
+  if (end_of_log) {
     WallTimer finish_timer;
     obs::Span finish_span(obs::kPhaseAuditReplay, "audit");
-    out.semantic = replayer->Finish();
-    out.semantic_seconds = sem_seconds + finish_timer.ElapsedSeconds();
+    out.semantic = replayer_->Finish();
+    sem_seconds_ += finish_timer.ElapsedSeconds();
+  } else {
+    out.semantic = replayer_->result();
   }
+  out.semantic_seconds = sem_seconds_;
   out.ok = out.semantic.ok;
   if (!out.ok) {
-    attach_evidence(EvidenceKind::kReplayDivergence, out.semantic.reason);
+    AttachEvidence(out, EvidenceKind::kReplayDivergence, out.semantic.reason);
   }
   return out;
+}
+
+AuditOutcome RunAuditEngine(const SegmentSource& source, std::span<const Authenticator> auths,
+                            const KeyRegistry& registry, const AuditConfig& cfg, ThreadPool* pool,
+                            const AuditRun& run) {
+  AuditEngine engine(source, registry, cfg, pool, run);
+  engine.Advance(run.last_seq, auths);
+  return engine.Outcome(/*end_of_log=*/true);
 }
 
 }  // namespace avm

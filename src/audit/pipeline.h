@@ -1,15 +1,17 @@
 // The audit engine (§4.5): every full audit, spot check, checkpointed
-// audit and syntactic triage runs the one loop defined here.
+// audit, syntactic triage and online poll runs the one loop defined
+// here.
 //
 // A §4.5 audit is a syntactic check (hash chain, authenticators,
 // message stream, attested inputs) followed by a semantic check
 // (deterministic replay); a §3.5 spot check is the same procedure
-// started from a verified snapshot. The engine reads the audited range
-// of a SegmentSource in one forward Scan, cuts it into
+// started from a verified snapshot, and a §6.11 online audit is the
+// same procedure run while the log still grows. The engine reads the
+// audited range of a SegmentSource in one forward Scan, cuts it into
 // AuditConfig::pipeline_chunk_entries chunks, and feeds each chunk to
 // a ChunkedSyntacticChecker and then to the one StreamingReplayer. Only
 // two chunks are ever materialized, so every audit streams in
-// O(chunk) memory, at every thread count. Two pieces:
+// O(chunk) memory, at every thread count. Three pieces:
 //
 //  * ChunkedSyntacticChecker: the syntactic check as an incremental
 //    consumer of entry runs. It records every failure category
@@ -21,19 +23,28 @@
 //    SyntacticMessageCheck -> VerifyAttestedInputs that VerifyEvidence
 //    runs as the independent third-party path.
 //
-//  * RunAuditEngine: the loop itself. Without a pool (threads=1, the
-//    reference) replay runs inline on the scanning thread; with one, it
-//    runs on a worker with one chunk in flight while the next chunk is
-//    checked. Verdicts are bit-for-bit identical either way.
+//  * AuditEngine: one run of the loop, which can be advanced in steps.
+//    Without a pool (threads=1, the reference) replay runs inline on
+//    the scanning thread; with one, it runs on a worker with one chunk
+//    in flight while the next chunk is checked. Verdicts are
+//    bit-for-bit identical either way.
+//
+//  * RunAuditEngine: an engine advanced once to the end of its range
+//    and finished. An online session (src/audit/online.h) advances one
+//    engine at every poll instead.
 #ifndef SRC_AUDIT_PIPELINE_H_
 #define SRC_AUDIT_PIPELINE_H_
 
+#include <cstdint>
+#include <exception>
 #include <functional>
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <span>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "src/audit/auditor.h"
@@ -44,26 +55,40 @@ namespace avm {
 
 class ChunkedSyntacticChecker {
  public:
-  // `auths` must outlive the checker. `first_seq`/`last_seq` bound the
-  // authenticator coverage exactly as VerifyAgainstAuthenticators does
-  // with the materialized segment; `prior_hash` is the chain hash the
-  // next fed entry must continue (Zero for a log audited from its head).
-  // The RSA signature of every covering authenticator is verified here,
-  // up front (fanned across `pool` when given), and consumed when its
-  // seq streams by. `strict_crossref` is MessageCheckState's
-  // strictness; attested inputs are checked iff
-  // InputAttestationRequired(node, registry).
-  ChunkedSyntacticChecker(const NodeId& node, uint64_t first_seq, uint64_t last_seq,
-                          const Hash256& prior_hash, std::span<const Authenticator> auths,
+  // `first_seq` is the first seq of the audited segment and
+  // `prior_hash` the chain hash the next fed entry must continue (Zero
+  // for a log audited from its head). `strict_crossref` is
+  // MessageCheckState's strictness; attested inputs are checked iff
+  // InputAttestationRequired(node, registry). An `open_ended` checker
+  // (an online session, covered again at every poll, with
+  // authenticators that may arrive after their seq streamed by) keeps
+  // the chain hash of every fed entry -- 32 bytes per entry -- so any
+  // later Cover() can resolve them, and remembers the signatures it
+  // found valid, so each is verified once.
+  ChunkedSyntacticChecker(const NodeId& node, uint64_t first_seq, const Hash256& prior_hash,
                           const KeyRegistry& registry, bool strict_crossref,
-                          ThreadPool* pool = nullptr);
+                          bool open_ended = false);
 
-  // The replay gate: some authenticator covers the segment and every
-  // covering signature is valid. Otherwise the verdict is a syntactic
-  // failure whatever the log holds -- a forged log, which anyone can
-  // chain-hash but only the accused machine can sign, must not buy a
-  // replay.
+  // Sets the authenticators that cover the segment [first_seq,
+  // last_seq], exactly as VerifyAgainstAuthenticators bounds them with
+  // the materialized segment. The RSA signature of each is verified
+  // here, up front (fanned across `pool` when given). Those at or behind
+  // the last fed entry are checked at once against the chain hashes
+  // verified so far; the rest are consumed when their seq streams by.
+  // A one-shot audit covers once; an online session covers again, with
+  // the authenticators collected so far, every time its range grows.
+  // Throws std::out_of_range if no verified chain hash is known for a
+  // covering seq behind the last fed entry.
+  void Cover(std::span<const Authenticator> auths, uint64_t last_seq, ThreadPool* pool);
+
+  // Every covering signature is valid (vacuously true without any).
+  // Otherwise the verdict is a syntactic failure whatever the log holds
+  // -- a forged log, which anyone can chain-hash but only the accused
+  // machine can sign, must not buy a replay.
   bool SignaturesValid() const;
+  // Some authenticator covers the segment: without one its
+  // authenticity cannot be established. An end-of-log check.
+  bool Covered() const { return !covering_.empty(); }
 
   // Consumes the next run of entries (in log order, continuing the
   // previous runs). With a pool, the run's chain links and per-message
@@ -76,8 +101,12 @@ class ChunkedSyntacticChecker {
   // be discarded).
   bool AnyFailure() const;
 
-  // The phase-priority verdict over everything fed so far.
-  CheckResult Finalize() const;
+  // The phase-priority verdict over everything fed so far. The checks
+  // that need the end of the log -- some authenticator covers the
+  // segment, and the message stream's Finalize (say, an unacked
+  // trailing SEND) -- run only with `end_of_log`; without, the verdict
+  // is the prefix's.
+  CheckResult Finalize(bool end_of_log) const;
 
   // ---- Checkpoint support (src/audit/checkpoint.h) ----
   // Chain hash of the last entry fed (h_S): what a checkpoint records
@@ -99,21 +128,21 @@ class ChunkedSyntacticChecker {
   // with this before it is resumed.
   static std::string ResumableStateError(ByteView state, const NodeId& node,
                                          const KeyRegistry& registry);
-  // Restores into a freshly constructed checker whose ctor received the
-  // checkpoint's chain hash as `prior_hash`. The checker then behaves
-  // as if entries 1..`watermark_seq` had been fed: covering
-  // authenticators at or behind the watermark are resolved against
-  // `auth_hashes` (the chain hashes verified when the checkpoint was
-  // written) under their span index, so the verdict is bit-for-bit the
-  // from-genesis one. Throws SerdeError on malformed input and
-  // std::out_of_range if `auth_hashes` misses a covering seq.
+  // Restores into a freshly constructed, not yet covered checker whose
+  // ctor received the checkpoint's chain hash as `prior_hash`. The
+  // checker then behaves as if entries 1..`watermark_seq` had been fed:
+  // Cover() resolves covering authenticators at or behind the watermark
+  // against `auth_hashes` (the chain hashes verified when the checkpoint
+  // was written) under their span index, so the verdict is bit-for-bit
+  // the from-genesis one. Throws SerdeError on malformed input.
   void RestoreResumableState(ByteView state, uint64_t watermark_seq,
                              const std::map<uint64_t, Hash256>& auth_hashes);
 
  private:
   struct CoveringAuth {
     uint64_t seq;
-    size_t index;  // Into auths_: the span order failures are reported in.
+    size_t index;  // Into the covered span: the order failures are reported in.
+    Hash256 hash;
     bool sig_ok;
     bool operator<(const CoveringAuth& o) const {
       return seq != o.seq ? seq < o.seq : index < o.index;
@@ -121,12 +150,13 @@ class ChunkedSyntacticChecker {
   };
 
   // Shared sig + hash check for one authenticator, whether its seq
-  // streamed by (Feed) or was resolved behind a resume watermark.
+  // streamed by (Feed) or lay behind the last fed entry when covered.
   void CheckAuthAt(const CoveringAuth& c, const Hash256& log_hash);
 
   const NodeId node_;
   const KeyRegistry& registry_;
-  std::span<const Authenticator> auths_;
+  const uint64_t first_seq_;
+  const bool open_ended_;
   Hash256 prior_hash_;  // Expected prior hash of the next entry.
   uint64_t expect_seq_ = 0;
   bool started_ = false;
@@ -140,7 +170,13 @@ class ChunkedSyntacticChecker {
   // next_auth_ is the first whose seq has not streamed by yet.
   std::vector<CoveringAuth> covering_;
   size_t next_auth_ = 0;
-  std::vector<std::pair<uint64_t, Hash256>> auth_hashes_;  // In seq order.
+  // Verified chain hashes in seq order: at every covering seq that
+  // streamed by or was restored from a checkpoint, and when open_ended_
+  // at every fed seq.
+  std::vector<std::pair<uint64_t, Hash256>> auth_hashes_;
+  // When open_ended_: (seq, hash, signature) of every authenticator
+  // whose signature verified.
+  std::set<std::tuple<uint64_t, Hash256, Bytes>> valid_sigs_;
 
   CheckResult chain_fail_;     // First chain-rule/seq failure, entry order.
   size_t auth_fail_idx_;       // Smallest failing authenticator span index.
@@ -162,11 +198,16 @@ struct AuditResume {
   std::map<uint64_t, Hash256> auth_hashes;
 };
 
+// The last_seq of an online session's run: its range grows with every
+// Advance(), and its checker keeps every verified chain hash.
+inline constexpr uint64_t kOpenEndedRun = UINT64_MAX;
+
 // What one engine run audits.
 struct AuditRun {
   // The audited segment [first_seq, last_seq]: it bounds authenticator
   // coverage and is what evidence ships. An empty range fails with
-  // "empty segment".
+  // "empty segment". kOpenEndedRun: the segment ends wherever the
+  // latest Advance() took it.
   uint64_t first_seq = 1;
   uint64_t last_seq = 0;
   Hash256 prior_hash;  // h_{first_seq-1}; Zero when first_seq == 1.
@@ -195,12 +236,81 @@ struct AuditRun {
   uint64_t* entries_checked = nullptr;
 };
 
-// Runs the audit of `run` over `source`: the authenticator signatures
-// (the replay gate), one forward Scan of the range, the chunked
-// syntactic check and replay, then the verdict, log_bytes and
-// evidence. A source that throws std::runtime_error while being read
-// yields the "log source unreadable" outcome. `pool` may be null
-// (everything on this thread); with one, replay overlaps the checks.
+// One run of the audit engine over `source`, advanced in steps: the
+// checker, the replayer and the chunk slots live here between steps.
+// `source`, `registry`, `pool` and whatever `run` points to must
+// outlive the engine.
+class AuditEngine {
+ public:
+  AuditEngine(const SegmentSource& source, const KeyRegistry& registry, const AuditConfig& cfg,
+              ThreadPool* pool, const AuditRun& run);
+  AuditEngine(const AuditEngine&) = delete;
+  AuditEngine& operator=(const AuditEngine&) = delete;
+  ~AuditEngine();
+
+  // Extends the audit to [first_seq, last_seq]: covers it with `auths`
+  // (their signatures are the replay gate; see
+  // ChunkedSyntacticChecker::Cover), then scans the new entries in one
+  // forward Scan, checking and replaying them chunk by chunk. The whole
+  // range is read even after a failure: an unreadable entry anywhere
+  // outranks every check verdict. `auths` must stay valid until the
+  // next Outcome().
+  void Advance(uint64_t last_seq, std::span<const Authenticator> auths);
+
+  // The verdict over everything advanced so far, with log_bytes and
+  // evidence. With `end_of_log`, the checks that need the end of the
+  // log run too -- coverage, the message stream's Finalize and the
+  // replayer's Finish -- and the engine is done; without, they wait,
+  // and the verdict is that of the prefix. A source that threw
+  // std::runtime_error while being read yields the "log source
+  // unreadable" outcome.
+  AuditOutcome Outcome(bool end_of_log);
+
+ private:
+  void ProcessChunk(uint64_t end_seq);
+  void Replay(std::span<const LogEntry> entries);
+  void JoinReplay();
+  bool ReplayWanted() const;
+  void AttachEvidence(AuditOutcome& out, EvidenceKind kind, const std::string& claim) const;
+
+  const SegmentSource& source_;
+  const AuditConfig cfg_;
+  ThreadPool* pool_;
+  const AuditRun run_;
+  ChunkedSyntacticChecker checker_;
+  // Heap-allocated: the replayer registers itself as the machine's
+  // device backend, so it must never move.
+  std::unique_ptr<StreamingReplayer> replayer_;
+  // With a pool, chunk i replays on a worker while this thread checks
+  // chunk i+1; without one, replay runs inline. Workers beyond the
+  // replay task fan each chunk's checks.
+  bool overlap_ = false;
+  ThreadPool* check_pool_ = nullptr;
+  size_t chunk_entries_ = 0;
+  bool replay_gate_ = false;
+  std::span<const Authenticator> auths_;  // Of the latest Advance().
+  uint64_t last_ = 0;                     // The range ends here so far.
+  uint64_t scan_from_ = 0;                // The first seq this engine scans.
+  uint64_t next_ = 0;                     // Seq of the next entry scanned.
+  // Entry slots are kept from chunk to chunk: each scanned entry is
+  // copy-assigned into the next slot, reusing its content buffer, and
+  // the first `fill_` slots are the chunk.
+  std::vector<LogEntry> chunk_;  // Being filled by the scan.
+  size_t fill_ = 0;
+  std::vector<LogEntry> inflight_;  // Being replayed by the worker task.
+  size_t inflight_fill_ = 0;
+  bool task_in_flight_ = false;
+  std::exception_ptr replay_err_;
+  std::optional<std::string> unreadable_;
+  uint64_t entry_wire_bytes_ = 0;
+  double syn_seconds_ = 0;
+  double sem_seconds_ = 0;
+};
+
+// Runs the audit of `run` over `source` in one step: an AuditEngine
+// advanced to run.last_seq, then its end-of-log Outcome. `pool` may be
+// null (everything on this thread); with one, replay overlaps the
+// checks.
 AuditOutcome RunAuditEngine(const SegmentSource& source, std::span<const Authenticator> auths,
                             const KeyRegistry& registry, const AuditConfig& cfg, ThreadPool* pool,
                             const AuditRun& run);
@@ -208,6 +318,19 @@ AuditOutcome RunAuditEngine(const SegmentSource& source, std::span<const Authent
 // The outcome of an audit whose source could not be read: no verdict
 // on the machine, no evidence. `what` says why.
 AuditOutcome UnreadableSourceOutcome(const std::string& what);
+
+// The prechecks of an audit from the reference image (AuditFull and
+// online sessions). VerifyReferenceImage is AuditConfig::verify_image's
+// static pass: it fills `out`'s image findings. DetectLogRewind finds a
+// signature-verified authenticator past the end of the served log --
+// the machine signed a commitment at seq X but cannot produce a log
+// containing it (§4.3) -- and returns the failed outcome with its
+// kProtocolViolation evidence; unverified signatures are skipped, so a
+// forged authenticator cannot frame the auditee.
+void VerifyReferenceImage(ByteView image, size_t mem_size, AuditOutcome* out);
+std::optional<AuditOutcome> DetectLogRewind(const Avmm& target, const SegmentSource& source,
+                                            std::span<const Authenticator> auths,
+                                            const KeyRegistry& registry, size_t mem_size);
 
 }  // namespace avm
 

@@ -35,7 +35,9 @@ class AdversarialSource final : public SegmentSource {
   // authenticator at or after `seq`, or by replay.
   void Equivocate(uint64_t seq);
   // Serve only the prefix 1..seq (the log "shrank": what a rewinding
-  // machine presents). OnlineAuditor surfaces this as kTargetRewound.
+  // machine presents). An online session that already audited past seq
+  // surfaces this as kTargetRewound; a full audit fails it when an
+  // authenticator commits past the new end.
   void RewindTo(uint64_t seq);
   // Drop entry `seq` entirely, resequence and rechain the tail: the
   // tampered continuation a machine hiding one event would serve.

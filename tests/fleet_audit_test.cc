@@ -814,7 +814,7 @@ TEST(FleetAudit, OnlinePollsTrackLagAndSurfaceRewind) {
   std::optional<FleetJobResult> r1 = service.Result(poll1);
   ASSERT_TRUE(r1.has_value());
   EXPECT_EQ(r1->online_status, OnlinePollStatus::kAdvanced);
-  EXPECT_TRUE(r1->online.ok);
+  EXPECT_TRUE(r1->outcome.ok) << r1->outcome.Describe();
   EXPECT_EQ(r1->online_lag_entries, 0u);
 
   shrinkable.ShrinkTo(fx.store->LastSeq() / 2);

@@ -20,6 +20,7 @@
 
 #include "src/audit/checkpoint.h"
 #include "src/audit/fleet.h"
+#include "src/audit/online.h"
 #include "src/audit/pipeline.h"
 #include "src/obs/metrics.h"
 #include "src/sim/scenario.h"
@@ -892,12 +893,16 @@ enum class Entry {
   kSpotCheck,
   kSpotCheckMany,
   kTriage,  // StreamingSyntacticCheck.
+  kOnline,   // OnlineAuditor::Poll.
   kFleetFull,
   kFleetSpot,
+  kFleetOnline,
 };
 constexpr Entry kEntries[] = {
-    Entry::kFullMemory,    Entry::kFullStore, Entry::kFullCheckpointed, Entry::kSpotCheck,
-    Entry::kSpotCheckMany, Entry::kTriage,    Entry::kFleetFull,        Entry::kFleetSpot,
+    Entry::kFullMemory, Entry::kFullStore,   Entry::kFullCheckpointed,
+    Entry::kSpotCheck,  Entry::kSpotCheckMany, Entry::kTriage,
+    Entry::kOnline,     Entry::kFleetFull,   Entry::kFleetSpot,
+    Entry::kFleetOnline,
 };
 
 const char* EntryName(Entry e) {
@@ -914,10 +919,14 @@ const char* EntryName(Entry e) {
       return "SpotCheckMany";
     case Entry::kTriage:
       return "StreamingSyntacticCheck";
+    case Entry::kOnline:
+      return "online poll";
     case Entry::kFleetFull:
       return "fleet full audit";
     case Entry::kFleetSpot:
       return "fleet spot check";
+    case Entry::kFleetOnline:
+      return "fleet online poll";
   }
   return "?";
 }
@@ -1011,7 +1020,8 @@ class AuditConfigTableTest : public EngineKvTest {
                                  : *store_);
     const std::pair<uint64_t, uint64_t> window = Windows().front();
     std::unique_ptr<FleetAuditService> fleet;
-    if (entry == Entry::kFleetFull || entry == Entry::kFleetSpot) {
+    if (entry == Entry::kFleetFull || entry == Entry::kFleetSpot ||
+        entry == Entry::kFleetOnline) {
       FleetAuditConfig fcfg;
       fcfg.workers = 1;
       fcfg.audit = cfg;
@@ -1056,12 +1066,19 @@ class AuditConfigTableTest : public EngineKvTest {
         outs.push_back(out);
         break;
       }
+      case Entry::kOnline: {
+        OnlineAuditor online(kv_->server(), &source, image, &kv_->registry(), cfg);
+        outs.push_back(online.Poll(auths_));
+        break;
+      }
       case Entry::kFleetFull:
-      case Entry::kFleetSpot: {
+      case Entry::kFleetSpot:
+      case Entry::kFleetOnline: {
         const uint64_t job =
-            entry == Entry::kFleetFull
-                ? fleet->SubmitFullAudit("kv/server")
-                : fleet->SubmitSpotCheck("kv/server", window.first, window.second);
+            entry == Entry::kFleetFull   ? fleet->SubmitFullAudit("kv/server")
+            : entry == Entry::kFleetSpot ? fleet->SubmitSpotCheck("kv/server", window.first,
+                                                                  window.second)
+                                         : fleet->SubmitOnlinePoll("kv/server");
         fleet->Drain();
         std::optional<FleetJobResult> r = fleet->Result(job);
         EXPECT_TRUE(r.has_value() && !r->job_error) << EntryName(entry);

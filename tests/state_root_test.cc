@@ -24,6 +24,7 @@
 #include "src/audit/pipeline.h"
 #include "src/audit/replayer.h"
 #include "src/avmm/snapshot.h"
+#include "src/avmm/transport.h"
 #include "src/sim/scenario.h"
 #include "src/vm/assembler.h"
 #include "src/vm/jit/jit.h"
@@ -287,6 +288,91 @@ TEST(GameRootTest, MemoryPokingCheatsReachEveryRecordedRoot) {
   }
 }
 
+// --- DMA delivery as the only memory writer ---------------------------------
+
+// Takes every packet in its IRQ handler and prints a word of it, and
+// never stores to memory (interrupt entry saves the pc in a register):
+// the NIC's DMA into RX_BUF is the only write to any page. In the kv
+// scenario RX_BUF shares its page with TX_BUF, which the server's own
+// reply stores dirty every snapshot interval, so a DMA write that missed
+// its dirty mark would be rehashed anyway and show in no root.
+constexpr char kDmaOnlyGuest[] = R"(
+    jmp main
+    jmp irqh
+irqh:
+    in r1, IRQ_CAUSE
+    in r2, NET_RXLEN
+    la r3, RX_BUF
+    lw r4, [r3+4]
+    out r4, DEBUG
+    out r0, NET_RXDONE
+    iret
+main:
+    movi r0, 0
+    ei
+loop:
+    addi r5, 1
+    jmp loop
+)";
+
+TEST(DmaRoots, DeliveryAloneReachesEveryRecordedAndReplayedRoot) {
+  Prng rng(5);
+  Signer signer("rx", SignatureScheme::kNone, rng);
+  Signer peer_signer("peer", SignatureScheme::kNone, rng);
+  KeyRegistry registry;
+  registry.RegisterSigner(signer);
+  registry.RegisterSigner(peer_signer);
+  SimNetwork net;
+  RunConfig cfg = RunConfig::AvmmNoSig();
+  cfg.rx_irq = true;
+  cfg.snapshot_interval = 2000;
+  const Bytes image = Assemble(kDmaOnlyGuest);
+  Avmm node("rx", cfg, image, &signer, &net, &registry);
+  node.AddPeer("rx");
+  RecordRootCheck check(node);
+
+  RunConfig plain = RunConfig::BareHw();
+  TamperEvidentLog sender_log("peer");
+  AuthenticatorStore sender_auths;
+  Transport sender("peer", &plain, &sender_log, &peer_signer, &net, &registry, &sender_auths);
+  net.AttachHost("peer", &sender);
+  SimTime now = 0;
+  for (int i = 0; i < 60; i++) {
+    if (i % 3 == 1) {
+      Bytes pkt;
+      for (uint32_t w = 0; w < 16; w++) {
+        PutU32(pkt, 0x1000u * static_cast<uint32_t>(i) + w);
+      }
+      sender.SendPacket(now, "rx", pkt);
+    }
+    net.DeliverUntil(now);
+    node.RunQuantum(now, 1000);
+    now += 1000;
+  }
+  node.Finish(now);
+  EXPECT_GE(node.stats().guest_packets_delivered, 15u);
+  EXPECT_GE(node.debug_values().size(), 15u);
+  EXPECT_GE(check.checked(), 25);
+
+  // After the base snapshot, a delivery between two snapshots dirtied
+  // exactly RX_BUF's page, and nothing else dirtied any.
+  std::vector<SnapshotIndexEntry> snaps = IndexSnapshots(node.log());
+  int rx_page_only = 0;
+  for (const SnapshotIndexEntry& s : snaps) {
+    if (s.meta.snapshot_id == 0) {
+      continue;
+    }
+    rx_page_only += s.meta.incremental_pages == 1 ? 1 : 0;
+    EXPECT_LE(s.meta.incremental_pages, 1u) << "snapshot " << s.meta.snapshot_id;
+  }
+  EXPECT_GE(rx_page_only, 10);
+
+  StreamingReplayer r(image, cfg.mem_size);
+  EXPECT_EQ(ReplayCheckingEveryRoot(r, WholeLog(node)), check.checked());
+  ReplayResult res = r.Finish();
+  EXPECT_TRUE(res.ok) << res.reason << " at seq " << res.diverged_seq;
+}
+
 // --- replayers that do not start from the image ---------------------------
 
 struct KvLogFixture : public ::testing::Test {
@@ -332,8 +418,8 @@ TEST_F(KvLogFixture, CheckpointBetweenTwoSnapshotChecksKeepsRootsExact) {
   ASSERT_TRUE(r.Checkpointable());
   EXPECT_FALSE(r.machine().CollectDirtyPages().empty());
 
-  ChunkedSyntacticChecker checker(kv.server().id(), 1, kv.server().log().LastSeq(),
-                                  Hash256::Zero(), {}, kv.registry(), /*strict_crossref=*/true);
+  ChunkedSyntacticChecker checker(kv.server().id(), 1, Hash256::Zero(), kv.registry(),
+                                  /*strict_crossref=*/true);
   AuditCheckpoint cp = CaptureAuditCheckpoint(kv.server().id(), "auditor", capture_seq, checker,
                                               r, /*signer=*/nullptr);
   ExpectReplayRootIsFull(r, "capture");
