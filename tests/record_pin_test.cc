@@ -228,5 +228,76 @@ INSTANTIATE_TEST_SUITE_P(Runs, RecordPin, ::testing::ValuesIn(kCases),
                            return std::string(tpi.param.name);
                          });
 
+// The fleet walks every world's nodes for SpillLogsTo, RunFor, Finish
+// and Auditees(): 2 games x 2 players + 1 kv pair, no signatures, fixed
+// seed. Each auditee line adds its global name, reference-image digest,
+// spilled store's last seq, and a digest of what collect_auths returns;
+// the kv clients are not auditees but are pinned too.
+std::string RecordFleet() {
+  std::string base = (fs::path(::testing::TempDir()) / "avm_pin_fleet").string();
+  fs::remove_all(base);
+  std::string out;
+  {
+    FleetScenarioConfig cfg;
+    cfg.run = RunConfig::AvmmNoSig();
+    cfg.num_games = 2;
+    cfg.players_per_game = 2;
+    cfg.num_kv = 1;
+    cfg.seed = 13;
+    cfg.game.client.render_iters = 300;
+    FleetScenario fleet(cfg);
+    fleet.Start();
+    fleet.SpillLogsTo(base);
+    fleet.RunFor(kMicrosPerSecond);
+    fleet.Finish();
+    for (int i = 0; i < fleet.num_games(); i++) {
+      out += Describe(fleet.game(i).server());
+      for (int p = 0; p < fleet.game(i).num_players(); p++) {
+        out += Describe(fleet.game(i).player(p));
+      }
+    }
+    for (int i = 0; i < fleet.num_kv(); i++) {
+      out += Describe(fleet.kv(i).server());
+      out += Describe(fleet.kv(i).client());
+    }
+    for (FleetScenario::AuditeeRef& a : fleet.Auditees()) {
+      Sha256 auths;
+      size_t n = 0;
+      for (const Authenticator& au : a.collect_auths()) {
+        auths.Update(au.Serialize());
+        n++;
+      }
+      out += a.global_name + " local=" + a.local_name + " seq=" +
+             std::to_string(a.avmm->log().LastSeq()) +
+             " image=" + Sha256::Digest(*a.reference_image).ShortHex() +
+             " store_seq=" + std::to_string(a.store->LastSeq()) + " auths=" + std::to_string(n) +
+             ":" + auths.Finish().ShortHex() + "\n";
+    }
+  }
+  fs::remove_all(base);
+  return out;
+}
+
+const char kFleetExpect[] =
+    "server seq=14026 head=be6a949313f4fbc9dc6956e1400101139f5c36a1084bd7e2ba896b70b988c80e acks_sent=328 retransmits=0 duplicates=0 frames_deferred=0 batch_commits_signed=0 peer_commits_verified=0 durable_deferred_frames=0 durable_deferred_commits=0 durable_forced_flushes=0\n"
+    "player1 seq=20286 head=da0073b07dd0f845ac19646fa1a96b5613440433fccbe9d12be906b991b72502 acks_sent=25 retransmits=0 duplicates=0 frames_deferred=0 batch_commits_signed=0 peer_commits_verified=0 durable_deferred_frames=0 durable_deferred_commits=0 durable_forced_flushes=0\n"
+    "player2 seq=20286 head=47190d329c9b452dab0284004d8a7464d408b704cb118be17efe3e54f7ed85ca acks_sent=25 retransmits=0 duplicates=0 frames_deferred=0 batch_commits_signed=0 peer_commits_verified=0 durable_deferred_frames=0 durable_deferred_commits=0 durable_forced_flushes=0\n"
+    "server seq=14026 head=69528feb4b50a54c49631a7edc59fe5e171f7ffadac7409f297670fb641817c9 acks_sent=328 retransmits=0 duplicates=0 frames_deferred=0 batch_commits_signed=0 peer_commits_verified=0 durable_deferred_frames=0 durable_deferred_commits=0 durable_forced_flushes=0\n"
+    "player1 seq=20285 head=4b355896f74d260dd86e38bd85faac8fc0701bc35e9d40789f5f02f8625b3d51 acks_sent=25 retransmits=0 duplicates=0 frames_deferred=0 batch_commits_signed=0 peer_commits_verified=0 durable_deferred_frames=0 durable_deferred_commits=0 durable_forced_flushes=0\n"
+    "player2 seq=20286 head=6d8e9b88f0c4deba59cf5077374d6efa4a39c24bf543cddf1d07429e688b576a acks_sent=25 retransmits=0 duplicates=0 frames_deferred=0 batch_commits_signed=0 peer_commits_verified=0 durable_deferred_frames=0 durable_deferred_commits=0 durable_forced_flushes=0\n"
+    "kvserver seq=2997 head=1d6d731bffe93033b3e9be4e1ca4db3c5baca1e40ac62cb3e14fda9af1b51eb3 acks_sent=499 retransmits=0 duplicates=0 frames_deferred=0 batch_commits_signed=0 peer_commits_verified=0 durable_deferred_frames=0 durable_deferred_commits=0 durable_forced_flushes=0\n"
+    "kvclient seq=35799 head=3fddd21a7cd29bdfe873a2ef80c0cbfe6fdb31904ffdebae3ebbd3e935d9a95a acks_sent=499 retransmits=0 duplicates=0 frames_deferred=0 batch_commits_signed=0 peer_commits_verified=0 durable_deferred_frames=0 durable_deferred_commits=0 durable_forced_flushes=0\n"
+    "g0/server local=server seq=14026 image=84af87ba store_seq=14026 auths=379:9c45d746\n"
+    "g0/player1 local=player1 seq=20286 image=3ac390d0 store_seq=20286 auths=190:0a5db630\n"
+    "g0/player2 local=player2 seq=20286 image=3ac390d0 store_seq=20286 auths=190:13c8ecee\n"
+    "g1/server local=server seq=14026 image=84af87ba store_seq=14026 auths=379:186c19ea\n"
+    "g1/player1 local=player1 seq=20285 image=3ac390d0 store_seq=20285 auths=190:9f510f82\n"
+    "g1/player2 local=player2 seq=20286 image=3ac390d0 store_seq=20286 auths=190:12852365\n"
+    "kv0/kvserver local=kvserver seq=2997 image=634d264e store_seq=2997 auths=999:2973623f\n";
+
+TEST(RecordPinFleet, LogsAuthsAndStoresMatchRecorded) {
+  EXPECT_EQ(RecordFleet(), kFleetExpect);
+}
+
 }  // namespace
 }  // namespace avm
