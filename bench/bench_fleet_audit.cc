@@ -16,6 +16,7 @@
 #include "bench/bench_common.h"
 #include "src/audit/checkpoint.h"
 #include "src/audit/fleet.h"
+#include "src/obs/export.h"
 #include "src/sim/scenario.h"
 #include "src/store/log_store.h"
 
@@ -165,9 +166,9 @@ void RunShardSweep(BenchJson& json) {
     // snapshot, and a Perfetto-loadable Chrome trace of this run's
     // spans. Overwritten per sweep point; the last (largest) run wins.
     std::string export_err;
-    if (!service.ExportPrometheus("OBS_fleet_audit.prom", &export_err) ||
-        !service.ExportSnapshotJson("OBS_fleet_audit.snapshot.json", &export_err) ||
-        !service.ExportChromeTrace("OBS_fleet_audit.trace.json", &export_err)) {
+    if (!obs::WritePrometheus("OBS_fleet_audit.prom", &export_err) ||
+        !obs::WriteSnapshotJson("OBS_fleet_audit.snapshot.json", &export_err) ||
+        !obs::WriteChromeTrace("OBS_fleet_audit.trace.json", &export_err)) {
       std::fprintf(stderr, "  OBS EXPORT FAILED: %s\n", export_err.c_str());
     }
     FleetStats stats = service.stats();

@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "src/avmm/recorder.h"
-#include "src/obs/export.h"
 #include "src/obs/trace.h"
 #include "src/util/threadpool.h"
 
@@ -271,26 +270,6 @@ FleetStats FleetAuditService::stats() const {
     s.last_error = last_error_;
   }
   return s;
-}
-
-std::string FleetAuditService::MetricsPrometheus() const {
-  return obs::PrometheusText(obs::Registry::Global().Snapshot());
-}
-
-std::string FleetAuditService::MetricsSnapshotJson() const {
-  return obs::SnapshotJson();
-}
-
-bool FleetAuditService::ExportPrometheus(const std::string& path, std::string* error) const {
-  return obs::WritePrometheus(path, error);
-}
-
-bool FleetAuditService::ExportSnapshotJson(const std::string& path, std::string* error) const {
-  return obs::WriteSnapshotJson(path, error);
-}
-
-bool FleetAuditService::ExportChromeTrace(const std::string& path, std::string* error) const {
-  return obs::WriteChromeTrace(path, error);
 }
 
 bool FleetAuditService::PickJob(Auditee** auditee, Job* job, bool* degraded,

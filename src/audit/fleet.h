@@ -242,13 +242,6 @@ class FleetAuditService {
   // Compatibility view: rebuilt from this instance's registry counters.
   FleetStats stats() const;
 
-  // Telemetry exporters (process-wide registry + trace buffer).
-  std::string MetricsPrometheus() const;
-  std::string MetricsSnapshotJson() const;
-  bool ExportPrometheus(const std::string& path, std::string* error = nullptr) const;
-  bool ExportSnapshotJson(const std::string& path, std::string* error = nullptr) const;
-  bool ExportChromeTrace(const std::string& path, std::string* error = nullptr) const;
-
  private:
   struct Job {
     uint64_t id = 0;

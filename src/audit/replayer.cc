@@ -354,9 +354,7 @@ ReplayResult StreamingReplayer::Feed(std::span<const LogEntry> entries) {
   }
   Pump();
   result_.replay_seconds += timer.ElapsedSeconds();
-  result_.replay_icount = machine_.cpu().icount;
-  result_.instructions_replayed = machine_.cpu().icount - start_icount_;
-  return result_;
+  return Result();
 }
 
 ReplayResult StreamingReplayer::Finish() {
@@ -364,7 +362,15 @@ ReplayResult StreamingReplayer::Finish() {
   if (result_.ok && !pending_.empty()) {
     Diverge("log ended with unconsumed events", pending_.front().seq);
   }
-  result_.replay_icount = machine_.cpu().icount;
+  return Result();
+}
+
+ReplayResult StreamingReplayer::Result() {
+  if (result_.ok) {
+    // After a divergence, replay_icount stays where Diverge put it: where
+    // the machine stopped later depends on how the log was chunked.
+    result_.replay_icount = machine_.cpu().icount;
+  }
   result_.instructions_replayed = machine_.cpu().icount - start_icount_;
   return result_;
 }

@@ -28,7 +28,7 @@ struct ReplayResult {
   bool ok = true;
   std::string reason;          // First divergence, empty when ok.
   uint64_t diverged_seq = 0;   // Log entry where the divergence surfaced.
-  uint64_t replay_icount = 0;  // Machine icount at the end of replay.
+  uint64_t replay_icount = 0;  // Icount at the divergence, else at the end of replay.
   uint64_t instructions_replayed = 0;
   double replay_seconds = 0;
 
@@ -94,6 +94,7 @@ class StreamingReplayer : public DeviceBackend {
 
   void Pump();  // Replays while pending items allow progress.
   void Diverge(std::string why, uint64_t seq);
+  ReplayResult Result();  // The cumulative status, icounts brought up to date.
   // Runs the machine to `target` icount; any port activity on the way is
   // validated against the pending stream by the backend callbacks.
   bool RunTo(uint64_t target, uint64_t ctx_seq);

@@ -22,9 +22,9 @@
 namespace avm {
 namespace obs {
 
-// Runtime gate for spans, trace buffering and gauge sampling. Cheap
-// always-on counters/gauges are NOT gated (they back the Stats
-// compatibility views). Default off.
+// Runtime gate for spans and trace buffering. Cheap always-on
+// counters/gauges are NOT gated (they back the Stats compatibility
+// views). Default off.
 bool Enabled();
 void SetEnabled(bool on);
 

@@ -8,59 +8,133 @@
 
 namespace avm {
 
-GameScenario::GameScenario(GameScenarioConfig cfg)
-    : cfg_(std::move(cfg)), rng_(cfg_.seed),
-      net_(chaos::DeriveSeed(cfg_.seed, "game-net")) {
+ScenarioWorld::ScenarioWorld(const RunConfig& run, uint64_t seed, const char* net_stream,
+                             SimTime quantum_us, chaos::FaultInjector* chaos)
+    : run_(run), quantum_us_(quantum_us), rng_(seed), net_(chaos::DeriveSeed(seed, net_stream)) {
   // One root seed: the network's loss stream and every chaos RNG derive
-  // from cfg.seed, so a failing run reproduces from that one number.
-  net_.SetFaultInjector(cfg_.chaos);
+  // from it, so a failing run reproduces from that one number.
+  net_.SetFaultInjector(chaos);
 }
 
-GameScenario::~GameScenario() = default;
+void ScenarioWorld::Start(std::vector<NodeId> peer_order) {
+  if (started()) {
+    throw std::logic_error("ScenarioWorld::Start: already started");
+  }
+  peer_order_ = std::move(peer_order);
+  // Keys: every party has a certified keypair (§4.1 assumption 3).
+  for (const NodeId& id : peer_order_) {
+    signers_.push_back(std::make_unique<Signer>(id, run_.scheme, rng_));
+    registry_.RegisterSigner(*signers_.back());
+  }
+}
+
+Avmm& ScenarioWorld::AddNode(const RunConfig& run, ByteView image, uint64_t rng_seed,
+                             const Bytes* reference_image) {
+  size_t index = nodes_.size();
+  auto node = std::make_unique<Avmm>(peer_order_.at(index), run, image, signers_[index].get(),
+                                     &net_, &registry_, rng_seed);
+  for (const NodeId& p : peer_order_) {
+    node->AddPeer(p);
+  }
+  nodes_.push_back({std::move(node), reference_image});
+  return *nodes_.back().avmm;
+}
+
+void ScenarioWorld::RunFor(SimTime duration) {
+  if (!started()) {
+    throw std::logic_error("ScenarioWorld::RunFor: call Start() first");
+  }
+  SimTime end = now_ + duration;
+  while (now_ < end) {
+    net_.DeliverUntil(now_);
+    if (turn_hook_) {
+      turn_hook_(now_);
+    }
+    for (Node& n : nodes_) {
+      n.avmm->RunQuantum(now_, quantum_us_);
+    }
+    now_ += quantum_us_;
+  }
+}
+
+void ScenarioWorld::Finish() {
+  net_.DeliverUntil(now_);
+  if (!run_.TamperEvident()) {
+    return;
+  }
+  for (Node& n : nodes_) {
+    n.avmm->Finish(now_);
+  }
+  if (run_.BatchedSigning() || run_.durable_commit) {
+    // Deliver the final kCommit frames (and any durably deferred
+    // data/acks) so every node's pending RECV/ACK entries are sealed
+    // (and logged as PeerCommitRecords) before anyone is audited.
+    // The plain sync path is untouched.
+    net_.DeliverUntil(now_ + kMicrosPerSecond);
+    // Frames delivered during the settle appended entries and may
+    // have enqueued fresh sign work past Finish()'s barrier; drain
+    // before anyone Seal()s a store underneath a busy signer.
+    for (Node& n : nodes_) {
+      n.avmm->DrainPending(now_ + kMicrosPerSecond);
+    }
+    net_.DeliverUntil(now_ + 2 * kMicrosPerSecond);
+    for (Node& n : nodes_) {
+      n.avmm->log().FlushSink();
+    }
+  }
+}
+
+std::vector<Authenticator> ScenarioWorld::CollectAuths(const NodeId& target) const {
+  const Avmm& accused = node(target);
+  std::vector<Authenticator> out;
+  for (const Node& n : nodes_) {
+    if (n.avmm.get() != &accused) {
+      std::vector<Authenticator> held = n.avmm->auth_store().AllFor(target);
+      out.insert(out.end(), held.begin(), held.end());
+    }
+  }
+  // Ask the target to commit to its current log end (covers the tail).
+  out.push_back(accused.CommitLog());
+  return out;
+}
+
+Avmm& ScenarioWorld::node(const NodeId& id) const {
+  for (const Node& n : nodes_) {
+    if (n.avmm->id() == id) {
+      return *n.avmm;
+    }
+  }
+  throw std::out_of_range("ScenarioWorld: unknown node " + id);
+}
+
+// -------------------------------------------------------------- Game ----
+
+GameScenario::GameScenario(GameScenarioConfig cfg)
+    : cfg_(std::move(cfg)),
+      world_(cfg_.run, cfg_.seed, "game-net", cfg_.quantum_us, cfg_.chaos) {}
 
 NodeId GameScenario::player_id(int index) const {
   return "player" + std::to_string(index + 1);
 }
 
 void GameScenario::SetCheat(int player_index, RunnableCheat cheat) {
-  if (started_) {
+  if (world_.started()) {
     throw std::logic_error("GameScenario::SetCheat: scenario already started");
   }
   cheats_[player_index] = cheat;
 }
 
 void GameScenario::Start() {
-  if (started_) {
-    throw std::logic_error("GameScenario::Start: already started");
-  }
-  started_ = true;
-
   reference_client_image_ = BuildGameClientImage(cfg_.client);
   reference_server_image_ = BuildGameServerImage(cfg_.server);
 
   // Peer order (defines guest-visible indices): server, player1, ...
-  std::vector<NodeId> order;
-  order.push_back("server");
+  std::vector<NodeId> order = {"server"};
   for (int i = 0; i < cfg_.num_players; i++) {
     order.push_back(player_id(i));
   }
-
-  // Keys: every party has a certified keypair (§4.1 assumption 3).
-  for (const NodeId& id : order) {
-    signers_.push_back(std::make_unique<Signer>(id, cfg_.run.scheme, rng_));
-    registry_.RegisterSigner(*signers_.back());
-  }
-
-  auto make_node = [&](const NodeId& id, ByteView image, const Signer* signer,
-                       uint64_t seed) -> std::unique_ptr<Avmm> {
-    auto node = std::make_unique<Avmm>(id, cfg_.run, image, signer, &net_, &registry_, seed);
-    for (const NodeId& p : order) {
-      node->AddPeer(p);
-    }
-    return node;
-  };
-
-  server_ = make_node("server", reference_server_image_, signers_[0].get(), cfg_.seed * 131 + 1);
+  world_.Start(std::move(order));
+  world_.AddNode(cfg_.run, reference_server_image_, cfg_.seed * 131 + 1, &reference_server_image_);
 
   input_state_.resize(static_cast<size_t>(cfg_.num_players));
   for (int i = 0; i < cfg_.num_players; i++) {
@@ -73,10 +147,10 @@ void GameScenario::Start() {
       p.variant = *variant;
       image = BuildGameClientImage(p);
     }
-    auto node = make_node(player_id(i), image, signers_[static_cast<size_t>(i) + 1].get(),
-                          cfg_.seed * 131 + 7 + static_cast<uint64_t>(i));
+    Avmm& node = world_.AddNode(cfg_.run, image, cfg_.seed * 131 + 7 + static_cast<uint64_t>(i),
+                                &reference_client_image_);
     if (auto hook = MakeCheatHook(cheat)) {
-      node->SetCheatHook(*hook);
+      node.SetCheatHook(*hook);
     }
     InputState& is = input_state_[static_cast<size_t>(i)];
     is.rng = Prng(cfg_.seed * 977 + static_cast<uint64_t>(i));
@@ -85,19 +159,19 @@ void GameScenario::Start() {
     if (cfg_.attested_input) {
       // The keyboard's keypair lives with the (trusted) device, not the
       // machine; its public key is certified in the registry.
-      is.attestor = std::make_unique<InputAttestor>(player_id(i), cfg_.run.scheme, rng_);
-      registry_.RegisterSigner(is.attestor->signer());
+      is.attestor = std::make_unique<InputAttestor>(player_id(i), cfg_.run.scheme, world_.rng());
+      world_.registry().RegisterSigner(is.attestor->signer());
     }
 
     // The guest learns its peer index through the (recorded) input stream.
     uint32_t id_code = static_cast<uint32_t>(i + 1);
     if (is.attestor) {
-      node->PushInput(id_code, is.attestor->Attest(id_code).Serialize());
+      node.PushInput(id_code, is.attestor->Attest(id_code).Serialize());
     } else {
-      node->PushInput(id_code);
+      node.PushInput(id_code);
     }
-    players_.push_back(std::move(node));
   }
+  world_.SetTurnHook([this](SimTime now) { PumpInputs(now); });
 }
 
 void GameScenario::PumpInputs(SimTime upto) {
@@ -115,11 +189,11 @@ void GameScenario::PumpInputs(SimTime upto) {
                    : static_cast<uint32_t>(is.rng.Range(kInputUp, kInputRight));
       }
       if (is.attestor && !is.forged_autofire) {
-        players_[static_cast<size_t>(i)]->PushInput(code, is.attestor->Attest(code).Serialize());
+        player(i).PushInput(code, is.attestor->Attest(code).Serialize());
       } else {
         // Forged inputs come from a program outside the AVM: it has no
         // access to the device's signing key (§7.2's threat model).
-        players_[static_cast<size_t>(i)]->PushInput(code);
+        player(i).PushInput(code);
       }
       SimTime gap = is.rng.Range(cfg_.input_mean_gap_us / 2, cfg_.input_mean_gap_us * 3 / 2);
       if (is.forged_autofire) {
@@ -130,88 +204,12 @@ void GameScenario::PumpInputs(SimTime upto) {
   }
 }
 
-void GameScenario::RunFor(SimTime duration) {
-  if (!started_) {
-    throw std::logic_error("GameScenario::RunFor: call Start() first");
-  }
-  SimTime end = now_ + duration;
-  while (now_ < end) {
-    net_.DeliverUntil(now_);
-    PumpInputs(now_);
-    server_->RunQuantum(now_, cfg_.quantum_us);
-    for (auto& p : players_) {
-      p->RunQuantum(now_, cfg_.quantum_us);
-    }
-    now_ += cfg_.quantum_us;
-  }
-}
-
-void GameScenario::Finish() {
-  net_.DeliverUntil(now_);
-  if (cfg_.run.TamperEvident()) {
-    server_->Finish(now_);
-    for (auto& p : players_) {
-      p->Finish(now_);
-    }
-    if (cfg_.run.BatchedSigning() || cfg_.run.durable_commit) {
-      // Deliver the final kCommit frames (and any durably deferred
-      // data/acks) so every node's pending RECV/ACK entries are sealed
-      // (and logged as PeerCommitRecords) before anyone is audited.
-      // The plain sync path is untouched.
-      net_.DeliverUntil(now_ + kMicrosPerSecond);
-      // Frames delivered during the settle appended entries and may
-      // have enqueued fresh sign work past Finish()'s barrier; drain
-      // before anyone Seal()s a store underneath a busy signer.
-      server_->DrainPending(now_ + kMicrosPerSecond);
-      for (auto& p : players_) {
-        p->DrainPending(now_ + kMicrosPerSecond);
-      }
-      net_.DeliverUntil(now_ + 2 * kMicrosPerSecond);
-      server_->log().FlushSink();
-      for (auto& p : players_) {
-        p->log().FlushSink();
-      }
-    }
-  }
-}
-
-Avmm& GameScenario::NodeById(const NodeId& id) const {
-  if (server_->id() == id) {
-    return *server_;
-  }
-  for (const auto& p : players_) {
-    if (p->id() == id) {
-      return *p;
-    }
-  }
-  throw std::out_of_range("GameScenario: unknown node " + id);
-}
-
-std::vector<Authenticator> GameScenario::CollectAuths(const NodeId& target) const {
-  std::vector<Authenticator> out;
-  auto gather = [&](const Avmm& node) {
-    if (node.id() == target) {
-      return;
-    }
-    for (const Authenticator& a : node.auth_store().AllFor(target)) {
-      out.push_back(a);
-    }
-  };
-  gather(*server_);
-  for (const auto& p : players_) {
-    gather(*p);
-  }
-  // Ask the target to commit to its current log end (covers the tail).
-  out.push_back(NodeById(target).CommitLog());
-  return out;
-}
-
 AuditOutcome GameScenario::AuditPlayer(int player_index) {
   const Avmm& target = player(player_index);
   std::vector<Authenticator> auths = CollectAuths(target.id());
   AuditConfig acfg;
   acfg.mem_size = cfg_.run.mem_size;
-  Auditor auditor("auditor", &registry_, acfg);
+  Auditor auditor("auditor", &world_.registry(), acfg);
   return auditor.AuditFull(target, InMemorySegmentSource(target.log()), reference_client_image_,
                            auths);
 }
@@ -219,87 +217,23 @@ AuditOutcome GameScenario::AuditPlayer(int player_index) {
 // ---------------------------------------------------------------- KV ----
 
 KvScenario::KvScenario(KvScenarioConfig cfg)
-    : cfg_(std::move(cfg)), rng_(cfg_.seed),
-      net_(chaos::DeriveSeed(cfg_.seed, "kv-net")) {
-  net_.SetFaultInjector(cfg_.chaos);
-}
-
-KvScenario::~KvScenario() = default;
+    : cfg_(std::move(cfg)), world_(cfg_.run, cfg_.seed, "kv-net", cfg_.quantum_us, cfg_.chaos) {}
 
 void KvScenario::Start() {
-  if (started_) {
-    throw std::logic_error("KvScenario::Start: already started");
-  }
-  started_ = true;
   reference_server_image_ = BuildKvServerImage(cfg_.server);
-  Bytes client_image = BuildKvClientImage(cfg_.client);
-
-  std::vector<NodeId> order = {"kvserver", "kvclient"};
-  for (const NodeId& id : order) {
-    signers_.push_back(std::make_unique<Signer>(id, cfg_.run.scheme, rng_));
-    registry_.RegisterSigner(*signers_.back());
-  }
+  world_.Start({"kvserver", "kvclient"});
 
   RunConfig server_cfg = cfg_.run;
   server_cfg.rx_irq = true;  // The server is interrupt-driven.
   server_cfg.snapshot_interval = cfg_.snapshot_interval;
-  server_ = std::make_unique<Avmm>("kvserver", server_cfg, reference_server_image_,
-                                   signers_[0].get(), &net_, &registry_, cfg_.seed * 31 + 1);
+  world_.AddNode(server_cfg, reference_server_image_, cfg_.seed * 31 + 1, &reference_server_image_);
 
+  // The client is a load generator, not an audit target.
   RunConfig client_cfg = cfg_.run;
   client_cfg.rx_irq = false;
-  client_ = std::make_unique<Avmm>("kvclient", client_cfg, client_image, signers_[1].get(), &net_,
-                                   &registry_, cfg_.seed * 31 + 2);
-
-  for (const NodeId& p : order) {
-    server_->AddPeer(p);
-    client_->AddPeer(p);
-  }
-  client_->PushInput(1);  // The client's peer index.
-}
-
-void KvScenario::RunFor(SimTime duration) {
-  if (!started_) {
-    throw std::logic_error("KvScenario::RunFor: call Start() first");
-  }
-  SimTime end = now_ + duration;
-  while (now_ < end) {
-    net_.DeliverUntil(now_);
-    server_->RunQuantum(now_, cfg_.quantum_us);
-    client_->RunQuantum(now_, cfg_.quantum_us);
-    now_ += cfg_.quantum_us;
-  }
-}
-
-void KvScenario::Finish() {
-  net_.DeliverUntil(now_);
-  if (cfg_.run.TamperEvident()) {
-    server_->Finish(now_);
-    client_->Finish(now_);
-    if (cfg_.run.BatchedSigning() || cfg_.run.durable_commit) {
-      net_.DeliverUntil(now_ + kMicrosPerSecond);
-      // Same post-settle barrier as GameScenario::Finish: drain sign
-      // work enqueued by the settled frames, then flush the sinks past
-      // the entries those deliveries appended.
-      server_->DrainPending(now_ + kMicrosPerSecond);
-      client_->DrainPending(now_ + kMicrosPerSecond);
-      net_.DeliverUntil(now_ + 2 * kMicrosPerSecond);
-      server_->log().FlushSink();
-      client_->log().FlushSink();
-    }
-  }
-}
-
-std::vector<Authenticator> KvScenario::CollectAuthsForServer() const {
-  return CollectAuths("kvserver");
-}
-
-std::vector<Authenticator> KvScenario::CollectAuths(const NodeId& target) const {
-  const Avmm& accused = target == server_->id() ? *server_ : *client_;
-  const Avmm& other = target == server_->id() ? *client_ : *server_;
-  std::vector<Authenticator> out = other.auth_store().AllFor(target);
-  out.push_back(accused.CommitLog());
-  return out;
+  Avmm& client = world_.AddNode(client_cfg, BuildKvClientImage(cfg_.client), cfg_.seed * 31 + 2,
+                                nullptr);
+  client.PushInput(1);  // The client's peer index.
 }
 
 // ------------------------------------------------------------- Fleet ----
@@ -326,6 +260,7 @@ void FleetScenario::Start() {
       }
     }
     game->Start();
+    worlds_.emplace_back("g" + std::to_string(i).append("/"), &game->world_);
     games_.push_back(std::move(game));
   }
   for (int i = 0; i < cfg_.num_kv; i++) {
@@ -335,6 +270,7 @@ void FleetScenario::Start() {
     kc.chaos = cfg_.chaos;
     auto kv = std::make_unique<KvScenario>(kc);
     kv->Start();
+    worlds_.emplace_back("kv" + std::to_string(i).append("/"), &kv->world_);
     kvs_.push_back(std::move(kv));
   }
 }
@@ -343,47 +279,36 @@ void FleetScenario::SpillLogsTo(const std::string& base_dir) {
   if (!started_) {
     throw std::logic_error("FleetScenario::SpillLogsTo: call Start() first");
   }
-  auto spill = [&](const NodeId& global, Avmm& node) {
-    std::string dir = (std::filesystem::path(base_dir) / global).string();
-    LogStoreOptions opts;
-    if (cfg_.chaos != nullptr) {
-      // Store faults are keyed on the *global* name, so a plan can break
-      // one auditee's store without touching its world siblings.
-      opts.fault_hook = cfg_.chaos->StoreHook(global);
+  for (const auto& [prefix, world] : worlds_) {
+    for (const ScenarioWorld::Node& n : world->nodes()) {
+      if (n.reference_image == nullptr) {
+        continue;
+      }
+      NodeId global = prefix + n.avmm->id();
+      LogStoreOptions opts;
+      if (cfg_.chaos != nullptr) {
+        // Store faults are keyed on the *global* name, so a plan can break
+        // one auditee's store without touching its world siblings.
+        opts.fault_hook = cfg_.chaos->StoreHook(global);
+      }
+      auto store = LogStore::Open((std::filesystem::path(base_dir) / global).string(),
+                                  n.avmm->id(), opts);
+      n.avmm->SpillTo(store.get());
+      store_by_name_[global] = store.get();
+      stores_.push_back(std::move(store));
     }
-    auto store = LogStore::Open(dir, node.id(), opts);
-    node.SpillTo(store.get());
-    store_by_name_[global] = store.get();
-    stores_.push_back(std::move(store));
-  };
-  for (int i = 0; i < cfg_.num_games; i++) {
-    GameScenario& g = *games_[static_cast<size_t>(i)];
-    std::string prefix = "g" + std::to_string(i) + "/";
-    spill(prefix + "server", g.server());
-    for (int p = 0; p < cfg_.players_per_game; p++) {
-      spill(prefix + g.player_id(p), g.player(p));
-    }
-  }
-  for (int i = 0; i < cfg_.num_kv; i++) {
-    spill("kv" + std::to_string(i) + "/kvserver", kvs_[static_cast<size_t>(i)]->server());
   }
 }
 
 void FleetScenario::RunFor(SimTime duration) {
-  for (auto& g : games_) {
-    g->RunFor(duration);
-  }
-  for (auto& kv : kvs_) {
-    kv->RunFor(duration);
+  for (const auto& [prefix, world] : worlds_) {
+    world->RunFor(duration);
   }
 }
 
 void FleetScenario::Finish() {
-  for (auto& g : games_) {
-    g->Finish();
-  }
-  for (auto& kv : kvs_) {
-    kv->Finish();
+  for (const auto& [prefix, world] : worlds_) {
+    world->Finish();
   }
   for (auto& store : stores_) {
     store->Flush();
@@ -392,46 +317,22 @@ void FleetScenario::Finish() {
 
 std::vector<FleetScenario::AuditeeRef> FleetScenario::Auditees() {
   std::vector<AuditeeRef> out;
-  auto store_for = [&](const NodeId& global) -> LogStore* {
-    auto it = store_by_name_.find(global);
-    return it == store_by_name_.end() ? nullptr : it->second;
-  };
-  for (int i = 0; i < cfg_.num_games; i++) {
-    GameScenario* g = games_[static_cast<size_t>(i)].get();
-    std::string prefix = "g" + std::to_string(i) + "/";
-    AuditeeRef server;
-    server.global_name = prefix + "server";
-    server.local_name = "server";
-    server.avmm = &g->server();
-    server.registry = &g->registry();
-    server.reference_image = &g->reference_server_image();
-    server.store = store_for(server.global_name);
-    server.collect_auths = [g] { return g->CollectAuths("server"); };
-    out.push_back(std::move(server));
-    for (int p = 0; p < cfg_.players_per_game; p++) {
-      AuditeeRef player;
-      player.global_name = prefix + g->player_id(p);
-      player.local_name = g->player_id(p);
-      player.avmm = &g->player(p);
-      player.registry = &g->registry();
-      player.reference_image = &g->reference_client_image();
-      player.store = store_for(player.global_name);
-      NodeId local = player.local_name;
-      player.collect_auths = [g, local] { return g->CollectAuths(local); };
-      out.push_back(std::move(player));
+  for (const auto& [prefix, world] : worlds_) {
+    for (const ScenarioWorld::Node& n : world->nodes()) {
+      if (n.reference_image == nullptr) {
+        continue;
+      }
+      AuditeeRef a;
+      a.global_name = prefix + n.avmm->id();
+      a.local_name = n.avmm->id();
+      a.avmm = n.avmm.get();
+      a.registry = &world->registry();
+      a.reference_image = n.reference_image;
+      auto it = store_by_name_.find(a.global_name);
+      a.store = it == store_by_name_.end() ? nullptr : it->second;
+      a.collect_auths = [w = world, local = a.local_name] { return w->CollectAuths(local); };
+      out.push_back(std::move(a));
     }
-  }
-  for (int i = 0; i < cfg_.num_kv; i++) {
-    KvScenario* kv = kvs_[static_cast<size_t>(i)].get();
-    AuditeeRef server;
-    server.global_name = "kv" + std::to_string(i) + "/kvserver";
-    server.local_name = "kvserver";
-    server.avmm = &kv->server();
-    server.registry = &kv->registry();
-    server.reference_image = &kv->reference_server_image();
-    server.store = store_for(server.global_name);
-    server.collect_auths = [kv] { return kv->CollectAuthsForServer(); };
-    out.push_back(std::move(server));
   }
   return out;
 }

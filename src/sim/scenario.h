@@ -28,6 +28,71 @@ namespace chaos {
 class FaultInjector;  // src/chaos/fault_plan.h
 }
 
+// The node set every scenario drives: one network, one key registry,
+// one signer per node, and the nodes in peer order (the order defines
+// guest-visible peer indices, signer creation and turn order). Internal
+// to src/sim: GameScenario and KvScenario configure one each, and
+// FleetScenario walks them all.
+class ScenarioWorld {
+ public:
+  // `run` is the scenario's RunConfig: it picks the signature scheme and
+  // whether Finish() settles the network. The network's loss stream
+  // derives from (seed, net_stream), as do the chaos RNGs.
+  ScenarioWorld(const RunConfig& run, uint64_t seed, const char* net_stream, SimTime quantum_us,
+                chaos::FaultInjector* chaos);
+
+  // Creates and registers one signer per node, in peer order.
+  void Start(std::vector<NodeId> peer_order);
+  // Builds the next node in peer order, with every node as its peer. A
+  // node with a reference image is an audit target; one without (a
+  // load generator) is not.
+  Avmm& AddNode(const RunConfig& run, ByteView image, uint64_t rng_seed,
+                const Bytes* reference_image);
+  // Called at the start of every turn, after delivery, before the nodes
+  // run (the game pumps player inputs here).
+  void SetTurnHook(std::function<void(SimTime)> hook) { turn_hook_ = std::move(hook); }
+
+  // Each turn: deliver due frames, run the turn hook, then one quantum
+  // on every node in peer order.
+  void RunFor(SimTime duration);
+  // Final snapshots + END markers, then (batched or durable commit) a
+  // settle that delivers the last commitments before anyone is audited.
+  void Finish();
+
+  // Every authenticator the other nodes hold about `target`, in peer
+  // order, plus a fresh end-of-log commitment from the target (what an
+  // auditor would collect in §4.6).
+  std::vector<Authenticator> CollectAuths(const NodeId& target) const;
+  // Throws std::out_of_range for an id not in the world.
+  Avmm& node(const NodeId& id) const;
+  Avmm& node(size_t index) const { return *nodes_.at(index).avmm; }
+
+  struct Node {
+    std::unique_ptr<Avmm> avmm;
+    const Bytes* reference_image = nullptr;  // Null: not an audit target.
+  };
+  const std::vector<Node>& nodes() const { return nodes_; }
+
+  bool started() const { return !peer_order_.empty(); }
+  SimTime now() const { return now_; }
+  Prng& rng() { return rng_; }
+  SimNetwork& network() { return net_; }
+  KeyRegistry& registry() { return registry_; }
+  const KeyRegistry& registry() const { return registry_; }
+
+ private:
+  RunConfig run_;
+  SimTime quantum_us_;
+  Prng rng_;
+  SimNetwork net_;
+  KeyRegistry registry_;
+  std::vector<NodeId> peer_order_;
+  std::vector<std::unique_ptr<Signer>> signers_;
+  std::vector<Node> nodes_;
+  std::function<void(SimTime)> turn_hook_;
+  SimTime now_ = 0;
+};
+
 struct GameScenarioConfig {
   RunConfig run = RunConfig::AvmmRsa768();
   int num_players = 3;  // Plus one dedicated server node.
@@ -55,7 +120,7 @@ struct GameScenarioConfig {
 class GameScenario {
  public:
   explicit GameScenario(GameScenarioConfig cfg);
-  ~GameScenario();
+  ~GameScenario() = default;
 
   // Installs a cheat for one player (0-based). Must precede Start().
   void SetCheat(int player_index, RunnableCheat cheat);
@@ -64,48 +129,43 @@ class GameScenario {
   void Start();
 
   // Advances the simulation. Callable repeatedly.
-  void RunFor(SimTime duration);
+  void RunFor(SimTime duration) { world_.RunFor(duration); }
 
   // Final snapshots + END markers.
-  void Finish();
+  void Finish() { world_.Finish(); }
 
-  SimTime now() const { return now_; }
+  SimTime now() const { return world_.now(); }
   int num_players() const { return cfg_.num_players; }
-  Avmm& server() { return *server_; }
-  Avmm& player(int index) { return *players_.at(index); }
-  const Avmm& player(int index) const { return *players_.at(index); }
+  Avmm& server() { return world_.node(0); }
+  Avmm& player(int index) { return world_.node(player_id(index)); }
+  const Avmm& player(int index) const { return world_.node(player_id(index)); }
   NodeId player_id(int index) const;
 
   const Bytes& reference_client_image() const { return reference_client_image_; }
   const Bytes& reference_server_image() const { return reference_server_image_; }
-  const KeyRegistry& registry() const { return registry_; }
-  SimNetwork& network() { return net_; }
+  const KeyRegistry& registry() const { return world_.registry(); }
+  SimNetwork& network() { return world_.network(); }
   const GameScenarioConfig& config() const { return cfg_; }
 
   // Gathers all authenticators every *other* node collected about
   // `target`, plus a fresh end-of-log commitment from the target itself
   // (what an auditor would collect in §4.6).
-  std::vector<Authenticator> CollectAuths(const NodeId& target) const;
+  std::vector<Authenticator> CollectAuths(const NodeId& target) const {
+    return world_.CollectAuths(target);
+  }
 
   // Convenience: full audit of one player by another party.
   AuditOutcome AuditPlayer(int player_index);
 
  private:
+  friend class FleetScenario;
   void PumpInputs(SimTime upto);
-  Avmm& NodeById(const NodeId& id) const;
 
   GameScenarioConfig cfg_;
-  Prng rng_;
-  SimNetwork net_;
-  KeyRegistry registry_;
-  std::vector<std::unique_ptr<Signer>> signers_;
-  std::unique_ptr<Avmm> server_;
-  std::vector<std::unique_ptr<Avmm>> players_;
-  std::map<int, RunnableCheat> cheats_;
   Bytes reference_client_image_;
   Bytes reference_server_image_;
-  SimTime now_ = 0;
-  bool started_ = false;
+  ScenarioWorld world_;
+  std::map<int, RunnableCheat> cheats_;
 
   struct InputState {
     SimTime next_at = 0;
@@ -131,32 +191,30 @@ struct KvScenarioConfig {
 class KvScenario {
  public:
   explicit KvScenario(KvScenarioConfig cfg);
-  ~KvScenario();
+  ~KvScenario() = default;
 
   void Start();
-  void RunFor(SimTime duration);
-  void Finish();
+  void RunFor(SimTime duration) { world_.RunFor(duration); }
+  void Finish() { world_.Finish(); }
 
-  SimTime now() const { return now_; }
-  Avmm& server() { return *server_; }
-  Avmm& client() { return *client_; }
+  SimTime now() const { return world_.now(); }
+  Avmm& server() { return world_.node(0); }
+  Avmm& client() { return world_.node(1); }
   const Bytes& reference_server_image() const { return reference_server_image_; }
-  const KeyRegistry& registry() const { return registry_; }
+  const KeyRegistry& registry() const { return world_.registry(); }
 
-  std::vector<Authenticator> CollectAuthsForServer() const;
-  std::vector<Authenticator> CollectAuths(const NodeId& target) const;
+  std::vector<Authenticator> CollectAuthsForServer() const { return CollectAuths("kvserver"); }
+  // Throws std::out_of_range for an id other than "kvserver"/"kvclient".
+  std::vector<Authenticator> CollectAuths(const NodeId& target) const {
+    return world_.CollectAuths(target);
+  }
 
  private:
+  friend class FleetScenario;
+
   KvScenarioConfig cfg_;
-  Prng rng_;
-  SimNetwork net_;
-  KeyRegistry registry_;
-  std::vector<std::unique_ptr<Signer>> signers_;
-  std::unique_ptr<Avmm> server_;
-  std::unique_ptr<Avmm> client_;
   Bytes reference_server_image_;
-  SimTime now_ = 0;
-  bool started_ = false;
+  ScenarioWorld world_;
 };
 
 // ------------------------------------------------------------- Fleet ----
@@ -225,6 +283,9 @@ class FleetScenario {
   FleetScenarioConfig cfg_;
   std::vector<std::unique_ptr<GameScenario>> games_;
   std::vector<std::unique_ptr<KvScenario>> kvs_;
+  // Every world with the prefix of its global names ("g0/", "kv1/"):
+  // the games, then the kv pairs.
+  std::vector<std::pair<std::string, ScenarioWorld*>> worlds_;
   std::vector<std::unique_ptr<LogStore>> stores_;
   std::map<NodeId, LogStore*> store_by_name_;
   bool started_ = false;

@@ -84,7 +84,8 @@ class FlippedHashSource final : public SegmentSource {
   uint64_t seq_ = 0;
 };
 
-// The fields a verdict is compared on: ok, reason, seq, evidence kind.
+// The fields a verdict is compared on: ok, reason, seq, evidence kind,
+// and the replay icount of a divergence.
 void ExpectSameVerdict(const AuditOutcome& got, const AuditOutcome& want, const std::string& what) {
   EXPECT_EQ(got.ok, want.ok) << what << ": " << got.Describe() << " vs " << want.Describe();
   EXPECT_EQ(got.syntactic.ok, want.syntactic.ok) << what;
@@ -93,6 +94,10 @@ void ExpectSameVerdict(const AuditOutcome& got, const AuditOutcome& want, const 
   EXPECT_EQ(got.semantic.ok, want.semantic.ok) << what;
   EXPECT_EQ(got.semantic.reason, want.semantic.reason) << what;
   EXPECT_EQ(got.semantic.diverged_seq, want.semantic.diverged_seq) << what;
+  if (!want.semantic.ok) {
+    // A divergence is pinned to its icount, however the log was chunked.
+    EXPECT_EQ(got.semantic.replay_icount, want.semantic.replay_icount) << what;
+  }
   ASSERT_EQ(got.evidence.has_value(), want.evidence.has_value()) << what;
   if (got.evidence.has_value()) {
     EXPECT_EQ(got.evidence->kind, want.evidence->kind) << what;

@@ -590,6 +590,37 @@ TEST_F(ReplayFixture, TamperedPacketReportsTheSameDivergence) {
   ExpectTamperReported(flip, "transmitted packet differs from the logged packet", 23);
 }
 
+// A divergence keeps the icount where it surfaced: feeding the log in
+// one chunk and one entry at a time (as an online auditor might) must
+// report the same reason, seq and icount.
+TEST_F(ReplayFixture, DivergenceIcountDoesNotDependOnChunking) {
+  Bytes image = Assemble(kPacketGuest);
+  auto node = MakeAvmm(image);
+  Record(*node, 10);
+  LogSegment seg = node->log().Extract(1, node->log().LastSeq());
+  const size_t at = NthTrace(
+      seg, 5, [](const TraceEvent& ev) { return ev.kind == TraceKind::kOutPacket; });
+  ASSERT_LT(at, seg.entries.size());
+  RewriteEvent(seg.entries[at], [](TraceEvent& ev) { ev.data[6] ^= 0x01; });
+  const size_t mem = node->config().mem_size;
+
+  StreamingReplayer whole(image, mem);
+  whole.Feed(seg.entries);
+  const ReplayResult one_chunk = whole.Finish();
+  StreamingReplayer split(image, mem);
+  for (const LogEntry& e : seg.entries) {
+    split.Feed(std::span<const LogEntry>(&e, 1));
+  }
+  const ReplayResult per_entry = split.Finish();
+
+  EXPECT_FALSE(one_chunk.ok);
+  EXPECT_EQ(one_chunk.reason, "transmitted packet differs from the logged packet");
+  EXPECT_EQ(per_entry.reason, one_chunk.reason);
+  EXPECT_EQ(per_entry.diverged_seq, one_chunk.diverged_seq);
+  EXPECT_EQ(per_entry.replay_icount, one_chunk.replay_icount);
+  EXPECT_LT(one_chunk.replay_icount, node->machine().cpu().icount);
+}
+
 TEST_F(ReplayFixture, SpotCheckReplayEquivalentWithJitOnAndOff) {
   Bytes image = Assemble(kNoisyGuest);
   RunConfig cfg = RunConfig::AvmmNoSig();

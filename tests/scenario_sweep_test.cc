@@ -84,5 +84,36 @@ TEST_P(HonestKvSweep, ServerAuditAndSpotChecksPass) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, HonestKvSweep, ::testing::Range<uint64_t>(1, 6));
 
+// Node lookup is by id in both worlds: an id that names no node is an
+// error, never some other node's log.
+TEST(ScenarioNodes, UnknownIdsThrowOutOfRange) {
+  KvScenarioConfig kcfg;
+  kcfg.run = RunConfig::AvmmNoSig();
+  KvScenario kv(kcfg);
+  kv.Start();
+  kv.RunFor(100 * kMicrosPerMilli);
+  kv.Finish();
+  std::vector<Authenticator> client_auths = kv.CollectAuths("kvclient");
+  ASSERT_GE(client_auths.size(), 2u);  // The server's, then the client's own commitment.
+  for (const Authenticator& a : client_auths) {
+    EXPECT_EQ(a.node, "kvclient");
+  }
+  EXPECT_EQ(client_auths.back().seq, kv.client().log().LastSeq());
+  EXPECT_THROW(kv.CollectAuths("kvserver2"), std::out_of_range);
+  EXPECT_THROW(kv.CollectAuths("server"), std::out_of_range);
+
+  GameScenarioConfig gcfg;
+  gcfg.run = RunConfig::AvmmNoSig();
+  gcfg.num_players = 2;
+  gcfg.client.render_iters = 300;
+  GameScenario game(gcfg);
+  game.Start();
+  EXPECT_THROW(game.CollectAuths("kvclient"), std::out_of_range);
+  EXPECT_THROW(game.CollectAuths("player3"), std::out_of_range);
+  EXPECT_THROW(game.player(2), std::out_of_range);
+  EXPECT_THROW(game.player(-1), std::out_of_range);
+  EXPECT_EQ(game.player(1).id(), "player2");
+}
+
 }  // namespace
 }  // namespace avm
