@@ -29,14 +29,14 @@ void ScenarioWorld::Start(std::vector<NodeId> peer_order) {
 }
 
 Avmm& ScenarioWorld::AddNode(const RunConfig& run, ByteView image, uint64_t rng_seed,
-                             const Bytes* reference_image) {
+                             const Bytes& reference_image, bool auditable) {
   size_t index = nodes_.size();
   auto node = std::make_unique<Avmm>(peer_order_.at(index), run, image, signers_[index].get(),
                                      &net_, &registry_, rng_seed);
   for (const NodeId& p : peer_order_) {
     node->AddPeer(p);
   }
-  nodes_.push_back({std::move(node), reference_image});
+  nodes_.push_back({std::move(node), &reference_image, auditable});
   return *nodes_.back().avmm;
 }
 
@@ -89,7 +89,7 @@ std::vector<Authenticator> ScenarioWorld::CollectAuths(const NodeId& target) con
   std::vector<Authenticator> out;
   for (const Node& n : nodes_) {
     if (n.avmm.get() != &accused) {
-      std::vector<Authenticator> held = n.avmm->auth_store().AllFor(target);
+      const auto& held = n.avmm->auth_store().AllFor(target);
       out.insert(out.end(), held.begin(), held.end());
     }
   }
@@ -134,7 +134,8 @@ void GameScenario::Start() {
     order.push_back(player_id(i));
   }
   world_.Start(std::move(order));
-  world_.AddNode(cfg_.run, reference_server_image_, cfg_.seed * 131 + 1, &reference_server_image_);
+  world_.AddNode(cfg_.run, reference_server_image_, cfg_.seed * 131 + 1, reference_server_image_,
+                 true);
 
   input_state_.resize(static_cast<size_t>(cfg_.num_players));
   for (int i = 0; i < cfg_.num_players; i++) {
@@ -148,7 +149,7 @@ void GameScenario::Start() {
       image = BuildGameClientImage(p);
     }
     Avmm& node = world_.AddNode(cfg_.run, image, cfg_.seed * 131 + 7 + static_cast<uint64_t>(i),
-                                &reference_client_image_);
+                                reference_client_image_, true);
     if (auto hook = MakeCheatHook(cheat)) {
       node.SetCheatHook(*hook);
     }
@@ -221,18 +222,20 @@ KvScenario::KvScenario(KvScenarioConfig cfg)
 
 void KvScenario::Start() {
   reference_server_image_ = BuildKvServerImage(cfg_.server);
+  client_image_ = BuildKvClientImage(cfg_.client);
   world_.Start({"kvserver", "kvclient"});
 
   RunConfig server_cfg = cfg_.run;
   server_cfg.rx_irq = true;  // The server is interrupt-driven.
   server_cfg.snapshot_interval = cfg_.snapshot_interval;
-  world_.AddNode(server_cfg, reference_server_image_, cfg_.seed * 31 + 1, &reference_server_image_);
+  world_.AddNode(server_cfg, reference_server_image_, cfg_.seed * 31 + 1, reference_server_image_,
+                 true);
 
   // The client is a load generator, not an audit target.
   RunConfig client_cfg = cfg_.run;
   client_cfg.rx_irq = false;
-  Avmm& client = world_.AddNode(client_cfg, BuildKvClientImage(cfg_.client), cfg_.seed * 31 + 2,
-                                nullptr);
+  Avmm& client =
+      world_.AddNode(client_cfg, client_image_, cfg_.seed * 31 + 2, client_image_, false);
   client.PushInput(1);  // The client's peer index.
 }
 
@@ -281,7 +284,7 @@ void FleetScenario::SpillLogsTo(const std::string& base_dir) {
   }
   for (const auto& [prefix, world] : worlds_) {
     for (const ScenarioWorld::Node& n : world->nodes()) {
-      if (n.reference_image == nullptr) {
+      if (!n.auditable) {
         continue;
       }
       NodeId global = prefix + n.avmm->id();
@@ -319,7 +322,7 @@ std::vector<FleetScenario::AuditeeRef> FleetScenario::Auditees() {
   std::vector<AuditeeRef> out;
   for (const auto& [prefix, world] : worlds_) {
     for (const ScenarioWorld::Node& n : world->nodes()) {
-      if (n.reference_image == nullptr) {
+      if (!n.auditable) {
         continue;
       }
       AuditeeRef a;

@@ -40,14 +40,19 @@ class ScenarioWorld {
   // derives from (seed, net_stream), as do the chaos RNGs.
   ScenarioWorld(const RunConfig& run, uint64_t seed, const char* net_stream, SimTime quantum_us,
                 chaos::FaultInjector* chaos);
+  // The nodes hold the network's, the registry's and their signers'
+  // addresses, and the network holds the nodes'.
+  ScenarioWorld(const ScenarioWorld&) = delete;
+  ScenarioWorld& operator=(const ScenarioWorld&) = delete;
 
   // Creates and registers one signer per node, in peer order.
   void Start(std::vector<NodeId> peer_order);
-  // Builds the next node in peer order, with every node as its peer. A
-  // node with a reference image is an audit target; one without (a
-  // load generator) is not.
+  // Builds the next node in peer order, running `image`, with every node
+  // as its peer. `reference_image` (the agreed-upon image an audit
+  // replays, kept alive by the caller) differs from `image` when a
+  // cheater installs a modified one.
   Avmm& AddNode(const RunConfig& run, ByteView image, uint64_t rng_seed,
-                const Bytes* reference_image);
+                const Bytes& reference_image, bool auditable);
   // Called at the start of every turn, after delivery, before the nodes
   // run (the game pumps player inputs here).
   void SetTurnHook(std::function<void(SimTime)> hook) { turn_hook_ = std::move(hook); }
@@ -69,7 +74,8 @@ class ScenarioWorld {
 
   struct Node {
     std::unique_ptr<Avmm> avmm;
-    const Bytes* reference_image = nullptr;  // Null: not an audit target.
+    const Bytes* reference_image = nullptr;
+    bool auditable = false;  // False for load generators (the kv client).
   };
   const std::vector<Node>& nodes() const { return nodes_; }
 
@@ -120,7 +126,9 @@ struct GameScenarioConfig {
 class GameScenario {
  public:
   explicit GameScenario(GameScenarioConfig cfg);
-  ~GameScenario() = default;
+  // The world's turn hook holds this scenario's address.
+  GameScenario(const GameScenario&) = delete;
+  GameScenario& operator=(const GameScenario&) = delete;
 
   // Installs a cheat for one player (0-based). Must precede Start().
   void SetCheat(int player_index, RunnableCheat cheat);
@@ -191,7 +199,6 @@ struct KvScenarioConfig {
 class KvScenario {
  public:
   explicit KvScenario(KvScenarioConfig cfg);
-  ~KvScenario() = default;
 
   void Start();
   void RunFor(SimTime duration) { world_.RunFor(duration); }
@@ -214,6 +221,7 @@ class KvScenario {
 
   KvScenarioConfig cfg_;
   Bytes reference_server_image_;
+  Bytes client_image_;
   ScenarioWorld world_;
 };
 
