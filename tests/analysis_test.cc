@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "src/apps/game.h"
+#include "src/audit/replayer.h"
 #include "src/obs/metrics.h"
 #include "src/sim/scenario.h"
 #include "src/util/prng.h"
@@ -590,6 +591,66 @@ TEST(AnalysisJit, CoverageCountersPopulate) {
     EXPECT_EQ(m.jit_stats()->loop_regions, loops->Value() - loops0);
   }
   EXPECT_GT(loops->Value(), loops0);
+}
+
+// --- JIT hint pin --------------------------------------------------------
+//
+// The analysis hints decide which translations the JIT makes: region
+// fusion follows the CFG's block heads, dead writebacks follow the
+// local use/def scan, and the verifier's self-modifying pages pre-arm
+// the seam. These constants were recorded from fixed-seed replays of
+// shipped guests, so an analysis change that alters what the JIT is
+// told shows up here even when every lockstep sweep still agrees. None
+// of these guests has a dead writeback or a static self-modifying
+// store; DeadWritebackEliminationKeepsStateExact and
+// StaticSelfModifyingGuestAgrees cover those hints.
+
+struct HintShape {
+  uint64_t translations;
+  uint64_t regions_fused;
+  uint64_t dead_writes_skipped;
+  uint64_t loop_regions;
+  uint64_t interp_fallbacks;
+  uint64_t selfmod_exits;
+};
+
+void ExpectReplayHintShape(const Avmm& node, const Bytes& image, const HintShape& want) {
+  StreamingReplayer r(image, node.config().mem_size);
+  LogSegment seg = node.log().Extract(1, node.log().LastSeq());
+  r.Feed(seg.entries);
+  ReplayResult res = r.Finish();
+  ASSERT_TRUE(res.ok) << node.id() << ": " << res.reason;
+  const jit::JitStats* st = r.machine().jit_stats();
+  ASSERT_NE(st, nullptr) << node.id();
+  EXPECT_EQ(st->translations, want.translations) << node.id();
+  EXPECT_EQ(st->regions_fused, want.regions_fused) << node.id();
+  EXPECT_EQ(st->dead_writes_skipped, want.dead_writes_skipped) << node.id();
+  EXPECT_EQ(st->loop_regions, want.loop_regions) << node.id();
+  EXPECT_EQ(st->interp_fallbacks, want.interp_fallbacks) << node.id();
+  EXPECT_EQ(st->selfmod_exits, want.selfmod_exits) << node.id();
+}
+
+TEST(AnalysisJit, ReplayedGuestsKeepTheirHintShape) {
+  if (!Machine::JitCompiledIn()) GTEST_SKIP() << "JIT not compiled in";
+  GameScenarioConfig gcfg;
+  gcfg.run = RunConfig::AvmmNoSig();
+  gcfg.num_players = 2;
+  gcfg.seed = 31;
+  GameScenario game(gcfg);
+  game.Start();
+  game.RunFor(kMicrosPerSecond);
+  game.Finish();
+  ExpectReplayHintShape(game.server(), game.reference_server_image(), {15, 5, 0, 1, 0, 0});
+  ExpectReplayHintShape(game.player(0), game.reference_client_image(), {24, 9, 0, 2, 0, 0});
+
+  KvScenarioConfig kcfg;
+  kcfg.run = RunConfig::AvmmNoSig();
+  kcfg.seed = 31;
+  KvScenario kv(kcfg);
+  kv.Start();
+  kv.RunFor(kMicrosPerSecond);
+  kv.Finish();
+  ExpectReplayHintShape(kv.server(), kv.reference_server_image(), {10, 5, 0, 1, 497, 0});
 }
 
 // --- Auditor pre-audit pass (AuditConfig::verify_image) ----------------
