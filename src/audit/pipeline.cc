@@ -14,8 +14,7 @@
 #include "src/avmm/recorder.h"
 #include "src/obs/trace.h"
 #include "src/util/threadpool.h"
-#include "src/vm/analysis/cfg.h"
-#include "src/vm/analysis/verifier.h"
+#include "src/vm/analysis/analysis.h"
 
 namespace avm {
 
@@ -311,12 +310,10 @@ AuditOutcome UnreadableSourceOutcome(const std::string& what) {
   return out;
 }
 
-// The static image verifier (CFG recovery + src/vm/analysis checks),
-// its findings rendered to strings so AuditOutcome stays decoupled from
-// the analysis types.
+// The static image verifier (src/vm/analysis), its findings rendered
+// to strings so AuditOutcome stays decoupled from the analysis types.
 void VerifyReferenceImage(ByteView image, size_t mem_size, AuditOutcome* out) {
-  const analysis::Cfg cfg = analysis::BuildCfg(image);
-  const analysis::VerifyReport rep = analysis::VerifyImage(image, mem_size, cfg);
+  const analysis::VerifyReport rep = analysis::AnalyzeImage(image, mem_size).report;
   out->image_errors = rep.errors;
   out->image_warnings = rep.warnings;
   out->image_findings.reserve(rep.findings.size());

@@ -3,15 +3,9 @@
 namespace avm {
 namespace analysis {
 
-ImageAnalysis AnalyzeImage(ByteView image, size_t mem_size,
-                           bool with_reaching_defs) {
+ImageAnalysis AnalyzeImage(ByteView image, size_t mem_size) {
   ImageAnalysis a;
   a.cfg = BuildCfg(image);
-  a.doms = ComputeDominators(a.cfg);
-  a.live = ComputeLiveness(a.cfg, image);
-  if (with_reaching_defs) {
-    a.reach = ComputeReachingDefs(a.cfg, image);
-  }
   a.report = VerifyImage(image, mem_size, a.cfg);
   return a;
 }

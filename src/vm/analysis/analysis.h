@@ -1,12 +1,12 @@
-// Facade over the static-analysis pipeline: one call recovers the CFG,
-// dominators, dataflow, and the verifier report for a guest image.
+// Facade over the static-analysis pipeline: one call recovers the CFG
+// and the verifier report for a guest image. Every consumer goes
+// through it: the JIT's hints, avm-lint and AuditConfig::verify_image.
 #ifndef SRC_VM_ANALYSIS_ANALYSIS_H_
 #define SRC_VM_ANALYSIS_ANALYSIS_H_
 
 #include <cstddef>
 
 #include "src/vm/analysis/cfg.h"
-#include "src/vm/analysis/dataflow.h"
 #include "src/vm/analysis/verifier.h"
 
 namespace avm {
@@ -14,18 +14,12 @@ namespace analysis {
 
 struct ImageAnalysis {
   Cfg cfg;
-  DominatorTree doms;
-  Liveness live;
-  ReachingDefs reach;
   VerifyReport report;
 };
 
 // Analyzes `image` as loaded at guest address 0 into `mem_size` bytes
-// of RAM. `with_reaching_defs` can be turned off by latency-sensitive
-// callers (the Machine's JIT hint path) — reaching defs is the one
-// analysis with super-linear cost on large images.
-ImageAnalysis AnalyzeImage(ByteView image, size_t mem_size,
-                           bool with_reaching_defs = true);
+// of RAM.
+ImageAnalysis AnalyzeImage(ByteView image, size_t mem_size);
 
 }  // namespace analysis
 }  // namespace avm

@@ -88,20 +88,8 @@ bool IsBlockTerminator(uint8_t opcode) {
   }
 }
 
-const BasicBlock* Cfg::BlockContaining(uint32_t addr) const {
-  // blocks is sorted by start; find the last block with start <= addr.
-  auto it = std::upper_bound(blocks.begin(), blocks.end(), addr,
-                             [](uint32_t a, const BasicBlock& b) { return a < b.start; });
-  if (it == blocks.begin()) {
-    return nullptr;
-  }
-  --it;
-  return (addr >= it->start && addr < it->end) ? &*it : nullptr;
-}
-
 Cfg BuildCfg(ByteView image) {
   Cfg cfg;
-  cfg.image_bytes = static_cast<uint32_t>(image.size());
   cfg.is_code.assign(image.size() / 4, 0);
   if (image.size() < 4) {
     return cfg;
@@ -206,7 +194,6 @@ Cfg BuildCfg(ByteView image) {
       cfg.is_code[pc / 4] = 1;
       pc += 4;
       if (IsBlockTerminator(op_byte)) {
-        b.terminator_op = op_byte;
         if (!IsValidOpcode(op_byte)) {
           b.terminator = BlockEnd::kIllegal;
         } else {
@@ -222,7 +209,6 @@ Cfg BuildCfg(ByteView image) {
             case Op::kJalr:
             case Op::kIret:
               b.terminator = BlockEnd::kIndirect;
-              b.ends_indirect = true;
               break;
             default:
               b.terminator = BlockEnd::kBranch;
@@ -244,10 +230,9 @@ Cfg BuildCfg(ByteView image) {
       from.oob_target = target;
       return;
     }
-    const uint32_t to = cfg.block_at.at(target);
-    if (std::find(from.succs.begin(), from.succs.end(), to) == from.succs.end()) {
-      from.succs.push_back(to);
-      cfg.blocks[to].preds.push_back(from.id);
+    std::vector<uint32_t>& preds = cfg.blocks[cfg.block_at.at(target)].preds;
+    if (std::find(preds.begin(), preds.end(), from.id) == preds.end()) {
+      preds.push_back(from.id);
     }
   };
   for (BasicBlock& b : cfg.blocks) {
@@ -270,9 +255,6 @@ Cfg BuildCfg(ByteView image) {
       case BlockEnd::kIllegal:
       case BlockEnd::kOffImage:
         break;
-    }
-    if (b.entry_like) {
-      cfg.entry_blocks.push_back(b.id);
     }
   }
   return cfg;

@@ -18,8 +18,8 @@
 //    because the matching JR is indirect and cannot be resolved
 //    statically — return sites are therefore reachable by construction;
 //  * JR/JALR/IRET end a block with *unknown* successors
-//    (BasicBlock::ends_indirect); downstream dataflow treats such exits
-//    maximally conservatively (everything live, nothing known).
+//    (BlockEnd::kIndirect); the verifier's constant propagation knows
+//    nothing at the entry-like heads such exits may reach.
 //
 // Words never reached by this traversal are data as far as the CFG is
 // concerned; the verifier (src/vm/analysis/verifier.h) refines that
@@ -54,14 +54,10 @@ struct BasicBlock {
   uint32_t start = 0;  // Byte address of the first instruction.
   uint32_t end = 0;    // One past the last instruction (start + 4*n).
   BlockEnd terminator = BlockEnd::kSplit;
-  // Raw opcode byte of the final instruction (meaningful for kBranch /
-  // kJump / kIndirect / kHalt; the decoder key for consumers).
-  uint8_t terminator_op = 0;
-  bool ends_indirect = false;  // kIndirect: successor set is unknown.
   // True when this head is reachable only conservatively: the reset /
   // IRQ vectors, and every JAL/JALR return site (its JR is indirect).
   bool entry_like = false;
-  std::vector<uint32_t> succs;  // Block ids, deduplicated, in-image only.
+  // Ids of the blocks with a direct edge into this one, deduplicated.
   std::vector<uint32_t> preds;
   // Direct branch/jump target that lies outside the image, if any
   // (reported by the verifier as a jump-out-of-image finding).
@@ -77,10 +73,7 @@ struct Cfg {
   std::unordered_map<uint32_t, uint32_t> block_at;
   // One flag per image word: covered by a reachable block.
   std::vector<uint8_t> is_code;
-  std::vector<uint32_t> entry_blocks;  // Ids of entry_like blocks.
-  uint32_t image_bytes = 0;
 
-  const BasicBlock* BlockContaining(uint32_t addr) const;
   const BasicBlock* BlockAt(uint32_t head) const {
     auto it = block_at.find(head);
     return it == block_at.end() ? nullptr : &blocks[it->second];

@@ -1,62 +1,11 @@
 #include "src/vm/analysis/dataflow.h"
 
-#include <algorithm>
-#include <cstring>
-
 namespace avm {
 namespace analysis {
 
 namespace {
 
-uint32_t WordAt(ByteView image, uint32_t addr) {
-  uint32_t w;
-  std::memcpy(&w, image.data() + addr, 4);
-  return w;
-}
-
 RegMask Bit(uint8_t reg) { return static_cast<RegMask>(1u << (reg & 0xf)); }
-
-// Reverse-postorder over the CFG from every entry, so the iterative
-// solvers converge in a handful of passes instead of O(blocks).
-std::vector<uint32_t> ReversePostorder(const Cfg& cfg) {
-  std::vector<uint32_t> order;
-  order.reserve(cfg.blocks.size());
-  std::vector<uint8_t> state(cfg.blocks.size(), 0);  // 0 new, 1 open, 2 done.
-  // Iterative DFS; second element is the next successor index to visit.
-  std::vector<std::pair<uint32_t, size_t>> stack;
-  auto visit = [&](uint32_t root) {
-    if (state[root] != 0) {
-      return;
-    }
-    state[root] = 1;
-    stack.emplace_back(root, 0);
-    while (!stack.empty()) {
-      auto& [id, next] = stack.back();
-      const BasicBlock& b = cfg.blocks[id];
-      if (next < b.succs.size()) {
-        const uint32_t s = b.succs[next++];
-        if (state[s] == 0) {
-          state[s] = 1;
-          stack.emplace_back(s, 0);
-        }
-      } else {
-        state[id] = 2;
-        order.push_back(id);
-        stack.pop_back();
-      }
-    }
-  };
-  for (uint32_t e : cfg.entry_blocks) {
-    visit(e);
-  }
-  // Blocks unreachable even from entry-like heads (possible when a head
-  // was split mid-scan); append so every block still gets solved.
-  for (uint32_t id = 0; id < cfg.blocks.size(); id++) {
-    visit(id);
-  }
-  std::reverse(order.begin(), order.end());
-  return order;
-}
 
 }  // namespace
 
@@ -172,200 +121,6 @@ bool IsPureComputeOp(uint8_t opcode) {
     default:
       return false;
   }
-}
-
-Liveness ComputeLiveness(const Cfg& cfg, ByteView image) {
-  const size_t n = cfg.blocks.size();
-  Liveness lv;
-  lv.live_in.assign(n, 0);
-  lv.live_out.assign(n, 0);
-  lv.use.assign(n, 0);
-  lv.def.assign(n, 0);
-
-  for (size_t i = 0; i < n; i++) {
-    const BasicBlock& b = cfg.blocks[i];
-    RegMask use = 0;
-    RegMask def = 0;
-    for (uint32_t pc = b.start; pc < b.end; pc += 4) {
-      const Insn in = Decode(WordAt(image, pc));
-      use |= static_cast<RegMask>(InsnUses(in) & ~def);
-      def |= InsnDefs(in);
-    }
-    lv.use[i] = use;
-    lv.def[i] = def;
-  }
-
-  const std::vector<uint32_t> rpo = ReversePostorder(cfg);
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    // Backward problem: iterate in postorder (reverse of RPO).
-    for (auto it = rpo.rbegin(); it != rpo.rend(); ++it) {
-      const uint32_t id = *it;
-      const BasicBlock& b = cfg.blocks[id];
-      RegMask out = 0;
-      // Unknown successors (indirect exits, faults, the end of the
-      // image) and terminal blocks keep everything live: HALT state is
-      // inspected by the auditor, and an IRQ could resume anywhere.
-      if (b.succs.empty() || b.ends_indirect) {
-        out = kAllRegs;
-      }
-      for (uint32_t s : b.succs) {
-        out |= lv.live_in[s];
-      }
-      const RegMask in_mask = static_cast<RegMask>(lv.use[id] | (out & ~lv.def[id]));
-      if (out != lv.live_out[id] || in_mask != lv.live_in[id]) {
-        lv.live_out[id] = out;
-        lv.live_in[id] = in_mask;
-        changed = true;
-      }
-    }
-  }
-  return lv;
-}
-
-ReachingDefs ComputeReachingDefs(const Cfg& cfg, ByteView image) {
-  ReachingDefs rd;
-  const size_t n = cfg.blocks.size();
-
-  // Enumerate definition sites in address order.
-  for (const BasicBlock& b : cfg.blocks) {
-    for (uint32_t pc = b.start; pc < b.end; pc += 4) {
-      const Insn in = Decode(WordAt(image, pc));
-      const RegMask defs = InsnDefs(in);
-      if (defs != 0) {
-        rd.sites.push_back(DefSite{pc, in.ra});
-      }
-    }
-  }
-  const size_t words = (rd.sites.size() + 63) / 64;
-  rd.in.assign(n, std::vector<uint64_t>(words, 0));
-  rd.out.assign(n, std::vector<uint64_t>(words, 0));
-
-  // Per-block gen/kill. kill = all sites (anywhere) defining a register
-  // this block also defines; gen = the block's own last def per register.
-  std::vector<std::vector<uint64_t>> gen(n, std::vector<uint64_t>(words, 0));
-  std::vector<std::vector<uint64_t>> kill(n, std::vector<uint64_t>(words, 0));
-  // sites_for_reg[r] = bitset of sites defining r.
-  std::vector<std::vector<uint64_t>> sites_for_reg(kNumRegs,
-                                                   std::vector<uint64_t>(words, 0));
-  for (size_t s = 0; s < rd.sites.size(); s++) {
-    sites_for_reg[rd.sites[s].reg & 0xf][s / 64] |= 1ull << (s % 64);
-  }
-  // Map address -> site index for gen computation.
-  size_t site_idx = 0;
-  for (size_t i = 0; i < n; i++) {
-    const BasicBlock& b = cfg.blocks[i];
-    // Last site per register within the block.
-    int last_site[kNumRegs];
-    std::fill(std::begin(last_site), std::end(last_site), -1);
-    for (uint32_t pc = b.start; pc < b.end; pc += 4) {
-      const Insn in = Decode(WordAt(image, pc));
-      if (InsnDefs(in) != 0) {
-        last_site[in.ra & 0xf] = static_cast<int>(site_idx);
-        site_idx++;
-      }
-    }
-    for (int r = 0; r < kNumRegs; r++) {
-      if (last_site[r] < 0) {
-        continue;
-      }
-      for (size_t w = 0; w < words; w++) {
-        kill[i][w] |= sites_for_reg[r][w];
-      }
-      gen[i][last_site[r] / 64] |= 1ull << (last_site[r] % 64);
-    }
-  }
-
-  const std::vector<uint32_t> rpo = ReversePostorder(cfg);
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (uint32_t id : rpo) {
-      const BasicBlock& b = cfg.blocks[id];
-      std::vector<uint64_t> in_set(words, 0);
-      for (uint32_t p : b.preds) {
-        for (size_t w = 0; w < words; w++) {
-          in_set[w] |= rd.out[p][w];
-        }
-      }
-      std::vector<uint64_t> out_set(words, 0);
-      for (size_t w = 0; w < words; w++) {
-        out_set[w] = gen[id][w] | (in_set[w] & ~kill[id][w]);
-      }
-      if (in_set != rd.in[id] || out_set != rd.out[id]) {
-        rd.in[id] = std::move(in_set);
-        rd.out[id] = std::move(out_set);
-        changed = true;
-      }
-    }
-  }
-  return rd;
-}
-
-DominatorTree ComputeDominators(const Cfg& cfg) {
-  DominatorTree dt;
-  const size_t n = cfg.blocks.size();
-  dt.idom.assign(n, DominatorTree::kNone);
-  if (n == 0) {
-    return dt;
-  }
-
-  // Virtual root = index n; it is the (only) idom of every entry block.
-  constexpr uint32_t kUnset = 0xfffffffe;
-  const uint32_t root = static_cast<uint32_t>(n);
-  std::vector<uint32_t> idom(n + 1, kUnset);
-  idom[root] = root;
-  std::vector<uint8_t> is_entry(n, 0);
-  for (uint32_t e : cfg.entry_blocks) {
-    is_entry[e] = 1;
-  }
-
-  const std::vector<uint32_t> rpo = ReversePostorder(cfg);
-  std::vector<uint32_t> rpo_num(n + 1, 0);
-  for (size_t i = 0; i < rpo.size(); i++) {
-    rpo_num[rpo[i]] = static_cast<uint32_t>(i + 1);
-  }
-  rpo_num[root] = 0;
-
-  auto intersect = [&](uint32_t a, uint32_t b) {
-    while (a != b) {
-      while (rpo_num[a] > rpo_num[b]) {
-        a = idom[a];
-      }
-      while (rpo_num[b] > rpo_num[a]) {
-        b = idom[b];
-      }
-    }
-    return a;
-  };
-
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (uint32_t id : rpo) {
-      uint32_t new_idom = kUnset;
-      if (is_entry[id]) {
-        new_idom = root;
-      }
-      for (uint32_t p : cfg.blocks[id].preds) {
-        if (idom[p] == kUnset) {
-          continue;
-        }
-        new_idom = new_idom == kUnset ? p : intersect(new_idom, p);
-      }
-      if (new_idom != kUnset && idom[id] != new_idom) {
-        idom[id] = new_idom;
-        changed = true;
-      }
-    }
-  }
-
-  for (size_t i = 0; i < n; i++) {
-    dt.idom[i] = (idom[i] == kUnset || idom[i] == root) ? DominatorTree::kNone
-                                                        : idom[i];
-  }
-  return dt;
 }
 
 }  // namespace analysis

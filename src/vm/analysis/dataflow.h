@@ -1,28 +1,21 @@
-// Register dataflow over a recovered CFG: per-block liveness, reaching
-// definitions, and a dominator tree.
-//
-// All analyses are conservative with respect to what the CFG cannot
-// see: blocks that end in an indirect transfer (JR/JALR/IRET), HALT, a
-// fault, or run off the image treat every guest register as live-out
-// and every definition as escaping, and IRQ delivery is modeled by
-// making the IRQ-vector block an entry with nothing known. The JIT uses
-// liveness only to elide *intra-region* register writebacks that are
-// provably re-defined before any possible exit; it never changes the
-// architectural state observable at an exit or icount landmark.
+// Per-instruction register effects: the registers each AVM-32
+// instruction reads and writes, and the pure register-to-register
+// compute subset. The JIT scans these locally to elide *intra-region*
+// register writebacks that are provably re-defined before any possible
+// exit; it never changes the architectural state observable at an exit
+// or icount landmark.
 #ifndef SRC_VM_ANALYSIS_DATAFLOW_H_
 #define SRC_VM_ANALYSIS_DATAFLOW_H_
 
 #include <cstdint>
-#include <vector>
 
-#include "src/vm/analysis/cfg.h"
+#include "src/vm/isa.h"
 
 namespace avm {
 namespace analysis {
 
 // Bit i set = guest register ri.
 using RegMask = uint16_t;
-constexpr RegMask kAllRegs = 0xffff;
 
 // Registers read / written by one instruction. Conservative: an opcode
 // the decoder rejects uses and defines nothing (execution faults there).
@@ -35,62 +28,6 @@ RegMask InsnDefs(const Insn& in);
 // at the block entry, which is what makes dead-writeback elimination
 // across such a run sound.
 bool IsPureComputeOp(uint8_t opcode);
-
-struct Liveness {
-  // Indexed by block id.
-  std::vector<RegMask> live_in;
-  std::vector<RegMask> live_out;
-  std::vector<RegMask> use;   // Upward-exposed uses.
-  std::vector<RegMask> def;   // Registers defined anywhere in the block.
-};
-
-// Backward may-analysis; blocks with unknown successors get
-// live_out = kAllRegs.
-Liveness ComputeLiveness(const Cfg& cfg, ByteView image);
-
-// One definition site: instruction address + register it defines.
-struct DefSite {
-  uint32_t addr = 0;
-  uint8_t reg = 0;
-};
-
-struct ReachingDefs {
-  std::vector<DefSite> sites;  // All definition sites, in address order.
-  // Indexed by block id; bit i refers to sites[i].
-  std::vector<std::vector<uint64_t>> in;   // Defs reaching block entry.
-  std::vector<std::vector<uint64_t>> out;  // Defs live past block exit.
-
-  bool Reaches(uint32_t block, size_t site) const {
-    return block < in.size() && site / 64 < in[block].size() &&
-           (in[block][site / 64] >> (site % 64) & 1) != 0;
-  }
-};
-
-// Forward may-analysis at block granularity. Entry-like blocks start
-// with a synthetic "unknown" state: no site bits set, which consumers
-// must read as "anything may reach here" for entry blocks.
-ReachingDefs ComputeReachingDefs(const Cfg& cfg, ByteView image);
-
-struct DominatorTree {
-  static constexpr uint32_t kNone = 0xffffffff;
-  // Immediate dominator per block id; entry blocks and unreachable
-  // blocks have kNone (a virtual root dominates all entries).
-  std::vector<uint32_t> idom;
-
-  bool Dominates(uint32_t a, uint32_t b) const {
-    while (b != kNone) {
-      if (a == b) {
-        return true;
-      }
-      b = idom[b];
-    }
-    return false;
-  }
-};
-
-// Iterative dominators (Cooper-Harvey-Kennedy) over a virtual root that
-// fans out to every entry-like block.
-DominatorTree ComputeDominators(const Cfg& cfg);
 
 }  // namespace analysis
 }  // namespace avm

@@ -220,10 +220,11 @@ VerifyReport VerifyImage(ByteView image, size_t mem_size, const Cfg& cfg) {
   // Entry injections: reset vector starts from the architectural all-
   // zero register file; the IRQ vector and JAL/JALR return sites can be
   // entered with anything.
-  for (uint32_t e : cfg.entry_blocks) {
-    const BasicBlock& b = cfg.blocks[e];
-    in_state[e] = b.start == kResetVector ? AllConstZero() : AllVaries();
-    seeded[e] = 1;
+  for (const BasicBlock& b : cfg.blocks) {
+    if (b.entry_like) {
+      in_state[b.id] = b.start == kResetVector ? AllConstZero() : AllVaries();
+      seeded[b.id] = 1;
+    }
   }
 
   auto transfer_block = [&](uint32_t id, RegState s) {

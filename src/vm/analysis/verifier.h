@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "src/vm/analysis/cfg.h"
-#include "src/vm/analysis/dataflow.h"
 
 namespace avm {
 namespace analysis {
@@ -61,8 +60,7 @@ struct VerifyReport {
 const char* FindingKindName(FindingKind kind);
 
 // Verifies `image` against a guest with `mem_size` bytes of RAM.
-// `cfg`/`live` must come from the same image (AnalyzeImage bundles the
-// whole pipeline).
+// `cfg` must come from the same image (AnalyzeImage bundles the two).
 VerifyReport VerifyImage(ByteView image, size_t mem_size, const Cfg& cfg);
 
 }  // namespace analysis

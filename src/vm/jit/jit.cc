@@ -10,6 +10,7 @@
 
 #include "src/obs/metrics.h"
 #include "src/vm/analysis/analysis.h"
+#include "src/vm/analysis/dataflow.h"
 #include "src/vm/isa.h"
 #include "src/vm/jit/emitter.h"
 #include "src/vm/machine.h"

@@ -183,7 +183,7 @@ struct JitStats {
   uint64_t selfmod_exits = 0;
   uint64_t native_enters = 0;
   uint64_t regions_fused = 0;        // Extra basic blocks merged into regions.
-  uint64_t dead_writes_skipped = 0;  // Writebacks proven dead by liveness.
+  uint64_t dead_writes_skipped = 0;  // Writebacks proven dead by a local scan.
   uint64_t io_calls = 0;             // IN/OUT retired through the helper.
   uint64_t io_exits[kNumIoExits] = {0};  // Helper calls that left native code.
   uint64_t loop_regions = 0;         // Self-loops translated with host registers.
@@ -221,14 +221,15 @@ class JitEngine {
 
   // Installs (or clears, with nullptr) static-analysis hints for the
   // currently loaded image. Enables region fusion across direct
-  // JMP/JAL, liveness-based dead-writeback elimination, and pre-arms
-  // the self-modification seam for statically-detected self-modifying
-  // pages. Hints are advisory: emission always decodes live guest
-  // memory, so stale hints cost performance, never correctness. A
-  // machine started from a snapshot loads no image and translates
-  // without hints, one basic block at a time. Flushes existing
-  // translations. `hints` must outlive the engine or
-  // the next SetAnalysisHints call.
+  // JMP/JAL onto the CFG's block heads, dead-writeback elimination (a
+  // local use/def scan of the instructions after each write), and
+  // pre-arms the self-modification seam for statically-detected
+  // self-modifying pages. Hints are advisory: emission always decodes
+  // live guest memory, so stale hints cost performance, never
+  // correctness. A machine started from a snapshot loads no image and
+  // translates without hints, one basic block at a time. Flushes
+  // existing translations. `hints` must outlive the engine or the next
+  // SetAnalysisHints call.
   void SetAnalysisHints(const analysis::ImageAnalysis* hints);
 
   // False when executable memory is unavailable; the Machine falls back

@@ -448,11 +448,10 @@ void Machine::RefreshJitHints() {
     return;
   }
   jit_hints_stale_ = false;
-  // Reaching defs is skipped: the JIT consumes the CFG, liveness and
-  // the verifier's self-modifying-page set only.
+  // The JIT reads the CFG's block heads and the verifier's
+  // self-modifying-page set.
   jit_hints_ = std::make_unique<analysis::ImageAnalysis>(analysis::AnalyzeImage(
-      ByteView(mem_.data(), std::min<size_t>(image_limit_, mem_.size())), mem_.size(),
-      /*with_reaching_defs=*/false));
+      ByteView(mem_.data(), std::min<size_t>(image_limit_, mem_.size())), mem_.size()));
   jit_->SetAnalysisHints(jit_hints_.get());
 }
 

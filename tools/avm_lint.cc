@@ -253,8 +253,7 @@ int main(int argc, char** argv) {
                    corruption.c_str(), t.name.c_str());
       return 3;
     }
-    avm::analysis::ImageAnalysis a =
-        avm::analysis::AnalyzeImage(t.image, mem_size, /*with_reaching_defs=*/false);
+    avm::analysis::ImageAnalysis a = avm::analysis::AnalyzeImage(t.image, mem_size);
     if (!a.report.ok() || (werror && a.report.warnings > 0)) {
       worst = 2;
     }
