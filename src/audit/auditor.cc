@@ -150,7 +150,7 @@ AuditOutcome Auditor::FullAuditAfterPrechecks(const Avmm& target, const SegmentS
     // instead of silently losing its checkpoint cadence.
     try {
       obs::Span save_span(obs::kPhaseAuditCheckpointIo, "audit");
-      SaveAuditCheckpoint(checkpoint_dir, cp, ckpt_.sync, ckpt_.aux_store);
+      SaveAuditCheckpoint(checkpoint_dir, cp, ckpt_.aux_store);
       ri.checkpoints_written++;
     } catch (const std::runtime_error&) {
       if (ckpt_.aux_store != nullptr) {

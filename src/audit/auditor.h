@@ -103,12 +103,10 @@ struct CheckpointConfig {
   // digest + chain-hash checks (the avmm-nosig posture: fine against
   // corruption, not malice).
   const Signer* signer = nullptr;
-  // fsync checkpoint files (tests and benches leave this off).
-  bool sync = false;
   // When set, checkpoint writes go through this store's batched-fsync
-  // path (LogStore::WriteAuxFileBatched) instead of a standalone
-  // synchronous write; `sync` is then irrelevant. Typically the
-  // auditee's own store, whose directory also holds the checkpoint.
+  // path (LogStore::WriteAuxFileBatched) instead of a standalone,
+  // un-fsynced write. Typically the auditee's own store, whose
+  // directory also holds the checkpoint.
   LogStore* aux_store = nullptr;
 };
 

@@ -88,7 +88,7 @@ std::string AuditCheckpointFileName(const NodeId& auditor) {
   return "audit-" + safe + ".ckpt";
 }
 
-void SaveAuditCheckpoint(const std::string& dir, const AuditCheckpoint& cp, bool sync,
+void SaveAuditCheckpoint(const std::string& dir, const AuditCheckpoint& cp,
                          LogStore* aux_store) {
   std::filesystem::create_directories(dir);
   std::string path = (std::filesystem::path(dir) / AuditCheckpointFileName(cp.auditor)).string();
@@ -96,7 +96,7 @@ void SaveAuditCheckpoint(const std::string& dir, const AuditCheckpoint& cp, bool
     aux_store->WriteAuxFileBatched(path, cp.Serialize());
     return;
   }
-  LogStore::WriteAuxFile(path, cp.Serialize(), sync);
+  LogStore::WriteAuxFile(path, cp.Serialize(), /*sync=*/false);
 }
 
 std::optional<AuditCheckpoint> LoadAuditCheckpoint(const std::string& dir,

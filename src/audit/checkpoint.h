@@ -72,12 +72,13 @@ struct AuditCheckpoint {
 std::string AuditCheckpointFileName(const NodeId& auditor);
 
 // Atomically persists `cp` into `dir` (via LogStore::WriteAuxFile, so
-// a crash mid-write leaves only a *.tmp that store recovery removes).
-// With `aux_store`, the write goes through that store's batched-fsync
-// path instead (WriteAuxFileBatched): the rename is still atomic, and
-// the fsync piggybacks on the store's next group commit rather than
-// costing the audit thread a synchronous durability round-trip.
-void SaveAuditCheckpoint(const std::string& dir, const AuditCheckpoint& cp, bool sync = false,
+// a crash mid-write leaves only a *.tmp that store recovery removes;
+// the file is not fsynced). With `aux_store`, the write goes through
+// that store's batched-fsync path instead (WriteAuxFileBatched): the
+// rename is still atomic, and the fsync piggybacks on the store's next
+// group commit rather than costing the audit thread a synchronous
+// durability round-trip.
+void SaveAuditCheckpoint(const std::string& dir, const AuditCheckpoint& cp,
                          LogStore* aux_store = nullptr);
 
 // Loads the checkpoint `auditor` previously saved in `dir`. Returns
