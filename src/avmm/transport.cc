@@ -111,7 +111,7 @@ void Transport::Tick(SimTime now) {
     MaybeCloseWindow();
     PumpAsync();
   }
-  ReleaseDurable(now, /*force=*/true);
+  ReleaseDurable(now);
   for (auto it = unacked_.begin(); it != unacked_.end();) {
     PendingSend& p = it->second;
     if (now - p.last_sent >= cfg_->retransmit_timeout) {
@@ -465,7 +465,7 @@ void Transport::NoteAuthRelease(uint64_t seq) {
   }
 }
 
-void Transport::ReleaseDurable(SimTime now, bool force) {
+void Transport::ReleaseDurable(SimTime now) {
   if (!cfg_->durable_commit || (parked_.empty() && pending_commits_.empty())) {
     return;
   }
@@ -478,7 +478,7 @@ void Transport::ReleaseDurable(SimTime now, bool force) {
   if (!parked_.empty()) {
     need = std::max(need, parked_.back().release_seq);
   }
-  if (force && log_->DurableSeq() < need) {
+  if (log_->DurableSeq() < need) {
     // One group commit covers everything parked.
     obs::Span span(obs::kPhaseTransportDurableWait, "transport");
     log_->FlushSink();
@@ -717,7 +717,7 @@ void Transport::Flush(SimTime now) {
   }
   // Everything signed is now in hand; make it durable and release it
   // (parked kSync frames and parked window commitments alike).
-  ReleaseDurable(now, /*force=*/true);
+  ReleaseDurable(now);
   if (!cfg_->BatchedSigning()) {
     return;
   }

@@ -227,12 +227,12 @@ class Transport : public NetworkDelegate {
   // Accounting at the moment an authenticator actually goes on the wire;
   // durable_gate_violations counts releases above the watermark.
   void NoteAuthRelease(uint64_t seq);
-  // Hands every parked frame the watermark now covers back to Release
-  // and integrates every parked commitment it covers. With `force`,
-  // first flushes the sink so everything parked is released -- Tick and
-  // Flush use this, making one group commit per quantum the worst-case
-  // release latency.
-  void ReleaseDurable(SimTime now, bool force);
+  // Flushes the sink when the watermark lags anything parked, then
+  // hands every parked frame the watermark covers back to Release and
+  // integrates every parked commitment it covers. Tick and Flush call
+  // it, making one group commit per quantum the worst-case release
+  // latency.
+  void ReleaseDurable(SimTime now);
 
   NodeId id_;
   const RunConfig* cfg_;
