@@ -39,7 +39,8 @@
 //    mid-read, so a segment being compressed still streams
 //    bit-for-bit.
 //  - Watermark accessors (DurableSeq/LastSeq/SinkLastSeq) are lock-free
-//    atomics, callable from any thread (the async signer polls them).
+//    atomics, callable from any thread (the delay flusher advances
+//    DurableSeq while the writer and the store's metric gauges read it).
 //  - Background threads: a sealer pool of `sealer_threads` workers
 //    (0 = promote inline on the rolling thread, the deterministic v1
 //    behavior) and, when group_commit.max_delay_ms > 0, a flusher that
