@@ -27,7 +27,7 @@ namespace {
 Bytes VmmSpecificCompress(const TamperEvidentLog& log) {
   std::vector<uint64_t> tt_icounts, tt_values;
   Writer rest;
-  for (const LogEntry& e : log.entries()) {
+  for (const LogEntry& e : log.Extract(1, log.LastSeq()).entries) {
     if (e.type == EntryType::kTraceTime) {
       TraceEvent ev = TraceEvent::Deserialize(e.content);
       tt_icounts.push_back(ev.icount);
@@ -47,7 +47,7 @@ Bytes VmmSpecificCompress(const TamperEvidentLog& log) {
 
 Bytes SerializeWholeLog(const TamperEvidentLog& log) {
   Writer w;
-  for (const LogEntry& e : log.entries()) {
+  for (const LogEntry& e : log.Extract(1, log.LastSeq()).entries) {
     w.U64(e.seq);
     w.U8(static_cast<uint8_t>(e.type));
     w.Blob(e.content);
@@ -74,7 +74,7 @@ void Run() {
   // Figure 3's equivalent-plain-log line.
   std::map<EntryType, uint64_t> plain_by_type;
   uint64_t total = 0;
-  for (const LogEntry& e : log.entries()) {
+  for (const LogEntry& e : log.Extract(1, log.LastSeq()).entries) {
     total += e.WireSize();
     if (e.type == EntryType::kTraceTime || e.type == EntryType::kTraceMac ||
         e.type == EntryType::kTraceOther) {

@@ -41,6 +41,7 @@ std::unique_ptr<LogStore> FreshStore(const std::string& dir, const NodeId& node,
 double SustainedAppend(const TamperEvidentLog& log, const std::string& dir,
                        LogStoreOptions opts) {
   fs::remove_all(dir);
+  const LogSegment all = log.Extract(1, log.LastSeq());
   auto store = LogStore::Open(dir, log.owner(), opts);
   std::atomic<bool> done{false};
   std::thread auditor([&] {
@@ -57,7 +58,7 @@ double SustainedAppend(const TamperEvidentLog& log, const std::string& dir,
     }
   });
   WallTimer timer;
-  for (const LogEntry& e : log.entries()) {
+  for (const LogEntry& e : all.entries) {
     store->Append(e);
   }
   store->Flush();
@@ -112,6 +113,7 @@ void Run() {
   game.Finish();
 
   const TamperEvidentLog& log = game.player(0).log();
+  const LogSegment all = log.Extract(1, log.LastSeq());
   size_t n = log.size();
   double wire_mb = log.TotalWireSize() / (1024.0 * 1024.0);
   std::printf("  workload: %zu entries, %.2f MB wire size (%.1f bytes/entry in memory)\n\n", n,
@@ -136,7 +138,7 @@ void Run() {
       StoreConfig& c = configs[run % 2 == 0 ? k : 1 - k];
       auto store = FreshStore(base + (c.compress ? "-lzss" : "-raw"), log.owner(), c.compress);
       WallTimer append_timer;
-      for (const LogEntry& e : log.entries()) {
+      for (const LogEntry& e : all.entries) {
         store->Append(e);
       }
       store->Seal();
@@ -247,7 +249,7 @@ void Run() {
     obs::ResetTrace();
     auto s2 = FreshStore(base + "-obs", log.owner(), true);
     WallTimer t;
-    for (const LogEntry& e : log.entries()) {
+    for (const LogEntry& e : all.entries) {
       s2->Append(e);
     }
     s2->Seal();

@@ -7,7 +7,8 @@
 // "in a fresh process" opens the directory cold -- knowing nothing but
 // the path -- triages the whole log with the streaming syntactic check,
 // and spot-checks a snapshot window, all straight from the sealed
-// segments. Verdicts are identical to auditing the in-memory log.
+// segments. (store_test's FreshProcessStyleAuditFromDiskOnly checks
+// that such verdicts equal those of the same run kept in memory.)
 #include <cstdio>
 #include <filesystem>
 
@@ -40,6 +41,7 @@ int main() {
     std::printf("  %zu segments (%zu sealed), %.1f KB on disk vs %.1f KB wire size\n",
                 store->SegmentCount(), store->SealedCount(), store->DiskBytes() / 1024.0,
                 game.player(0).log().TotalWireSize() / 1024.0);
+    game.player(0).SpillTo(nullptr);
   }  // The store closes; only the directory survives.
 
   // --- auditing side ---------------------------------------------------
@@ -50,6 +52,10 @@ int main() {
               static_cast<unsigned long long>(store->LastSeq()),
               store->RecoveredTornTail() ? " (torn tail truncated)" : "");
 
+  // The recorder serves its log from the same directory: its spilled log
+  // keeps only a bounded tail in memory, and the spot check below asks
+  // it to commit to an older seq.
+  game.player(0).SpillTo(store.get());
   std::vector<Authenticator> auths = game.CollectAuths(store->node());
   Auditor auditor("server", &game.registry());
 
@@ -75,16 +81,12 @@ int main() {
               static_cast<unsigned long long>(snaps[mid].meta.snapshot_id),
               spot.Describe().c_str());
 
-  // And the acceptance bar: the full store-backed audit agrees with the
-  // in-memory path, bit for bit.
+  // And the full audit, straight from disk.
   AuditOutcome disk =
       auditor.AuditFull(game.player(0), *store, game.reference_client_image(), auths);
-  AuditOutcome mem =
-      auditor.AuditFull(game.player(0), InMemorySegmentSource(game.player(0).log()),
-                        game.reference_client_image(), auths);
-  std::printf("full audit from disk -> %s (in-memory path agrees: %s)\n", disk.Describe().c_str(),
-              disk.Describe() == mem.Describe() ? "yes" : "NO");
+  std::printf("full audit from disk -> %s\n", disk.Describe().c_str());
 
+  game.player(0).SpillTo(nullptr);
   fs::remove_all(dir);
-  return (spot.ok && disk.ok && disk.Describe() == mem.Describe()) ? 0 : 1;
+  return (spot.ok && disk.ok) ? 0 : 1;
 }

@@ -169,7 +169,7 @@ uint32_t Avmm::PortIn(Machine& m, uint16_t port) {
   e.port = port;
   e.value = value;
   e.data = std::move(attestation);
-  RecordEvent(std::move(e));
+  RecordEvent(e);
 
   if (pending_stall_us_ != 0) {
     // The §6.5 delay is a real stall: it consumes execution budget. The
@@ -180,7 +180,7 @@ uint32_t Avmm::PortIn(Machine& m, uint16_t port) {
     stall.kind = TraceKind::kClockStall;
     stall.icount = m.cpu().icount;
     stall.value = static_cast<uint32_t>(stall_instr);
-    RecordEvent(std::move(stall));
+    RecordEvent(stall);
     m.mutable_cpu().icount += stall_instr;
     stall_total_us_ += pending_stall_us_;
     pending_stall_us_ = 0;
@@ -196,7 +196,7 @@ void Avmm::PortOut(Machine& m, uint16_t port, uint32_t value) {
       e.kind = TraceKind::kOutConsole;
       e.icount = m.cpu().icount;
       e.value = value & 0xff;
-      RecordEvent(std::move(e));
+      RecordEvent(e);
       break;
     }
     case kPortDebug: {
@@ -205,7 +205,7 @@ void Avmm::PortOut(Machine& m, uint16_t port, uint32_t value) {
       e.kind = TraceKind::kOutDebug;
       e.icount = m.cpu().icount;
       e.value = value;
-      RecordEvent(std::move(e));
+      RecordEvent(e);
       break;
     }
     case kPortFrame:
@@ -216,12 +216,12 @@ void Avmm::PortOut(Machine& m, uint16_t port, uint32_t value) {
       if (len < 4 || len > kMaxPacket) {
         break;  // Malformed guest send; the virtual NIC drops it.
       }
-      Bytes tx = m.ReadMemRange(kNetTxBuf, len);
       TraceEvent e;
       e.kind = TraceKind::kOutPacket;
       e.icount = m.cpu().icount;
-      e.data = tx;
-      RecordEvent(std::move(e));
+      e.data = m.ReadMemRange(kNetTxBuf, len);
+      RecordEvent(e);
+      const Bytes& tx = e.data;
 
       uint32_t dst_index = GetU32(tx, 0);
       // Delivered packet: [source index][payload after the dst header].
@@ -267,23 +267,23 @@ void Avmm::DeliverPendingRx(Machine& m) {
   e.icount = m.cpu().icount;
   e.value = cfg_.rx_irq ? 1 : 0;
   e.data = std::move(pkt);
-  RecordEvent(std::move(e));
+  RecordEvent(e);
 
   if (cfg_.rx_irq) {
     m.RaiseIrq(kIrqNetRx);
   }
 }
 
-void Avmm::RecordEvent(TraceEvent e) {
+void Avmm::RecordEvent(const TraceEvent& e) {
   stats_.trace_events++;
   if (!cfg_.RecordsTrace()) {
     return;
   }
   WallTimer timer;
-  Bytes ser = e.Serialize();
-  vmware_equiv_bytes_ += ser.size() + kPlainEntryHeader;
+  e.SerializeTo(trace_buf_);
+  vmware_equiv_bytes_ += trace_buf_.size() + kPlainEntryHeader;
   if (cfg_.TamperEvident()) {
-    log_.Append(ClassifyTraceEvent(e), std::move(ser));
+    log_.Append(ClassifyTraceEvent(e), trace_buf_);
   }
   record_seconds_ += timer.ElapsedSeconds();
 }

@@ -65,10 +65,13 @@ class Avmm : public DeviceBackend {
 
   // Spills the tamper-evident log to a durable sink (e.g. a
   // store::LogStore): entries already logged (snapshot 0 etc.) are
-  // backfilled, every later append is teed through, and Finish()
-  // flushes. The in-memory log stays authoritative, so verdicts and
-  // measurements are unchanged; the sink is what survives the process.
-  void SpillTo(LogSink* sink) { log_.SetSink(sink, /*backfill=*/true); }
+  // backfilled, every later append is written through, and Finish()
+  // flushes. A sink that reads back (LogStore) then holds the log: the
+  // log keeps only its tip and a bounded ring of chain links in memory
+  // (see TamperEvidentLog). Verdicts and measurements are unchanged.
+  // SpillTo(nullptr) detaches; CommitLog() and reads near the tip still
+  // work, older reads throw.
+  void SpillTo(LogSink* sink) { log_.SetSink(sink); }
 
   // Runs the guest for `quantum_us` simulated microseconds starting at
   // `now`, after delivering any queued incoming packets.
@@ -129,7 +132,7 @@ class Avmm : public DeviceBackend {
   double snapshot_seconds() const { return snapshot_mgr_.snapshot_seconds(); }
 
  private:
-  void RecordEvent(TraceEvent e);
+  void RecordEvent(const TraceEvent& e);
   void DeliverPendingRx(Machine& m);
   uint64_t VirtualClockMicros(const Machine& m) const;
   uint32_t ReadClockLo(Machine& m);
@@ -165,6 +168,7 @@ class Avmm : public DeviceBackend {
   bool finished_ = false;
 
   Stats stats_;
+  Bytes trace_buf_;  // RecordEvent's encoding buffer, reused per event.
   Bytes console_output_;
   std::vector<uint32_t> debug_values_;
   uint64_t vmware_equiv_bytes_ = 0;

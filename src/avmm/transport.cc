@@ -416,10 +416,10 @@ void Transport::Release(SimTime now, PendingSend p) {
   unacked_[key] = std::move(p);
 }
 
-Hash256 Transport::Log(EntryType type, Bytes content) {
+Hash256 Transport::Log(EntryType type, ByteView content) {
   WallTimer log_timer;
   Hash256 prev = log_->LastHash();
-  log_->Append(type, std::move(content));
+  log_->Append(type, content);
   logging_seconds_ += log_timer.ElapsedSeconds();
   return prev;
 }
@@ -518,7 +518,7 @@ void Transport::RequestCommit(uint64_t seq) {
   }
   last_commit_request_seq_ = seq;
   if (sign_pipeline_ != nullptr) {
-    sign_pipeline_->Enqueue(seq, log_->At(seq).hash);
+    sign_pipeline_->Enqueue(seq, log_->HashAt(seq));
     return;
   }
   Authenticator a = Crypto([&] { return log_->AuthenticateAt(*signer_, seq); });
@@ -539,11 +539,9 @@ ChainTail Transport::BuildTailFor(const NodeId& dst, bool advance) {
   uint64_t tip = log_->LastSeq();
   ChainTail t;
   t.from_seq = known + 1;
-  t.prior_hash = known == 0 ? Hash256::Zero() : log_->At(known).hash;
+  t.prior_hash = log_->HashAt(known);
   t.links.reserve(static_cast<size_t>(tip - known));
-  for (uint64_t s = known + 1; s <= tip; s++) {
-    t.links.push_back(LinkFor(log_->At(s)));
-  }
+  log_->AppendLinks(known + 1, tip, &t.links);
   t.commit = latest_commit_;
   if (t.commit.seq != 0) {
     NoteAuthRelease(t.commit.seq);

@@ -165,7 +165,7 @@ class Transport : public NetworkDelegate {
   // The one release point for frames that carry our commitment.
   void Release(SimTime now, PendingSend p);
   // Appends one entry (timed as logging); returns h_{i-1}.
-  Hash256 Log(EntryType type, Bytes content);
+  Hash256 Log(EntryType type, ByteView content);
   // Our commitment to the entry just appended: signed in kSync; in
   // batched modes the unsigned chain state, sealed by a later window.
   Authenticator CommitToTip(bool batched);

@@ -20,10 +20,11 @@
 // (RunConfig::durable_commit) to avoid releasing evidence for entries
 // that could still be lost.
 //
-// Layering: LogStore is a LogSink (TamperEvidentLog tees entries into
-// it as they are appended) and a SegmentSource (the Auditor reads
-// ranges back out, from this process or a later one via Open on the
-// same directory). It stores what the chain layer produced and verifies
+// Layering: LogStore is a LogSink (TamperEvidentLog writes entries
+// through into it as they are appended, and reads older ones back from
+// it instead of keeping them in memory) and a SegmentSource (the
+// Auditor reads ranges back out, from this process or a later one via
+// Open on the same directory). It stores what the chain layer produced and verifies
 // only framing (CRCs, seq continuity, boundary hashes); tamper
 // detection remains the auditor's job.
 //
@@ -137,6 +138,9 @@ class LogStore final : public LogSink, public SegmentSource {
   // on stable storage (monotone; lock-free).
   uint64_t SinkDurableSeq() const override { return DurableSeq(); }
   uint64_t DurableSeq() const { return durable_seq_.load(std::memory_order_acquire); }
+  // The store reads back what it holds, so a log spilled into it keeps
+  // only a bounded tail in memory.
+  const SegmentSource* Source() const override { return this; }
 
   // Shutdown barrier: rolls the active segment regardless of size and
   // drains the sealer pool, so every segment is sealed when it

@@ -43,14 +43,6 @@ std::vector<ChainLink> ReadChainLinks(Reader& r) {
   return links;
 }
 
-Hash256 ApplyChainLink(const Hash256& prev, const ChainLink& link) {
-  return ChainHashWithContentHash(prev, link.seq, link.type, link.content_hash);
-}
-
-ChainLink LinkFor(const LogEntry& e) {
-  return ChainLink{e.seq, e.type, Sha256::Digest(e.content)};
-}
-
 CheckResult BatchAuthenticator::Verify(const KeyRegistry& registry) const {
   if (links.empty()) {
     return CheckResult::Fail("batch authenticator has no links");
@@ -102,10 +94,8 @@ BatchAuthenticator BatchAuthenticator::FromLog(const TamperEvidentLog& log, cons
   }
   BatchAuthenticator b;
   b.prior_seq = from_seq - 1;
-  b.prior_hash = b.prior_seq == 0 ? Hash256::Zero() : log.At(b.prior_seq).hash;
-  for (uint64_t s = from_seq; s <= to_seq; s++) {
-    b.links.push_back(LinkFor(log.At(s)));
-  }
+  b.prior_hash = log.HashAt(b.prior_seq);
+  log.AppendLinks(from_seq, to_seq, &b.links);
   b.commit = log.AuthenticateAt(signer, to_seq);
   return b;
 }

@@ -29,18 +29,6 @@ namespace avm {
 
 class Signer;
 
-// One link of the hash chain: enough to recompute h_i from h_{i-1}.
-struct ChainLink {
-  uint64_t seq = 0;
-  EntryType type = EntryType::kInfo;
-  Hash256 content_hash;  // H(c_i)
-};
-
-// h_i from h_{i-1} and a link.
-Hash256 ApplyChainLink(const Hash256& prev, const ChainLink& link);
-// The link describing an existing entry.
-ChainLink LinkFor(const LogEntry& e);
-
 // The one wire format for link sequences, shared by BatchAuthenticator
 // and the transport's ChainTail so the two cannot drift.
 void WriteChainLinks(Writer& w, const std::vector<ChainLink>& links);

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <stdexcept>
 
+#include "src/tel/segment_source.h"
 #include "src/util/serde.h"
 
 namespace avm {
@@ -48,6 +49,14 @@ Hash256 ChainHashWithContentHash(const Hash256& prev, uint64_t seq, EntryType ty
 
 Hash256 ChainHash(const Hash256& prev, uint64_t seq, EntryType type, ByteView content) {
   return ChainHashWithContentHash(prev, seq, type, Sha256::Digest(content));
+}
+
+Hash256 ApplyChainLink(const Hash256& prev, const ChainLink& link) {
+  return ChainHashWithContentHash(prev, link.seq, link.type, link.content_hash);
+}
+
+ChainLink LinkFor(const LogEntry& e) {
+  return ChainLink{e.seq, e.type, Sha256::Digest(e.content)};
 }
 
 Bytes Authenticator::SignedPayload(const NodeId& node, uint64_t seq, const Hash256& hash) {
@@ -148,46 +157,68 @@ LogSegment LogSegment::Deserialize(ByteView data) {
   return seg;
 }
 
-const LogEntry& TamperEvidentLog::Append(EntryType type, Bytes content) {
-  LogEntry e;
-  e.seq = entries_.size() + 1;
-  e.type = type;
-  e.content = std::move(content);
-  e.hash = ChainHash(LastHash(), e.seq, e.type, e.content);
-  total_wire_size_ += e.WireSize();
-  entries_.push_back(std::move(e));
-  if (sink_ != nullptr) {
-    sink_->Append(entries_.back());
-  }
-  return entries_.back();
+TamperEvidentLog::TamperEvidentLog(NodeId owner)
+    : owner_(std::move(owner)), ring_(kTailCapacity) {
+  static_assert(sizeof(LinkRecord) * kTailCapacity < 128 * 1024,
+                "the ring must stay below glibc's mmap threshold");
 }
 
-void TamperEvidentLog::SetSink(LogSink* sink, bool backfill) {
-  sink_ = sink;
-  if (sink_ == nullptr || !backfill) {
-    return;
+const LogEntry& TamperEvidentLog::Append(EntryType type, ByteView content) {
+  const uint64_t seq = last_seq_ + 1;
+  const Hash256 prev = LastHash();
+  LogEntry& e = spilled_ ? tip_ : entries_.emplace_back();
+  e.seq = seq;
+  e.type = type;
+  e.content.assign(content.begin(), content.end());
+  LinkRecord& r = ring_[seq % kTailCapacity];
+  r.link = ChainLink{seq, type, Sha256::Digest(e.content)};
+  r.hash = ApplyChainLink(prev, r.link);
+  e.hash = r.hash;
+  last_seq_ = seq;
+  total_wire_size_ += e.WireSize();
+  if (sink_ != nullptr) {
+    sink_->Append(e);
   }
-  // A sink that is ahead of this log, or whose chain diverges from it,
-  // belongs to some other history -- appending to it would break the
-  // store's chain continuity at the first teed entry, so fail loudly
-  // here instead of deep inside a later Append.
-  uint64_t sink_last = sink_->SinkLastSeq();
-  if (sink_last > entries_.size()) {
-    sink_ = nullptr;
-    throw std::logic_error("TamperEvidentLog::SetSink: sink already holds " +
-                           std::to_string(sink_last) + " entries but the log has only " +
-                           std::to_string(entries_.size()));
-  }
-  if (sink_last > 0) {
-    std::optional<Hash256> sink_hash = sink_->SinkLastHash();
-    if (sink_hash.has_value() && *sink_hash != entries_[sink_last - 1].hash) {
-      sink_ = nullptr;
-      throw std::logic_error("TamperEvidentLog::SetSink: sink diverges from the log at seq " +
-                             std::to_string(sink_last));
+  return e;
+}
+
+void TamperEvidentLog::SetSink(LogSink* sink) {
+  if (sink != nullptr) {
+    // A sink that is ahead of this log, or whose chain diverges from it,
+    // belongs to some other history -- appending to it would break the
+    // store's chain continuity at the first teed entry, so fail loudly
+    // here instead of deep inside a later Append.
+    const uint64_t sink_last = sink->SinkLastSeq();
+    std::string error;
+    if (sink_last > last_seq_) {
+      error = "TamperEvidentLog::SetSink: sink already holds " + std::to_string(sink_last) +
+              " entries but the log has only " + std::to_string(last_seq_);
+    } else if (sink_last > 0) {
+      std::optional<Hash256> sink_hash = sink->SinkLastHash();
+      if (sink_hash.has_value() && *sink_hash != HashAt(sink_last)) {
+        error = "TamperEvidentLog::SetSink: sink diverges from the log at seq " +
+                std::to_string(sink_last);
+      }
     }
+    if (!error.empty()) {
+      sink_ = nullptr;
+      source_ = nullptr;
+      throw std::logic_error(error);
+    }
+    // Backfill reads through the previous sink, if the log spilled to one.
+    Scan(sink_last + 1, last_seq_, [sink](const LogEntry& e) {
+      sink->Append(e);
+      return true;
+    });
   }
-  for (uint64_t s = sink_last + 1; s <= entries_.size(); s++) {
-    sink_->Append(entries_[s - 1]);
+  sink_ = sink;
+  source_ = sink != nullptr ? sink->Source() : nullptr;
+  if (source_ != nullptr && !spilled_) {
+    if (!entries_.empty()) {
+      tip_ = std::move(entries_.back());
+    }
+    entries_ = std::vector<LogEntry>();
+    spilled_ = true;
   }
 }
 
@@ -197,12 +228,102 @@ void TamperEvidentLog::FlushSink() {
   }
 }
 
-const LogEntry& TamperEvidentLog::At(uint64_t seq) const {
-  if (seq == 0 || seq > entries_.size()) {
-    throw std::out_of_range("TamperEvidentLog::At: seq " + std::to_string(seq) +
-                            " out of range [1, " + std::to_string(entries_.size()) + "]");
+size_t TamperEvidentLog::ResidentEntries() const {
+  return spilled_ ? std::min<uint64_t>(last_seq_, kTailCapacity) : entries_.size();
+}
+
+void TamperEvidentLog::CheckRange(uint64_t from_seq, uint64_t to_seq, const char* what) const {
+  if (from_seq == 0 || from_seq > to_seq || to_seq > last_seq_) {
+    throw std::out_of_range(std::string("TamperEvidentLog::") + what + ": range [" +
+                            std::to_string(from_seq) + ", " + std::to_string(to_seq) +
+                            "] not in [1, " + std::to_string(last_seq_) + "]");
   }
-  return entries_[seq - 1];
+}
+
+const TamperEvidentLog::LinkRecord* TamperEvidentLog::RingAt(uint64_t seq) const {
+  if (seq == 0 || seq > last_seq_ || last_seq_ - seq >= kTailCapacity) {
+    return nullptr;
+  }
+  return &ring_[seq % kTailCapacity];
+}
+
+const SegmentSource& TamperEvidentLog::SpilledSource(uint64_t seq, const char* what) const {
+  if (source_ == nullptr) {
+    throw std::out_of_range(std::string("TamperEvidentLog::") + what + ": seq " +
+                            std::to_string(seq) +
+                            " was spilled to a sink that is no longer attached; only the last " +
+                            std::to_string(kTailCapacity) + " chain links stay in memory");
+  }
+  return *source_;
+}
+
+LogEntry TamperEvidentLog::At(uint64_t seq) const {
+  CheckRange(seq, seq, "At");
+  LogEntry out;
+  Scan(seq, seq, [&out](const LogEntry& e) {
+    out = e;
+    return false;
+  });
+  return out;
+}
+
+Hash256 TamperEvidentLog::HashAt(uint64_t seq) const {
+  if (seq == 0) {
+    return Hash256::Zero();
+  }
+  CheckRange(seq, seq, "HashAt");
+  if (const LinkRecord* r = RingAt(seq)) {
+    return r->hash;
+  }
+  return spilled_ ? SpilledSource(seq, "HashAt").HashAt(seq) : entries_[seq - 1].hash;
+}
+
+void TamperEvidentLog::AppendLinks(uint64_t from_seq, uint64_t to_seq,
+                                   std::vector<ChainLink>* out) const {
+  if (from_seq > to_seq) {
+    return;
+  }
+  CheckRange(from_seq, to_seq, "AppendLinks");
+  const uint64_t ring_first = last_seq_ > kTailCapacity ? last_seq_ - kTailCapacity + 1 : 1;
+  if (from_seq < ring_first) {
+    Scan(from_seq, std::min(to_seq, ring_first - 1), [out](const LogEntry& e) {
+      out->push_back(LinkFor(e));
+      return true;
+    });
+    from_seq = ring_first;
+  }
+  for (uint64_t s = from_seq; s <= to_seq; s++) {
+    out->push_back(ring_[s % kTailCapacity].link);
+  }
+}
+
+void TamperEvidentLog::Scan(uint64_t from_seq, uint64_t to_seq, const EntryVisitor& visit) const {
+  if (from_seq > to_seq) {
+    return;
+  }
+  CheckRange(from_seq, to_seq, "Scan");
+  if (!spilled_) {
+    for (uint64_t s = from_seq; s <= to_seq; s++) {
+      if (!visit(entries_[s - 1])) {
+        return;
+      }
+    }
+    return;
+  }
+  if (from_seq < last_seq_) {
+    bool more = true;
+    SpilledSource(from_seq, "Scan")
+        .Scan(from_seq, std::min(to_seq, last_seq_ - 1), [&](const LogEntry& e) {
+          more = visit(e);
+          return more;
+        });
+    if (!more) {
+      return;
+    }
+  }
+  if (to_seq == last_seq_) {
+    visit(tip_);
+  }
 }
 
 Authenticator TamperEvidentLog::Authenticate(const Signer& signer) const {
@@ -210,24 +331,31 @@ Authenticator TamperEvidentLog::Authenticate(const Signer& signer) const {
 }
 
 Authenticator TamperEvidentLog::AuthenticateAt(const Signer& signer, uint64_t seq) const {
-  const LogEntry& e = At(seq);
+  CheckRange(seq, seq, "AuthenticateAt");
   Authenticator a;
   a.node = owner_;
-  a.seq = e.seq;
-  a.hash = e.hash;
+  a.seq = seq;
+  a.hash = HashAt(seq);
   a.signature = signer.SignDigest(Authenticator::SignedPayloadDigest(a.node, a.seq, a.hash));
   return a;
 }
 
 LogSegment TamperEvidentLog::Extract(uint64_t from_seq, uint64_t to_seq) const {
-  if (from_seq == 0 || from_seq > to_seq || to_seq > entries_.size()) {
-    throw std::out_of_range("TamperEvidentLog::Extract: bad range");
-  }
+  CheckRange(from_seq, to_seq, "Extract");
   LogSegment seg;
+  if (spilled_ && from_seq < last_seq_) {
+    // One range read of the spilled part, which also yields h_{from-1}.
+    seg = SpilledSource(from_seq, "Extract").Extract(from_seq, std::min(to_seq, last_seq_ - 1));
+  } else {
+    seg.prior_hash = HashAt(from_seq - 1);
+  }
   seg.node = owner_;
-  seg.prior_hash = (from_seq == 1) ? Hash256::Zero() : entries_[from_seq - 2].hash;
-  seg.entries.assign(entries_.begin() + static_cast<ptrdiff_t>(from_seq - 1),
-                     entries_.begin() + static_cast<ptrdiff_t>(to_seq));
+  if (!spilled_) {
+    seg.entries.assign(entries_.begin() + static_cast<ptrdiff_t>(from_seq - 1),
+                       entries_.begin() + static_cast<ptrdiff_t>(to_seq));
+  } else if (to_seq == last_seq_) {
+    seg.entries.push_back(tip_);
+  }
   return seg;
 }
 

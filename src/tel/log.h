@@ -9,6 +9,7 @@
 #define SRC_TEL_LOG_H_
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -58,6 +59,21 @@ Hash256 ChainHash(const Hash256& prev, uint64_t seq, EntryType type, ByteView co
 Hash256 ChainHashWithContentHash(const Hash256& prev, uint64_t seq, EntryType type,
                                  const Hash256& content_hash);
 
+// One link of the hash chain: enough to recompute h_i from h_{i-1}.
+struct ChainLink {
+  uint64_t seq = 0;
+  EntryType type = EntryType::kInfo;
+  Hash256 content_hash;  // H(c_i)
+};
+
+// h_i from h_{i-1} and a link.
+Hash256 ApplyChainLink(const Hash256& prev, const ChainLink& link);
+// The link describing an existing entry (digests its content).
+ChainLink LinkFor(const LogEntry& e);
+
+// Visits one entry; return false to stop a scan early.
+using EntryVisitor = std::function<bool(const LogEntry&)>;
+
 // A signed commitment to the log prefix ending at `seq`.
 struct Authenticator {
   NodeId node;
@@ -102,10 +118,15 @@ struct LogSegment {
   static LogSegment Deserialize(ByteView data);
 };
 
+class SegmentSource;
+
 // Receives every appended entry, e.g. to spill it to durable storage
-// (src/store). The log itself stays authoritative and in memory; a sink
-// is a tee, so every existing call site (and every audit verdict)
-// behaves bit-for-bit identically with or without one attached.
+// (src/store). A sink that can also read its entries back (Source()
+// non-null, as LogStore's is) takes the log over: the log then keeps
+// only its tip and a bounded ring of chain links in memory and reads
+// every older entry through the sink. A sink that cannot (a plain tee)
+// leaves the log in memory. Either way every entry, hash, authenticator
+// and audit verdict is bit-for-bit what a sinkless log produces.
 class LogSink {
  public:
   virtual ~LogSink() = default;
@@ -124,36 +145,73 @@ class LogSink {
   // report everything they hold; LogStore reports its group-commit
   // watermark. Must be safe to call from any thread.
   virtual uint64_t SinkDurableSeq() const { return SinkLastSeq(); }
+  // The sink as a reader of the entries it holds, or nullptr when it
+  // cannot read them back.
+  virtual const SegmentSource* Source() const { return nullptr; }
 };
 
 // The append-only log a machine maintains about itself.
+//
+// A sinkless log (or one teeing into a sink that cannot read back) keeps
+// every entry in memory; it is the reference the spilled form is tested
+// against. Once a sink with a Source() is attached, the log is spilled
+// for good: it keeps the tip entry (whose content buffer every append
+// reuses) and a ring of the last kTailCapacity chain links {seq, type,
+// H(c_i), h_i}, which serves LastHash, HashAt, Authenticate(At) and
+// AppendLinks near the tip without touching the sink. Every older
+// content or hash read (At, Scan, Extract, and HashAt/AppendLinks behind
+// the ring) goes through the sink's Source(). After the sink is detached
+// those older reads throw std::out_of_range; the tip and the ring stay.
 class TamperEvidentLog {
  public:
-  explicit TamperEvidentLog(NodeId owner) : owner_(std::move(owner)) {}
+  // Chain links a spilled log keeps in memory (80 B each: under 128 KiB
+  // in all, so the ring never comes from its own mmap).
+  static constexpr size_t kTailCapacity = 1024;
 
-  // Appends an entry and returns it (with seq and chain hash filled in).
-  const LogEntry& Append(EntryType type, Bytes content);
+  explicit TamperEvidentLog(NodeId owner);
 
-  // Attaches a tee (non-owning; nullptr detaches). With `backfill`,
-  // entries appended before the sink was attached are replayed into it
-  // first, so the sink always mirrors the full log.
-  void SetSink(LogSink* sink, bool backfill = true);
+  // Appends an entry and returns it (with seq and chain hash filled in;
+  // valid until the next Append). The content is copied, so the caller
+  // may encode into a buffer it reuses.
+  const LogEntry& Append(EntryType type, ByteView content);
+
+  // Attaches a sink (non-owning; nullptr detaches). Entries appended
+  // before the sink was attached and missing from it are replayed into
+  // it first, so the sink always mirrors the full log. Throws
+  // std::logic_error (leaving no sink attached) when the sink is ahead
+  // of the log or its chain diverges from it.
+  void SetSink(LogSink* sink);
   LogSink* sink() const { return sink_; }
   void FlushSink();
 
-  uint64_t LastSeq() const { return entries_.size(); }
+  uint64_t LastSeq() const { return last_seq_; }
   // The durability watermark the attached sink publishes, or LastSeq()
   // when no sink is attached (an in-memory-only log has no weaker
   // durability boundary to wait for). RunConfig::durable_commit gates
   // authenticator release on this.
   uint64_t DurableSeq() const { return sink_ ? sink_->SinkDurableSeq() : LastSeq(); }
-  Hash256 LastHash() const { return entries_.empty() ? Hash256::Zero() : entries_.back().hash; }
+  Hash256 LastHash() const {
+    return last_seq_ == 0 ? Hash256::Zero() : ring_[last_seq_ % kTailCapacity].hash;
+  }
   const NodeId& owner() const { return owner_; }
 
-  bool empty() const { return entries_.empty(); }
-  size_t size() const { return entries_.size(); }
-  const LogEntry& At(uint64_t seq) const;  // seq is 1-based.
-  const std::vector<LogEntry>& entries() const { return entries_; }
+  bool empty() const { return last_seq_ == 0; }
+  size_t size() const { return last_seq_; }
+  // Entries whose records the log holds in memory: all of them when
+  // sinkless, at most kTailCapacity chain links (one with its content)
+  // when spilled.
+  size_t ResidentEntries() const;
+
+  // Entry `seq` (1-based), copied out.
+  LogEntry At(uint64_t seq) const;
+  // The chain hash h_seq; h_0 = Zero.
+  Hash256 HashAt(uint64_t seq) const;
+  // Appends the chain links of [from_seq, to_seq] to `out` (nothing
+  // when from_seq > to_seq); links in the ring cost no digest.
+  void AppendLinks(uint64_t from_seq, uint64_t to_seq, std::vector<ChainLink>* out) const;
+  // Streams entries [from_seq, to_seq] in order (a spilled log reads
+  // them through its sink in one range read).
+  void Scan(uint64_t from_seq, uint64_t to_seq, const EntryVisitor& visit) const;
 
   // Total serialized size of all entries (Figure 3's metric).
   size_t TotalWireSize() const { return total_wire_size_; }
@@ -166,10 +224,29 @@ class TamperEvidentLog {
   LogSegment Extract(uint64_t from_seq, uint64_t to_seq) const;
 
  private:
+  // One ring slot: an entry's chain link and the hash it yields.
+  struct LinkRecord {
+    ChainLink link;
+    Hash256 hash;
+  };
+
+  // Throws std::out_of_range unless 1 <= from_seq <= to_seq <= LastSeq().
+  void CheckRange(uint64_t from_seq, uint64_t to_seq, const char* what) const;
+  // The ring slot of `seq`, or nullptr when seq is behind the ring.
+  const LinkRecord* RingAt(uint64_t seq) const;
+  // Where a spilled log reads entries behind its tip; throws
+  // std::out_of_range once the sink is detached.
+  const SegmentSource& SpilledSource(uint64_t seq, const char* what) const;
+
   NodeId owner_;
-  std::vector<LogEntry> entries_;
+  uint64_t last_seq_ = 0;
   size_t total_wire_size_ = 0;
+  std::vector<LogEntry> entries_;  // Every entry; empty once spilled.
+  bool spilled_ = false;
+  LogEntry tip_;                   // The last entry, once spilled.
+  std::vector<LinkRecord> ring_;   // ring_[seq % kTailCapacity].
   LogSink* sink_ = nullptr;
+  const SegmentSource* source_ = nullptr;  // sink_->Source().
 };
 
 }  // namespace avm

@@ -10,7 +10,6 @@
 #ifndef SRC_TEL_SEGMENT_SOURCE_H_
 #define SRC_TEL_SEGMENT_SOURCE_H_
 
-#include <functional>
 #include <stdexcept>
 
 #include "src/tel/log.h"
@@ -19,8 +18,7 @@ namespace avm {
 
 class SegmentSource {
  public:
-  // Visits one entry; return false to stop the scan early.
-  using EntryVisitor = std::function<bool(const LogEntry&)>;
+  using EntryVisitor = avm::EntryVisitor;
 
   virtual ~SegmentSource() = default;
 
@@ -58,7 +56,8 @@ class SegmentSource {
   }
 };
 
-// The trivial source: the log already in this process's memory.
+// The trivial source: the log already in this process's memory (a
+// spilled log reads what it no longer holds through its own sink).
 class InMemorySegmentSource final : public SegmentSource {
  public:
   explicit InMemorySegmentSource(const TamperEvidentLog& log) : log_(&log) {}
@@ -69,11 +68,7 @@ class InMemorySegmentSource final : public SegmentSource {
     return log_->Extract(from_seq, to_seq);
   }
   void Scan(uint64_t from_seq, uint64_t to_seq, const EntryVisitor& visit) const override {
-    for (uint64_t s = from_seq; s <= to_seq; s++) {
-      if (!visit(log_->At(s))) {
-        return;
-      }
-    }
+    log_->Scan(from_seq, to_seq, visit);
   }
 
  private:

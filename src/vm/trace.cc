@@ -1,5 +1,7 @@
 #include "src/vm/trace.h"
 
+#include <cstring>
+
 #include "src/util/serde.h"
 #include "src/vm/isa.h"
 
@@ -26,13 +28,25 @@ const char* TraceKindName(TraceKind k) {
 }
 
 Bytes TraceEvent::Serialize() const {
-  Writer w(1 + 8 + 2 + 4 + 4 + data.size());
-  w.U8(static_cast<uint8_t>(kind));
-  w.U64(icount);
-  w.U16(port);
-  w.U32(value);
-  w.Blob(data);
-  return w.Take();
+  Bytes out;
+  SerializeTo(out);
+  return out;
+}
+
+void TraceEvent::SerializeTo(Bytes& out) const {
+  // kind u8 | icount u64 | port u16 | value u32 | data (u32 length + bytes),
+  // little-endian: the Writer layout, stored in place.
+  constexpr size_t kHeader = 1 + 8 + 2 + 4 + 4;
+  out.resize(kHeader + data.size());
+  uint8_t* p = out.data();
+  p[0] = static_cast<uint8_t>(kind);
+  StoreLe(p + 1, icount);
+  StoreLe(p + 9, port);
+  StoreLe(p + 11, value);
+  StoreLe(p + 15, static_cast<uint32_t>(data.size()));
+  if (!data.empty()) {
+    std::memcpy(p + kHeader, data.data(), data.size());
+  }
 }
 
 TraceEvent TraceEvent::Deserialize(ByteView raw) {

@@ -41,6 +41,9 @@ struct TraceEvent {
   Bytes data;           // Packet payload for kDmaPacket / kOutPacket.
 
   Bytes Serialize() const;
+  // Serialize() into `out`, replacing its contents; a buffer reused
+  // across events allocates only when it outgrows its peak.
+  void SerializeTo(Bytes& out) const;
   static TraceEvent Deserialize(ByteView data);
 
   bool operator==(const TraceEvent& o) const {

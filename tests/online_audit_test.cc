@@ -272,21 +272,26 @@ TEST(OnlineAudit, StoreBackedFollowMatchesInMemory) {
   std::filesystem::remove_all(dir);
   GameScenario game(Cfg(7));
   game.Start();
+  GameScenario twin(Cfg(7));  // The same run kept in memory: the reference.
+  twin.Start();
   LogStoreOptions opts;
   opts.sync = false;
   auto store = LogStore::Open(dir, game.player_id(0), opts);
   game.player(0).SpillTo(store.get());
 
-  PlayerFollower mem_follower(game, 0);
+  PlayerFollower mem_follower(twin, 0);
   PlayerFollower store_follower(game, 0, store.get(), /*threads=*/4);
   for (int step = 0; step < 5; step++) {
     game.RunFor(200 * kMicrosPerMilli);
+    twin.RunFor(200 * kMicrosPerMilli);
+    ASSERT_EQ(game.player(0).log().LastHash(), twin.player(0).log().LastHash());
     AuditOutcome m = mem_follower.Poll();
     AuditOutcome s = store_follower.Poll();
     ASSERT_EQ(m.ok, s.ok) << "step " << step;
     EXPECT_EQ(m.semantic.replay_icount, s.semantic.replay_icount);
     EXPECT_EQ(mem_follower.auditor().LagEntries(), store_follower.auditor().LagEntries());
   }
+  game.player(0).SpillTo(nullptr);
   std::filesystem::remove_all(dir);
 }
 

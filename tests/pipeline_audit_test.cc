@@ -457,6 +457,16 @@ TEST_F(PipelineAuditTest, NoCoveringAuthenticatorFailsIdentically) {
 
 // --- store-backed: multi-segment logs on disk --------------------------
 
+// Writes every entry of `log` into `store` and leaves the log in memory,
+// the reference the store-backed audits are compared with (attaching
+// the store as a sink would spill the log into it).
+void CopyLog(const TamperEvidentLog& log, LogStore& store) {
+  log.Scan(1, log.LastSeq(), [&store](const LogEntry& e) {
+    store.Append(e);
+    return true;
+  });
+}
+
 class PipelineStoreTest : public PipelineAuditTest {
  protected:
   void SetUp() override {
@@ -483,8 +493,7 @@ TEST_F(PipelineStoreTest, StoreBackedPipelinedAuditMatchesSequential) {
   };
   auto store = store_setup();
   RecordSolo(60, 40);
-  node_->SpillTo(store.get());
-  node_->log().SetSink(nullptr);
+  CopyLog(node_->log(), *store);
   store->Seal();
   ASSERT_GE(store->SealedCount(), 3u) << "want a multi-segment log";
 
@@ -503,8 +512,7 @@ TEST_F(PipelineStoreTest, StoreBackedPipelinedAuditMatchesSequential) {
 TEST_F(PipelineStoreTest, CorruptSealedSegmentIsUnreadableIdentically) {
   auto store = LogStore::Open(dir_, "solo", SmallSegments());
   RecordSolo(60, 40);
-  node_->SpillTo(store.get());
-  node_->log().SetSink(nullptr);
+  CopyLog(node_->log(), *store);
   store->Seal();
   ASSERT_GE(store->SealedCount(), 3u);
 
@@ -681,10 +689,9 @@ class EngineKvTest : public ::testing::Test {
     opts.seal_threshold_bytes = 16 * 1024;
     opts.sync = false;
     store_ = LogStore::Open((fs::path(dir_) / "log").string(), kv_->server().id(), opts);
-    kv_->server().SpillTo(store_.get());
     kv_->RunFor(kMicrosPerSecond);
     kv_->Finish();
-    kv_->server().log().SetSink(nullptr);
+    CopyLog(kv_->server().log(), *store_);
     store_->Seal();
     ASSERT_GE(store_->SealedCount(), 3u);
     auths_ = kv_->CollectAuthsForServer();

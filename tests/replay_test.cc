@@ -632,11 +632,12 @@ TEST_F(ReplayFixture, SpotCheckReplayEquivalentWithJitOnAndOff) {
   Record(*node, 50);
 
   std::vector<std::pair<uint64_t, SnapshotMeta>> snaps;
-  for (const LogEntry& e : node->log().entries()) {
+  node->log().Scan(1, node->log().LastSeq(), [&](const LogEntry& e) {
     if (e.type == EntryType::kSnapshot) {
       snaps.emplace_back(e.seq, SnapshotMeta::Deserialize(e.content));
     }
-  }
+    return true;
+  });
   ASSERT_GE(snaps.size(), 4u);
   LogSegment seg = node->log().Extract(snaps[1].first, snaps[3].first);
   MaterializedState start =
@@ -665,11 +666,12 @@ TEST_F(ReplayFixture, SpotCheckFromMidSnapshot) {
 
   // Find two mid-log snapshots and replay only the chunk between them.
   std::vector<std::pair<uint64_t, SnapshotMeta>> snaps;
-  for (const LogEntry& e : node->log().entries()) {
+  node->log().Scan(1, node->log().LastSeq(), [&](const LogEntry& e) {
     if (e.type == EntryType::kSnapshot) {
       snaps.emplace_back(e.seq, SnapshotMeta::Deserialize(e.content));
     }
-  }
+    return true;
+  });
   ASSERT_GE(snaps.size(), 4u);
   const auto& from = snaps[1];
   const auto& to = snaps[3];

@@ -253,12 +253,14 @@ TEST_F(StoreFixture, CursorStreamsEntriesWithPriorHash) {
 TEST_F(StoreFixture, CursorLoadsASealedSegmentOncePerWindow) {
   const NodeId node = "cursor-loads";
   TamperEvidentLog log(node);
+  TamperEvidentLog ref(node);  // Sinkless twin: the reference contents.
   LogStoreOptions opts = SmallSegments();
   opts.seal_threshold_bytes = 64 * 1024;  // ~500 entries in the first segment.
   opts.index_every = 16;                  // Waypoints to skip up from.
   auto store = LogStore::Open(dir_, node, opts);
   log.SetSink(store.get());
   Fill(log, 1200);
+  Fill(ref, 1200);
   store->Seal();
   ASSERT_EQ(store->SealedCount(), store->SegmentCount());
   // The first segment must hold every window below.
@@ -274,18 +276,20 @@ TEST_F(StoreFixture, CursorLoadsASealedSegmentOncePerWindow) {
     uint64_t before = loads->Value();
     LogSegment disk = store->Extract(from, to);
     EXPECT_EQ(loads->Value() - before, 1u) << "Extract from " << from;
-    LogSegment mem = log.Extract(from, to);
+    LogSegment mem = ref.Extract(from, to);
     EXPECT_EQ(disk.prior_hash, mem.prior_hash) << "from " << from;
     ASSERT_EQ(disk.Serialize(), mem.Serialize()) << "from " << from;
 
     before = loads->Value();
-    EXPECT_EQ(store->HashAt(from), log.At(from).hash) << "HashAt " << from;
+    EXPECT_EQ(store->HashAt(from), ref.At(from).hash) << "HashAt " << from;
     EXPECT_EQ(loads->Value() - before, 1u) << "HashAt " << from;
   }
 }
 
 TEST_F(StoreFixture, ReopenRecoversStateAndNodeIdentity) {
   TamperEvidentLog log("carol");
+  TamperEvidentLog ref("carol");  // Sinkless twin: the reference contents.
+  Fill(ref, 150);
   {
     auto store = LogStore::Open(dir_, "carol", SmallSegments());
     log.SetSink(store.get());
@@ -298,19 +302,22 @@ TEST_F(StoreFixture, ReopenRecoversStateAndNodeIdentity) {
   EXPECT_EQ(reopened->LastSeq(), 150u);
   EXPECT_EQ(reopened->LastHash(), log.LastHash());
   EXPECT_FALSE(reopened->RecoveredTornTail());
-  EXPECT_EQ(reopened->Extract(1, 150).Serialize(), log.Extract(1, 150).Serialize());
+  EXPECT_EQ(reopened->Extract(1, 150).Serialize(), ref.Extract(1, 150).Serialize());
 
   // Backfill skips what the store already holds; appends continue.
   log.SetSink(reopened.get());
   Fill(log, 10);
+  Fill(ref, 10);
   EXPECT_EQ(reopened->LastSeq(), 160u);
-  EXPECT_EQ(reopened->Extract(140, 160).Serialize(), log.Extract(140, 160).Serialize());
+  EXPECT_EQ(reopened->Extract(140, 160).Serialize(), ref.Extract(140, 160).Serialize());
 
   EXPECT_THROW(LogStore::Open(dir_, "mallory", SmallSegments()), StoreError);
 }
 
 TEST_F(StoreFixture, ReopenTruncatesTornTailGarbage) {
   TamperEvidentLog log("bob");
+  TamperEvidentLog ref("bob");  // Sinkless twin: the reference contents.
+  Fill(ref, 50);
   {
     auto store = LogStore::Open(dir_, "bob", SmallSegments());
     log.SetSink(store.get());
@@ -329,11 +336,13 @@ TEST_F(StoreFixture, ReopenTruncatesTornTailGarbage) {
   EXPECT_TRUE(store->RecoveredTornTail());
   EXPECT_EQ(store->LastSeq(), 50u);
   EXPECT_EQ(store->LastHash(), log.LastHash());
-  EXPECT_EQ(store->Extract(1, 50).Serialize(), log.Extract(1, 50).Serialize());
+  EXPECT_EQ(store->Extract(1, 50).Serialize(), ref.Extract(1, 50).Serialize());
 }
 
 TEST_F(StoreFixture, ReopenTruncatesHalfWrittenRecord) {
   TamperEvidentLog log("bob");
+  TamperEvidentLog ref("bob");  // Sinkless twin: the reference contents.
+  Fill(ref, 50);
   {
     auto store = LogStore::Open(dir_, "bob", SmallSegments());
     log.SetSink(store.get());
@@ -350,12 +359,13 @@ TEST_F(StoreFixture, ReopenTruncatesHalfWrittenRecord) {
   EXPECT_TRUE(store->RecoveredTornTail());
   // The torn entry is gone; everything before it survived.
   EXPECT_EQ(store->LastSeq(), 49u);
-  EXPECT_EQ(store->LastHash(), log.At(49).hash);
+  EXPECT_EQ(store->LastHash(), log.HashAt(49));
 
-  // The recorder resumes by re-attaching; backfill replays only seq 50.
+  // The recorder resumes by re-attaching; backfill replays only seq 50,
+  // the tip the spilled log still holds.
   log.SetSink(store.get());
   EXPECT_EQ(store->LastSeq(), 50u);
-  EXPECT_EQ(store->Extract(1, 50).Serialize(), log.Extract(1, 50).Serialize());
+  EXPECT_EQ(store->Extract(1, 50).Serialize(), ref.Extract(1, 50).Serialize());
 }
 
 TEST_F(StoreFixture, CorruptTailRecordIsDroppedOnRecovery) {
@@ -510,6 +520,7 @@ TEST_F(StoreFixture, KillPointSweepRecoversToWatermarkEverywhere) {
       };
 
       TamperEvidentLog log("bob");
+      TamperEvidentLog ref("bob");  // Sinkless twin: the in-memory log.
       auto store = LogStore::Open(live_dir, "bob", opts);
       log.SetSink(store.get());
       uint64_t watermark_before_crash = 0;
@@ -517,8 +528,9 @@ TEST_F(StoreFixture, KillPointSweepRecoversToWatermarkEverywhere) {
         if (!captured) {
           watermark_before_crash = store->DurableSeq();
         }
-        log.Append(EntryType::kInfo,
-                   ToBytes("entry-" + std::to_string(i) + "-" + std::string(40, 'k')));
+        const Bytes content = ToBytes("entry-" + std::to_string(i) + "-" + std::string(40, 'k'));
+        log.Append(EntryType::kInfo, content);
+        ref.Append(EntryType::kInfo, content);
       }
       ASSERT_TRUE(captured) << "kill point never hit: " << point;
       log.SetSink(nullptr);
@@ -539,13 +551,13 @@ TEST_F(StoreFixture, KillPointSweepRecoversToWatermarkEverywhere) {
       EXPECT_GE(last, watermark_before_crash);
       EXPECT_GE(recovered->DurableSeq(), watermark_before_crash);
       if (last > 0) {
-        EXPECT_EQ(recovered->Extract(1, last).Serialize(), log.Extract(1, last).Serialize());
-        EXPECT_EQ(recovered->LastHash(), log.At(last).hash);
+        EXPECT_EQ(recovered->Extract(1, last).Serialize(), ref.Extract(1, last).Serialize());
+        EXPECT_EQ(recovered->LastHash(), ref.At(last).hash);
       }
       // And the recovered store accepts new appends from where it stands:
       // continue the chain with the next entries the in-memory log holds.
-      for (uint64_t s = last + 1; s <= std::min<uint64_t>(last + 5, log.LastSeq()); s++) {
-        const LogEntry& e = log.At(s);
+      for (uint64_t s = last + 1; s <= std::min<uint64_t>(last + 5, ref.LastSeq()); s++) {
+        const LogEntry e = ref.At(s);
         recovered->Append(e);
         EXPECT_EQ(recovered->LastSeq(), s);
         EXPECT_EQ(recovered->LastHash(), e.hash);
@@ -640,6 +652,9 @@ TEST_F(StoreFixture, TornRecordBeforePreallocatedZerosIsTruncated) {
 // the file to header + stream bytes.
 TEST_F(StoreFixture, ReopenedSyncStoreAppendsAtStreamEndNotAtEof) {
   TamperEvidentLog log("bob");
+  TamperEvidentLog ref("bob");  // Sinkless twin: the reference contents.
+  Fill(ref, 40);
+  Fill(ref, 20);
   const std::string live = dir_ + "_live";
   fs::remove_all(live);
   {
@@ -653,7 +668,7 @@ TEST_F(StoreFixture, ReopenedSyncStoreAppendsAtStreamEndNotAtEof) {
   fs::remove_all(live);
   const std::string active = FindActiveFile(dir_);
   ASSERT_FALSE(active.empty());
-  if (fs::file_size(active) == kSegmentHeaderSize + StreamBytes(log, 40)) {
+  if (fs::file_size(active) == kSegmentHeaderSize + StreamBytes(ref, 40)) {
     GTEST_SKIP() << "file system did not preallocate the active segment";
   }
   {
@@ -663,14 +678,14 @@ TEST_F(StoreFixture, ReopenedSyncStoreAppendsAtStreamEndNotAtEof) {
     log.SetSink(store.get());
     Fill(log, 20);
     store->Flush();
-    EXPECT_EQ(store->Extract(1, 60).Serialize(), log.Extract(1, 60).Serialize());
+    EXPECT_EQ(store->Extract(1, 60).Serialize(), ref.Extract(1, 60).Serialize());
     log.SetSink(nullptr);
   }
-  EXPECT_EQ(fs::file_size(active), kSegmentHeaderSize + StreamBytes(log, 60));
+  EXPECT_EQ(fs::file_size(active), kSegmentHeaderSize + StreamBytes(ref, 60));
   auto reopened = LogStore::Open(dir_, OneSyncSegment());
   EXPECT_FALSE(reopened->RecoveredTornTail());
   EXPECT_EQ(reopened->LastSeq(), 60u);
-  EXPECT_EQ(reopened->Extract(1, 60).Serialize(), log.Extract(1, 60).Serialize());
+  EXPECT_EQ(reopened->Extract(1, 60).Serialize(), ref.Extract(1, 60).Serialize());
 }
 
 // Sealing trims the preallocation away: a store reopened from a crash
@@ -741,11 +756,19 @@ TEST_F(StoreFixture, StoreBackedFullAuditMatchesInMemory) {
   kv.server().SpillTo(store.get());
   kv.RunFor(2 * kMicrosPerSecond);
   kv.Finish();
+  // The same run without a store keeps its log in memory: the reference.
+  KvScenario twin(FastKv(21));
+  twin.Start();
+  twin.RunFor(2 * kMicrosPerSecond);
+  twin.Finish();
+  ASSERT_EQ(twin.server().log().LastHash(), kv.server().log().LastHash());
 
   std::vector<Authenticator> auths = kv.CollectAuthsForServer();
   Auditor auditor("client", &kv.registry());
-  AuditOutcome mem = auditor.AuditFull(kv.server(), InMemorySegmentSource(kv.server().log()),
-                                       kv.reference_server_image(), auths);
+  AuditOutcome mem =
+      Auditor("client", &twin.registry())
+          .AuditFull(twin.server(), InMemorySegmentSource(twin.server().log()),
+                     twin.reference_server_image(), twin.CollectAuthsForServer());
   AuditOutcome disk =
       auditor.AuditFull(kv.server(), *store, kv.reference_server_image(), auths);
   EXPECT_TRUE(mem.ok) << mem.Describe();
@@ -759,21 +782,29 @@ TEST_F(StoreFixture, StoreBackedFullAuditMatchesInMemory) {
 }
 
 TEST_F(StoreFixture, StoreBackedSpotChecksMatchInMemoryIncludingCheatVerdicts) {
+  // Corrupt the server state mid-run; exactly one window must fail,
+  // identically on both paths.
+  auto cheat = [](Machine& m, SimTime now) {
+    if (now == 700 * kMicrosPerMilli) {
+      m.WriteMem32(kKvTableAddr + 32, 0xdead);
+    }
+  };
   KvScenario kv(FastKv(22));
   kv.Start();
   auto store = LogStore::Open(dir_, kv.server().id(), SmallSegments());
   kv.server().SpillTo(store.get());
-  // Corrupt the server state mid-run; exactly one window must fail,
-  // identically on both paths.
-  kv.server().SetCheatHook([](Machine& m, SimTime now) {
-    if (now == 700 * kMicrosPerMilli) {
-      m.WriteMem32(kKvTableAddr + 32, 0xdead);
-    }
-  });
+  kv.server().SetCheatHook(cheat);
   kv.RunFor(2 * kMicrosPerSecond);
   kv.Finish();
+  // The same run without a store keeps its log in memory: the reference.
+  KvScenario twin(FastKv(22));
+  twin.Start();
+  twin.server().SetCheatHook(cheat);
+  twin.RunFor(2 * kMicrosPerSecond);
+  twin.Finish();
+  ASSERT_EQ(twin.server().log().LastHash(), kv.server().log().LastHash());
 
-  std::vector<SnapshotIndexEntry> snaps = IndexSnapshots(kv.server().log());
+  std::vector<SnapshotIndexEntry> snaps = IndexSnapshots(twin.server().log());
   std::vector<SnapshotIndexEntry> snaps_disk = IndexSnapshots(*store);
   ASSERT_GE(snaps.size(), 4u);
   ASSERT_EQ(snaps.size(), snaps_disk.size());
@@ -789,7 +820,9 @@ TEST_F(StoreFixture, StoreBackedSpotChecksMatchInMemoryIncludingCheatVerdicts) {
   }
   Auditor auditor("client", &kv.registry());
   std::vector<AuditOutcome> mem =
-      auditor.SpotCheckMany(kv.server(), InMemorySegmentSource(kv.server().log()), windows, auths);
+      Auditor("client", &twin.registry())
+          .SpotCheckMany(twin.server(), InMemorySegmentSource(twin.server().log()), windows,
+                         twin.CollectAuthsForServer());
   std::vector<AuditOutcome> disk = auditor.SpotCheckMany(kv.server(), *store, windows, auths);
   ASSERT_EQ(mem.size(), disk.size());
   int failures = 0;
@@ -812,14 +845,22 @@ TEST_F(StoreFixture, FreshProcessStyleAuditFromDiskOnly) {
     kv.server().log().SetSink(nullptr);
     store->Seal();
   }
+  // The same run without a store keeps its log in memory: the reference.
+  KvScenario twin(FastKv(23));
+  twin.Start();
+  twin.RunFor(kMicrosPerSecond);
+  twin.Finish();
+  ASSERT_EQ(twin.server().log().LastHash(), kv.server().log().LastHash());
   // A fresh auditor opens the directory cold, as a separate process
   // would, and audits without ever touching the in-memory log.
   auto store = LogStore::Open(dir_, SmallSegments());
   EXPECT_EQ(store->LastSeq(), kv.server().log().LastSeq());
   std::vector<Authenticator> auths = kv.CollectAuthsForServer();
   Auditor auditor("client", &kv.registry());
-  AuditOutcome mem = auditor.AuditFull(kv.server(), InMemorySegmentSource(kv.server().log()),
-                                       kv.reference_server_image(), auths);
+  AuditOutcome mem =
+      Auditor("client", &twin.registry())
+          .AuditFull(twin.server(), InMemorySegmentSource(twin.server().log()),
+                     twin.reference_server_image(), twin.CollectAuthsForServer());
   AuditOutcome disk = auditor.AuditFull(kv.server(), *store, kv.reference_server_image(), auths);
   EXPECT_TRUE(disk.ok) << disk.Describe();
   EXPECT_EQ(mem.Describe(), disk.Describe());

@@ -301,9 +301,10 @@ TEST_F(TelFixture, AuthenticatorStoreRejectsBadSignature) {
 TEST_F(TelFixture, WireSizeAccounting) {
   Fill(7);
   size_t total = 0;
-  for (const LogEntry& e : log.entries()) {
+  log.Scan(1, log.LastSeq(), [&](const LogEntry& e) {
     total += e.WireSize();
-  }
+    return true;
+  });
   EXPECT_EQ(log.TotalWireSize(), total);
   EXPECT_EQ(log.Extract(1, 7).WireSize(), total);
 }
