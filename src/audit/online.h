@@ -48,7 +48,7 @@ inline const char* OnlinePollStatusName(OnlinePollStatus s) {
 
 class OnlineAuditor {
  public:
-  // Follows the log `source` serves for `target` (its live in-memory log
+  // Follows the log `source` serves for `target` (its live log
   // through an InMemorySegmentSource, or a store::LogStore it spills
   // to), replaying from `reference_image` under `cfg`. The auditor
   // trusts only `registry`, the image and the authenticators handed to

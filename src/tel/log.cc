@@ -158,19 +158,23 @@ LogSegment LogSegment::Deserialize(ByteView data) {
 }
 
 TamperEvidentLog::TamperEvidentLog(NodeId owner)
-    : owner_(std::move(owner)), ring_(kTailCapacity) {
+    : owner_(std::move(owner)) {
   static_assert(sizeof(LinkRecord) * kTailCapacity < 128 * 1024,
                 "the ring must stay below glibc's mmap threshold");
 }
 
-const LogEntry& TamperEvidentLog::Append(EntryType type, ByteView content) {
+void TamperEvidentLog::Append(EntryType type, ByteView content) {
   const uint64_t seq = last_seq_ + 1;
   const Hash256 prev = LastHash();
   LogEntry& e = spilled_ ? tip_ : entries_.emplace_back();
   e.seq = seq;
   e.type = type;
   e.content.assign(content.begin(), content.end());
-  LinkRecord& r = ring_[seq % kTailCapacity];
+  const size_t slot = RingSlot(seq);
+  if (slot == ring_.size()) {
+    ring_.emplace_back();  // The ring fills up to kTailCapacity, then wraps.
+  }
+  LinkRecord& r = ring_[slot];
   r.link = ChainLink{seq, type, Sha256::Digest(e.content)};
   r.hash = ApplyChainLink(prev, r.link);
   e.hash = r.hash;
@@ -179,7 +183,6 @@ const LogEntry& TamperEvidentLog::Append(EntryType type, ByteView content) {
   if (sink_ != nullptr) {
     sink_->Append(e);
   }
-  return e;
 }
 
 void TamperEvidentLog::SetSink(LogSink* sink) {
@@ -229,7 +232,7 @@ void TamperEvidentLog::FlushSink() {
 }
 
 size_t TamperEvidentLog::ResidentEntries() const {
-  return spilled_ ? std::min<uint64_t>(last_seq_, kTailCapacity) : entries_.size();
+  return spilled_ ? ring_.size() : entries_.size();
 }
 
 void TamperEvidentLog::CheckRange(uint64_t from_seq, uint64_t to_seq, const char* what) const {
@@ -244,7 +247,7 @@ const TamperEvidentLog::LinkRecord* TamperEvidentLog::RingAt(uint64_t seq) const
   if (seq == 0 || seq > last_seq_ || last_seq_ - seq >= kTailCapacity) {
     return nullptr;
   }
-  return &ring_[seq % kTailCapacity];
+  return &ring_[RingSlot(seq)];
 }
 
 const SegmentSource& TamperEvidentLog::SpilledSource(uint64_t seq, const char* what) const {
@@ -293,7 +296,7 @@ void TamperEvidentLog::AppendLinks(uint64_t from_seq, uint64_t to_seq,
     from_seq = ring_first;
   }
   for (uint64_t s = from_seq; s <= to_seq; s++) {
-    out->push_back(ring_[s % kTailCapacity].link);
+    out->push_back(ring_[RingSlot(s)].link);
   }
 }
 

@@ -164,16 +164,17 @@ class LogSink {
 // those older reads throw std::out_of_range; the tip and the ring stay.
 class TamperEvidentLog {
  public:
-  // Chain links a spilled log keeps in memory (80 B each: under 128 KiB
-  // in all, so the ring never comes from its own mmap).
+  // Chain links a spilled log keeps in memory. The ring grows with the
+  // log up to this many (80 B each: under 128 KiB in all, so it never
+  // comes from its own mmap), then wraps.
   static constexpr size_t kTailCapacity = 1024;
 
   explicit TamperEvidentLog(NodeId owner);
 
-  // Appends an entry and returns it (with seq and chain hash filled in;
-  // valid until the next Append). The content is copied, so the caller
-  // may encode into a buffer it reuses.
-  const LogEntry& Append(EntryType type, ByteView content);
+  // Appends an entry (the next seq, chained to the last hash) and hands
+  // it to the sink. The content is copied, so the caller may encode into
+  // a buffer it reuses.
+  void Append(EntryType type, ByteView content);
 
   // Attaches a sink (non-owning; nullptr detaches). Entries appended
   // before the sink was attached and missing from it are replayed into
@@ -191,7 +192,7 @@ class TamperEvidentLog {
   // authenticator release on this.
   uint64_t DurableSeq() const { return sink_ ? sink_->SinkDurableSeq() : LastSeq(); }
   Hash256 LastHash() const {
-    return last_seq_ == 0 ? Hash256::Zero() : ring_[last_seq_ % kTailCapacity].hash;
+    return last_seq_ == 0 ? Hash256::Zero() : ring_[RingSlot(last_seq_)].hash;
   }
   const NodeId& owner() const { return owner_; }
 
@@ -209,8 +210,8 @@ class TamperEvidentLog {
   // Appends the chain links of [from_seq, to_seq] to `out` (nothing
   // when from_seq > to_seq); links in the ring cost no digest.
   void AppendLinks(uint64_t from_seq, uint64_t to_seq, std::vector<ChainLink>* out) const;
-  // Streams entries [from_seq, to_seq] in order (a spilled log reads
-  // them through its sink in one range read).
+  // Streams entries [from_seq, to_seq] in order (nothing when from_seq >
+  // to_seq); a spilled log reads them through its sink in one range read.
   void Scan(uint64_t from_seq, uint64_t to_seq, const EntryVisitor& visit) const;
 
   // Total serialized size of all entries (Figure 3's metric).
@@ -230,6 +231,7 @@ class TamperEvidentLog {
     Hash256 hash;
   };
 
+  static size_t RingSlot(uint64_t seq) { return (seq - 1) % kTailCapacity; }
   // Throws std::out_of_range unless 1 <= from_seq <= to_seq <= LastSeq().
   void CheckRange(uint64_t from_seq, uint64_t to_seq, const char* what) const;
   // The ring slot of `seq`, or nullptr when seq is behind the ring.
@@ -244,7 +246,7 @@ class TamperEvidentLog {
   std::vector<LogEntry> entries_;  // Every entry; empty once spilled.
   bool spilled_ = false;
   LogEntry tip_;                   // The last entry, once spilled.
-  std::vector<LinkRecord> ring_;   // ring_[seq % kTailCapacity].
+  std::vector<LinkRecord> ring_;   // Seq s in ring_[RingSlot(s)].
   LogSink* sink_ = nullptr;
   const SegmentSource* source_ = nullptr;  // sink_->Source().
 };

@@ -120,9 +120,9 @@ TEST_P(MutatedInputFuzz, NoCrashOnMutatedValidStructures) {
     Bytes active = EncodeSegmentHeader({1, Hash256::Zero()});
     std::vector<SparseIndexEntry> index;
     for (int i = 0; i < 6; i++) {
-      const LogEntry& rec =
-          store_log.Append(i % 2 == 0 ? EntryType::kInfo : EntryType::kSend,
-                           rng.RandomBytes(rng.Below(40)));
+      store_log.Append(i % 2 == 0 ? EntryType::kInfo : EntryType::kSend,
+                       rng.RandomBytes(rng.Below(40)));
+      const LogEntry rec = store_log.At(store_log.LastSeq());
       if (i % 2 == 0) {
         index.push_back({rec.seq, active.size() - kSegmentHeaderSize});
       }
