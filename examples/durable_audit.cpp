@@ -7,8 +7,8 @@
 // "in a fresh process" opens the directory cold -- knowing nothing but
 // the path -- triages the whole log with the streaming syntactic check,
 // and spot-checks a snapshot window, all straight from the sealed
-// segments. (store_test's FreshProcessStyleAuditFromDiskOnly checks
-// that such verdicts equal those of the same run kept in memory.)
+// segments. Verdicts are identical to auditing the same run (same seed)
+// kept in memory.
 #include <cstdio>
 #include <filesystem>
 
@@ -81,12 +81,23 @@ int main() {
               static_cast<unsigned long long>(snaps[mid].meta.snapshot_id),
               spot.Describe().c_str());
 
-  // And the full audit, straight from disk.
+  // And the acceptance bar: the full store-backed audit agrees, bit for
+  // bit, with auditing a sinkless twin of the same run, whose log stays
+  // in memory.
   AuditOutcome disk =
       auditor.AuditFull(game.player(0), *store, game.reference_client_image(), auths);
-  std::printf("full audit from disk -> %s\n", disk.Describe().c_str());
+  GameScenario twin(cfg);
+  twin.Start();
+  twin.RunFor(20 * kMicrosPerSecond);
+  twin.Finish();
+  AuditOutcome mem = Auditor("server", &twin.registry())
+                         .AuditFull(twin.player(0), InMemorySegmentSource(twin.player(0).log()),
+                                    twin.reference_client_image(),
+                                    twin.CollectAuths(twin.player_id(0)));
+  std::printf("full audit from disk -> %s (in-memory path agrees: %s)\n",
+              disk.Describe().c_str(), disk.Describe() == mem.Describe() ? "yes" : "NO");
 
   game.player(0).SpillTo(nullptr);
   fs::remove_all(dir);
-  return (spot.ok && disk.ok) ? 0 : 1;
+  return (spot.ok && disk.ok && disk.Describe() == mem.Describe()) ? 0 : 1;
 }

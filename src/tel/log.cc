@@ -196,6 +196,12 @@ void TamperEvidentLog::SetSink(LogSink* sink) {
     if (sink_last > last_seq_) {
       error = "TamperEvidentLog::SetSink: sink already holds " + std::to_string(sink_last) +
               " entries but the log has only " + std::to_string(last_seq_);
+    } else if (spilled_ && sink_last + 1 < last_seq_) {
+      // A spilled log holds only its tip's content; the entries before it
+      // live in whatever sink it spilled to, which may be gone. Refuse
+      // here rather than read through it.
+      error = "TamperEvidentLog::SetSink: sink lacks entries [" + std::to_string(sink_last + 1) +
+              ", " + std::to_string(last_seq_ - 1) + "], which the spilled log no longer holds";
     } else if (sink_last > 0) {
       std::optional<Hash256> sink_hash = sink->SinkLastHash();
       if (sink_hash.has_value() && *sink_hash != HashAt(sink_last)) {
@@ -208,7 +214,8 @@ void TamperEvidentLog::SetSink(LogSink* sink) {
       source_ = nullptr;
       throw std::logic_error(error);
     }
-    // Backfill reads through the previous sink, if the log spilled to one.
+    // A spilled log backfills at most its tip, so neither the divergence
+    // check (the ring) nor this reads through the previous sink.
     Scan(sink_last + 1, last_seq_, [sink](const LogEntry& e) {
       sink->Append(e);
       return true;

@@ -164,9 +164,12 @@ class LogSink {
 // those older reads throw std::out_of_range; the tip and the ring stay.
 class TamperEvidentLog {
  public:
-  // Chain links a spilled log keeps in memory. The ring grows with the
-  // log up to this many (80 B each: under 128 KiB in all, so it never
-  // comes from its own mmap), then wraps.
+  // Chain links a spilled log keeps in memory. The longest chain tail a
+  // batched or async recording builds is what a node logs between two
+  // frames to one peer, about 540 entries in the game (see
+  // spill_soak_test), so the ring serves every tail with ~2x headroom.
+  // It grows with the log up to this many (80 B each: under 128 KiB in
+  // all, so it never comes from its own mmap), then wraps.
   static constexpr size_t kTailCapacity = 1024;
 
   explicit TamperEvidentLog(NodeId owner);
@@ -178,9 +181,12 @@ class TamperEvidentLog {
 
   // Attaches a sink (non-owning; nullptr detaches). Entries appended
   // before the sink was attached and missing from it are replayed into
-  // it first, so the sink always mirrors the full log. Throws
-  // std::logic_error (leaving no sink attached) when the sink is ahead
-  // of the log or its chain diverges from it.
+  // it first, so the sink always mirrors the full log. A spilled log can
+  // replay only its tip, so a sink attached to it must already hold
+  // every entry before the tip; SetSink never reads the previous sink.
+  // Throws std::logic_error (leaving no sink attached) when the sink is
+  // ahead of the log, its chain diverges from it, or it lacks entries a
+  // spilled log no longer holds.
   void SetSink(LogSink* sink);
   LogSink* sink() const { return sink_; }
   void FlushSink();

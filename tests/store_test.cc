@@ -368,6 +368,53 @@ TEST_F(StoreFixture, ReopenTruncatesHalfWrittenRecord) {
   EXPECT_EQ(store->Extract(1, 50).Serialize(), ref.Extract(1, 50).Serialize());
 }
 
+// A recovered store that lost more than the tip cannot take a spilled
+// log back: the entries between it and the tip are in no attached sink.
+// SetSink refuses by name without reading the previous sink, which here
+// was destroyed while still attached (the ASan job catches a read), and
+// the log keeps appending in memory.
+TEST_F(StoreFixture, ReattachRefusesAStoreMissingMoreThanTheTip) {
+  TamperEvidentLog log("bob");
+  TamperEvidentLog ref("bob");  // Sinkless twin: the reference contents.
+  Fill(ref, 47);
+  Fill(ref, 3);
+  const std::string live = dir_ + "_live";
+  fs::remove_all(live);
+  LogStoreOptions opts = SmallSegments();
+  opts.sealer_threads = 0;  // Seal inline: the copy sees settled files.
+  {
+    auto store = LogStore::Open(live, "bob", opts);
+    log.SetSink(store.get());
+    Fill(log, 47);
+    store->Flush();
+    CopyDir(live, dir_);  // Crash image: seqs 48..50 never reach it.
+    Fill(log, 3);
+  }
+  fs::remove_all(live);
+
+  auto recovered = LogStore::Open(dir_, SmallSegments());
+  ASSERT_EQ(recovered->LastSeq(), 47u);
+  try {
+    log.SetSink(recovered.get());
+    FAIL() << "SetSink accepted a store missing [48, 49]";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("[48, 49]"), std::string::npos) << e.what();
+  }
+  EXPECT_EQ(log.sink(), nullptr);
+  EXPECT_EQ(recovered->LastSeq(), 47u);  // Nothing was backfilled.
+  EXPECT_EQ(log.LastHash(), ref.LastHash());
+
+  // Once the store holds everything but the tip, the re-attach works.
+  recovered->Append(ref.At(48));
+  recovered->Append(ref.At(49));
+  log.SetSink(recovered.get());
+  EXPECT_EQ(recovered->LastSeq(), 50u);
+  Fill(log, 5);
+  Fill(ref, 5);
+  EXPECT_EQ(recovered->Extract(1, 55).Serialize(), ref.Extract(1, 55).Serialize());
+  log.SetSink(nullptr);
+}
+
 TEST_F(StoreFixture, CorruptTailRecordIsDroppedOnRecovery) {
   TamperEvidentLog log("bob");
   {
