@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "src/avmm/transport.h"
+#include "src/chaos/fault_plan.h"
 #include "src/obs/metrics.h"
 #include "src/sim/scenario.h"
 #include "src/store/log_store.h"
@@ -225,15 +226,39 @@ class CountingSink final : public LogSink, public SegmentSource {
 // while recording. The longest tail is what a node logs between two
 // frames to one peer; in the game that is the server's log over one
 // broadcast period, about 520-540 entries for 2 to 8 players (with and
-// without the frame cap), so kTailCapacity leaves about 2x headroom.
+// without the frame cap, and over a network that drops and duplicates
+// frames), so kTailCapacity leaves about 2x headroom.
 TEST(SpillSoak, GameChainTailsNeverReadThroughTheStore) {
-  for (const SignMode mode : {SignMode::kBatched, SignMode::kAsync}) {
-    const std::string dir = TempDir(std::string("game_") + SignModeName(mode));
+  struct Case {
+    const char* name;
+    SignMode mode;
+    bool lossy;
+  };
+  for (const Case& c : {Case{"batched", SignMode::kBatched, false},
+                        Case{"async", SignMode::kAsync, false},
+                        Case{"lossy_batched", SignMode::kBatched, true}}) {
+    const std::string dir = TempDir(std::string("game_") + c.name);
+    // record_pin_test's lossy plan: 5% drops and 5% duplicates, which
+    // stop before the end so Finish() settles every retransmission.
+    chaos::FaultPlan plan;
+    plan.seed = chaos::DeriveSeed(3, "record-pin");
+    if (c.lossy) {
+      for (const chaos::FaultType type : {chaos::FaultType::kNetDrop,
+                                          chaos::FaultType::kNetDuplicate}) {
+        chaos::FaultEvent fault;
+        fault.type = type;
+        fault.when.probability = 0.05;
+        fault.when.before_us = 750 * kMicrosPerMilli;
+        plan.Add(fault);
+      }
+    }
+    chaos::FaultInjector injector(plan);
     GameScenarioConfig cfg;
-    cfg.run = mode == SignMode::kBatched ? RunConfig::AvmmRsa768Batched()
-                                         : RunConfig::AvmmRsa768Async();
+    cfg.run = c.mode == SignMode::kBatched ? RunConfig::AvmmRsa768Batched()
+                                           : RunConfig::AvmmRsa768Async();
     cfg.num_players = 3;
     cfg.seed = 3;
+    cfg.chaos = &injector;
     GameScenario game(cfg);
     game.Start();
     std::vector<Avmm*> nodes = {&game.server()};
@@ -251,11 +276,16 @@ TEST(SpillSoak, GameChainTailsNeverReadThroughTheStore) {
     }
     game.RunFor(kMicrosPerSecond);
     game.Finish();
+    uint64_t retransmits = 0;
     for (size_t i = 0; i < nodes.size(); i++) {
       EXPECT_GT(nodes[i]->transport().stats().batch_commits_signed, 0u) << nodes[i]->id();
       EXPECT_GT(nodes[i]->log().LastSeq(), 2 * kTail) << nodes[i]->id();
-      EXPECT_EQ(sinks[i]->reads, 0u) << SignModeName(mode) << " " << nodes[i]->id();
+      EXPECT_EQ(sinks[i]->reads, 0u) << c.name << " " << nodes[i]->id();
+      retransmits += nodes[i]->transport().stats().retransmits;
       nodes[i]->SpillTo(nullptr);
+    }
+    if (c.lossy) {
+      EXPECT_GT(retransmits, 0u);  // The plan did drop frames.
     }
     stores.clear();
     fs::remove_all(dir);
