@@ -289,6 +289,12 @@ void Avmm::RecordEvent(const TraceEvent& e) {
 }
 
 RunExit Avmm::RunQuantum(SimTime now, SimTime quantum_us) {
+  RunExit exit = BeginQuantum(now, quantum_us);
+  EndQuantum(now + quantum_us);
+  return exit;
+}
+
+RunExit Avmm::BeginQuantum(SimTime now, SimTime quantum_us) {
   current_now_ = now;
 
   if (cheat_hook_) {
@@ -303,14 +309,18 @@ RunExit Avmm::RunQuantum(SimTime now, SimTime quantum_us) {
   RunExit exit = machine_.RunUntilIcount((now + quantum_us) * cfg_.ips_per_us);
   exec_seconds_ += timer.ElapsedSeconds();
 
-  transport_->Tick(now + quantum_us);
+  transport_->CloseDueWindows();
+  return exit;
+}
+
+void Avmm::EndQuantum(SimTime end) {
+  transport_->ReleaseAndRetransmit(end);
 
   if (cfg_.snapshot_interval > 0 && cfg_.TamperEvident() &&
-      now + quantum_us - last_snapshot_time_ >= cfg_.snapshot_interval) {
-    TakeSnapshot(now + quantum_us);
+      end - last_snapshot_time_ >= cfg_.snapshot_interval) {
+    TakeSnapshot(end);
   }
-  current_now_ = now + quantum_us;
-  return exit;
+  current_now_ = end;
 }
 
 Authenticator Avmm::CommitLog() const {

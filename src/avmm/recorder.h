@@ -74,8 +74,17 @@ class Avmm : public DeviceBackend {
   void SpillTo(LogSink* sink) { log_.SetSink(sink); }
 
   // Runs the guest for `quantum_us` simulated microseconds starting at
-  // `now`, after delivering any queued incoming packets.
+  // `now`, after delivering any queued incoming packets, then ends the
+  // quantum: BeginQuantum(now, quantum_us) then EndQuantum(now +
+  // quantum_us). A forced durable group commit runs inline here.
   RunExit RunQuantum(SimTime now, SimTime quantum_us);
+  // A quantum's two halves, for a driver that runs the forced durable
+  // group commits of all its nodes at one barrier between them
+  // (ScenarioWorld::RunFor). BeginQuantum runs the guest and closes a
+  // full signature window; EndQuantum(end) releases the parked frames
+  // the watermark covers, retransmits, and takes the periodic snapshot.
+  RunExit BeginQuantum(SimTime now, SimTime quantum_us);
+  void EndQuantum(SimTime end);
 
   // Takes a snapshot immediately (also called periodically per config).
   SnapshotMeta TakeSnapshot(SimTime now);

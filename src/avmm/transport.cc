@@ -105,12 +105,20 @@ void Transport::SendPacket(SimTime now, const NodeId& dst, Bytes payload) {
 }
 
 void Transport::Tick(SimTime now) {
+  CloseDueWindows();
+  ReleaseAndRetransmit(now);
+}
+
+void Transport::CloseDueWindows() {
   if (cfg_->BatchedSigning()) {
     // Trace entries appended since the last message may have filled the
     // window; close it so the unsigned tail stays bounded.
     MaybeCloseWindow();
     PumpAsync();
   }
+}
+
+void Transport::ReleaseAndRetransmit(SimTime now) {
   ReleaseDurable(now);
   for (auto it = unacked_.begin(); it != unacked_.end();) {
     PendingSend& p = it->second;
@@ -465,24 +473,36 @@ void Transport::NoteAuthRelease(uint64_t seq) {
   }
 }
 
-void Transport::ReleaseDurable(SimTime now) {
-  if (!cfg_->durable_commit || (parked_.empty() && pending_commits_.empty())) {
-    return;
-  }
-  // Highest seq anything parked is waiting on. Parked frames are in log
-  // order, so the back of the deque bounds the front.
+uint64_t Transport::DurableNeed() const {
   uint64_t need = 0;
   for (const Authenticator& a : pending_commits_) {
     need = std::max(need, a.seq);
   }
+  // Parked frames are in log order, so the back of the deque bounds
+  // the front.
   if (!parked_.empty()) {
     need = std::max(need, parked_.back().release_seq);
   }
-  if (log_->DurableSeq() < need) {
-    // One group commit covers everything parked.
-    obs::Span span(obs::kPhaseTransportDurableWait, "transport");
-    log_->FlushSink();
-    stats_.durable_forced_flushes++;
+  return need;
+}
+
+bool Transport::DurableCommitDue() const {
+  return cfg_->durable_commit && log_->DurableSeq() < DurableNeed();
+}
+
+void Transport::ForceDurableCommit() {
+  // One group commit covers everything parked.
+  obs::Span span(obs::kPhaseTransportDurableWait, "transport");
+  log_->FlushSink();
+  stats_.durable_forced_flushes++;
+}
+
+void Transport::ReleaseDurable(SimTime now) {
+  if (!cfg_->durable_commit || (parked_.empty() && pending_commits_.empty())) {
+    return;
+  }
+  if (DurableCommitDue()) {
+    ForceDurableCommit();
   }
   uint64_t wm = log_->DurableSeq();
   for (auto it = pending_commits_.begin(); it != pending_commits_.end();) {

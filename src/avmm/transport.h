@@ -101,8 +101,26 @@ class Transport : public NetworkDelegate {
 
   // Retransmits unacknowledged messages past the timeout. In
   // batched/async modes also closes overdue signature windows and
-  // integrates finished background signatures.
+  // integrates finished background signatures. The same as
+  // CloseDueWindows() then ReleaseAndRetransmit(now).
   void Tick(SimTime now);
+  // Tick's first half: closes the open signature window if it is full
+  // and integrates finished background signatures (batched/async).
+  void CloseDueWindows();
+  // Tick's second half: releases every parked frame the watermark
+  // covers (forcing a group commit first if one is still due) and
+  // retransmits overdue data frames.
+  void ReleaseAndRetransmit(SimTime now);
+
+  // Durable commit (RunConfig::durable_commit). True when a parked
+  // frame or window commitment waits on entries past the durability
+  // watermark, so releasing it needs a forced group commit.
+  bool DurableCommitDue() const;
+  // The forced group commit: one sink flush, timed as the
+  // transport.durable_wait phase and counted in durable_forced_flushes.
+  // It touches only this node's stats and sink, so a scenario runs the
+  // due commits of several nodes at once, each on its own thread.
+  void ForceDurableCommit();
 
   // Batched/async modes: seals the current window (for kAsync this is
   // the barrier that waits for the signer thread to drain) and pushes a
@@ -227,11 +245,15 @@ class Transport : public NetworkDelegate {
   // Accounting at the moment an authenticator actually goes on the wire;
   // durable_gate_violations counts releases above the watermark.
   void NoteAuthRelease(uint64_t seq);
-  // Flushes the sink when the watermark lags anything parked, then
-  // hands every parked frame the watermark covers back to Release and
-  // integrates every parked commitment it covers. Tick and Flush call
-  // it, making one group commit per quantum the worst-case release
-  // latency.
+  // Highest seq anything parked (frames and window commitments) waits
+  // on; 0 when nothing is parked.
+  uint64_t DurableNeed() const;
+  // Forces a group commit if one is still due (ForceDurableCommit),
+  // then hands every parked frame the watermark covers back to Release
+  // and integrates every parked commitment it covers. Tick and Flush
+  // call it, making one group commit per quantum the worst-case release
+  // latency; a scenario turn has already run the due commit at its
+  // barrier, so there it finds the watermark past what it parked.
   void ReleaseDurable(SimTime now);
 
   NodeId id_;

@@ -1,5 +1,6 @@
 #include "src/net/network.h"
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -51,6 +52,31 @@ SimTime SimNetwork::LatencyFor(const NodeId& a, const NodeId& b) const {
 }
 
 void SimNetwork::SendFrame(SimTime now, const NodeId& src, const NodeId& dst, Bytes frame) {
+  if (holding_) {
+    held_.push_back({now, src, dst, std::move(frame)});
+    return;
+  }
+  Send(now, src, dst, std::move(frame));
+}
+
+void SimNetwork::SendHeld(const std::vector<NodeId>& order) {
+  holding_ = false;
+  for (const NodeId& src : order) {
+    for (HeldFrame& f : held_) {
+      if (f.src == src) {
+        Send(f.sent_at, f.src, f.dst, std::move(f.frame));
+      }
+    }
+  }
+  for (HeldFrame& f : held_) {
+    if (std::find(order.begin(), order.end(), f.src) == order.end()) {
+      Send(f.sent_at, f.src, f.dst, std::move(f.frame));
+    }
+  }
+  held_.clear();
+}
+
+void SimNetwork::Send(SimTime now, const NodeId& src, const NodeId& dst, Bytes frame) {
   TrafficStats& s = stats_[src];
   s.frames_sent++;
   s.bytes_sent += frame.size();

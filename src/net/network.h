@@ -68,7 +68,19 @@ class SimNetwork {
   void SetFaultInjector(chaos::FaultInjector* injector) { chaos_ = injector; }
 
   // Schedules delivery of `frame` from src to dst at now + latency.
+  // While the network holds (Hold()), the frame waits for SendHeld().
   void SendFrame(SimTime now, const NodeId& src, const NodeId& dst, Bytes frame);
+
+  // Holds every frame handed to SendFrame, with its send time, until
+  // SendHeld(). A driver that runs its hosts' work in two passes per
+  // turn holds between them, so the loss and chaos draws and the
+  // delivery tie-breaks see frames in the order a host-by-host turn
+  // sends them.
+  void Hold() { holding_ = true; }
+  // Ends the hold and sends the held frames grouped by source in
+  // `order` (sources not in it last), each source's frames in the order
+  // it handed them over.
+  void SendHeld(const std::vector<NodeId>& order);
 
   // Delivers every frame scheduled at or before `t`, in timestamp order.
   void DeliverUntil(SimTime t);
@@ -93,6 +105,13 @@ class SimNetwork {
     }
   };
 
+  struct HeldFrame {
+    SimTime sent_at;
+    NodeId src, dst;
+    Bytes frame;
+  };
+
+  void Send(SimTime now, const NodeId& src, const NodeId& dst, Bytes frame);
   SimTime LatencyFor(const NodeId& a, const NodeId& b) const;
   static std::pair<NodeId, NodeId> Key(const NodeId& a, const NodeId& b);
 
@@ -109,6 +128,8 @@ class SimNetwork {
   SimTime default_latency_ = 96;  // One-way; 192 µs RTT like the paper's LAN.
   double drop_rate_ = 0.0;
   uint64_t order_counter_ = 0;
+  bool holding_ = false;
+  std::vector<HeldFrame> held_;
   Prng rng_;
   chaos::FaultInjector* chaos_ = nullptr;
 };

@@ -50,11 +50,41 @@ void ScenarioWorld::RunFor(SimTime duration) {
     if (turn_hook_) {
       turn_hook_(now_);
     }
-    for (Node& n : nodes_) {
-      n.avmm->RunQuantum(now_, quantum_us_);
+    net_.Hold();
+    try {
+      for (Node& n : nodes_) {
+        n.avmm->BeginQuantum(now_, quantum_us_);
+      }
+      CommitDue();
+      for (Node& n : nodes_) {
+        n.avmm->EndQuantum(now_ + quantum_us_);
+      }
+    } catch (...) {
+      net_.SendHeld(peer_order_);
+      throw;
     }
+    net_.SendHeld(peer_order_);
     now_ += quantum_us_;
   }
+}
+
+void ScenarioWorld::CommitDue() {
+  std::vector<Transport*> due;
+  for (Node& n : nodes_) {
+    if (n.avmm->transport().DurableCommitDue()) {
+      due.push_back(&n.avmm->transport());
+    }
+  }
+  if (due.size() < 2) {
+    for (Transport* t : due) {
+      t->ForceDurableCommit();
+    }
+    return;
+  }
+  if (pool_ == nullptr || pool_->thread_count() < due.size()) {
+    pool_ = std::make_unique<ThreadPool>(static_cast<unsigned>(due.size()));
+  }
+  pool_->ParallelFor(due.size(), [&due](size_t i) { due[i]->ForceDurableCommit(); });
 }
 
 void ScenarioWorld::Finish() {

@@ -21,6 +21,7 @@
 #include "src/audit/auditor.h"
 #include "src/avmm/recorder.h"
 #include "src/net/network.h"
+#include "src/util/threadpool.h"
 
 namespace avm {
 
@@ -58,7 +59,15 @@ class ScenarioWorld {
   void SetTurnHook(std::function<void(SimTime)> hook) { turn_hook_ = std::move(hook); }
 
   // Each turn: deliver due frames, run the turn hook, then one quantum
-  // on every node in peer order.
+  // on every node in three steps. Every node's BeginQuantum runs in
+  // peer order; then the forced durable group commits that are due
+  // (RunConfig::durable_commit) run at one barrier, together on a pool
+  // when two or more are due; then every node's EndQuantum releases
+  // what those commits made durable, in peer order. The network holds
+  // the turn's frames and sends them grouped by node in peer order, so
+  // frames reach SimNetwork::SendFrame's draws in the order a
+  // node-by-node turn sends them. A failed commit throws the earliest
+  // failing node's error, after every node's BeginQuantum of that turn.
   void RunFor(SimTime duration);
   // Final snapshots + END markers, then (batched or durable commit) a
   // settle that delivers the last commitments before anyone is audited.
@@ -87,6 +96,11 @@ class ScenarioWorld {
   const KeyRegistry& registry() const { return registry_; }
 
  private:
+  // Runs every node's due forced group commit: inline when at most one
+  // is due, else on pool_, created the first time two are due and
+  // grown to the largest number due at once.
+  void CommitDue();
+
   RunConfig run_;
   SimTime quantum_us_;
   Prng rng_;
@@ -96,6 +110,7 @@ class ScenarioWorld {
   std::vector<std::unique_ptr<Signer>> signers_;
   std::vector<Node> nodes_;
   std::function<void(SimTime)> turn_hook_;
+  std::unique_ptr<ThreadPool> pool_;
   SimTime now_ = 0;
 };
 

@@ -22,20 +22,27 @@ namespace avm {
 
 // Where on the write path the hook is being consulted. "writer" is the
 // one recording thread (Append/Flush/Seal), "flusher" the group-commit
-// delay thread (group_commit.max_delay_ms > 0), and "sealer" a sealer
-// pool worker (the rolling thread itself when sealer_threads = 0).
+// delay thread (group_commit.max_delay_ms > 0), "sealer" a sealer pool
+// worker (the rolling thread itself when sealer_threads = 0), and "turn
+// worker" a thread of a scenario's turn pool, which runs a forced
+// Flush() for the writer while the writer waits at the turn's commit
+// barrier (ScenarioWorld::RunFor, when two or more nodes are due).
 //
 //  site               thread             `seq`              acts on
 //  "append-write"     writer             entry appended     kIoError, kShortWrite, kCrash
-//  "group-commit"     writer, flusher    last seq covered   every action (poisons)
-//  "post-dir-sync"    writer, flusher    last seq appended  none
-//  "post-flush"       writer, flusher    watermark reached  none
+//  "group-commit"     writer, flusher,   last seq covered   every action (poisons)
+//                     turn worker
+//  "post-dir-sync"    writer, flusher,   last seq appended  none
+//                     turn worker
+//  "post-flush"       writer, flusher,   watermark reached  none
+//                     turn worker
 //  "roll"             writer             segment last seq   every action (poisons)
 //  "post-roll"        writer             segment last seq   none
 //  "pre-seal-rename"  sealer             segment last seq   none
 //  "pre-seal-unlink"  sealer             segment last seq   none
 //  "aux-write"        aux-file writer    0                  every action
-//  "aux-sync"         writer, flusher    0                  every action (poisons)
+//  "aux-sync"         writer, flusher,   0                  every action (poisons)
+//                     turn worker
 //
 //  "append-write"     Append(), before the record is accepted; there is
 //                     no barrier here, so kFsyncFail is ignored.
